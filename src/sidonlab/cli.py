@@ -41,7 +41,13 @@ from .sets import (
 )
 from .spectral import Frequency, large_sieve_diagnostic, large_spectrum
 from .suites import run_suites
-from .transference import bohr_set, dense_model, transference_report
+from .transference import (
+    DEFAULT_FOURIER_C,
+    bohr_set,
+    bohr_size_bound,
+    dense_model,
+    transference_report,
+)
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILURE = 1
@@ -65,12 +71,15 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValidationError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
-def _parse_coeffs(text: str) -> EquationCoeffs:
+def _parse_ints(text: str, what: str) -> list[int]:
     try:
-        coeffs = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse coefficients {text!r}") from exc
-    return EquationCoeffs(coeffs)
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"cannot parse {what} {text!r}") from None
+
+
+def _parse_coeffs(text: str) -> EquationCoeffs:
+    return EquationCoeffs(tuple(_parse_ints(text, "coefficients")))
 
 
 def _parse_frequency(text: str) -> Frequency:
@@ -102,6 +111,10 @@ def _set_summary(s: IntegerSet) -> dict:
         "delta": _frac(params.delta),
         "is_sidon": is_sidon(s),
     }
+
+
+def _int_bound_dict(v) -> dict:
+    return {"lhs": int(v.lhs), "rhs": int(v.rhs), "holds": v.holds}
 
 
 def _cmd_construct(args) -> int:
@@ -212,8 +225,6 @@ def _cmd_bohr(args) -> int:
     eps = _parse_fraction(args.eps)
     freqs = [_parse_frequency(t) for t in (args.freq or [])]
     b = bohr_set(freqs, eps, args.n)
-    from .transference import bohr_size_bound
-
     verdict = bohr_size_bound(b.size, eps, len(freqs), args.n)
     doc = {
         "schema": 1,
@@ -221,11 +232,7 @@ def _cmd_bohr(args) -> int:
         "width": b.width,
         "size": b.size,
         "elements": list(b.elements),
-        "size_bound": {
-            "lhs": int(verdict.lhs),
-            "rhs": int(verdict.rhs),
-            "holds": verdict.holds,
-        },
+        "size_bound": _int_bound_dict(verdict),
     }
     _emit_json(doc)
     return EXIT_OK
@@ -249,11 +256,7 @@ def _cmd_model(args) -> int:
         "l2_value": _frac(d.l2_value),
         "fourier_distance": _float17(d.fourier_distance),
         "containment_holds": model.containment_holds,
-        "size_bound": {
-            "lhs": int(model.size_bound.lhs),
-            "rhs": int(model.size_bound.rhs),
-            "holds": model.size_bound.holds,
-        },
+        "size_bound": _int_bound_dict(model.size_bound),
     }
     _emit_json(doc)
     return EXIT_OK if d.mass_identity_holds else EXIT_VERDICT_FAILURE
@@ -356,7 +359,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_bench(args) -> int:
     eq = _parse_coeffs(args.coeffs)
-    sizes = [int(t) for t in args.sizes.split(",")]
+    sizes = _parse_ints(args.sizes, "sizes")
     if any(n <= 0 for n in sizes):
         raise ValidationError("sizes must be positive")
     cfg = _config(args, ["sizes", "coeffs"])
@@ -386,11 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sidonlab",
         description="Exact arithmetic for Sidon sets, solution counting, "
         "spectra, and Bohr-set dense models.",
-    )
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="cap internal parallelism (engines are sequential; outputs "
-        "never depend on this value)",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -450,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     re.add_argument("--coeffs", required=True)
     re.add_argument("--eps", required=True)
     re.add_argument("--m", type=int, default=None)
-    re.add_argument("--fourier-c", type=int, default=16)
+    re.add_argument("--fourier-c", type=int, default=DEFAULT_FOURIER_C)
     re.set_defaults(func=_cmd_report)
 
     be = sub.add_parser("bench", help="time the fast path against brute force")
@@ -466,7 +464,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

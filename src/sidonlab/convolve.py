@@ -2,20 +2,20 @@
 
 Two routes, both exact:
 
-* schoolbook multiplication for product lengths up to ``NTT_THRESHOLD``
-  (a numpy int64 inner loop is used whenever a rigorous coefficient bound
-  rules out overflow, otherwise plain big-integer loops);
-* above the threshold, number-theoretic transforms modulo several fixed
-  62-bit primes of the form c * 2^32 + 1, recombined coefficientwise by the
-  Chinese remainder theorem and mapped back to signed integers.
+* numpy's int64 ``np.convolve`` when the product length is at most
+  ``SHORT_LEN`` and a rigorous coefficient bound rules out overflow;
+* otherwise Kronecker substitution: each sequence is packed into one Python
+  integer as the value of its polynomial at 2^w, the two integers are
+  multiplied once (CPython's Karatsuba), and the product is unpacked slot by
+  slot (Schonhage 1982; Harvey, J. Symb. Comput. 2009).
 
-Enough primes are chosen so that their product exceeds twice a proven bound
-on the largest output coefficient, so CRT reconstruction is unambiguous and
-no wraparound can occur.  The transform length is the next power of two at
-or above the product length, which always exceeds the full support span.
-Should a coefficient bound ever exceed what the whole prime table covers,
-the engine falls back to schoolbook big-integer arithmetic, which has no
-size limit.
+The slot width w is the bit length of the coefficient bound, plus one sign
+bit when an input is signed, rounded up to whole bytes so that packing and
+unpacking are byte copies.  A signed sequence is packed as
+pack(positive part) - pack(negative part), and the product is unpacked
+after adding 2^(w-1) to every slot, so each slot holds c + 2^(w-1) in
+[0, 2^w) and no carry crosses a slot boundary.  Big integers have no size
+limit, so this route needs no fallback.
 """
 
 from __future__ import annotations
@@ -24,28 +24,10 @@ import numpy as np
 
 from .errors import ValidationError
 
-# 62-bit primes c * 2^32 + 1 with a primitive root, supporting transform
-# lengths up to 2^32.  Product of all six is about 2^371.
-NTT_PRIMES: tuple[tuple[int, int], ...] = (
-    (2305843185307353089, 3),
-    (2305843262616764417, 11),
-    (2305843322746306561, 37),
-    (2305843391465783297, 3),
-    (2305843546084605953, 3),
-    (2305843700703428609, 3),
-)
-
-_MAX_NTT_LEN = 1 << 32
-
-# Product lengths at or below this use schoolbook multiplication; the value
-# is configurable per call for benchmarking the two routes.
-NTT_THRESHOLD = 1 << 14
+# Product lengths at or below this go through numpy when int64 is safe.
+SHORT_LEN = 1 << 14
 
 _INT64_SAFE = 1 << 62
-
-
-def _next_pow2(n: int) -> int:
-    return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
 def _coeff_bound(a: list[int], b: list[int]) -> int:
@@ -54,113 +36,62 @@ def _coeff_bound(a: list[int], b: list[int]) -> int:
     return min(len(a), len(b)) * ma * mb
 
 
-def _schoolbook(a: list[int], b: list[int]) -> list[int]:
-    if _coeff_bound(a, b) < _INT64_SAFE:
-        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return [int(x) for x in out]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def _pack(seq: list[int], nbytes: int) -> int:
+    """sum seq[i] * 2^(8 nbytes i) for a sequence with 0 <= seq[i] < 2^(8 nbytes)."""
+    if nbytes <= 8:
+        arr = np.asarray(seq, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        return int.from_bytes(arr[:, :nbytes].tobytes(), "little")
+    return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in seq),
+                          "little")
 
 
-def _ntt(a: list[int], p: int, g: int, invert: bool) -> None:
-    """In-place iterative radix-2 transform modulo p; g is a primitive root."""
-    n = len(a)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
-    length = 2
-    while length <= n:
-        w = pow(g, (p - 1) // length, p)
-        if invert:
-            w = pow(w, p - 2, p)
-        half = length >> 1
-        for start in range(0, n, length):
-            wn = 1
-            for k in range(start, start + half):
-                u = a[k]
-                v = a[k + half] * wn % p
-                a[k] = (u + v) % p
-                a[k + half] = (u - v) % p
-                wn = wn * w % p
-        length <<= 1
-    if invert:
-        inv_n = pow(n, p - 2, p)
-        for i in range(n):
-            a[i] = a[i] * inv_n % p
+def _pack_signed(seq: list[int], nbytes: int) -> int:
+    if min(seq) >= 0:
+        return _pack(seq, nbytes)
+    return (_pack([x if x > 0 else 0 for x in seq], nbytes)
+            - _pack([-x if x < 0 else 0 for x in seq], nbytes))
 
 
-def _ntt_convolve(a: list[int], b: list[int]) -> list[int] | None:
-    """Multi-prime NTT convolution, or None if the prime table cannot
-    cover the coefficient bound (caller falls back to schoolbook)."""
+def _unpack(raw: bytes, nbytes: int, bias: int) -> list[int]:
+    """The slots of `raw`, nbytes each, read as integers minus `bias`."""
+    if nbytes <= 8:
+        slots = np.zeros((len(raw) // nbytes, 8), dtype=np.uint8)
+        slots[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
+        vals = slots.view("<u8").ravel()
+        # uint64 wraparound, then two's complement: exact since |c| < 2^63
+        return (vals - np.uint64(bias)).view(np.int64).tolist() if bias else vals.tolist()
+    return [int.from_bytes(raw[i:i + nbytes], "little") - bias
+            for i in range(0, len(raw), nbytes)]
+
+
+def _kronecker(a: list[int], b: list[int], bound: int) -> list[int]:
     out_len = len(a) + len(b) - 1
-    length = _next_pow2(out_len)
-    if length > _MAX_NTT_LEN:
-        raise ValidationError(f"transform length {length} exceeds 2^32")
-    bound = _coeff_bound(a, b)
-    primes = []
-    prod = 1
-    for p, g in NTT_PRIMES:
-        primes.append((p, g))
-        prod *= p
-        if prod > 2 * bound:
-            break
-    if prod <= 2 * bound:
-        return None
-    residues = []
-    for p, g in primes:
-        fa = [x % p for x in a] + [0] * (length - len(a))
-        fb = [x % p for x in b] + [0] * (length - len(b))
-        _ntt(fa, p, g, invert=False)
-        _ntt(fb, p, g, invert=False)
-        for i in range(length):
-            fa[i] = fa[i] * fb[i] % p
-        _ntt(fa, p, g, invert=True)
-        residues.append(fa)
-    out = []
-    half = prod // 2
-    for i in range(out_len):
-        # incremental CRT over the chosen primes
-        x = residues[0][i]
-        m = primes[0][0]
-        for (p, _), res in zip(primes[1:], residues[1:]):
-            t = (res[i] - x) * pow(m, p - 2, p) % p
-            x += m * t
-            m *= p
-        if x > half:
-            x -= prod
-        out.append(x)
-    return out
+    signed = min(a) < 0 or min(b) < 0
+    nbytes = (bound.bit_length() + signed + 7) // 8
+    prod = _pack_signed(a, nbytes) * _pack_signed(b, nbytes)
+    bias = 1 << (8 * nbytes - 1) if signed else 0
+    if bias:
+        prod += _pack([bias] * out_len, nbytes)
+    return _unpack(prod.to_bytes(nbytes * out_len, "little"), nbytes, bias)
 
 
-def convolve(a: list[int], b: list[int], ntt_threshold: int | None = None) -> list[int]:
+def convolve(a: list[int], b: list[int]) -> list[int]:
     """Exact linear convolution of two integer sequences.
 
     Output index k holds sum over i+j = k of a[i]*b[j] as a Python integer.
-    `ntt_threshold` overrides the schoolbook/NTT switch point (the product
-    length above which the NTT route is taken).
     """
     if not a or not b:
         return []
-    thr = NTT_THRESHOLD if ntt_threshold is None else ntt_threshold
-    out_len = len(a) + len(b) - 1
-    if out_len > thr:
-        out = _ntt_convolve(a, b)
-        if out is not None:
-            return out
-    return _schoolbook(a, b)
+    bound = _coeff_bound(a, b)
+    if bound == 0:
+        return [0] * (len(a) + len(b) - 1)
+    if len(a) + len(b) - 1 <= SHORT_LEN and bound < _INT64_SAFE:
+        return np.convolve(np.asarray(a, dtype=np.int64),
+                           np.asarray(b, dtype=np.int64)).tolist()
+    return _kronecker(a, b, bound)
 
 
-def convolve_many(seqs: list[list[int]], ntt_threshold: int | None = None) -> list[int]:
+def convolve_many(seqs: list[list[int]]) -> list[int]:
     """Left fold of `convolve` over a nonempty list of sequences."""
     if not seqs:
         raise ValidationError("convolve_many requires at least one sequence")
@@ -168,5 +99,5 @@ def convolve_many(seqs: list[list[int]], ntt_threshold: int | None = None) -> li
     for nxt in seqs[1:]:
         if not acc:
             return []
-        acc = convolve(acc, nxt, ntt_threshold)
+        acc = convolve(acc, nxt)
     return acc

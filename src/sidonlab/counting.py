@@ -1,10 +1,11 @@
 """Exact counting of solutions to a1*x1 + ... + as*xs = 0.
 
 The fast path dilates each input function onto the lattice m = a_i * x_i,
-convolves the dilated sequences with the exact engine from `convolve`, and
-reads off the coefficient at zero.  Weighted inputs are handled by clearing
-denominators per function, so every intermediate is a Python integer and
-the result is an exact rational.
+convolves the first ceil(s/2) dilations and the rest separately with the
+exact engine from `convolve`, and reads off the coefficient at zero of
+their product as one dot product (meet in the middle).  Weighted inputs are
+handled by clearing denominators per function, so every intermediate is a
+Python integer and the result is an exact rational.
 
 The all-variables-distinct count is obtained from the plain counts by
 inclusion-exclusion over the lattice of set partitions: merging the
@@ -26,12 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, prod
+from operator import mul
 
 import numpy as np
 
 from .convolve import convolve_many
 from .errors import BudgetExceededError, ValidationError
-from .sets import IntegerSet, representation_profile
+from .sets import IntegerSet, exact_sqrt, representation_profile
 
 DEFAULT_BRUTE_BUDGET = 10**9
 MAX_DISTINCT_VARS = 12
@@ -164,30 +166,11 @@ class ScaledFunction:
                      self.weights, 1)
         return [int(w * den) for w in self.weights], den
 
-    def scale_exact(self) -> Fraction:
-        """N^(half_power/2) as an exact rational, when it is one."""
-        h, n = self.half_power, self.ambient_n
-        if h % 2 == 0:
-            return Fraction(n) ** (h // 2)
-        root = _exact_sqrt(n)
-        if root is None:
-            raise ValidationError(
-                f"N^{h}/2 is irrational: {n} is not a perfect square"
-            )
-        return Fraction(root) ** h
-
     def scale_float(self) -> float:
         return float(self.ambient_n) ** (self.half_power / 2)
 
     def float_weights(self) -> np.ndarray:
         return np.array([float(w) for w in self.weights], dtype=float)
-
-
-def _exact_sqrt(n: int) -> int | None:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 @dataclass(frozen=True)
@@ -207,9 +190,9 @@ class SolutionCount:
         h, n = self.half_power, self.ambient_n
         if h % 2 == 0:
             return self.value * Fraction(n) ** (h // 2)
-        root = _exact_sqrt(n)
+        root = exact_sqrt(n)
         if root is None:
-            raise ValidationError(f"{n} is not a perfect square")
+            raise ValidationError(f"N^{h}/2 is irrational: {n} is not a perfect square")
         return self.value * Fraction(root) ** h
 
 
@@ -220,13 +203,33 @@ def _dilate(ints: list[int], offset: int, a: int) -> tuple[list[int], int]:
         return [sum(ints)], 0
     mag = abs(a)
     out = [0] * (mag * (n - 1) + 1)
-    if a > 0:
-        for j, v in enumerate(ints):
-            out[mag * j] = v
-        return out, a * offset
-    for j, v in enumerate(ints):
-        out[mag * (n - 1 - j)] = v
-    return out, a * (offset + n - 1)
+    out[::mag] = ints if a > 0 else ints[::-1]
+    return out, a * (offset if a > 0 else offset + n - 1)
+
+
+def _fold(dilations: list[tuple[list[int], int]]) -> tuple[list[int], int]:
+    """Product of dilated sequences (sequence, offset) and its offset."""
+    return (convolve_many([seq for seq, _ in dilations]),
+            sum(off for _, off in dilations))
+
+
+def _count_at_zero(dilations: list[tuple[list[int], int]]) -> int:
+    """Coefficient at lattice point 0 of the product of the dilations.
+
+    The first ceil(s/2) and the remaining dilations are folded separately;
+    the coefficient is the dot product of one fold against the other
+    reversed, at the offsets that sum to zero.
+    """
+    half = (len(dilations) + 1) // 2
+    left, left_off = _fold(dilations[:half])
+    right, right_off = _fold(dilations[half:]) if half < len(dilations) else ([1], 0)
+    # left[i] * right[k - i] lands on lattice point 0
+    k = -left_off - right_off
+    lo = max(0, k - len(right) + 1)
+    hi = min(len(left), k + 1)
+    if lo >= hi:
+        return 0
+    return sum(map(mul, left[lo:hi], reversed(right[k - hi + 1:k - lo + 1])))
 
 
 def _common_ambient(fns) -> int | None:
@@ -240,15 +243,14 @@ def _common_ambient(fns) -> int | None:
     return None
 
 
-def count_solutions(eq: EquationCoeffs, fns, ntt_threshold: int | None = None
-                    ) -> SolutionCount:
+def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     """Exact weighted count of solutions to sum a_i x_i = 0.
 
     Returns sum over integer tuples (x_1, ..., x_s) with a1 x1 + ... = 0 of
     the product of the function values, with the common N^(h/2) scale kept
     in `half_power`.  Each function is dilated to the lattice m = a_i x_i
-    and the dilations are convolved exactly; the answer is the coefficient
-    at zero.
+    and the answer is the coefficient at zero of the exact product of the
+    dilations.
     """
     fns = list(fns)
     if len(fns) != eq.s:
@@ -257,8 +259,7 @@ def count_solutions(eq: EquationCoeffs, fns, ntt_threshold: int | None = None
         )
     ambient = _common_ambient(fns)
     half = sum(f.half_power for f in fns)
-    seqs = []
-    total_offset = 0
+    dilations = []
     den_product = 1
     for a, f in zip(eq.coeffs, fns):
         t = f.trimmed()
@@ -266,13 +267,9 @@ def count_solutions(eq: EquationCoeffs, fns, ntt_threshold: int | None = None
             return SolutionCount(Fraction(0), half, ambient)
         ints, den = t.integerized()
         den_product *= den
-        arr, off = _dilate(ints, t.offset, a)
-        seqs.append(arr)
-        total_offset += off
-    out = convolve_many(seqs, ntt_threshold)
-    idx = -total_offset
-    coeff = out[idx] if 0 <= idx < len(out) else 0
-    return SolutionCount(Fraction(coeff, den_product), half, ambient)
+        dilations.append(_dilate(ints, t.offset, a))
+    return SolutionCount(Fraction(_count_at_zero(dilations), den_product),
+                         half, ambient)
 
 
 def _set_partitions(items: list[int]):
@@ -294,8 +291,8 @@ def _partition_mobius(part) -> int:
     return m
 
 
-def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet,
-                             ntt_threshold: int | None = None) -> SolutionCount:
+def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet
+                             ) -> SolutionCount:
     """Count solutions in S with all variables pairwise distinct.
 
     Inclusion-exclusion over set partitions of the variable indices; blocks
@@ -317,15 +314,7 @@ def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet,
         if nonzero:
             if k == 0:
                 continue
-            seqs = []
-            total_offset = 0
-            for c in nonzero:
-                arr, o = _dilate(ints, off, c)
-                seqs.append(arr)
-                total_offset += o
-            out = convolve_many(seqs, ntt_threshold)
-            idx = -total_offset
-            merged_count = out[idx] if 0 <= idx < len(out) else 0
+            merged_count = _count_at_zero([_dilate(ints, off, c) for c in nonzero])
         else:
             merged_count = 1
         total += _partition_mobius(part) * k**free * merged_count
@@ -337,7 +326,12 @@ def _resolve_budget(budget: int | None) -> int:
         return budget
     env = os.environ.get("SIDONLAB_BUDGET")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValidationError(
+                f"SIDONLAB_BUDGET must be an integer, got {env!r}"
+            ) from None
     return DEFAULT_BRUTE_BUDGET
 
 
@@ -495,22 +489,9 @@ def degenerate_bound_check(eq: EquationCoeffs, s_set: IntegerSet
     energy = representation_profile(s_set).energy
     e_cubed = energy**3
 
-    head_seqs = []
-    head_off = 0
-    for c in eq.coeffs[:3]:
-        arr, o = _dilate(ints, off, c)
-        head_seqs.append(arr)
-        head_off += o
-    head = convolve_many(head_seqs)
-
+    head, head_off = _fold([_dilate(ints, off, c) for c in eq.coeffs[:3]])
     tail_coeffs = list(eq.coeffs[3:-2]) + [eq.coeffs[-2] + eq.coeffs[-1]]
-    tail_seqs = []
-    tail_off = 0
-    for c in tail_coeffs:
-        arr, o = _dilate(ints, off, c)
-        tail_seqs.append(arr)
-        tail_off += o
-    tail = convolve_many(tail_seqs)
+    tail, tail_off = _fold([_dilate(ints, off, c) for c in tail_coeffs])
 
     max_count = 0
     holds = True

@@ -11,6 +11,8 @@ energy excess eta and the density delta are decided exactly.
 from __future__ import annotations
 
 import io
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -45,7 +47,11 @@ class IntegerSet:
         return len(self.elements)
 
     def __contains__(self, x) -> bool:
-        return x in set(self.elements)
+        try:
+            i = bisect_left(self.elements, x)
+        except TypeError:
+            return False
+        return i < len(self.elements) and self.elements[i] == x
 
     def indicator(self) -> tuple[list[int], int]:
         """Dense 0/1 weight list over [min(S), max(S)] and its offset."""
@@ -96,6 +102,12 @@ class AlmostSidonParams:
 
     eta: Fraction
     delta: Fraction
+
+
+def exact_sqrt(n: int) -> int | None:
+    """The integer square root of n when n is a perfect square, else None."""
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 def ceil_sqrt(n: int) -> int:
@@ -163,11 +175,7 @@ def mian_chowla(k: int) -> IntegerSet:
 
 def representation_profile(s: IntegerSet) -> RepresentationProfile:
     """All difference counts r_S(n) and the energy E(S) = sum r_S(n)^2."""
-    counts: dict[int, int] = {}
-    for x in s.elements:
-        for y in s.elements:
-            d = x - y
-            counts[d] = counts.get(d, 0) + 1
+    counts = dict(Counter(x - y for x in s.elements for y in s.elements))
     energy = sum(v * v for v in counts.values())
     return RepresentationProfile(counts, energy)
 
@@ -233,10 +241,17 @@ def format_set_file(s: IntegerSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"line {lineno}: expected an integer, got {text!r}") from None
+
+
 def parse_set_file(text: str) -> IntegerSet:
     ambient = None
     elems = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -244,9 +259,9 @@ def parse_set_file(text: str) -> IntegerSet:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "N":
                 raise ValidationError(f"expected 'N <ambient>' header, got {line!r}")
-            ambient = int(parts[1])
+            ambient = _parse_int(parts[1], lineno)
         else:
-            elems.append(int(line))
+            elems.append(_parse_int(line, lineno))
     if ambient is None:
         raise ValidationError("set file has no 'N <ambient>' header")
     return IntegerSet(tuple(elems), ambient)

@@ -1,10 +1,11 @@
 """Fourier transforms on a rational frequency grid, spectra, large sieve.
 
 The transform convention is f_hat(alpha) = sum_n f(n) e(alpha n) with
-e(beta) = exp(2 pi i beta).  Grid evaluation at alpha = k/m is exact in the
-exponent (k n is reduced mod m in integer arithmetic before any float
-enters), and power-of-two grids go through a fast transform, so magnitudes
-carry full float64 accuracy (at least 15 significant digits).
+e(beta) = exp(2 pi i beta).  Grid evaluation at alpha = k/m places each
+support point n at its residue n mod m in integer arithmetic before any
+float enters, then takes one length-m FFT (numpy's pocketfft, O(m log m) for
+every m, prime sizes included), so magnitudes carry full float64 accuracy
+(at least 15 significant digits).
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
     """Complex f_hat(k/m) for k = 0..m-1, including the N^(h/2) scale.
 
     Support points are placed at their residues mod m, which leaves every
-    grid value unchanged because e(alpha n) has period m in n.  Power-of-two
-    sizes use a fast transform of the (zero-padded) weight array.
+    grid value unchanged because e(alpha n) has period m in n; one inverse
+    FFT of the placed array, times m, gives the sum with the e(+k n/m) sign.
     """
     if m < 1:
         raise ValidationError(f"grid size must be positive, got {m}")
@@ -92,18 +93,9 @@ def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
         return np.zeros(m, dtype=complex)
     w = t.float_weights() * scale
     positions = (np.arange(len(w), dtype=np.int64) + t.offset) % m
-    if m & (m - 1) == 0:
-        arr = np.zeros(m, dtype=complex)
-        np.add.at(arr, positions, w)
-        return m * np.fft.ifft(arr)
-    out = np.zeros(m, dtype=complex)
-    ks = np.arange(m, dtype=np.int64)
-    block = max(1, (1 << 22) // max(1, len(w)))
-    for lo in range(0, m, block):
-        kk = ks[lo:lo + block, None]
-        phases = np.exp(2j * np.pi * ((kk * positions[None, :]) % m) / m)
-        out[lo:lo + block] = phases @ w
-    return out
+    arr = np.zeros(m, dtype=complex)
+    np.add.at(arr, positions, w)
+    return m * np.fft.ifft(arr)
 
 
 def dft_magnitudes(f: ScaledFunction, m: int) -> np.ndarray:
@@ -111,13 +103,9 @@ def dft_magnitudes(f: ScaledFunction, m: int) -> np.ndarray:
     return np.abs(dft_values(f, m))
 
 
-def next_pow2(n: int) -> int:
-    return 1 if n <= 1 else 1 << (n - 1).bit_length()
-
-
 def default_grid(width: int) -> int:
     """Smallest power of two at or above 8 * width."""
-    return next_pow2(8 * max(1, width))
+    return 1 << (8 * max(1, width) - 1).bit_length()
 
 
 def sup_norm_estimate(f: ScaledFunction, oversample: int = 8

@@ -32,6 +32,7 @@ from .sets import (
 )
 from .spectral import energy_via_fourier, large_sieve_diagnostic
 from .transference import (
+    DEFAULT_FOURIER_C,
     dense_model,
     scaled_energy,
     scaled_mass_squared,
@@ -47,8 +48,6 @@ DENSE_MODEL_GRID = (
     (13, Fraction(1, 5)),
     (13, Fraction(1, 10)),
 )
-
-FOURIER_DISTANCE_C = 16
 
 
 @dataclass
@@ -258,7 +257,7 @@ def suite_dense_model() -> SuiteResult:
             "mass_identity": model.diagnostics.mass_identity_holds,
             "model_l2": verify_model_l2(model).holds,
             "fourier_distance": model.diagnostics.fourier_distance
-            <= FOURIER_DISTANCE_C * float(eps) * model.n_padded,
+            <= DEFAULT_FOURIER_C * float(eps) * model.n_padded,
             "containment": model.containment_holds,
             "size_bound": model.size_bound.holds,
         }
@@ -287,12 +286,6 @@ def run_suites(which: str, seed: int, trials: int) -> list[SuiteResult]:
     if which == "model":
         return [suite_dense_model()]
     if which == "all":
-        return [
-            suite_lemma_inequalities(seed, trials),
-            suite_oracle_equivalence(seed, trials),
-            suite_distinct_equivalence(seed + 1, trials),
-            suite_energy_three_ways(seed + 2, trials),
-            suite_counting_bound(seed + 3, trials),
-            suite_dense_model(),
-        ]
+        return [item for part in ("lemmas", "counting", "model")
+                for item in run_suites(part, seed, trials)]
     raise ValueError(f"unknown suite {which!r}")

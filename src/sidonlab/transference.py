@@ -18,12 +18,14 @@ Fourier distance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
+from .convolve import convolve
 from .counting import EquationCoeffs, ScaledFunction, count_solutions
 from .errors import ValidationError
 from .sets import (
@@ -221,24 +223,12 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     bohr = bohr_set((f for f, _ in spectrum.entries), eps, n)
 
     ind_s, off_s = padded.indicator()
-    ind_b = [0] * (2 * bohr.width + 1)
+    off_b = bohr.elements[0]
+    ind_b = [0] * (bohr.elements[-1] - off_b + 1)
     for v in bohr.elements:
-        ind_b[v + bohr.width] = 1
-    lo = 0
-    while ind_b[lo] == 0:
-        lo += 1
-    hi = len(ind_b)
-    while ind_b[hi - 1] == 0:
-        hi -= 1
-    from .convolve import convolve
-
-    g_ints = convolve(ind_s, ind_b[lo:hi])
-    g = ScaledFunction(
-        off_s + (lo - bohr.width),
-        tuple(Fraction(x) for x in g_ints),
-        0,
-        n,
-    )
+        ind_b[v - off_b] = 1
+    g_ints = convolve(ind_s, ind_b)
+    g = ScaledFunction(off_s + off_b, tuple(g_ints), 0, n)
 
     mass = sum(g_ints)
     mass_ok = mass == padded.size * bohr.size
@@ -454,11 +444,8 @@ def verify_model_l2(model: DenseModel) -> ModelL2Verdict:
     constant and is therefore never asserted)."""
     padded = IntegerSet(model.source.elements, model.n_padded)
     prof_s = representation_profile(padded)
-    bohr_as_set = model.bohr.elements
-    r_b: dict[int, int] = {}
-    for x in bohr_as_set:
-        for y in bohr_as_set:
-            r_b[x - y] = r_b.get(x - y, 0) + 1
+    bohr = model.bohr.elements
+    r_b = Counter(x - y for x in bohr for y in bohr)
     lhs = sum(c * r_b.get(d, 0) for d, c in prof_s.counts.items())
     k = padded.size
     b = model.bohr.size

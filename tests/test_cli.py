@@ -263,3 +263,40 @@ class TestBench:
         assert code == 0
         row = stdout.strip().splitlines()[2].split("\t")
         assert row[2] == "skipped"
+
+
+class TestUsageErrors:
+    """Bad files, bad numbers and bad settings exit 2 with one line."""
+
+    @staticmethod
+    def assert_usage_error(result, needle):
+        code, stdout, stderr = result
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert needle in stderr
+
+    def test_missing_set_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        self.assert_usage_error(
+            run(capsys, "energy", "--set", str(missing)), "absent.txt")
+
+    def test_non_integer_element_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("N 10\n1\nthree\n7\n")
+        self.assert_usage_error(
+            run(capsys, "energy", "--set", str(path)), "line 3")
+
+    def test_bench_non_integer_sizes(self, capsys):
+        self.assert_usage_error(run(capsys, "bench", "--sizes", "a,b"), "'a,b'")
+
+    def test_non_integer_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("SIDONLAB_BUDGET", "abc")
+        self.assert_usage_error(
+            run(capsys, "count", "--coeffs", "1,1,-2", "--interval", "6",
+                "--oracle"), "SIDONLAB_BUDGET")
+
+    def test_binary_set_file(self, tmp_path, capsys):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"N 10\n\xff\xfe\n")
+        self.assert_usage_error(run(capsys, "energy", "--set", str(path)), "")

@@ -1,15 +1,11 @@
-"""The exact convolution engine: schoolbook and NTT/CRT routes agree."""
+"""The exact convolution engine: the numpy and Kronecker routes agree with a
+plain double loop."""
 
 import numpy as np
 import pytest
 
-from sidonlab.convolve import (
-    NTT_PRIMES,
-    _ntt,
-    _schoolbook,
-    convolve,
-    convolve_many,
-)
+import sidonlab.convolve as engine
+from sidonlab.convolve import SHORT_LEN, _kronecker, convolve, convolve_many
 
 
 def slow_reference(a, b):
@@ -20,24 +16,30 @@ def slow_reference(a, b):
     return out
 
 
-def test_prime_table():
-    for p, g in NTT_PRIMES:
-        assert (p - 1) % (1 << 32) == 0
-        assert p.bit_length() == 62
-        # g generates the full multiplicative group: nontrivial for the
-        # prime factors 2 and (p-1)/2^32 (odd part is prime by search)
-        assert pow(g, (p - 1) // 2, p) != 1
-        odd = (p - 1) >> 32
-        assert pow(g, (p - 1) // odd, p) != 1
+def random_ints(rng, length, bits, signed=True):
+    """`length` integers of up to `bits` bits, built from 30-bit limbs so
+    that any width is reachable."""
+    out = []
+    for _ in range(length):
+        x = 0
+        for _ in range((bits + 29) // 30):
+            x = (x << 30) | int(rng.integers(0, 1 << 30))
+        x >>= 30 * ((bits + 29) // 30) - bits
+        out.append(-x if signed and rng.integers(0, 2) else x)
+    return out
 
 
-def test_ntt_roundtrip():
-    p, g = NTT_PRIMES[0]
-    vals = [3, 1, 4, 1, 5, 9, 2, 6]
-    a = list(vals)
-    _ntt(a, p, g, invert=False)
-    _ntt(a, p, g, invert=True)
-    assert a == vals
+@pytest.fixture
+def kronecker_calls(monkeypatch):
+    """Count the calls that reach the Kronecker route."""
+    calls = []
+
+    def spy(a, b, bound):
+        calls.append((len(a), len(b), bound))
+        return _kronecker(a, b, bound)
+
+    monkeypatch.setattr(engine, "_kronecker", spy)
+    return calls
 
 
 def test_basic():
@@ -54,48 +56,99 @@ def test_signed_small():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_schoolbook_vs_ntt_random(seed):
+def test_numpy_vs_kronecker_random(seed):
+    # the same signed inputs through both routes: numpy for the small
+    # coefficients, Kronecker once they are pushed above 2^62
     rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(20):
         la = int(rng.integers(1, 60))
         lb = int(rng.integers(1, 60))
         a = [int(x) for x in rng.integers(-10**6, 10**6, size=la)]
         b = [int(x) for x in rng.integers(-10**6, 10**6, size=lb)]
-        school = convolve(a, b, ntt_threshold=10**9)
-        ntt = convolve(a, b, ntt_threshold=1)
-        assert school == ntt == slow_reference(a, b)
+        shift = 1 << 70
+        assert convolve(a, b) == slow_reference(a, b)
+        assert convolve([x * shift for x in a], b) == \
+            [c * shift for c in slow_reference(a, b)]
+        assert _kronecker(a, b, engine._coeff_bound(a, b)) == slow_reference(a, b)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5, 6])
+def test_wide_fuzz(seed, kronecker_calls):
+    # coefficients from 1 to 300 bits, signed and unsigned, so every slot
+    # width from one byte up is used, with and without the sign bias
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for _ in range(40):
+        la = int(rng.integers(1, 40))
+        lb = int(rng.integers(1, 40))
+        signed = bool(rng.integers(0, 2))
+        a = random_ints(rng, la, int(rng.integers(1, 300)), signed)
+        b = random_ints(rng, lb, int(rng.integers(1, 300)), signed)
+        assert convolve(a, b) == slow_reference(a, b)
+    assert any(bound >= 1 << 62 for _, _, bound in kronecker_calls)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_long_fuzz_both_sides_of_short_len(seed, kronecker_calls):
+    # product lengths SHORT_LEN - 1 .. SHORT_LEN + 2 with a short partner,
+    # so the double-loop reference stays cheap
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for out_len in range(SHORT_LEN - 1, SHORT_LEN + 3):
+        lb = int(rng.integers(1, 6))
+        a = [int(x) for x in rng.integers(-50, 50, size=out_len - lb + 1)]
+        b = [int(x) for x in rng.integers(-50, 50, size=lb)]
+        assert convolve(a, b) == slow_reference(a, b)
+    assert len(kronecker_calls) == 2
+
+
+def test_length_one_and_single_nonzero():
+    rng = np.random.Generator(np.random.Philox(key=10))
+    for bits in (1, 20, 62, 63, 64, 65, 200):
+        x = random_ints(rng, 1, bits)[0] or 1
+        seq = random_ints(rng, 17, bits)
+        assert convolve([x], seq) == [x * y for y in seq]
+        assert convolve(seq, [x]) == [x * y for y in seq]
+        for pos in (0, 8, 16):
+            spike = [0] * 17
+            spike[pos] = x
+            assert convolve(spike, seq) == slow_reference(spike, seq)
+            assert convolve(spike, spike) == slow_reference(spike, spike)
+    assert convolve([0, 0, 0], [5, -7]) == [0, 0, 0, 0]
+    assert convolve([-(1 << 63)], [-(1 << 63)]) == [1 << 126]
 
 
 def test_big_values_use_more_primes():
-    # coefficients near 2^120 force more than two primes in the CRT
+    # coefficients near 2^120 need a slot of several machine words
     rng = np.random.Generator(np.random.Philox(key=9))
     a = [int(x) * 2**100 + int(y) for x, y in
          zip(rng.integers(-10**6, 10**6, size=9), rng.integers(0, 100, size=9))]
     b = [int(x) * 2**100 for x in rng.integers(-10**6, 10**6, size=7)]
-    assert convolve(a, b, ntt_threshold=1) == slow_reference(a, b)
+    assert convolve(a, b) == slow_reference(a, b)
 
 
 def test_values_beyond_prime_capacity_fall_back():
-    # products around 2^800 exceed the six-prime CRT capacity; the engine
-    # must still be exact through the schoolbook fallback
+    # products around 2^800: big integers have no capacity limit
     a = [2**400 + 1, -(2**399), 17]
     b = [2**400 - 3, 2**398]
-    assert convolve(a, b, ntt_threshold=1) == slow_reference(a, b)
+    assert convolve(a, b) == slow_reference(a, b)
 
 
-def test_int64_overflow_edge():
-    # bound check must route near-2^62 products away from the int64 path
+def test_int64_overflow_edge(kronecker_calls):
+    # the bound check must route near-2^62 products away from int64
     big = 2**31
     a = [big] * 40
     b = [big] * 40
     out = convolve(a, b)
     assert out[39] == 40 * big * big
+    assert out == slow_reference(a, b)
+    assert len(kronecker_calls) == 1
 
 
-def test_pure_python_schoolbook_matches_numpy_path():
-    a = [2**40, -(2**41), 3]
+def test_kronecker_matches_numpy_path():
+    a = [2**20, -(2**21), 3]
     b = [2**40, 5]
-    assert _schoolbook(a, b) == slow_reference(a, b)
+    via_numpy = convolve(a, b)  # bound below 2^62
+    assert _kronecker(a, b, engine._coeff_bound(a, b)) == via_numpy \
+        == slow_reference(a, b)
 
 
 def test_convolve_many_associative():
@@ -108,11 +161,14 @@ def test_convolve_many_associative():
     assert folded == manual
 
 
-def test_threshold_boundary():
-    # exactly at the threshold stays schoolbook, one beyond goes NTT;
-    # both must agree
-    a = list(range(1, 130))
-    b = list(range(1, 130))
-    out_len = len(a) + len(b) - 1
-    assert convolve(a, b, ntt_threshold=out_len) == \
-        convolve(a, b, ntt_threshold=out_len - 1)
+def test_threshold_boundary(kronecker_calls):
+    # a product of length SHORT_LEN stays on numpy, one longer goes through
+    # Kronecker; both agree with the reference
+    b = [1, -2, 3]
+    a_at = [i % 129 + 1 for i in range(SHORT_LEN - len(b) + 1)]
+    a_past = a_at + [7]
+    assert len(a_at) + len(b) - 1 == SHORT_LEN
+    assert convolve(a_at, b) == slow_reference(a_at, b)
+    assert kronecker_calls == []
+    assert convolve(a_past, b) == slow_reference(a_past, b)
+    assert len(kronecker_calls) == 1

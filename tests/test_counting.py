@@ -13,6 +13,7 @@ from sidonlab.counting import (
     count_solutions,
     degenerate_bound_check,
 )
+from sidonlab.convolve import convolve_many
 from sidonlab.errors import BudgetExceededError, ValidationError
 from sidonlab.sets import IntegerSet, erdos_turan
 
@@ -86,10 +87,11 @@ class TestScaledFunction:
         assert den == 6 and ints == [3, 4]
 
     def test_scale_exact(self):
-        assert ScaledFunction(0, (1,), 2, 7).scale_exact() == 7
-        assert ScaledFunction(0, (1,), 1, 9).scale_exact() == 3
+        # N^(h/2) of one unit: rational for even h or square N, else refused
+        assert SolutionCount(Fraction(1), 2, 7).scaled() == 7
+        assert SolutionCount(Fraction(1), 1, 9).scaled() == 3
         with pytest.raises(ValidationError):
-            ScaledFunction(0, (1,), 1, 7).scale_exact()
+            SolutionCount(Fraction(1), 1, 7).scaled()
 
     def test_scaled_count(self):
         c = SolutionCount(Fraction(3), 2, 5)
@@ -184,22 +186,33 @@ class TestCountSolutions:
         assert c.half_power == 2
         assert c.scaled() == 8  # 2 solutions, each weighted N = 4
 
-    def test_ntt_route_same_answer(self):
+    def test_meet_in_middle_same_answer(self):
+        # the split count equals the zero coefficient of the full product
         eq = EquationCoeffs((1, 1, -2))
         fns = [interval(40)] * 3
-        assert count_solutions(eq, fns, ntt_threshold=4).value == \
-            count_solutions(eq, fns).value
+        full = convolve_many([[1] * 40, [1] * 40, [1] + [0, 1] * 39])
+        assert count_solutions(eq, fns).value == full[-(1 + 1 - 2 * 40)] == 800
 
-    def test_ntt_route_fuzz(self):
-        # force every convolution in the fold through the NTT path
-        rng = np.random.Generator(np.random.Philox(key=25))
-        for _ in range(25):
-            s = int(rng.integers(2, 6))
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_meet_in_middle_fuzz(self, s):
+        # odd and even s split unevenly and evenly; signed rational weights
+        # and wide integer weights reach both convolution routes
+        rng = np.random.Generator(np.random.Philox(key=25 + s))
+        for _ in range(12):
             eq = random_coeffs(rng, s)
-            fns = [ScaledFunction.from_set(random_set(rng, 30))
-                   for _ in range(s)]
-            via_ntt = count_solutions(eq, fns, ntt_threshold=1)
-            assert via_ntt.value == brute_force_count(eq, fns).value
+            fns = []
+            for _ in range(s):
+                base = ScaledFunction.from_set(random_set(rng, 25))
+                kind = int(rng.integers(0, 3))
+                if kind == 1:
+                    base = ScaledFunction(base.offset, tuple(
+                        Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+                        * w for w in base.weights), 0, base.ambient_n)
+                elif kind == 2:
+                    base = base.scaled_by(Fraction(2**70 + 1, 3))
+                fns.append(base)
+            assert count_solutions(eq, fns).value == \
+                brute_force_count(eq, fns).value
 
 
 class TestDistinct:

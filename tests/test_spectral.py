@@ -88,6 +88,27 @@ class TestDft:
         got = dft_values(f, 48)
         assert np.allclose(got, ref, atol=1e-9)
 
+    @pytest.mark.parametrize("m", [3, 48, 97, 600, 1009])
+    def test_nonpow2_matches_phase_sum(self, m):
+        # oracle: the direct phase sum with k n reduced mod m in integers,
+        # sum_n w(n) exp(2 pi i ((k n) mod m) / m), evaluated as a matrix
+        # product.  Tolerance: 1e-12 times the l1 mass of the scaled weights,
+        # a bound on |f_hat| itself, so this is 1e-12 relative to the largest
+        # value any grid point can take.
+        rng = np.random.Generator(np.random.Philox(key=m))
+        width = int(rng.integers(m // 2 + 1, 3 * m // 2 + 2))
+        ws = tuple(Fraction(int(x), int(y)) for x, y in
+                   zip(rng.integers(-9, 10, size=width),
+                       rng.integers(1, 5, size=width)))
+        f = ScaledFunction(int(rng.integers(-3 * m, 3 * m)), ws, 1, 7)
+        w = f.float_weights() * f.scale_float()
+        positions = (np.arange(width, dtype=np.int64) + f.offset) % m
+        ks = np.arange(m, dtype=np.int64)[:, None]
+        phases = np.exp(2j * np.pi * ((ks * positions[None, :]) % m) / m)
+        want = phases @ w
+        got = dft_values(f, m)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(w))
+
     def test_negative_offset_wraps_exactly(self):
         f = ScaledFunction(-5, (Fraction(2), Fraction(3)), 0, 8)
         assert np.allclose(dft_values(f, 32), reference_dft(f, 32), atol=1e-10)
