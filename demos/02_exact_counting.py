@@ -47,11 +47,14 @@ print(f"progression, |S| = 7: total = "
       f"all-distinct = {count_distinct_solutions(eq, ap).value}")
 
 # ---------------------------------------------------------------------------
-# Rational weights stay exact end to end.
+# Rational weights stay exact end to end: they are stored as integer
+# numerators over one common denominator.
 
-w = ScaledFunction(1, (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)), 0, 3)
+w = ScaledFunction.from_weights(1, (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)),
+                                0, 3)
 c = count_solutions(EquationCoeffs((1, -1)), [w, w])
-print(f"\nweighted diagonal count = {c.value} (exact rational)")
+print(f"\nweights {w.nums} / {w.den}: weighted diagonal count = {c.value} "
+      "(exact rational)")
 
 # ---------------------------------------------------------------------------
 # The brute-force oracle enumerates tuples directly, never convolving.

@@ -238,16 +238,9 @@ def _cmd_bohr(args) -> int:
     return EXIT_OK
 
 
-def _cmd_model(args) -> int:
-    s = read_set_file(args.set)
-    eps = _parse_fraction(args.eps)
-    model = dense_model(s, eps, args.m)
+def _model_fields(model) -> dict:
     d = model.diagnostics
-    doc = {
-        "schema": 1,
-        "config": _config(args, ["set", "eps", "m"]),
-        "n_padded": model.n_padded,
-        "grid_m": model.spectrum.grid_m,
+    return {
         "bohr_size": model.bohr.size,
         "bohr_width": model.bohr.width,
         "r_count": model.spectrum.r_count,
@@ -256,10 +249,22 @@ def _cmd_model(args) -> int:
         "l2_value": _frac(d.l2_value),
         "fourier_distance": _float17(d.fourier_distance),
         "containment_holds": model.containment_holds,
+    }
+
+
+def _cmd_model(args) -> int:
+    s = read_set_file(args.set)
+    model = dense_model(s, _parse_fraction(args.eps), args.m)
+    doc = {
+        "schema": 1,
+        "config": _config(args, ["set", "eps", "m"]),
+        "n_padded": model.n_padded,
+        "grid_m": model.spectrum.grid_m,
+        **_model_fields(model),
         "size_bound": _int_bound_dict(model.size_bound),
     }
     _emit_json(doc)
-    return EXIT_OK if d.mass_identity_holds else EXIT_VERDICT_FAILURE
+    return EXIT_OK if model.diagnostics.mass_identity_holds else EXIT_VERDICT_FAILURE
 
 
 def _cmd_verify(args) -> int:
@@ -304,18 +309,11 @@ def _cmd_report(args) -> int:
             "coeffs": list(eq.coeffs),
         },
         "model": {
-            "bohr_size": model.bohr.size,
-            "bohr_width": model.bohr.width,
-            "r_count": model.spectrum.r_count,
+            **_model_fields(model),
             "selected_frequencies": [
                 [f.k, f.m] for f in model.spectrum.separated
             ],
-            "mass": model.diagnostics.mass,
-            "mass_identity_holds": model.diagnostics.mass_identity_holds,
-            "l2_value": _frac(model.diagnostics.l2_value),
-            "fourier_distance": _float17(model.diagnostics.fourier_distance),
             "fourier_bound_holds": rep.fourier_bound_holds,
-            "containment_holds": model.containment_holds,
             "size_bound": _verdict_dict(model.size_bound),
         },
         "majorant": {

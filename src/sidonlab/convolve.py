@@ -2,8 +2,10 @@
 
 Two routes, both exact:
 
-* numpy's int64 ``np.convolve`` when the product length is at most
-  ``SHORT_LEN`` and a rigorous coefficient bound rules out overflow;
+* numpy's int64 ``np.convolve`` when a rigorous coefficient bound rules
+  out overflow and the shorter input has at most ``SHORT_LEN`` entries per
+  byte of Kronecker slot, twice that for signed inputs (which Kronecker
+  packs twice and unpacks through a bias);
 * otherwise Kronecker substitution: each sequence is packed into one Python
   integer as the value of its polynomial at 2^w, the two integers are
   multiplied once (CPython's Karatsuba), and the product is unpacked slot by
@@ -24,15 +26,15 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Product lengths at or below this go through numpy when int64 is safe.
-SHORT_LEN = 1 << 14
+# numpy/Kronecker crossover in shorter-input entries per slot byte (measured)
+SHORT_LEN = 192
 
 _INT64_SAFE = 1 << 62
 
 
 def _coeff_bound(a: list[int], b: list[int]) -> int:
-    ma = max(abs(x) for x in a)
-    mb = max(abs(x) for x in b)
+    ma = max(max(a), -min(a))
+    mb = max(max(b), -min(b))
     return min(len(a), len(b)) * ma * mb
 
 
@@ -64,11 +66,17 @@ def _unpack(raw: bytes, nbytes: int, bias: int) -> list[int]:
             for i in range(0, len(raw), nbytes)]
 
 
+def _slot(a: list[int], b: list[int], bound: int) -> tuple[int, bool]:
+    """Kronecker slot width in bytes and whether an input is signed."""
+    signed = min(a) < 0 or min(b) < 0
+    return (bound.bit_length() + signed + 7) // 8, signed
+
+
 def _kronecker(a: list[int], b: list[int], bound: int) -> list[int]:
     out_len = len(a) + len(b) - 1
-    signed = min(a) < 0 or min(b) < 0
-    nbytes = (bound.bit_length() + signed + 7) // 8
-    prod = _pack_signed(a, nbytes) * _pack_signed(b, nbytes)
+    nbytes, signed = _slot(a, b, bound)
+    pack = _pack_signed if signed else _pack
+    prod = pack(a, nbytes) * pack(b, nbytes)
     bias = 1 << (8 * nbytes - 1) if signed else 0
     if bias:
         prod += _pack([bias] * out_len, nbytes)
@@ -85,7 +93,8 @@ def convolve(a: list[int], b: list[int]) -> list[int]:
     bound = _coeff_bound(a, b)
     if bound == 0:
         return [0] * (len(a) + len(b) - 1)
-    if len(a) + len(b) - 1 <= SHORT_LEN and bound < _INT64_SAFE:
+    nbytes, signed = _slot(a, b, bound)
+    if bound < _INT64_SAFE and min(len(a), len(b)) <= SHORT_LEN * nbytes * (1 + signed):
         return np.convolve(np.asarray(a, dtype=np.int64),
                            np.asarray(b, dtype=np.int64)).tolist()
     return _kronecker(a, b, bound)

@@ -1,11 +1,12 @@
 """Exact counting of solutions to a1*x1 + ... + as*xs = 0.
 
-The fast path dilates each input function onto the lattice m = a_i * x_i,
-convolves the first ceil(s/2) dilations and the rest separately with the
-exact engine from `convolve`, and reads off the coefficient at zero of
-their product as one dot product (meet in the middle).  Weighted inputs are
-handled by clearing denominators per function, so every intermediate is a
-Python integer and the result is an exact rational.
+Every weighted function is a `ScaledFunction`: integer numerators over one
+common denominator, times N^(h/2).  The fast path dilates the numerators
+of each input onto the lattice m = a_i * x_i, convolves the first
+ceil(s/2) dilations and the rest separately with the exact engine from
+`convolve`, and reads off the coefficient at zero of their product as one
+dot product (meet in the middle): an integer over the product of the
+denominators.
 
 The all-variables-distinct count is obtained from the plain counts by
 inclusion-exclusion over the lattice of set partitions: merging the
@@ -13,7 +14,8 @@ variables of each block (block coefficient = sum of member coefficients)
 and weighting the merged count by the partition Mobius function
 mu(P) = prod over blocks of (-1)^(|b|-1) * (|b|-1)!.  Blocks whose merged
 coefficient vanishes leave their variable unconstrained inside S and
-contribute a free factor |S|.
+contribute a free factor |S|.  Merged equations equal up to scaling, sign
+and order are counted once.
 
 `brute_force_count` is the independent oracle: direct enumeration over all
 tuples of the first s-1 supports, solving for the last variable.  It never
@@ -25,9 +27,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import factorial, gcd, prod
-from operator import mul
+from math import factorial, gcd, lcm, prod
+from numbers import Rational
+from operator import index, mul
 
 import numpy as np
 
@@ -66,111 +68,128 @@ class EquationCoeffs:
 
 @dataclass(frozen=True)
 class ScaledFunction:
-    """A finitely supported function weights * N^(half_power/2).
+    """A finitely supported function (nums / den) * N^(half_power/2).
 
-    `weights[j]` is the exact rational weight at the integer offset + j.
-    The represented function is that weight array times N^(h/2) where
-    h = half_power and N = ambient_n, so with h = 0 this is a plain
-    weighted function and with h = 1 it is scaled by sqrt(N).  When N is a
-    perfect square every value is an exact rational for any h.  Weights may
-    be signed; nonnegativity is a property of particular uses (indicators,
-    measures, majorants), not of the container.
+    Integer numerators over one common denominator, kept in lowest terms:
+    the weight at the integer offset + j is nums[j] / den, and the function
+    is that weight times N^(h/2) where h = half_power and N = ambient_n, so
+    with h = 1 it is scaled by sqrt(N).  When N is a perfect square every
+    value is an exact rational for any h.  Weights may be signed.
+    `from_weights` takes rational weights; `weights` is a read-only view.
     """
 
     offset: int
-    weights: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
     half_power: int = 0
     ambient_n: int = 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(Fraction(w) for w in self.weights)
-        )
-        if self.ambient_n < 1:
-            raise ValidationError(f"ambient_n must be positive, got {self.ambient_n}")
+        nums, den = tuple(map(index, self.nums)), index(self.den)
+        if den < 1 or self.ambient_n < 1:
+            raise ValidationError(
+                f"den and ambient_n must be positive, got {den}, {self.ambient_n}")
+        g = gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(x // g for x in nums) if g > 1 else nums)
+        object.__setattr__(self, "den", den // g)
+
+    @classmethod
+    def from_weights(cls, offset: int, weights, half_power: int = 0,
+                     ambient_n: int = 1) -> "ScaledFunction":
+        """Rational weights (anything `Fraction` accepts) over their lcm."""
+        ws = [Fraction(w) for w in weights]
+        den = lcm(*(w.denominator for w in ws))
+        return cls(offset, tuple(w.numerator * (den // w.denominator) for w in ws),
+                   den, half_power, ambient_n)
 
     @classmethod
     def from_set(cls, s: IntegerSet, half_power: int = 0) -> "ScaledFunction":
         """Indicator of S (times N^(h/2)) with the set's ambient."""
         w, off = s.indicator()
-        return cls(off, tuple(Fraction(x) for x in w), half_power, s.ambient_n)
+        return cls(off, tuple(w), 1, half_power, s.ambient_n)
 
     @classmethod
     def from_interval(cls, lo: int, hi: int, ambient_n: int,
                       half_power: int = 0) -> "ScaledFunction":
         if hi < lo:
             raise ValidationError("empty interval")
-        return cls(lo, (Fraction(1),) * (hi - lo + 1), half_power, ambient_n)
+        return cls(lo, (1,) * (hi - lo + 1), 1, half_power, ambient_n)
+
+    @property
+    def weights(self) -> tuple[Rational, ...]:
+        """nums[j] / den per point: the ints themselves when den is 1."""
+        if self.den == 1:
+            return self.nums
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def trimmed(self) -> "ScaledFunction":
         """Drop zero weights at both ends (empty support gives zero length)."""
-        lo = 0
-        hi = len(self.weights)
-        while lo < hi and self.weights[lo] == 0:
+        nums = self.nums
+        lo, hi = 0, len(nums)
+        while lo < hi and nums[lo] == 0:
             lo += 1
-        while hi > lo and self.weights[hi - 1] == 0:
+        while hi > lo and nums[hi - 1] == 0:
             hi -= 1
-        return ScaledFunction(self.offset + lo, self.weights[lo:hi],
+        if lo == 0 and hi == len(nums):
+            return self
+        return ScaledFunction(self.offset + lo, nums[lo:hi], self.den,
                               self.half_power, self.ambient_n)
 
     def support(self) -> list[int]:
-        return [self.offset + j for j, w in enumerate(self.weights) if w != 0]
+        return [self.offset + j for j, x in enumerate(self.nums) if x]
 
     def weight_at(self, x: int) -> Fraction:
         j = x - self.offset
-        if 0 <= j < len(self.weights):
-            return self.weights[j]
+        if 0 <= j < len(self.nums):
+            return Fraction(self.nums[j], self.den)
         return Fraction(0)
 
     def mass(self) -> Fraction:
         """Sum of the weights (without the N^(h/2) factor)."""
-        return sum(self.weights, Fraction(0))
+        return Fraction(sum(self.nums), self.den)
 
     def l2_weights(self) -> Fraction:
-        return sum((w * w for w in self.weights), Fraction(0))
+        return Fraction(sum(x * x for x in self.nums), self.den * self.den)
 
     def scaled_by(self, q) -> "ScaledFunction":
         q = Fraction(q)
-        return ScaledFunction(self.offset, tuple(w * q for w in self.weights),
-                              self.half_power, self.ambient_n)
+        return ScaledFunction(self.offset, tuple(x * q.numerator for x in self.nums),
+                              self.den * q.denominator, self.half_power, self.ambient_n)
 
     def __add__(self, other: "ScaledFunction") -> "ScaledFunction":
         if (other.half_power != self.half_power
                 or other.ambient_n != self.ambient_n):
             raise ValidationError("can only add functions with equal scale")
+        den = lcm(self.den, other.den)
         lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.weights),
-                 other.offset + len(other.weights))
-        w = [Fraction(0)] * (hi - lo)
+        hi = max(self.offset + len(self.nums), other.offset + len(other.nums))
+        out = [0] * (hi - lo)
         for f in (self, other):
-            for j, x in enumerate(f.weights):
-                w[f.offset + j - lo] += x
-        return ScaledFunction(lo, tuple(w), self.half_power, self.ambient_n)
+            k = den // f.den
+            a = f.offset - lo
+            b = a + len(f.nums)
+            out[a:b] = [y + k * x for y, x in zip(out[a:b], f.nums)]
+        return ScaledFunction(lo, tuple(out), den, self.half_power, self.ambient_n)
 
     def dominated_by(self, nu: "ScaledFunction") -> bool:
         """Exact pointwise check |self| <= nu (same scale required)."""
         if (nu.half_power != self.half_power
                 or nu.ambient_n != self.ambient_n):
             raise ValidationError("majorant must carry the same scale")
-        for j, w in enumerate(self.weights):
-            if abs(w) > nu.weight_at(self.offset + j):
+        shift = self.offset - nu.offset
+        for j, x in enumerate(self.nums):
+            k = j + shift
+            b = nu.nums[k] if 0 <= k < len(nu.nums) else 0
+            if abs(x) * nu.den > b * self.den:
                 return False
         return True
-
-    def integerized(self) -> tuple[list[int], int]:
-        """Weights scaled to integers by the lcm of denominators.
-
-        Returns (integer weights, denominator); weight[j] = ints[j]/den.
-        """
-        den = reduce(lambda acc, w: acc * w.denominator // gcd(acc, w.denominator),
-                     self.weights, 1)
-        return [int(w * den) for w in self.weights], den
 
     def scale_float(self) -> float:
         return float(self.ambient_n) ** (self.half_power / 2)
 
     def float_weights(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights], dtype=float)
+        """float(weights[j]): int / int is correctly rounded."""
+        return np.array([x / self.den for x in self.nums], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -196,7 +215,7 @@ class SolutionCount:
         return self.value * Fraction(root) ** h
 
 
-def _dilate(ints: list[int], offset: int, a: int) -> tuple[list[int], int]:
+def _dilate(ints, offset: int, a: int) -> tuple[list[int], int]:
     """Place ints[j] (value at x = offset + j) at lattice point a * x."""
     n = len(ints)
     if a == 0:
@@ -263,11 +282,10 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     den_product = 1
     for a, f in zip(eq.coeffs, fns):
         t = f.trimmed()
-        if not t.weights:
+        if not t.nums:
             return SolutionCount(Fraction(0), half, ambient)
-        ints, den = t.integerized()
-        den_product *= den
-        dilations.append(_dilate(ints, t.offset, a))
+        den_product *= t.den
+        dilations.append(_dilate(t.nums, t.offset, a))
     return SolutionCount(Fraction(_count_at_zero(dilations), den_product),
                          half, ambient)
 
@@ -291,12 +309,20 @@ def _partition_mobius(part) -> int:
     return m
 
 
+def _normalised(coeffs: list[int]) -> tuple[int, ...]:
+    """The equation up to scaling, sign and order: the same count on S^s."""
+    g = gcd(*coeffs)
+    scaled = sorted(c // g for c in coeffs)
+    return min(tuple(scaled), tuple(sorted(-c for c in scaled)))
+
+
 def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet
                              ) -> SolutionCount:
     """Count solutions in S with all variables pairwise distinct.
 
     Inclusion-exclusion over set partitions of the variable indices; blocks
-    with zero merged coefficient contribute a free factor |S| each.  Raises
+    with zero merged coefficient contribute a free factor |S| each, and
+    each merged equation is counted once per normalised form.  Raises
     for s > 12 (Bell-number blowup); use brute_force_count there instead.
     """
     if eq.s > MAX_DISTINCT_VARS:
@@ -306,6 +332,7 @@ def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet
         )
     ints, off = s_set.indicator()
     k = s_set.size
+    counts: dict[tuple[int, ...], int] = {}
     total = 0
     for part in _set_partitions(list(range(eq.s))):
         merged = [sum(eq.coeffs[i] for i in block) for block in part]
@@ -314,7 +341,10 @@ def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet
         if nonzero:
             if k == 0:
                 continue
-            merged_count = _count_at_zero([_dilate(ints, off, c) for c in nonzero])
+            key = _normalised(nonzero)
+            if key not in counts:
+                counts[key] = _count_at_zero([_dilate(ints, off, c) for c in key])
+            merged_count = counts[key]
         else:
             merged_count = 1
         total += _partition_mobius(part) * k**free * merged_count
@@ -342,8 +372,8 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
     The cost is the product of the first s-1 support sizes; it must not
     exceed the budget (argument, else SIDONLAB_BUDGET, else 10^9).  The
     enumeration never uses convolution.  Inner grids are evaluated in
-    numpy int64 blocks when a rigorous product bound permits, otherwise in
-    exact big-integer recursion; both are plain enumeration.
+    numpy blocks, with int64 weights when a rigorous product bound permits
+    and Python-integer (object) weights otherwise.
     """
     fns = [f.trimmed() for f in fns]
     if len(fns) != eq.s:
@@ -352,7 +382,7 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
         )
     ambient = _common_ambient(fns)
     half = sum(f.half_power for f in fns)
-    if any(not f.weights for f in fns):
+    if any(not f.nums for f in fns):
         return SolutionCount(Fraction(0), half, ambient)
     supports = [f.support() for f in fns]
     cost = prod(len(sup) for sup in supports[:-1])
@@ -361,27 +391,18 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
         raise BudgetExceededError(
             f"enumeration needs {cost} tuples, budget is {limit}"
         )
-    int_weights = []
-    dens = []
-    for f in fns:
-        ints, den = f.integerized()
-        int_weights.append([ints[x - f.offset] for x in f.support()])
-        dens.append(den)
-    den_product = prod(dens)
+    int_weights = [[x for x in f.nums if x] for f in fns]
+    den_product = prod(f.den for f in fns)
     wmax = prod(max(abs(w) for w in ws) for ws in int_weights)
-    if wmax < _INT64_SAFE:
-        total = _enumerate_vectorized(eq.coeffs, supports, int_weights,
-                                      distinct_only)
-    else:
-        total = _enumerate_exact(eq.coeffs, supports, int_weights,
-                                 distinct_only)
+    total = _enumerate(eq.coeffs, supports, int_weights, distinct_only,
+                       np.int64 if wmax < _INT64_SAFE else object)
     return SolutionCount(Fraction(total, den_product), half, ambient)
 
 
-def _enumerate_vectorized(coeffs, supports, weights, distinct_only) -> int:
+def _enumerate(coeffs, supports, weights, distinct_only, dtype) -> int:
     s = len(coeffs)
     pos = [np.asarray(p, dtype=np.int64) for p in supports]
-    wts = [np.asarray(w, dtype=np.int64) for w in weights]
+    wts = [np.asarray(w, dtype=dtype) for w in weights]
     a_last = coeffs[-1]
     pos_last, wts_last = pos[-1], wts[-1]
 
@@ -402,8 +423,8 @@ def _enumerate_vectorized(coeffs, supports, weights, distinct_only) -> int:
         rem = prod(len(pos[k]) for k in range(axis, s - 1))
         if rem <= _CHUNK:
             nax = s - 1 - axis
-            t = np.int64(tsum)
-            w = np.int64(wprod)
+            t = np.asarray(tsum, dtype=np.int64)
+            w = np.asarray(wprod, dtype=dtype)
             coords = [np.int64(x) for x in fixed]
             for t_i, k in enumerate(range(axis, s - 1)):
                 shape = [1] * nax
@@ -423,30 +444,6 @@ def _enumerate_vectorized(coeffs, supports, weights, distinct_only) -> int:
         return out
 
     return walk(0, 0, 1, [])
-
-
-def _enumerate_exact(coeffs, supports, weights, distinct_only) -> int:
-    s = len(coeffs)
-    a_last = coeffs[-1]
-    last = dict(zip(supports[-1], weights[-1]))
-
-    def walk(axis, tsum, wprod, used):
-        if axis == s - 1:
-            q, r = divmod(-tsum, a_last)
-            if r != 0:
-                return 0
-            if distinct_only and q in used:
-                return 0
-            return wprod * last.get(q, 0)
-        out = 0
-        for x, w in zip(supports[axis], weights[axis]):
-            if distinct_only and x in used:
-                continue
-            out += walk(axis + 1, tsum + coeffs[axis] * x, wprod * w,
-                        used | {x} if distinct_only else used)
-        return out
-
-    return walk(0, 0, 1, frozenset())
 
 
 @dataclass(frozen=True)

@@ -186,16 +186,17 @@ def is_sidon(s: IntegerSet) -> bool:
     return representation_profile(s).energy == 2 * k * k - k
 
 
-def almost_sidon_params(s: IntegerSet) -> AlmostSidonParams:
+def almost_sidon_params(s: IntegerSet, profile=None) -> AlmostSidonParams:
     """Exact (eta, delta) for a nonempty set; see AlmostSidonParams.
 
     delta is capped at 1 for sets denser than sqrt(N), keeping it a valid
-    density witness (delta^2 N <= |S|^2 still holds exactly).
+    density witness (delta^2 N <= |S|^2 still holds exactly).  Pass
+    `profile` when representation_profile(s) is already known.
     """
     if s.size == 0:
         raise ValidationError("almost_sidon_params requires a nonempty set")
     k = s.size
-    energy = representation_profile(s).energy
+    energy = (representation_profile(s) if profile is None else profile).energy
     eta = max(Fraction(0), Fraction(energy, k * k) - 2)
     delta = min(Fraction(1), Fraction(k, ceil_sqrt(s.ambient_n)))
     return AlmostSidonParams(eta, delta)

@@ -71,12 +71,6 @@ class Spectrum:
     separated: tuple[Frequency, ...]
     r_count: int
 
-    def magnitude_at(self, freq: Frequency) -> float:
-        for f, mag in self.entries:
-            if f == freq:
-                return mag
-        raise KeyError(f"{freq} not in spectrum")
-
 
 def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
     """Complex f_hat(k/m) for k = 0..m-1, including the N^(h/2) scale.
@@ -89,7 +83,7 @@ def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
         raise ValidationError(f"grid size must be positive, got {m}")
     t = f.trimmed()
     scale = f.scale_float()
-    if not t.weights:
+    if not t.nums:
         return np.zeros(m, dtype=complex)
     w = t.float_weights() * scale
     positions = (np.arange(len(w), dtype=np.int64) + t.offset) % m
@@ -121,7 +115,7 @@ def sup_norm_estimate(f: ScaledFunction, oversample: int = 8
     if oversample < 4:
         raise ValidationError(f"oversample must be >= 4, got {oversample}")
     t = f.trimmed()
-    width = max(1, len(t.weights))
+    width = max(1, len(t.nums))
     m = oversample * width
     mags = dft_magnitudes(f, m)
     k = int(np.argmax(mags))

@@ -25,6 +25,7 @@ from .counting import (
 )
 from .sets import (
     IntegerSet,
+    almost_sidon_params,
     erdos_turan,
     mian_chowla,
     perturb_almost_sidon,
@@ -174,13 +175,11 @@ def suite_lemma_inequalities(seed: int, trials: int = 100) -> SuiteResult:
         extra = int(rng.integers(0, max(2, base.size // 2) + 1))
         s_set = perturb_almost_sidon(base, extra, seed=int(rng.integers(0, 2**31)))
         prof = representation_profile(s_set)
-        k = s_set.size
-        eta = Fraction(max(0, prof.energy - 2 * k * k), k * k)
-        if eta >= 1:
+        if almost_sidon_params(s_set, prof).eta >= 1:
             continue
         done += 1
-        rd = verify_repeated_difference_bound(s_set)
-        sb = verify_size_bound(s_set)
+        rd = verify_repeated_difference_bound(s_set, prof)
+        sb = verify_size_bound(s_set, prof)
         if rd.holds and sb.holds:
             res.passes += 1
         else:
@@ -226,10 +225,10 @@ def suite_counting_bound(seed: int, trials: int = 50) -> SuiteResult:
         eq = _random_coeffs(rng, 5)
         fns = []
         for _ in range(5):
-            ws = tuple(
-                Fraction(int(rng.integers(-8, 9)), 8) * w for w in nu.weights
-            )
-            fns.append(ScaledFunction(nu.offset, ws, nu.half_power, nu.ambient_n))
+            rs = rng.integers(-8, 9, size=len(nu.nums)).tolist()  # weight r/8 * nu
+            nums = tuple(r * x for r, x in zip(rs, nu.nums))
+            fns.append(ScaledFunction(nu.offset, nums, 8 * nu.den, nu.half_power,
+                                      nu.ambient_n))
         v = verify_counting_bound(nu, fns, eq)
         if v.holds and v.premise_mass_ok and v.premise_energy_ok:
             res.passes += 1

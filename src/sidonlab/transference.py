@@ -91,10 +91,10 @@ class BohrSet:
 
     def measure(self) -> ScaledFunction:
         """The normalized indicator 1_B / |B| as a ScaledFunction."""
-        w = [Fraction(0)] * (2 * self.width + 1)
+        nums = [0] * (2 * self.width + 1)
         for n in self.elements:
-            w[n + self.width] = Fraction(1, self.size)
-        return ScaledFunction(-self.width, tuple(w), 0, self.ambient_n)
+            nums[n + self.width] = 1
+        return ScaledFunction(-self.width, tuple(nums), self.size, 0, self.ambient_n)
 
 
 def _bohr_member(n: int, freq: Frequency, radius: Fraction) -> bool:
@@ -159,9 +159,9 @@ class DenseModelDiagnostics:
 class DenseModel:
     """g = 1_S * 1_B with its Bohr set, spectrum and exact diagnostics.
 
-    `base` has integer weights; the model function f = sqrt(N) 1_S * mu_B
-    is `base` divided by |B| and carried at half_power 1.  The padded
-    ambient is a perfect square.
+    `base` has integer weights (denominator 1); the model function
+    f = sqrt(N) 1_S * mu_B has the same numerators over |B|, carried at
+    half_power 1.  The padded ambient is a perfect square.
     """
 
     base: ScaledFunction
@@ -175,20 +175,17 @@ class DenseModel:
 
     @property
     def model_f(self) -> ScaledFunction:
-        b = self.bohr.size
-        return ScaledFunction(
-            self.base.offset,
-            tuple(w / b for w in self.base.weights),
-            half_power=1,
-            ambient_n=self.n_padded,
-        )
+        return ScaledFunction(self.base.offset, self.base.nums,
+                              self.bohr.size, 1, self.n_padded)
 
     @property
     def majorant_nu(self) -> ScaledFunction:
-        """nu = f + sqrt(N) 1_S."""
-        return self.model_f + ScaledFunction.from_set(
-            IntegerSet(self.source.elements, self.n_padded), half_power=1
-        )
+        """nu = f + sqrt(N) 1_S, i.e. (g + |B| 1_S) / |B|."""
+        b = self.bohr.size
+        nums = list(self.base.nums)
+        for x in self.source.elements:  # 0 is in B, so S lies in g's span
+            nums[x - self.base.offset] += b
+        return ScaledFunction(self.base.offset, tuple(nums), b, 1, self.n_padded)
 
 
 def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
@@ -228,7 +225,7 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     for v in bohr.elements:
         ind_b[v - off_b] = 1
     g_ints = convolve(ind_s, ind_b)
-    g = ScaledFunction(off_s + off_b, tuple(g_ints), 0, n)
+    g = ScaledFunction(off_s + off_b, tuple(g_ints), 1, 0, n)
 
     mass = sum(g_ints)
     mass_ok = mass == padded.size * bohr.size
@@ -254,14 +251,17 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     )
 
 
-def verify_repeated_difference_bound(s_set: IntegerSet) -> InequalityVerdict:
+def verify_repeated_difference_bound(s_set: IntegerSet, profile=None
+                                     ) -> InequalityVerdict:
     """Exact check of sum over repeated nonzero differences of r_S(n)
     against eta |S|^2 + |S|.
 
     This is a theorem for every finite set, so `holds` can only be False if
-    the implementation is wrong.
+    the implementation is wrong.  Pass `profile` when
+    representation_profile(s_set) is already known.
     """
-    profile = representation_profile(s_set)
+    if profile is None:
+        profile = representation_profile(s_set)
     k = s_set.size
     lhs = profile.repeated_difference_sum
     # eta |S|^2 = max(0, E - 2|S|^2) exactly
@@ -274,11 +274,11 @@ def verify_repeated_difference_bound(s_set: IntegerSet) -> InequalityVerdict:
     )
 
 
-def verify_size_bound(s_set: IntegerSet) -> InequalityVerdict:
+def verify_size_bound(s_set: IntegerSet, profile=None) -> InequalityVerdict:
     """Exact check of |S| <= 2 sqrt(N / (1 - eta)), via squares:
     (1 - eta) |S|^2 <= 4N.  Vacuous (reported as inapplicable) when
-    eta >= 1."""
-    params = almost_sidon_params(s_set)
+    eta >= 1.  `profile` as in verify_repeated_difference_bound."""
+    params = almost_sidon_params(s_set, profile)
     k = s_set.size
     n = s_set.ambient_n
     if params.eta >= 1:
@@ -337,12 +337,12 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
     hyp_mass = mass >= 0 and mass * mass * nh >= delta * delta * n * n
     # sum f^2 = (sum w^2) N^h <= N
     hyp_l2 = f.l2_weights() * nh <= n
-    level = []
-    thr = delta * delta / 4
-    for j, w in enumerate(f.weights):
-        # w N^(h/2) >= delta/2 with delta > 0 needs w > 0, then compare squares
-        if w > 0 and w * w * nh >= thr:
-            level.append(f.offset + j)
+    # w N^(h/2) >= delta/2 with w = x/den and delta > 0 needs x > 0, then
+    # compare squares: x^2 >= (delta/2)^2 den^2 / N^h = p/q
+    thr = delta * delta / 4 * f.den**2 / nh
+    p, q = thr.numerator, thr.denominator
+    level = [f.offset + j for j, x in enumerate(f.nums)
+             if x > 0 and x * x * q >= p]
     lhs = 4 * len(level)
     rhs = delta * delta * n
     ok = (lhs >= rhs) if (hyp_mass and hyp_l2) else None
@@ -399,7 +399,7 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs,
     fns = list(fns)
     if eq.s < 5:
         raise ValidationError(f"counting bound needs s >= 5, got {eq.s}")
-    if any(w < 0 for w in nu.weights):
+    if nu.nums and min(nu.nums) < 0:
         raise ValidationError("majorant nu must be nonnegative")
     for i, f in enumerate(fns):
         if not f.dominated_by(nu):
@@ -438,12 +438,13 @@ class ModelL2Verdict:
     l2_over_n: Fraction
 
 
-def verify_model_l2(model: DenseModel) -> ModelL2Verdict:
+def verify_model_l2(model: DenseModel, profile=None) -> ModelL2Verdict:
     """Exact autocorrelation bound for the model; also reports
     sum f^2 / N as a rational (its theoretical ceiling has an inexplicit
-    constant and is therefore never asserted)."""
+    constant and is therefore never asserted).  `profile`, if known, is
+    that of the model's source set."""
     padded = IntegerSet(model.source.elements, model.n_padded)
-    prof_s = representation_profile(padded)
+    prof_s = representation_profile(padded) if profile is None else profile
     bohr = model.bohr.elements
     r_b = Counter(x - y for x in bohr for y in bohr)
     lhs = sum(c * r_b.get(d, 0) for d, c in prof_s.counts.items())
@@ -534,7 +535,8 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     n = model.n_padded
     root = isqrt(n)
     padded = IntegerSet(s_set.elements, n)
-    params = almost_sidon_params(padded)
+    profile = representation_profile(padded)
+    params = almost_sidon_params(padded, profile)
 
     f = model.model_f
     nu = model.majorant_nu
@@ -578,8 +580,8 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
         eps_n_power=eps_n_power,
         fourier_bound_holds=fourier_ok,
         fourier_c=fourier_c,
-        repeated_difference=verify_repeated_difference_bound(padded),
-        size_bound=verify_size_bound(padded),
-        model_l2=verify_model_l2(model),
+        repeated_difference=verify_repeated_difference_bound(padded, profile),
+        size_bound=verify_size_bound(padded, profile),
+        model_l2=verify_model_l2(model, profile),
         level_set=verify_l2_reduction(f, params.delta),
     )

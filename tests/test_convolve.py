@@ -89,15 +89,19 @@ def test_wide_fuzz(seed, kronecker_calls):
 
 @pytest.mark.parametrize("seed", [7, 8])
 def test_long_fuzz_both_sides_of_short_len(seed, kronecker_calls):
-    # product lengths SHORT_LEN - 1 .. SHORT_LEN + 2 with a short partner,
-    # so the double-loop reference stays cheap
+    # shorter inputs of one less to two more than the cut: 0/1 inputs
+    # (one-byte slots, cut SHORT_LEN) and signed -1/0/1 inputs (the sign bit
+    # makes two-byte slots and signed inputs count twice, cut 4 SHORT_LEN);
+    # int64 np.convolve is exact on these values and shares no code with
+    # either route
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for out_len in range(SHORT_LEN - 1, SHORT_LEN + 3):
-        lb = int(rng.integers(1, 6))
-        a = [int(x) for x in rng.integers(-50, 50, size=out_len - lb + 1)]
-        b = [int(x) for x in rng.integers(-50, 50, size=lb)]
-        assert convolve(a, b) == slow_reference(a, b)
-    assert len(kronecker_calls) == 2
+    for cut, low in ((SHORT_LEN, 0), (4 * SHORT_LEN, -1)):
+        for short in range(cut - 1, cut + 3):
+            a = [int(x) for x in rng.integers(low, 2, size=short)]
+            b = [int(x) for x in rng.integers(low, 2, size=short + 40)]
+            a[0], b[0] = low or 1, 1
+            assert convolve(a, b) == np.convolve(a, b).tolist()
+    assert len(kronecker_calls) == 4
 
 
 def test_length_one_and_single_nonzero():
@@ -162,13 +166,18 @@ def test_convolve_many_associative():
 
 
 def test_threshold_boundary(kronecker_calls):
-    # a product of length SHORT_LEN stays on numpy, one longer goes through
-    # Kronecker; both agree with the reference
-    b = [1, -2, 3]
-    a_at = [i % 129 + 1 for i in range(SHORT_LEN - len(b) + 1)]
-    a_past = a_at + [7]
-    assert len(a_at) + len(b) - 1 == SHORT_LEN
-    assert convolve(a_at, b) == slow_reference(a_at, b)
-    assert kronecker_calls == []
-    assert convolve(a_past, b) == slow_reference(a_past, b)
-    assert len(kronecker_calls) == 1
+    # a shorter input of SHORT_LEN entries per slot byte (twice that when
+    # signed) stays on numpy, one entry more goes through Kronecker; both
+    # agree with the reference
+    for value, nbytes, signed in ((1, 1, False), (100, 3, False), (-1, 2, True)):
+        cut = SHORT_LEN * nbytes * (1 + signed)
+        b = [value] * (cut + 5)
+        a_at = [abs(value)] * cut
+        a_past = a_at + [abs(value)]
+        bound = engine._coeff_bound(a_past, b)
+        assert engine._slot(a_past, b, bound) == (nbytes, signed)
+        assert convolve(a_at, b) == np.convolve(a_at, b).tolist()
+        assert kronecker_calls == []
+        assert convolve(a_past, b) == np.convolve(a_past, b).tolist()
+        assert len(kronecker_calls) == 1
+        kronecker_calls.clear()

@@ -1,8 +1,14 @@
 """Exact solution counting: engine, inclusion-exclusion, oracle, bounds."""
 
+import itertools
+from fractions import Fraction
+from math import gcd, prod
+
 import numpy as np
 import pytest
-from fractions import Fraction
+from hypothesis import given, settings, strategies as st
+
+import sidonlab.counting as counting_module
 
 from sidonlab.counting import (
     EquationCoeffs,
@@ -57,7 +63,7 @@ class TestEquationCoeffs:
 
 class TestScaledFunction:
     def test_trim_and_support(self):
-        f = ScaledFunction(3, (0, 0, 1, 0, 2, 0), 0, 10)
+        f = ScaledFunction.from_weights(3, (0, 0, 1, 0, 2, 0), 0, 10)
         t = f.trimmed()
         assert t.offset == 5 and t.weights == (1, 0, 2)
         assert f.support() == [5, 7]
@@ -69,22 +75,30 @@ class TestScaledFunction:
         assert f.weight_at(3) == Fraction(3, 2)
 
     def test_add_scale_mismatch(self):
-        a = ScaledFunction(0, (1,), 0, 4)
-        b = ScaledFunction(0, (1,), 1, 4)
+        a = ScaledFunction.from_weights(0, (1,), 0, 4)
+        b = ScaledFunction.from_weights(0, (1,), 1, 4)
         with pytest.raises(ValidationError):
             a + b
 
     def test_dominated_by(self):
-        nu = ScaledFunction(0, (2, 3, 1), 0, 4)
-        f = ScaledFunction(0, (Fraction(-2), Fraction(3), Fraction(-1)), 0, 4)
+        nu = ScaledFunction.from_weights(0, (2, 3, 1), 0, 4)
+        f = ScaledFunction.from_weights(0, (Fraction(-2), Fraction(3), Fraction(-1)),
+                                        0, 4)
         assert f.dominated_by(nu)
-        g = ScaledFunction(0, (Fraction(-3), 0, 0), 0, 4)
+        g = ScaledFunction.from_weights(0, (Fraction(-3), 0, 0), 0, 4)
         assert not g.dominated_by(nu)
 
     def test_integerized(self):
-        f = ScaledFunction(0, (Fraction(1, 2), Fraction(2, 3)), 0, 4)
-        ints, den = f.integerized()
-        assert den == 6 and ints == [3, 4]
+        # rational weights are stored over their lcm, in lowest terms
+        f = ScaledFunction.from_weights(0, (Fraction(1, 2), Fraction(2, 3)), 0, 4)
+        assert f.den == 6 and f.nums == (3, 4)
+        assert f.weights == (Fraction(1, 2), Fraction(2, 3))
+        g = ScaledFunction(0, (4, 6, 0), 8)
+        assert g.nums == (2, 3, 0) and g.den == 4
+        with pytest.raises(ValidationError):
+            ScaledFunction(0, (1,), 0)
+        with pytest.raises(TypeError):
+            ScaledFunction(0, (Fraction(1, 2),))
 
     def test_scale_exact(self):
         # N^(h/2) of one unit: rational for even h or square N, else refused
@@ -122,19 +136,19 @@ class TestCountSolutions:
             count_solutions(EquationCoeffs((1, -1)), [interval(3)])
 
     def test_mixed_ambient_scaled_rejected(self):
-        a = ScaledFunction(1, (1, 1), 1, 4)
-        b = ScaledFunction(1, (1, 1), 1, 9)
+        a = ScaledFunction.from_weights(1, (1, 1), 1, 4)
+        b = ScaledFunction.from_weights(1, (1, 1), 1, 9)
         with pytest.raises(ValidationError):
             count_solutions(EquationCoeffs((1, -1)), [a, b])
 
     def test_empty_support(self):
         eq = EquationCoeffs((1, 1, -2))
-        z = ScaledFunction(0, (0, 0), 0, 5)
+        z = ScaledFunction.from_weights(0, (0, 0), 0, 5)
         assert count_solutions(eq, [interval(5), z, interval(5)]).value == 0
 
     def test_rational_weights_exact(self):
         eq = EquationCoeffs((1, -1))
-        f = ScaledFunction(1, (Fraction(1, 3), Fraction(2, 7)), 0, 2)
+        f = ScaledFunction.from_weights(1, (Fraction(1, 3), Fraction(2, 7)), 0, 2)
         assert count_solutions(eq, [f, f]).value == \
             Fraction(1, 9) + Fraction(4, 49)
 
@@ -165,8 +179,9 @@ class TestCountSolutions:
             fns = [ScaledFunction.from_set(random_set(rng, 20))
                    for _ in range(3)]
             t = int(rng.integers(-10, 11))
-            shifted = [ScaledFunction(f.offset + t, f.weights, f.half_power,
-                                      f.ambient_n) for f in fns]
+            shifted = [ScaledFunction.from_weights(f.offset + t, f.weights,
+                                                   f.half_power, f.ambient_n)
+                       for f in fns]
             assert count_solutions(eq, fns).value == \
                 count_solutions(eq, shifted).value
 
@@ -205,7 +220,7 @@ class TestCountSolutions:
                 base = ScaledFunction.from_set(random_set(rng, 25))
                 kind = int(rng.integers(0, 3))
                 if kind == 1:
-                    base = ScaledFunction(base.offset, tuple(
+                    base = ScaledFunction.from_weights(base.offset, tuple(
                         Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
                         * w for w in base.weights), 0, base.ambient_n)
                 elif kind == 2:
@@ -244,6 +259,45 @@ class TestDistinct:
         assert count_distinct_solutions(eq, s).value == brute.value
 
 
+class TestDistinctMemo:
+    @staticmethod
+    def merged_keys(coeffs):
+        """Distinct merged equations up to scale, sign and order."""
+        keys = set()
+        for part in counting_module._set_partitions(list(range(len(coeffs)))):
+            merged = [sum(coeffs[i] for i in block) for block in part]
+            nonzero = [c for c in merged if c]
+            if nonzero:
+                g = 0
+                for c in nonzero:
+                    g = gcd(g, c)
+                up = sorted(c // g for c in nonzero)
+                keys.add(min(tuple(up), tuple(sorted(-c for c in up))))
+        return keys
+
+    @pytest.mark.parametrize("coeffs", [(1, 1, 1, -1, -1, -1),
+                                        (1, 1, 1, 1, -4), (2, -2, 1, -1)])
+    def test_memoised_matches_brute_force(self, coeffs, monkeypatch):
+        # (2, -2, 1, -1) has merged blocks (2, -2) and (1, -1), equal up to
+        # sign and scale; each normalised equation is convolved once
+        calls = []
+        inner = counting_module._count_at_zero
+
+        def spy(dilations):
+            calls.append(len(dilations))
+            return inner(dilations)
+
+        monkeypatch.setattr(counting_module, "_count_at_zero", spy)
+        eq = EquationCoeffs(coeffs)
+        for s_set in (erdos_turan(5), IntegerSet((1, 2, 3, 5, 8, 9), 9)):
+            calls.clear()
+            fast = count_distinct_solutions(eq, s_set).value
+            brute = brute_force_count(eq, [ScaledFunction.from_set(s_set)] * eq.s,
+                                      distinct_only=True).value
+            assert fast == brute
+            assert len(calls) == len(self.merged_keys(coeffs))
+
+
 class TestBruteForce:
     def test_mirrors_fast_path(self):
         eq = EquationCoeffs((1, 1, -2))
@@ -251,7 +305,7 @@ class TestBruteForce:
 
     def test_empty_support(self):
         eq = EquationCoeffs((1, -1))
-        z = ScaledFunction(0, (0,), 0, 3)
+        z = ScaledFunction.from_weights(0, (0,), 0, 3)
         assert brute_force_count(eq, [interval(3), z]).value == 0
 
     def test_budget_exceeded(self):
@@ -279,7 +333,7 @@ class TestBruteForce:
 
     def test_signed_weights(self):
         eq = EquationCoeffs((1, -1))
-        f = ScaledFunction(1, (Fraction(1), Fraction(-2)), 0, 2)
+        f = ScaledFunction.from_weights(1, (Fraction(1), Fraction(-2)), 0, 2)
         assert brute_force_count(eq, [f, f]).value == 1 + 4
         assert count_solutions(eq, [f, f]).value == 5
 
@@ -316,7 +370,7 @@ class TestOracleEquivalence:
                 off = int(rng.integers(-20, 5))
                 ws = tuple(Fraction(int(x))
                            for x in rng.integers(0, 3, size=int(rng.integers(1, 12))))
-                fns.append(ScaledFunction(off, ws, 0, 25))
+                fns.append(ScaledFunction.from_weights(off, ws, 0, 25))
             assert count_solutions(eq, fns).value == \
                 brute_force_count(eq, fns).value
 
@@ -333,7 +387,7 @@ class TestOracleEquivalence:
                     Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
                     * x for x in w
                 )
-                fns.append(ScaledFunction(off, ws, 0, base.ambient_n))
+                fns.append(ScaledFunction.from_weights(off, ws, 0, base.ambient_n))
             assert count_solutions(eq, fns).value == \
                 brute_force_count(eq, fns).value
 
@@ -368,3 +422,97 @@ class TestDegenerateBound:
         with pytest.raises(ValidationError):
             degenerate_bound_check(EquationCoeffs((1, 1, -2)),
                                    IntegerSet((1, 2), 2))
+
+
+# --- property tests: the integer representation against plain Fractions ---
+#
+# The oracles below use only Fraction weights, dictionaries and
+# itertools.product; they share no code with ScaledFunction's numerators,
+# the convolution engine or brute_force_count.
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+wide_fractions = st.builds(Fraction, st.integers(-2**80, 2**80),
+                           st.integers(1, 2**40))
+
+
+def weight_lists(elements=small_fractions, max_size=6):
+    return st.lists(elements, max_size=max_size)
+
+
+def as_points(offset, ws):
+    """{x: w} over the nonzero weights."""
+    return {offset + j: w for j, w in enumerate(ws) if w}
+
+
+def oracle_count(coeffs, fns):
+    """sum over tuples with sum a_i x_i = 0 of the weight products."""
+    total = Fraction(0)
+    for pts in itertools.product(*(as_points(off, ws).items() for off, ws in fns)):
+        if sum(a * x for a, (x, _) in zip(coeffs, pts)) == 0:
+            total += prod(w for _, w in pts)
+    return total
+
+
+def function(offset, ws, half_power=0, ambient_n=4):
+    return ScaledFunction.from_weights(offset, ws, half_power, ambient_n)
+
+
+class TestRepresentationProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(2, 5))
+    def test_count_solutions_against_fraction_oracle(self, data, s):
+        coeffs = data.draw(st.lists(st.integers(-3, 3).filter(bool),
+                                    min_size=s, max_size=s))
+        fns = [(data.draw(st.integers(-5, 5)), data.draw(weight_lists(max_size=5)),
+                data.draw(st.integers(0, 2))) for _ in range(s)]
+        got = count_solutions(EquationCoeffs(coeffs),
+                              [function(off, ws, h) for off, ws, h in fns])
+        assert got.value == oracle_count(coeffs, [(off, ws) for off, ws, _ in fns])
+        assert got.half_power == sum(h for _, _, h in fns)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-6, 6), weight_lists(), st.integers(-6, 6), weight_lists())
+    def test_add(self, off_a, a, off_b, b):
+        got = function(off_a, a) + function(off_b, b)
+        want = as_points(off_a, a)
+        for x, w in as_points(off_b, b).items():
+            want[x] = want.get(x, 0) + w
+        want = {x: w for x, w in want.items() if w}
+        assert as_points(got.offset, got.weights) == want
+        assert got.offset == min(off_a, off_b)
+        assert got.offset + len(got.weights) == max(off_a + len(a), off_b + len(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-6, 6), weight_lists(), small_fractions)
+    def test_scaled_by_mass_l2(self, off, ws, q):
+        f = function(off, ws)
+        assert f.scaled_by(q).weights == tuple(w * q for w in ws)
+        assert f.mass() == sum(ws, Fraction(0))
+        assert f.l2_weights() == sum((w * w for w in ws), Fraction(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-6, 6), weight_lists(), st.integers(-6, 6),
+           weight_lists(small_fractions.map(abs)))
+    def test_dominated_by(self, off, ws, nu_off, nu_ws):
+        nu = as_points(nu_off, nu_ws)
+        want = all(abs(w) <= nu.get(x, 0) for x, w in as_points(off, ws).items())
+        assert function(off, ws).dominated_by(function(nu_off, nu_ws)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-6, 6), st.lists(st.sampled_from([Fraction(0), Fraction(-1, 3),
+                                                         Fraction(2)]), max_size=8))
+    def test_trimmed(self, off, ws):
+        t = function(off, ws).trimmed()
+        nonzero = [j for j, w in enumerate(ws) if w]
+        if not nonzero:
+            assert t.weights == ()
+        else:
+            lo, hi = nonzero[0], nonzero[-1] + 1
+            assert (t.offset, t.weights) == (off + lo, tuple(ws[lo:hi]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(weight_lists(wide_fractions, max_size=8))
+    def test_float_weights_match_fraction_floats(self, ws):
+        got = function(0, ws).float_weights()
+        want = np.array([float(w) for w in ws], dtype=float)
+        assert got.tobytes() == want.tobytes()

@@ -1,0 +1,79 @@
+"""Golden CLI outputs: every subcommand's stdout on one fixed configuration.
+
+Each case runs `sidonlab.cli.main` in process from inside `tests/golden/`
+(so the set paths echoed in each document's config are the bare file
+names) and compares stdout byte for byte with `tests/golden/<case>.out`.
+Timing columns of `bench` are cut before the comparison.
+
+After an intended change of output, rewrite the files with
+`PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
+"""
+
+import os
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from sidonlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "construct_erdos_turan": ["construct", "erdos-turan", "--p", "7"],
+    "construct_perturb": ["construct", "perturb", "--in", "et11.txt",
+                          "--extra", "4", "--seed", "7"],
+    "energy": ["energy", "--set", "et11.txt"],
+    "spectrum": ["spectrum", "--set", "et11.txt", "--eps", "1/2"],
+    "bohr": ["bohr", "--freq", "1/7", "--freq", "2/9", "--eps", "1/5",
+             "--n", "60"],
+    "model": ["model", "--set", "evens.txt", "--eps", "1/4"],
+    "verify_all": ["verify", "all", "--seed", "3", "--trials", "4"],
+    "report_et11": ["report", "--set", "et11.txt", "--coeffs", "1,1,1,1,-4",
+                    "--eps", "1/5"],
+    "report_evens": ["report", "--set", "evens.txt", "--coeffs",
+                     "1,1,1,-1,-2", "--eps", "1/4"],
+    "count": ["count", "--coeffs", "1,1,1,1,-4", "--sets", "et11.txt"],
+    "count_interval_oracle": ["count", "--coeffs", "1,2,-3", "--interval",
+                              "30", "--oracle"],
+    "count_distinct_oracle": ["count", "--coeffs", "1,1,1,-1,-1,-1", "--sets",
+                              "et11.txt", "--distinct", "--oracle"],
+    "bench": ["bench", "--sizes", "8,16,32", "--coeffs", "1,1,-2"],
+}
+
+
+def _cut_timings(text: str) -> str:
+    """Keep comment lines and the first (size) column of the bench table."""
+    return "".join(line if line.startswith("#") else line.split("\t")[0] + "\n"
+                   for line in text.splitlines(keepends=True))
+
+
+def run_case(name: str) -> tuple[int, str]:
+    """(exit code, stdout) of one case, run from the golden directory."""
+    out = StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with redirect_stdout(out):
+            code = main(CASES[name])
+    finally:
+        os.chdir(cwd)
+    text = out.getvalue()
+    return code, _cut_timings(text) if name == "bench" else text
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    code, text = run_case(name)
+    assert code == 0
+    assert text == (GOLDEN / f"{name}.out").read_text()
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        rc, stdout = run_case(case)
+        if rc != 0:
+            sys.exit(f"{case}: exit {rc}")
+        (GOLDEN / f"{case}.out").write_text(stdout)

@@ -41,7 +41,7 @@ def interval(n):
 def random_function(rng, width=24):
     off = int(rng.integers(-10, 10))
     ws = tuple(Fraction(int(x)) for x in rng.integers(-4, 5, size=width))
-    return ScaledFunction(off, ws, 0, width)
+    return ScaledFunction.from_weights(off, ws, 0, width)
 
 
 class TestFrequency:
@@ -67,11 +67,11 @@ class TestDft:
         assert dft_magnitudes(interval(n), 64)[0] == pytest.approx(n, abs=1e-12)
 
     def test_point_mass(self):
-        f = ScaledFunction(7, (Fraction(1),), 0, 10)
+        f = ScaledFunction.from_weights(7, (Fraction(1),), 0, 10)
         assert np.allclose(dft_magnitudes(f, 32), 1.0, atol=1e-14)
 
     def test_opposite_phases(self):
-        f = ScaledFunction(1, (Fraction(1), Fraction(1)), 0, 2)
+        f = ScaledFunction.from_weights(1, (Fraction(1), Fraction(1)), 0, 2)
         assert dft_magnitudes(f, 2)[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_fft_matches_reference(self):
@@ -100,7 +100,7 @@ class TestDft:
         ws = tuple(Fraction(int(x), int(y)) for x, y in
                    zip(rng.integers(-9, 10, size=width),
                        rng.integers(1, 5, size=width)))
-        f = ScaledFunction(int(rng.integers(-3 * m, 3 * m)), ws, 1, 7)
+        f = ScaledFunction.from_weights(int(rng.integers(-3 * m, 3 * m)), ws, 1, 7)
         w = f.float_weights() * f.scale_float()
         positions = (np.arange(width, dtype=np.int64) + f.offset) % m
         ks = np.arange(m, dtype=np.int64)[:, None]
@@ -110,7 +110,7 @@ class TestDft:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(w))
 
     def test_negative_offset_wraps_exactly(self):
-        f = ScaledFunction(-5, (Fraction(2), Fraction(3)), 0, 8)
+        f = ScaledFunction.from_weights(-5, (Fraction(2), Fraction(3)), 0, 8)
         assert np.allclose(dft_values(f, 32), reference_dft(f, 32), atol=1e-10)
 
     def test_scale_applied(self):

@@ -275,7 +275,7 @@ class TestCountingBound:
     def test_zero_function(self):
         n = 8
         nu = interval_fn(n)
-        zero = ScaledFunction(1, (Fraction(0),) * n, 0, n)
+        zero = ScaledFunction.from_weights(1, (Fraction(0),) * n, 0, n)
         v = verify_counting_bound(nu, [zero] * 5,
                                   EquationCoeffs((1, 1, 1, 1, -4)))
         assert v.lhs_abs == 0 and v.holds
@@ -296,8 +296,9 @@ class TestCountingBound:
             for _ in range(5):
                 ws = tuple(Fraction(int(rng.integers(-8, 9)), 8) * w
                            for w in nu.weights)
-                fns.append(ScaledFunction(nu.offset, ws, nu.half_power,
-                                          nu.ambient_n))
+                fns.append(ScaledFunction.from_weights(nu.offset, ws,
+                                                       nu.half_power,
+                                                       nu.ambient_n))
             v = verify_counting_bound(nu, fns, eq)
             assert v.holds
 
@@ -317,7 +318,7 @@ class TestCountingBound:
         for _ in range(5):
             ws = tuple(Fraction(int(rng.integers(-8, 9)), 8) * w
                        for w in nu.weights)
-            f = ScaledFunction(nu.offset, ws, nu.half_power, nu.ambient_n)
+            f = ScaledFunction.from_weights(nu.offset, ws, nu.half_power, nu.ambient_n)
             assert scaled_energy(f) <= e_nu
 
 
