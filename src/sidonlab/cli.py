@@ -32,14 +32,13 @@ from .sets import (
     IntegerSet,
     almost_sidon_params,
     erdos_turan,
-    is_sidon,
     mian_chowla,
     perturb_almost_sidon,
     read_set_file,
     representation_profile,
     write_set_file,
 )
-from .spectral import Frequency, large_sieve_diagnostic, large_spectrum
+from .spectral import Frequency, large_spectrum
 from .suites import run_suites
 from .transference import (
     DEFAULT_FOURIER_C,
@@ -102,14 +101,15 @@ def _config(args, keys) -> dict:
 
 
 def _set_summary(s: IntegerSet) -> dict:
-    params = almost_sidon_params(s)
+    profile = representation_profile(s)
+    params = almost_sidon_params(s, profile)
     return {
         "size": s.size,
         "ambient_n": s.ambient_n,
-        "energy": representation_profile(s).energy,
+        "energy": profile.energy,
         "eta": _frac(params.eta),
         "delta": _frac(params.delta),
-        "is_sidon": is_sidon(s),
+        "is_sidon": profile.energy == 2 * s.size**2 - s.size,
     }
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -20,6 +19,8 @@ from math import isqrt
 import numpy as np
 
 from .errors import ValidationError
+
+BLOCK_PAIRS = 2**20  # most pairs one numpy block of difference_counts holds
 
 
 @dataclass(frozen=True)
@@ -173,17 +174,30 @@ def mian_chowla(k: int) -> IntegerSet:
     return IntegerSet(tuple(elems), elems[-1])
 
 
+def difference_counts(elems) -> dict[int, int]:
+    """Ordered-pair counts #{(x, y) in elems^2 : x - y = d} by np.unique on blocks
+    of at most BLOCK_PAIRS differences; int64 below 2^62, else Python ints."""
+    counts: dict[int, int] = {}
+    big = bool(elems) and max(map(abs, elems)) >= 2**62
+    arr = np.array(elems, dtype=object if big else np.int64)
+    rows = max(1, BLOCK_PAIRS // max(1, len(arr)))
+    for i in range(0, len(arr), rows):
+        diffs, mult = np.unique(np.subtract.outer(arr[i:i + rows], arr),
+                                return_counts=True)
+        for d, c in zip(diffs.tolist(), mult.tolist()):
+            counts[d] = counts.get(d, 0) + c
+    return counts
+
+
 def representation_profile(s: IntegerSet) -> RepresentationProfile:
     """All difference counts r_S(n) and the energy E(S) = sum r_S(n)^2."""
-    counts = dict(Counter(x - y for x in s.elements for y in s.elements))
-    energy = sum(v * v for v in counts.values())
-    return RepresentationProfile(counts, energy)
+    counts = difference_counts(s.elements)
+    return RepresentationProfile(counts, sum(v * v for v in counts.values()))
 
 
 def is_sidon(s: IntegerSet) -> bool:
     """True iff E(S) equals the trivial-tuple count 2|S|^2 - |S|."""
-    k = s.size
-    return representation_profile(s).energy == 2 * k * k - k
+    return representation_profile(s).energy == 2 * s.size**2 - s.size
 
 
 def almost_sidon_params(s: IntegerSet, profile=None) -> AlmostSidonParams:

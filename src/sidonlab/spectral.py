@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -48,10 +49,11 @@ class Frequency:
         return min(d, 1 - d)
 
     def __eq__(self, other):
-        return isinstance(other, Frequency) and self.value == other.value
+        return isinstance(other, Frequency) and self.k * other.m == other.k * self.m
 
     def __hash__(self):
-        return hash(self.value)
+        g = gcd(self.k, self.m)
+        return hash((self.k // g, self.m // g))
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,9 @@ def large_spectrum(s_set: IntegerSet, eps, m: int | None = None) -> Spectrum:
     # distance from k to the selected set is attained at the largest or
     # (wrapping) smallest selected index, so the scan is exact integer
     # arithmetic
-    selected: list[int] = []
-    for k in ks:
-        if not selected:
-            selected.append(k)
-            continue
-        dist = min(k - selected[-1], m - k + selected[0])
-        if dist * n > m:
+    selected = ks[:1]
+    for k in ks[1:]:
+        if min(k - selected[-1], m - k + selected[0]) * n > m:
             selected.append(k)
     separated = tuple(Frequency(k, m) for k in selected)
     return Spectrum(eps, m, entries, separated, len(separated))
@@ -185,17 +183,18 @@ class LargeSieveReport:
     r_bound_holds: bool
 
 
-def large_sieve_diagnostic(s_set: IntegerSet, spectrum: Spectrum
+def large_sieve_diagnostic(s_set: IntegerSet, spectrum: Spectrum, profile=None
                            ) -> LargeSieveReport:
+    """Pass `profile` when representation_profile(s_set) is already known."""
     if not spectrum.separated:
         raise ValidationError("spectrum has no separated frequencies")
+    profile = representation_profile(s_set) if profile is None else profile
     mags = {f: mag for f, mag in spectrum.entries}
     lhs = float(sum(mags[f] ** 4 for f in spectrum.separated))
-    energy = representation_profile(s_set).energy
     n = s_set.ambient_n
-    rhs = 2 * n * energy
+    rhs = 2 * n * profile.energy
     size = s_set.size
-    params = almost_sidon_params(s_set)
+    params = almost_sidon_params(s_set, profile)
     r = spectrum.r_count
     r_lhs = r * spectrum.threshold**4 * size**4
     r_rhs = 2 * n * (2 + params.eta) * size * size

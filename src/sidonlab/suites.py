@@ -252,16 +252,17 @@ def suite_dense_model() -> SuiteResult:
     for p, eps in DENSE_MODEL_GRID:
         s_set = erdos_turan(p)
         model = dense_model(s_set, eps)
+        padded = IntegerSet(s_set.elements, model.n_padded)
+        profile = representation_profile(padded)
         checks = {
             "mass_identity": model.diagnostics.mass_identity_holds,
-            "model_l2": verify_model_l2(model).holds,
+            "model_l2": verify_model_l2(model, profile).holds,
             "fourier_distance": model.diagnostics.fourier_distance
             <= DEFAULT_FOURIER_C * float(eps) * model.n_padded,
             "containment": model.containment_holds,
             "size_bound": model.size_bound.holds,
         }
-        padded = IntegerSet(s_set.elements, model.n_padded)
-        sieve = large_sieve_diagnostic(padded, model.spectrum)
+        sieve = large_sieve_diagnostic(padded, model.spectrum, profile)
         checks["large_sieve"] = sieve.holds
         bad = [k for k, v in checks.items() if not v]
         if bad:

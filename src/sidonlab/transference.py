@@ -18,7 +18,6 @@ Fourier distance.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -29,8 +28,10 @@ from .convolve import convolve
 from .counting import EquationCoeffs, ScaledFunction, count_solutions
 from .errors import ValidationError
 from .sets import (
+    BLOCK_PAIRS,
     IntegerSet,
     almost_sidon_params,
+    difference_counts,
     representation_profile,
 )
 from .spectral import (
@@ -51,6 +52,7 @@ NU_MASS_FACTOR = 4
 NU_ENERGY_FACTOR = 64
 
 DEFAULT_FOURIER_C = 16
+BOHR_BLOCK = 64  # spectrum frequencies per block of the Bohr scan
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,8 @@ class BohrSet:
         return len(self.elements)
 
     def contains(self, n: int) -> bool:
-        if abs(n) > self.width:
-            return False
-        return all(_bohr_member(n, f, self.radius) for f in self.freqs)
+        return abs(n) <= self.width and all(
+            _bohr_member(n, f, self.radius) for f in self.freqs)
 
     def measure(self) -> ScaledFunction:
         """The normalized indicator 1_B / |B| as a ScaledFunction."""
@@ -103,32 +104,29 @@ def _bohr_member(n: int, freq: Frequency, radius: Fraction) -> bool:
 
 
 def bohr_set(freqs, eps, n: int) -> BohrSet:
-    """Enumerate the Bohr set by direct scan of [-floor(eps n), floor(eps n)].
+    """Enumerate the Bohr set on [-floor(eps n), floor(eps n)], 0 < eps <= 1/2.
 
-    Requires 0 < eps <= 1/2 (at radius 1/2 the frequency conditions are
-    vacuous).  Frequencies are exact rationals, so membership is an integer
-    comparison per frequency; 0 always belongs and the set is symmetric
-    under negation.
+    B is symmetric and contains 0, so only n = 1..width is scanned: the
+    survivors meet BOHR_BLOCK frequencies at a time (fewer past BLOCK_PAIRS
+    pairs) until none are left.  Each test is _bohr_member's exact integer
+    comparison, in int64 while products stay below 2^62, else Python ints.
     """
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
         raise ValidationError(f"need 0 < eps <= 1/2, got {eps}")
     freqs = tuple(freqs)
-    width = (eps.numerator * n) // eps.denominator
+    p, q = eps.numerator, eps.denominator
+    width = (p * n) // q
     max_m = max((f.m for f in freqs), default=1)
-    if (width + 1) * max_m * eps.denominator < 2**62:
-        # all comparisons fit int64, scan vectorized (still exact)
-        ns = np.arange(-width, width + 1, dtype=np.int64)
-        mask = np.ones(ns.shape, dtype=bool)
-        for f in freqs:
-            r = (ns * f.k) % f.m
-            mask &= np.minimum(r, f.m - r) * eps.denominator <= eps.numerator * f.m
-        elements = tuple(int(v) for v in ns[mask])
-    else:
-        elements = tuple(
-            v for v in range(-width, width + 1)
-            if all(_bohr_member(v, f, eps) for f in freqs)
-        )
+    dtype = np.int64 if (width + 1) * max_m * q < 2**62 else object
+    ns, i = np.arange(1, width + 1, dtype=dtype), 0
+    while ns.size and i < len(freqs):
+        block = freqs[i:i + max(1, min(BOHR_BLOCK, BLOCK_PAIRS // ns.size))]
+        i += len(block)
+        ks, ms = np.array([(f.k, f.m) for f in block], dtype=dtype).T
+        r = np.multiply.outer(ns, ks) % ms
+        ns = ns[(np.minimum(r, ms - r) * q <= p * ms).all(axis=1)]
+    elements = tuple([-v for v in ns[::-1].tolist()] + [0] + ns.tolist())
     return BohrSet(freqs, eps, width, elements, n)
 
 
@@ -260,8 +258,7 @@ def verify_repeated_difference_bound(s_set: IntegerSet, profile=None
     the implementation is wrong.  Pass `profile` when
     representation_profile(s_set) is already known.
     """
-    if profile is None:
-        profile = representation_profile(s_set)
+    profile = representation_profile(s_set) if profile is None else profile
     k = s_set.size
     lhs = profile.repeated_difference_sum
     # eta |S|^2 = max(0, E - 2|S|^2) exactly
@@ -445,8 +442,7 @@ def verify_model_l2(model: DenseModel, profile=None) -> ModelL2Verdict:
     that of the model's source set."""
     padded = IntegerSet(model.source.elements, model.n_padded)
     prof_s = representation_profile(padded) if profile is None else profile
-    bohr = model.bohr.elements
-    r_b = Counter(x - y for x in bohr for y in bohr)
+    r_b = difference_counts(model.bohr.elements)
     lhs = sum(c * r_b.get(d, 0) for d, c in prof_s.counts.items())
     k = padded.size
     b = model.bohr.size

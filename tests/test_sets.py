@@ -1,13 +1,19 @@
 """Constructions, profiles and exact statistics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
+
+import sidonlab.sets as sets_module
 
 from sidonlab.errors import ValidationError
 from sidonlab.sets import (
     IntegerSet,
     almost_sidon_params,
+    difference_counts,
     erdos_turan,
     format_set_file,
     is_sidon,
@@ -153,6 +159,54 @@ class TestRepresentationProfile:
             assert sum(p.counts.values()) == k * k
             assert all(p.count(-n) == p.count(n) for n in p.counts)
             assert p.energy == brute_energy(s.elements)
+
+
+def pair_counter(elems):
+    return dict(Counter(x - y for x in elems for y in elems))
+
+
+class TestDifferenceCountProperties:
+    """The numpy block counter against a Counter over explicit pairs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([40, 2**62 + 40, 2**70]), st.data(), st.integers(1, 40))
+    def test_profile_against_pairs(self, n, data, block):
+        # elements up to 2^70 (Python-int route) and block sizes from one
+        # row per block up to every row at once
+        elems = data.draw(st.sets(st.integers(max(1, n - 200), n) | st.integers(1, 40),
+                                  max_size=25))
+        s = IntegerSet(tuple(sorted(elems)), n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sets_module, "BLOCK_PAIRS", block)
+            p = representation_profile(s)
+        want = pair_counter(s.elements)
+        assert p.counts == want
+        assert p.energy == sum(v * v for v in want.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(-2**64, 2**64) | st.integers(-30, 30)
+                   | st.sampled_from([2**62, -2**62, 2**62 - 1, 1 - 2**62]), max_size=20),
+           st.integers(1, 30))
+    def test_signed_elements(self, elems, block):
+        # Bohr sets are symmetric: x - y may double the largest |element|
+        elems = tuple(sorted(elems))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sets_module, "BLOCK_PAIRS", block)
+            assert difference_counts(elems) == pair_counter(elems)
+
+    def test_empty_and_singleton(self):
+        assert representation_profile(IntegerSet((), 5)).counts == {}
+        assert representation_profile(IntegerSet((), 5)).energy == 0
+        p = representation_profile(IntegerSet((2**63,), 2**63))
+        assert p.counts == {0: 1} and p.energy == 1
+
+    def test_interval_spans_row_blocks(self):
+        # 1100^2 pairs exceed BLOCK_PAIRS, so the rows come in two blocks
+        k = 1100
+        assert k * k > sets_module.BLOCK_PAIRS
+        p = representation_profile(IntegerSet(tuple(range(1, k + 1)), k))
+        assert p.counts == {d: k - abs(d) for d in range(1 - k, k)}
+        assert p.energy == sum((k - abs(d)) ** 2 for d in range(1 - k, k))
 
 
 class TestIsSidon:

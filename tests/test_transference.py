@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
+
+import sidonlab.transference as transference_module
 
 from sidonlab.counting import (
     EquationCoeffs,
@@ -20,6 +23,8 @@ from sidonlab.sets import (
 from sidonlab.spectral import Frequency
 from sidonlab.suites import scale_to_counting_hypotheses
 from sidonlab.transference import (
+    BOHR_BLOCK,
+    _bohr_member,
     bohr_set,
     bohr_size_bound,
     dense_model,
@@ -108,6 +113,90 @@ class TestBohrSet:
         b = bohr_set([Frequency(1, 3)], eps, 2 * 10**15)
         # width 2, and only multiples of 3 pass a radius this small
         assert b.elements == (0,)
+
+
+def scan_oracle(freqs, eps, n):
+    """Per-point membership over the whole window, both signs scanned."""
+    width = (eps.numerator * n) // eps.denominator
+    return tuple(v for v in range(-width, width + 1)
+                 if all(_bohr_member(v, f, eps) for f in freqs))
+
+
+radii = st.builds(Fraction, st.integers(1, 40), st.integers(2, 200)).filter(
+    lambda e: e <= Fraction(1, 2))
+
+
+@st.composite
+def frequency_lists(draw, max_m):
+    """Frequencies with repeats, conjugate pairs k/m and (m-k)/m, and k = 0."""
+    m_cap = draw(st.sampled_from([4, max_m]))
+    base = draw(st.lists(st.builds(lambda m, k: Frequency(k % m, m),
+                                   st.integers(1, m_cap), st.integers(0, 10**9)),
+                         max_size=2 * BOHR_BLOCK + 10))
+    picks = draw(st.lists(st.sampled_from(base), max_size=6)) if base else []
+    twins = [Frequency((f.m - f.k) % f.m, f.m) for f in picks]
+    zeros = [Frequency(0, draw(st.integers(1, max_m)))] if draw(st.booleans()) else []
+    return draw(st.permutations(base + picks + twins + zeros))
+
+
+class TestBohrScanProperties:
+    """The blocked survivor scan of bohr_set against per-point _bohr_member."""
+
+    @staticmethod
+    def check(freqs, eps, n):
+        b = bohr_set(freqs, eps, n)
+        assert b.width == (eps.numerator * n) // eps.denominator
+        assert b.elements == scan_oracle(freqs, eps, n)
+        assert 0 in b.elements
+        assert b.elements == tuple(-v for v in reversed(b.elements))
+        return b
+
+    @settings(max_examples=120, deadline=None)
+    @given(frequency_lists(60), radii, st.integers(0, 300),
+           st.sampled_from([1, 50, transference_module.BLOCK_PAIRS]))
+    def test_matches_per_point_scan(self, freqs, eps, n, block_pairs):
+        # a small pair cap narrows the blocks down to one frequency
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transference_module, "BLOCK_PAIRS", block_pairs)
+            self.check(freqs, eps, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(frequency_lists(60), radii, st.integers(0, 1))
+    def test_width_zero(self, freqs, eps, n):
+        assert self.check(freqs, eps, n).elements == (0,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.builds(lambda m, k: Frequency(k % m, m),
+                              st.integers(2**62, 2**66), st.integers(0, 2**66)),
+                    max_size=BOHR_BLOCK + 3),
+           radii, st.integers(2, 60))
+    def test_object_route_past_int64(self, freqs, eps, n):
+        freqs.append(Frequency(1, 2**62 + 1))
+        width = (eps.numerator * n) // eps.denominator
+        # the int64 guard fails, so the scan runs on Python ints
+        assert (width + 1) * max(f.m for f in freqs) * eps.denominator >= 2**62
+        self.check(freqs, eps, n)
+
+    def test_survivors_cross_several_blocks(self):
+        # frequencies that keep every point, with the one that keeps only
+        # the even points moved across two block boundaries
+        for at in range(2 * BOHR_BLOCK + 2):
+            freqs = [Frequency(0, 1)] * (2 * BOHR_BLOCK + 1)
+            freqs.insert(at, Frequency(1, 2))
+            b = self.check(freqs, Fraction(1, 10), 200)
+            assert b.elements == tuple(range(-20, 21, 2))
+
+
+class TestFrequencyKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(0, 10**9), st.integers(1, 10**4),
+           st.integers(1, 10**6), st.integers(0, 10**9))
+    def test_equality_and_hash_follow_the_value(self, m, k, c, m2, k2):
+        a, b = Frequency(k % m, m), Frequency(k % m * c, m * c)
+        other = Frequency(k2 % m2, m2)
+        assert a == b and hash(a) == hash(b)
+        assert (a == other) == (Fraction(a.k, a.m) == Fraction(other.k, other.m))
+        assert len({a, b, other}) == len({a.value, other.value})
 
 
 class TestDenseModel:
