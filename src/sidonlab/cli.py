@@ -32,10 +32,10 @@ from .sets import (
     IntegerSet,
     almost_sidon_params,
     erdos_turan,
+    is_sidon,
     mian_chowla,
     perturb_almost_sidon,
     read_set_file,
-    representation_profile,
     write_set_file,
 )
 from .spectral import Frequency, large_spectrum
@@ -101,15 +101,14 @@ def _config(args, keys) -> dict:
 
 
 def _set_summary(s: IntegerSet) -> dict:
-    profile = representation_profile(s)
-    params = almost_sidon_params(s, profile)
+    params = almost_sidon_params(s)
     return {
         "size": s.size,
         "ambient_n": s.ambient_n,
-        "energy": profile.energy,
+        "energy": s.profile.energy,
         "eta": _frac(params.eta),
         "delta": _frac(params.delta),
-        "is_sidon": profile.energy == 2 * s.size**2 - s.size,
+        "is_sidon": is_sidon(s),
     }
 
 

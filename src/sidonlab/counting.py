@@ -35,7 +35,7 @@ import numpy as np
 
 from .convolve import convolve_many
 from .errors import BudgetExceededError, ValidationError
-from .sets import IntegerSet, exact_sqrt, representation_profile
+from .sets import IntegerSet, exact_sqrt
 
 DEFAULT_BRUTE_BUDGET = 10**9
 MAX_DISTINCT_VARS = 12
@@ -51,7 +51,7 @@ class EquationCoeffs:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if len(self.coeffs) < 2:
             raise ValidationError("an equation needs at least two variables")
         if any(a == 0 for a in self.coeffs):
@@ -483,7 +483,7 @@ def degenerate_bound_check(eq: EquationCoeffs, s_set: IntegerSet
     ints, off = s_set.indicator()
     if not ints:
         raise ValidationError("degenerate bound check needs a nonempty set")
-    energy = representation_profile(s_set).energy
+    energy = s_set.profile.energy
     e_cubed = energy**3
 
     head, head_off = _fold([_dilate(ints, off, c) for c in eq.coeffs[:3]])

@@ -14,7 +14,9 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
+from operator import index
 
 import numpy as np
 
@@ -25,13 +27,15 @@ BLOCK_PAIRS = 2**20  # most pairs one numpy block of difference_counts holds
 
 @dataclass(frozen=True)
 class IntegerSet:
-    """A finite set of integers inside the ambient interval [1, ambient_n]."""
+    """A finite set of integers inside the ambient interval [1, ambient_n];
+    numpy integers are converted, floats refused (TypeError)."""
 
     elements: tuple[int, ...]
     ambient_n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(int(x) for x in self.elements))
+        object.__setattr__(self, "elements", tuple(map(index, self.elements)))
+        object.__setattr__(self, "ambient_n", index(self.ambient_n))
         if self.ambient_n < 1:
             raise ValidationError(f"ambient_n must be positive, got {self.ambient_n}")
         for prev, cur in zip(self.elements, self.elements[1:]):
@@ -46,6 +50,11 @@ class IntegerSet:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def profile(self) -> "RepresentationProfile":
+        """representation_profile(self), computed once per set."""
+        return representation_profile(self)
 
     def __contains__(self, x) -> bool:
         try:
@@ -76,7 +85,9 @@ class RepresentationProfile:
 
     `counts` maps each difference n with r_S(n) > 0 to the number of ordered
     pairs (n1, n2) in S^2 with n1 - n2 = n; differences not present have
-    count zero.  `energy` is the exact sum of the squared counts.
+    count zero.  `energy` is the exact sum of the squared counts.  One
+    profile per set is cached as IntegerSet.profile and shared by every
+    reader, so `counts` must not be mutated.
     """
 
     counts: dict[int, int]
@@ -197,23 +208,28 @@ def representation_profile(s: IntegerSet) -> RepresentationProfile:
 
 def is_sidon(s: IntegerSet) -> bool:
     """True iff E(S) equals the trivial-tuple count 2|S|^2 - |S|."""
-    return representation_profile(s).energy == 2 * s.size**2 - s.size
+    return s.profile.energy == 2 * s.size**2 - s.size
 
 
-def almost_sidon_params(s: IntegerSet, profile=None) -> AlmostSidonParams:
+def almost_sidon_params(s: IntegerSet) -> AlmostSidonParams:
     """Exact (eta, delta) for a nonempty set; see AlmostSidonParams.
 
     delta is capped at 1 for sets denser than sqrt(N), keeping it a valid
-    density witness (delta^2 N <= |S|^2 still holds exactly).  Pass
-    `profile` when representation_profile(s) is already known.
+    density witness (delta^2 N <= |S|^2 still holds exactly).
     """
     if s.size == 0:
         raise ValidationError("almost_sidon_params requires a nonempty set")
     k = s.size
-    energy = (representation_profile(s) if profile is None else profile).energy
-    eta = max(Fraction(0), Fraction(energy, k * k) - 2)
+    eta = max(Fraction(0), Fraction(s.profile.energy, k * k) - 2)
     delta = min(Fraction(1), Fraction(k, ceil_sqrt(s.ambient_n)))
     return AlmostSidonParams(eta, delta)
+
+
+def philox(seed: int) -> np.random.Generator:
+    """A Philox counter-based generator keyed by seed, 0 <= seed < 2**128."""
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def perturb_almost_sidon(s: IntegerSet, extra: int, seed: int) -> IntegerSet:
@@ -231,9 +247,9 @@ def perturb_almost_sidon(s: IntegerSet, extra: int, seed: int) -> IntegerSet:
         raise ValidationError(
             f"cannot add {extra} points: only {s.ambient_n - s.size} slots free"
         )
+    rng = philox(seed)  # checks the seed even when nothing is drawn
     if extra == 0:
         return s
-    rng = np.random.Generator(np.random.Philox(key=seed))
     present = set(s.elements)
     pool = [n for n in range(1, s.ambient_n + 1) if n not in present]
     picks = []

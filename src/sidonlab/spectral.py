@@ -19,7 +19,7 @@ import numpy as np
 from .convolve import convolve
 from .counting import ScaledFunction
 from .errors import ValidationError
-from .sets import IntegerSet, almost_sidon_params, representation_profile
+from .sets import IntegerSet, almost_sidon_params
 
 # absolute slack, times |S|, used when comparing float magnitudes against
 # the rational threshold eps * |S|
@@ -183,18 +183,15 @@ class LargeSieveReport:
     r_bound_holds: bool
 
 
-def large_sieve_diagnostic(s_set: IntegerSet, spectrum: Spectrum, profile=None
-                           ) -> LargeSieveReport:
-    """Pass `profile` when representation_profile(s_set) is already known."""
+def large_sieve_diagnostic(s_set: IntegerSet, spectrum: Spectrum) -> LargeSieveReport:
     if not spectrum.separated:
         raise ValidationError("spectrum has no separated frequencies")
-    profile = representation_profile(s_set) if profile is None else profile
     mags = {f: mag for f, mag in spectrum.entries}
     lhs = float(sum(mags[f] ** 4 for f in spectrum.separated))
     n = s_set.ambient_n
-    rhs = 2 * n * profile.energy
+    rhs = 2 * n * s_set.profile.energy
     size = s_set.size
-    params = almost_sidon_params(s_set, profile)
+    params = almost_sidon_params(s_set)
     r = spectrum.r_count
     r_lhs = r * spectrum.threshold**4 * size**4
     r_rhs = 2 * n * (2 + params.eta) * size * size

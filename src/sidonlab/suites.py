@@ -23,13 +23,14 @@ from .counting import (
     count_distinct_solutions,
     count_solutions,
 )
+from .errors import ValidationError
 from .sets import (
     IntegerSet,
     almost_sidon_params,
     erdos_turan,
     mian_chowla,
     perturb_almost_sidon,
-    representation_profile,
+    philox,
 )
 from .spectral import energy_via_fourier, large_sieve_diagnostic
 from .transference import (
@@ -72,10 +73,6 @@ class SuiteResult:
         }
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 def _random_set(rng: np.random.Generator, n_max: int) -> IntegerSet:
     n = int(rng.integers(4, n_max + 1))
     size = int(rng.integers(1, max(2, n // 2) + 1))
@@ -96,7 +93,7 @@ def _random_coeffs(rng: np.random.Generator, s: int) -> EquationCoeffs:
 def suite_oracle_equivalence(seed: int, trials: int = 200) -> SuiteResult:
     """count_solutions against brute-force enumeration on random instances
     (N <= 40, 2 <= s <= 5, |a_i| <= 3), exact equality."""
-    rng = _rng(seed)
+    rng = philox(seed)
     res = SuiteResult("oracle_equivalence", trials, 0)
     for t in range(trials):
         s = int(rng.integers(2, 6))
@@ -116,7 +113,7 @@ def suite_oracle_equivalence(seed: int, trials: int = 200) -> SuiteResult:
 def suite_distinct_equivalence(seed: int, trials: int = 100) -> SuiteResult:
     """Partition inclusion-exclusion against brute-force distinct counting
     on random instances (N <= 25, s <= 5), exact equality."""
-    rng = _rng(seed)
+    rng = philox(seed)
     res = SuiteResult("distinct_equivalence", trials, 0)
     for t in range(trials):
         s = int(rng.integers(2, 6))
@@ -139,12 +136,12 @@ def suite_distinct_equivalence(seed: int, trials: int = 100) -> SuiteResult:
 def suite_energy_three_ways(seed: int, trials: int = 50) -> SuiteResult:
     """Profile energy, brute-force quadruple enumeration, and the
     convolution route must agree exactly on random sets with N <= 64."""
-    rng = _rng(seed)
+    rng = philox(seed)
     eq = EquationCoeffs((1, -1, -1, 1))
     res = SuiteResult("energy_three_ways", trials, 0)
     for t in range(trials):
         s_set = _random_set(rng, 64)
-        e_profile = representation_profile(s_set).energy
+        e_profile = s_set.profile.energy
         e_brute = int(
             brute_force_count(eq, [ScaledFunction.from_set(s_set)] * 4).value
         )
@@ -162,7 +159,7 @@ def suite_energy_three_ways(seed: int, trials: int = 50) -> SuiteResult:
 def suite_lemma_inequalities(seed: int, trials: int = 100) -> SuiteResult:
     """Repeated-difference and cardinality bounds on seeded almost-Sidon
     perturbations with eta < 1; both are theorems, any failure is a bug."""
-    rng = _rng(seed)
+    rng = philox(seed)
     bases = [erdos_turan(p) for p in (5, 7, 11, 13)] + [
         mian_chowla(k) for k in (8, 12, 20)
     ]
@@ -174,12 +171,11 @@ def suite_lemma_inequalities(seed: int, trials: int = 100) -> SuiteResult:
         base = bases[int(rng.integers(0, len(bases)))]
         extra = int(rng.integers(0, max(2, base.size // 2) + 1))
         s_set = perturb_almost_sidon(base, extra, seed=int(rng.integers(0, 2**31)))
-        prof = representation_profile(s_set)
-        if almost_sidon_params(s_set, prof).eta >= 1:
+        if almost_sidon_params(s_set).eta >= 1:
             continue
         done += 1
-        rd = verify_repeated_difference_bound(s_set, prof)
-        sb = verify_size_bound(s_set, prof)
+        rd = verify_repeated_difference_bound(s_set)
+        sb = verify_size_bound(s_set)
         if rd.holds and sb.holds:
             res.passes += 1
         else:
@@ -209,7 +205,7 @@ def suite_counting_bound(seed: int, trials: int = 50) -> SuiteResult:
     majorant, s = 5.  The majorant nu = f + sqrt(N) 1_S is halved until its
     mass and energy hypotheses hold exactly; each trial draws signed
     rational multipliers in [-1, 1] per support point."""
-    rng = _rng(seed)
+    rng = philox(seed)
     majorants = []
     for p in (7, 11):
         model = dense_model(erdos_turan(p), Fraction(1, 5))
@@ -250,20 +246,16 @@ def suite_dense_model() -> SuiteResult:
     """
     res = SuiteResult("dense_model", len(DENSE_MODEL_GRID), 0)
     for p, eps in DENSE_MODEL_GRID:
-        s_set = erdos_turan(p)
-        model = dense_model(s_set, eps)
-        padded = IntegerSet(s_set.elements, model.n_padded)
-        profile = representation_profile(padded)
+        model = dense_model(erdos_turan(p), eps)
         checks = {
             "mass_identity": model.diagnostics.mass_identity_holds,
-            "model_l2": verify_model_l2(model, profile).holds,
+            "model_l2": verify_model_l2(model).holds,
             "fourier_distance": model.diagnostics.fourier_distance
             <= DEFAULT_FOURIER_C * float(eps) * model.n_padded,
             "containment": model.containment_holds,
             "size_bound": model.size_bound.holds,
+            "large_sieve": large_sieve_diagnostic(model.padded, model.spectrum).holds,
         }
-        sieve = large_sieve_diagnostic(padded, model.spectrum, profile)
-        checks["large_sieve"] = sieve.holds
         bad = [k for k, v in checks.items() if not v]
         if bad:
             res.failures.append(f"p={p} eps={eps}: failed {bad}")
@@ -274,6 +266,8 @@ def suite_dense_model() -> SuiteResult:
 
 def run_suites(which: str, seed: int, trials: int) -> list[SuiteResult]:
     """Suites for the `verify` command: lemmas, counting, model, or all."""
+    if trials < 0:
+        raise ValidationError(f"trials must be nonnegative, got {trials}")
     if which == "lemmas":
         return [suite_lemma_inequalities(seed, trials)]
     if which == "counting":

@@ -27,13 +27,7 @@ import numpy as np
 from .convolve import convolve
 from .counting import EquationCoeffs, ScaledFunction, count_solutions
 from .errors import ValidationError
-from .sets import (
-    BLOCK_PAIRS,
-    IntegerSet,
-    almost_sidon_params,
-    difference_counts,
-    representation_profile,
-)
+from .sets import BLOCK_PAIRS, IntegerSet, almost_sidon_params, difference_counts
 from .spectral import (
     Frequency,
     Spectrum,
@@ -114,6 +108,8 @@ def bohr_set(freqs, eps, n: int) -> BohrSet:
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
         raise ValidationError(f"need 0 < eps <= 1/2, got {eps}")
+    if n < 0:
+        raise ValidationError(f"need n >= 0, got {n}")
     freqs = tuple(freqs)
     p, q = eps.numerator, eps.denominator
     width = (p * n) // q
@@ -159,17 +155,20 @@ class DenseModel:
 
     `base` has integer weights (denominator 1); the model function
     f = sqrt(N) 1_S * mu_B has the same numerators over |B|, carried at
-    half_power 1.  The padded ambient is a perfect square.
+    half_power 1.  `padded` is S in the ambient padded to a perfect square.
     """
 
     base: ScaledFunction
     bohr: BohrSet
-    n_padded: int
+    padded: IntegerSet
     spectrum: Spectrum
-    source: IntegerSet
     diagnostics: DenseModelDiagnostics
     containment_holds: bool
     size_bound: InequalityVerdict
+
+    @property
+    def n_padded(self) -> int:
+        return self.padded.ambient_n
 
     @property
     def model_f(self) -> ScaledFunction:
@@ -181,7 +180,7 @@ class DenseModel:
         """nu = f + sqrt(N) 1_S, i.e. (g + |B| 1_S) / |B|."""
         b = self.bohr.size
         nums = list(self.base.nums)
-        for x in self.source.elements:  # 0 is in B, so S lies in g's span
+        for x in self.padded.elements:  # 0 is in B, so S lies in g's span
             nums[x - self.base.offset] += b
         return ScaledFunction(self.base.offset, tuple(nums), b, 1, self.n_padded)
 
@@ -240,25 +239,22 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     return DenseModel(
         base=g,
         bohr=bohr,
-        n_padded=n,
+        padded=padded,
         spectrum=spectrum,
-        source=s_set,
         diagnostics=DenseModelDiagnostics(mass, mass_ok, l2_value, fourier_distance),
         containment_holds=containment,
         size_bound=size_verdict,
     )
 
 
-def verify_repeated_difference_bound(s_set: IntegerSet, profile=None
-                                     ) -> InequalityVerdict:
+def verify_repeated_difference_bound(s_set: IntegerSet) -> InequalityVerdict:
     """Exact check of sum over repeated nonzero differences of r_S(n)
     against eta |S|^2 + |S|.
 
     This is a theorem for every finite set, so `holds` can only be False if
-    the implementation is wrong.  Pass `profile` when
-    representation_profile(s_set) is already known.
+    the implementation is wrong.
     """
-    profile = representation_profile(s_set) if profile is None else profile
+    profile = s_set.profile
     k = s_set.size
     lhs = profile.repeated_difference_sum
     # eta |S|^2 = max(0, E - 2|S|^2) exactly
@@ -271,11 +267,11 @@ def verify_repeated_difference_bound(s_set: IntegerSet, profile=None
     )
 
 
-def verify_size_bound(s_set: IntegerSet, profile=None) -> InequalityVerdict:
+def verify_size_bound(s_set: IntegerSet) -> InequalityVerdict:
     """Exact check of |S| <= 2 sqrt(N / (1 - eta)), via squares:
     (1 - eta) |S|^2 <= 4N.  Vacuous (reported as inapplicable) when
-    eta >= 1.  `profile` as in verify_repeated_difference_bound."""
-    params = almost_sidon_params(s_set, profile)
+    eta >= 1."""
+    params = almost_sidon_params(s_set)
     k = s_set.size
     n = s_set.ambient_n
     if params.eta >= 1:
@@ -435,16 +431,14 @@ class ModelL2Verdict:
     l2_over_n: Fraction
 
 
-def verify_model_l2(model: DenseModel, profile=None) -> ModelL2Verdict:
+def verify_model_l2(model: DenseModel) -> ModelL2Verdict:
     """Exact autocorrelation bound for the model; also reports
     sum f^2 / N as a rational (its theoretical ceiling has an inexplicit
-    constant and is therefore never asserted).  `profile`, if known, is
-    that of the model's source set."""
-    padded = IntegerSet(model.source.elements, model.n_padded)
-    prof_s = representation_profile(padded) if profile is None else profile
+    constant and is therefore never asserted)."""
+    prof_s = model.padded.profile
     r_b = difference_counts(model.bohr.elements)
     lhs = sum(c * r_b.get(d, 0) for d, c in prof_s.counts.items())
-    k = padded.size
+    k = model.padded.size
     b = model.bohr.size
     eta_s2 = max(0, prof_s.energy - 2 * k * k)
     rhs = b * b + (eta_s2 + 2 * k) * b
@@ -528,11 +522,10 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
             f"{sum(eq.coeffs)}"
         )
     model = dense_model(s_set, eps, m)
-    n = model.n_padded
+    padded = model.padded
+    n = padded.ambient_n
     root = isqrt(n)
-    padded = IntegerSet(s_set.elements, n)
-    profile = representation_profile(padded)
-    params = almost_sidon_params(padded, profile)
+    params = almost_sidon_params(padded)
 
     f = model.model_f
     nu = model.majorant_nu
@@ -576,8 +569,8 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
         eps_n_power=eps_n_power,
         fourier_bound_holds=fourier_ok,
         fourier_c=fourier_c,
-        repeated_difference=verify_repeated_difference_bound(padded, profile),
-        size_bound=verify_size_bound(padded, profile),
-        model_l2=verify_model_l2(model, profile),
+        repeated_difference=verify_repeated_difference_bound(padded),
+        size_bound=verify_size_bound(padded),
+        model_l2=verify_model_l2(model),
         level_set=verify_l2_reduction(f, params.delta),
     )

@@ -143,7 +143,7 @@ def test_criterion_08_large_sieve():
     t0 = time.perf_counter()
     ok = True
     for p, eps, model in _dense_models():
-        padded = IntegerSet(model.source.elements, model.n_padded)
+        padded = model.padded
         sieve = large_sieve_diagnostic(padded, model.spectrum)
         ok &= sieve.lhs <= sieve.rhs * (1 + 1e-9)
     elapsed = time.perf_counter() - t0

@@ -300,3 +300,32 @@ class TestUsageErrors:
         path = tmp_path / "bin.txt"
         path.write_bytes(b"N 10\n\xff\xfe\n")
         self.assert_usage_error(run(capsys, "energy", "--set", str(path)), "")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lemmas", "--seed", "-1"),
+        ("verify", "all", "--seed", str(2**128)),
+    ])
+    def test_seed_outside_philox_keys(self, capsys, argv):
+        self.assert_usage_error(run(capsys, *argv), "seed")
+
+    def test_perturb_negative_seed(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        path.write_text("N 10\n1\n2\n")
+        self.assert_usage_error(
+            run(capsys, "construct", "perturb", "--in", str(path), "--extra", "2",
+                "--seed", "-1"), "seed")
+
+    def test_largest_seed_accepted(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "lemmas", "--seed",
+                              str(2**128 - 1), "--trials", "2")
+        assert code == 0
+        assert json.loads(stdout)["all_ok"] is True
+
+    def test_negative_trials(self, capsys):
+        self.assert_usage_error(
+            run(capsys, "verify", "all", "--trials", "-3"), "trials")
+
+    def test_negative_bohr_n(self, capsys):
+        self.assert_usage_error(
+            run(capsys, "bohr", "--freq", "1/3", "--eps", "1/4", "--n", "-10"),
+            "n >= 0")

@@ -56,6 +56,19 @@ class TestEquationCoeffs:
         with pytest.raises(ValidationError):
             EquationCoeffs((1, 0, -1))
 
+    def test_floats_refused(self):
+        # truncation would make (1.5, -1.5, 2.2) the non-invariant (1, -1, 2)
+        with pytest.raises(TypeError):
+            EquationCoeffs((1.5, -1.5, 2.2))
+        with pytest.raises(TypeError):
+            EquationCoeffs((1.0, -1.0))
+
+    def test_numpy_integers_accepted(self):
+        eq = EquationCoeffs(tuple(np.array([1, 1, -2], dtype=np.int64)))
+        assert eq.coeffs == (1, 1, -2)
+        assert all(type(a) is int for a in eq.coeffs)
+        assert eq == EquationCoeffs((1, 1, -2))
+
     def test_translation_invariance_flag(self):
         assert EquationCoeffs((1, 1, -2)).translation_invariant
         assert not EquationCoeffs((1, 1, -3)).translation_invariant

@@ -20,6 +20,7 @@ from sidonlab.sets import (
     mian_chowla,
     parse_set_file,
     perturb_almost_sidon,
+    philox,
     representation_profile,
 )
 
@@ -66,6 +67,46 @@ class TestIntegerSet:
     def test_padding(self):
         assert IntegerSet((1,), 242).padded_to_square().ambient_n == 256
         assert IntegerSet((1,), 81).padded_to_square().ambient_n == 81
+
+    def test_floats_refused(self):
+        # truncation would silently turn (1.5, 3.9) into (1, 3)
+        with pytest.raises(TypeError):
+            IntegerSet((1.5, 3.9), 5)
+        with pytest.raises(TypeError):
+            IntegerSet((1.0, 3.0), 5)
+        with pytest.raises(TypeError):
+            IntegerSet((1, 3), 5.0)
+
+    def test_numpy_integers_accepted(self):
+        s = IntegerSet(np.array([1, 3], dtype=np.int64), np.int32(5))
+        assert s == IntegerSet((1, 3), 5)
+        assert all(type(x) is int for x in s.elements)
+        assert type(s.ambient_n) is int
+
+
+class TestProfileCache:
+    def test_computed_once(self, profile_calls):
+        s = IntegerSet((1, 2, 4, 8, 13, 14), 20)
+        assert s.profile is s.profile
+        assert profile_calls == [s]
+        fresh = representation_profile(IntegerSet(s.elements, s.ambient_n))
+        assert s.profile == fresh
+
+    def test_readers_share_the_profile(self, profile_calls):
+        s = IntegerSet((1, 2, 3, 5, 8), 9)
+        almost_sidon_params(s)
+        is_sidon(s)
+        assert s.profile.energy == brute_energy(s.elements)
+        assert len(profile_calls) == 1
+
+    def test_cache_leaves_identity_alone(self):
+        s = IntegerSet((2, 5, 9), 10)
+        fresh = IntegerSet((2, 5, 9), 10)
+        before = repr(s), hash(s)
+        s.profile
+        assert s == fresh and hash(s) == hash(fresh)
+        assert (repr(s), hash(s)) == before
+        assert {s: 1}[fresh] == 1
 
 
 class TestErdosTuran:
@@ -264,6 +305,25 @@ class TestPerturb:
     def test_no_room(self):
         with pytest.raises(ValidationError):
             perturb_almost_sidon(IntegerSet((1, 2), 3), 2, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_seed_outside_key_range(self, seed, extra):
+        with pytest.raises(ValidationError, match="seed"):
+            perturb_almost_sidon(erdos_turan(5), extra, seed=seed)
+
+
+class TestPhilox:
+    @pytest.mark.parametrize("seed", [-1, -2**130, 2**128, 2**200])
+    def test_outside_key_range(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            philox(seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**128 - 1])
+    def test_same_stream_as_philox(self, seed):
+        direct = np.random.Generator(np.random.Philox(key=seed))
+        assert (philox(seed).integers(0, 2**40, size=8).tolist()
+                == direct.integers(0, 2**40, size=8).tolist())
 
 
 class TestSetFile:

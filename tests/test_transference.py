@@ -18,10 +18,15 @@ from sidonlab.sets import (
     IntegerSet,
     erdos_turan,
     mian_chowla,
+    perturb_almost_sidon,
     representation_profile,
 )
 from sidonlab.spectral import Frequency
-from sidonlab.suites import scale_to_counting_hypotheses
+from sidonlab.suites import (
+    DENSE_MODEL_GRID,
+    scale_to_counting_hypotheses,
+    suite_dense_model,
+)
 from sidonlab.transference import (
     BOHR_BLOCK,
     _bohr_member,
@@ -48,6 +53,16 @@ def interval_fn(n, half_power=0):
 
 
 class TestBohrSet:
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValidationError, match="n >= 0"):
+            bohr_set([Frequency(1, 3)], Fraction(1, 4), -10)
+        with pytest.raises(ValidationError):
+            bohr_set([], Fraction(1, 4), -1)
+
+    def test_zero_n(self):
+        b = bohr_set([Frequency(1, 3)], Fraction(1, 4), 0)
+        assert (b.width, b.elements) == (0, (0,))
+
     def test_no_frequencies(self):
         b = bohr_set([], Fraction(1, 10), 100)
         assert b.elements == tuple(range(-10, 11))
@@ -207,7 +222,7 @@ class TestDenseModel:
         assert model.bohr.elements == (0,)
         assert model.diagnostics.fourier_distance == 0.0
         assert model.diagnostics.mass_identity_holds
-        padded = IntegerSet(model.source.elements, model.n_padded)
+        padded = model.padded
         w, off = padded.indicator()
         g = model.base.trimmed()
         assert g.offset == off
@@ -243,7 +258,7 @@ class TestDenseModel:
         n = model.n_padded
         m = model.spectrum.grid_m
         root = isqrt(n)
-        padded = IntegerSet(model.source.elements, n)
+        padded = model.padded
         s_hat = dft_values(ScaledFunction.from_set(padded), m)
         b_hat = dft_values(model.bohr.measure(), m)
         f_hat = dft_values(model.model_f, m)
@@ -267,6 +282,33 @@ class TestDenseModel:
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError):
             dense_model(IntegerSet((), 16), Fraction(1, 4))
+
+
+class TestOneProfile:
+    """Every verdict on a set reads the profile that set computed once."""
+
+    def test_report_computes_one_profile(self, profile_calls):
+        s = perturb_almost_sidon(erdos_turan(11), 2, seed=5)
+        rep = transference_report(s, EquationCoeffs((1, 1, 1, 1, -4)),
+                                  Fraction(1, 5))
+        assert len(profile_calls) == 1
+        assert profile_calls[0] is rep.model.padded
+        assert rep.model.padded.profile == representation_profile(
+            IntegerSet(s.elements, rep.n_padded))
+
+    def test_dense_model_suite_one_profile_per_instance(self, profile_calls):
+        assert suite_dense_model().ok
+        assert len(profile_calls) == len(DENSE_MODEL_GRID)
+        assert len({id(s) for s in profile_calls}) == len(DENSE_MODEL_GRID)
+
+    def test_padded_set(self):
+        s = evens(64)
+        model = dense_model(s, Fraction(1, 4))
+        assert model.padded == IntegerSet(s.elements, 64)
+        assert model.n_padded == model.padded.ambient_n == 64
+        s = erdos_turan(11)
+        model = dense_model(s, Fraction(1, 5))
+        assert model.padded == IntegerSet(s.elements, 256)
 
 
 class TestRepeatedDifferenceBound:
