@@ -48,10 +48,11 @@ print(f"progression, |S| = 7: total = "
 
 # ---------------------------------------------------------------------------
 # Rational weights stay exact end to end: they are stored as integer
-# numerators over one common denominator.
+# numerators over one common denominator.  A sqrt(N) factor, as in the dense
+# model, is just one more integer factor once N is a perfect square.
 
 w = ScaledFunction.from_weights(1, (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)),
-                                0, 3)
+                                3)
 c = count_solutions(EquationCoeffs((1, -1)), [w, w])
 print(f"\nweights {w.nums} / {w.den}: weighted diagonal count = {c.value} "
       "(exact rational)")

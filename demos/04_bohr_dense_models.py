@@ -9,6 +9,7 @@ scaled indicator itself, exactly; structured sets give genuine smoothing.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from sidonlab import (
     Frequency,
@@ -62,7 +63,8 @@ print(f"fourier distance = {d.fourier_distance:.3f} "
 v = verify_model_l2(model)
 print(f"autocorrelation bound: {v.lhs} <= {v.rhs}: {v.holds}")
 
-# a slice of the smoothed weights across the middle of the window
+# a slice of the smoothed model across the middle of the window: the values
+# f(x) = sqrt(N) (1_S * mu_B)(x) carry sqrt(N) = 8, exactly
 f = model.model_f
 mid = [f"{float(f.weight_at(x)):.3f}" for x in range(30, 41)]
-print(f"model weights on [30, 40]: {mid}")
+print(f"model values f(x) on [30, 40], sqrt(N) = {isqrt(model.n_padded)}: {mid}")

@@ -38,10 +38,12 @@ print(f"  telescoped difference = {rep.difference}, "
       f"vs eps N^(s-1) = {rep.eps_n_power:.4g}")
 print(f"  theorem verdicts all hold: {rep.theorem_verdicts_hold}")
 
-# the oracle sees the identical weights and must agree to the last digit
+# the oracle sees the model f itself, sqrt(N) included, and must agree to
+# the last digit with the engine and with the report's count
 f = rep.model.model_f
-assert brute_force_count(eq, [f] * 5).value == count_solutions(eq, [f] * 5).value
-print("  oracle on identical model weights: equal, exactly")
+assert brute_force_count(eq, [f] * 5).value == count_solutions(eq, [f] * 5).value \
+    == rep.model_count
+print("  oracle on the model f: equals the model count, exactly")
 
 # ---------------------------------------------------------------------------
 # A Sidon set living inside the even numbers: dilating by 2 keeps eta = 0

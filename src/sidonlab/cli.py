@@ -193,7 +193,7 @@ def _cmd_count(args) -> int:
         oracle = brute_force_count(eq, fns) if args.oracle else None
     doc["value_numerator"] = result.value.numerator
     doc["value_denominator"] = result.value.denominator
-    doc["half_power"] = result.half_power
+    doc["half_power"] = 0  # kept for schema stability
     if oracle is not None:
         agrees = oracle.value == result.value
         doc["oracle_agrees"] = agrees

@@ -1,7 +1,9 @@
 """Exact counting of solutions to a1*x1 + ... + as*xs = 0.
 
 Every weighted function is a `ScaledFunction`: integer numerators over one
-common denominator, times N^(h/2).  The fast path dilates the numerators
+common denominator.  A sqrt(N) factor, as in the dense model, is an
+integer once the ambient is a perfect square and lives in the numerators
+like any other rational weight.  The fast path dilates the numerators
 of each input onto the lattice m = a_i * x_i, convolves the first
 ceil(s/2) dilations and the rest separately with the exact engine from
 `convolve`, and reads off the coefficient at zero of their product as one
@@ -35,7 +37,7 @@ import numpy as np
 
 from .convolve import convolve_many
 from .errors import BudgetExceededError, ValidationError
-from .sets import IntegerSet, exact_sqrt
+from .sets import IntegerSet
 
 DEFAULT_BRUTE_BUDGET = 10**9
 MAX_DISTINCT_VARS = 12
@@ -68,20 +70,17 @@ class EquationCoeffs:
 
 @dataclass(frozen=True)
 class ScaledFunction:
-    """A finitely supported function (nums / den) * N^(half_power/2).
+    """A finitely supported function nums / den on the ambient [1, N].
 
     Integer numerators over one common denominator, kept in lowest terms:
-    the weight at the integer offset + j is nums[j] / den, and the function
-    is that weight times N^(h/2) where h = half_power and N = ambient_n, so
-    with h = 1 it is scaled by sqrt(N).  When N is a perfect square every
-    value is an exact rational for any h.  Weights may be signed.
-    `from_weights` takes rational weights; `weights` is a read-only view.
+    the value at the integer offset + j is nums[j] / den, and N is
+    `ambient_n`.  Values may be signed.  `from_weights` takes rational
+    weights; `weights` is a read-only view.
     """
 
     offset: int
     nums: tuple[int, ...]
     den: int = 1
-    half_power: int = 0
     ambient_n: int = 1
 
     def __post_init__(self):
@@ -94,26 +93,25 @@ class ScaledFunction:
         object.__setattr__(self, "den", den // g)
 
     @classmethod
-    def from_weights(cls, offset: int, weights, half_power: int = 0,
-                     ambient_n: int = 1) -> "ScaledFunction":
+    def from_weights(cls, offset: int, weights, ambient_n: int = 1
+                     ) -> "ScaledFunction":
         """Rational weights (anything `Fraction` accepts) over their lcm."""
         ws = [Fraction(w) for w in weights]
         den = lcm(*(w.denominator for w in ws))
         return cls(offset, tuple(w.numerator * (den // w.denominator) for w in ws),
-                   den, half_power, ambient_n)
+                   den, ambient_n)
 
     @classmethod
-    def from_set(cls, s: IntegerSet, half_power: int = 0) -> "ScaledFunction":
-        """Indicator of S (times N^(h/2)) with the set's ambient."""
+    def from_set(cls, s: IntegerSet) -> "ScaledFunction":
+        """Indicator of S with the set's ambient."""
         w, off = s.indicator()
-        return cls(off, tuple(w), 1, half_power, s.ambient_n)
+        return cls(off, tuple(w), 1, s.ambient_n)
 
     @classmethod
-    def from_interval(cls, lo: int, hi: int, ambient_n: int,
-                      half_power: int = 0) -> "ScaledFunction":
+    def from_interval(cls, lo: int, hi: int, ambient_n: int) -> "ScaledFunction":
         if hi < lo:
             raise ValidationError("empty interval")
-        return cls(lo, (1,) * (hi - lo + 1), 1, half_power, ambient_n)
+        return cls(lo, (1,) * (hi - lo + 1), 1, ambient_n)
 
     @property
     def weights(self) -> tuple[Rational, ...]:
@@ -132,8 +130,7 @@ class ScaledFunction:
             hi -= 1
         if lo == 0 and hi == len(nums):
             return self
-        return ScaledFunction(self.offset + lo, nums[lo:hi], self.den,
-                              self.half_power, self.ambient_n)
+        return ScaledFunction(self.offset + lo, nums[lo:hi], self.den, self.ambient_n)
 
     def support(self) -> list[int]:
         return [self.offset + j for j, x in enumerate(self.nums) if x]
@@ -145,7 +142,7 @@ class ScaledFunction:
         return Fraction(0)
 
     def mass(self) -> Fraction:
-        """Sum of the weights (without the N^(h/2) factor)."""
+        """Sum of the weights."""
         return Fraction(sum(self.nums), self.den)
 
     def l2_weights(self) -> Fraction:
@@ -154,12 +151,11 @@ class ScaledFunction:
     def scaled_by(self, q) -> "ScaledFunction":
         q = Fraction(q)
         return ScaledFunction(self.offset, tuple(x * q.numerator for x in self.nums),
-                              self.den * q.denominator, self.half_power, self.ambient_n)
+                              self.den * q.denominator, self.ambient_n)
 
     def __add__(self, other: "ScaledFunction") -> "ScaledFunction":
-        if (other.half_power != self.half_power
-                or other.ambient_n != self.ambient_n):
-            raise ValidationError("can only add functions with equal scale")
+        if other.ambient_n != self.ambient_n:
+            raise ValidationError("can only add functions on the same ambient")
         den = lcm(self.den, other.den)
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.nums), other.offset + len(other.nums))
@@ -169,13 +165,12 @@ class ScaledFunction:
             a = f.offset - lo
             b = a + len(f.nums)
             out[a:b] = [y + k * x for y, x in zip(out[a:b], f.nums)]
-        return ScaledFunction(lo, tuple(out), den, self.half_power, self.ambient_n)
+        return ScaledFunction(lo, tuple(out), den, self.ambient_n)
 
     def dominated_by(self, nu: "ScaledFunction") -> bool:
-        """Exact pointwise check |self| <= nu (same scale required)."""
-        if (nu.half_power != self.half_power
-                or nu.ambient_n != self.ambient_n):
-            raise ValidationError("majorant must carry the same scale")
+        """Exact pointwise check |self| <= nu (same ambient required)."""
+        if nu.ambient_n != self.ambient_n:
+            raise ValidationError("majorant must live on the same ambient")
         shift = self.offset - nu.offset
         for j, x in enumerate(self.nums):
             k = j + shift
@@ -184,9 +179,6 @@ class ScaledFunction:
                 return False
         return True
 
-    def scale_float(self) -> float:
-        return float(self.ambient_n) ** (self.half_power / 2)
-
     def float_weights(self) -> np.ndarray:
         """float(weights[j]): int / int is correctly rounded."""
         return np.array([x / self.den for x in self.nums], dtype=float)
@@ -194,25 +186,9 @@ class ScaledFunction:
 
 @dataclass(frozen=True)
 class SolutionCount:
-    """An exact count `value * N^(half_power/2)` with the scale kept apart."""
+    """An exact weighted solution count."""
 
     value: Fraction
-    half_power: int = 0
-    ambient_n: int | None = None
-
-    def scaled(self) -> Fraction:
-        """Materialize the count, requiring the scale to be rational."""
-        if self.half_power == 0:
-            return self.value
-        if self.ambient_n is None:
-            raise ValidationError("no ambient recorded for a scaled count")
-        h, n = self.half_power, self.ambient_n
-        if h % 2 == 0:
-            return self.value * Fraction(n) ** (h // 2)
-        root = exact_sqrt(n)
-        if root is None:
-            raise ValidationError(f"N^{h}/2 is irrational: {n} is not a perfect square")
-        return self.value * Fraction(root) ** h
 
 
 def _dilate(ints, offset: int, a: int) -> tuple[list[int], int]:
@@ -251,43 +227,28 @@ def _count_at_zero(dilations: list[tuple[list[int], int]]) -> int:
     return sum(map(mul, left[lo:hi], reversed(right[k - hi + 1:k - lo + 1])))
 
 
-def _common_ambient(fns) -> int | None:
-    ambients = {f.ambient_n for f in fns}
-    if len(ambients) == 1:
-        return ambients.pop()
-    if any(f.half_power != 0 for f in fns):
-        raise ValidationError(
-            "scaled functions in one count must share the same ambient N"
-        )
-    return None
-
-
 def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     """Exact weighted count of solutions to sum a_i x_i = 0.
 
     Returns sum over integer tuples (x_1, ..., x_s) with a1 x1 + ... = 0 of
-    the product of the function values, with the common N^(h/2) scale kept
-    in `half_power`.  Each function is dilated to the lattice m = a_i x_i
-    and the answer is the coefficient at zero of the exact product of the
-    dilations.
+    the product of the function values.  Each function is dilated to the
+    lattice m = a_i x_i and the answer is the coefficient at zero of the
+    exact product of the dilations.
     """
     fns = list(fns)
     if len(fns) != eq.s:
         raise ValidationError(
             f"equation has {eq.s} variables but {len(fns)} functions given"
         )
-    ambient = _common_ambient(fns)
-    half = sum(f.half_power for f in fns)
     dilations = []
     den_product = 1
     for a, f in zip(eq.coeffs, fns):
         t = f.trimmed()
         if not t.nums:
-            return SolutionCount(Fraction(0), half, ambient)
+            return SolutionCount(Fraction(0))
         den_product *= t.den
         dilations.append(_dilate(t.nums, t.offset, a))
-    return SolutionCount(Fraction(_count_at_zero(dilations), den_product),
-                         half, ambient)
+    return SolutionCount(Fraction(_count_at_zero(dilations), den_product))
 
 
 def _set_partitions(items: list[int]):
@@ -348,7 +309,7 @@ def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet
         else:
             merged_count = 1
         total += _partition_mobius(part) * k**free * merged_count
-    return SolutionCount(Fraction(total), 0, s_set.ambient_n)
+    return SolutionCount(Fraction(total))
 
 
 def _resolve_budget(budget: int | None) -> int:
@@ -380,10 +341,8 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
         raise ValidationError(
             f"equation has {eq.s} variables but {len(fns)} functions given"
         )
-    ambient = _common_ambient(fns)
-    half = sum(f.half_power for f in fns)
     if any(not f.nums for f in fns):
-        return SolutionCount(Fraction(0), half, ambient)
+        return SolutionCount(Fraction(0))
     supports = [f.support() for f in fns]
     cost = prod(len(sup) for sup in supports[:-1])
     limit = _resolve_budget(budget)
@@ -396,7 +355,7 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
     wmax = prod(max(abs(w) for w in ws) for ws in int_weights)
     total = _enumerate(eq.coeffs, supports, int_weights, distinct_only,
                        np.int64 if wmax < _INT64_SAFE else object)
-    return SolutionCount(Fraction(total, den_product), half, ambient)
+    return SolutionCount(Fraction(total, den_product))
 
 
 def _enumerate(coeffs, supports, weights, distinct_only, dtype) -> int:

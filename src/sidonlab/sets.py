@@ -116,12 +116,6 @@ class AlmostSidonParams:
     delta: Fraction
 
 
-def exact_sqrt(n: int) -> int | None:
-    """The integer square root of n when n is a perfect square, else None."""
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
 def ceil_sqrt(n: int) -> int:
     c = isqrt(n)
     return c if c * c == n else c + 1

@@ -75,7 +75,7 @@ class Spectrum:
 
 
 def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
-    """Complex f_hat(k/m) for k = 0..m-1, including the N^(h/2) scale.
+    """Complex f_hat(k/m) for k = 0..m-1.
 
     Support points are placed at their residues mod m, which leaves every
     grid value unchanged because e(alpha n) has period m in n; one inverse
@@ -84,10 +84,9 @@ def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
     if m < 1:
         raise ValidationError(f"grid size must be positive, got {m}")
     t = f.trimmed()
-    scale = f.scale_float()
     if not t.nums:
         return np.zeros(m, dtype=complex)
-    w = t.float_weights() * scale
+    w = t.float_weights()
     positions = (np.arange(len(w), dtype=np.int64) + t.offset) % m
     arr = np.zeros(m, dtype=complex)
     np.add.at(arr, positions, w)

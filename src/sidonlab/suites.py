@@ -36,12 +36,11 @@ from .spectral import energy_via_fourier, large_sieve_diagnostic
 from .transference import (
     DEFAULT_FOURIER_C,
     dense_model,
-    scaled_energy,
-    scaled_mass_squared,
     verify_counting_bound,
     verify_model_l2,
     verify_repeated_difference_bound,
     verify_size_bound,
+    weight_energy,
 )
 
 DENSE_MODEL_GRID = (
@@ -194,8 +193,7 @@ def scale_to_counting_hypotheses(nu: ScaledFunction) -> ScaledFunction:
     a power of two, keeping every weight an exact rational.
     """
     n = nu.ambient_n
-    while (scaled_mass_squared(nu) > Fraction(n) ** 2
-           or scaled_energy(nu) > Fraction(n) ** 3):
+    while nu.mass() > n or weight_energy(nu) > n**3:
         nu = nu.scaled_by(Fraction(1, 2))
     return nu
 
@@ -223,8 +221,7 @@ def suite_counting_bound(seed: int, trials: int = 50) -> SuiteResult:
         for _ in range(5):
             rs = rng.integers(-8, 9, size=len(nu.nums)).tolist()  # weight r/8 * nu
             nums = tuple(r * x for r, x in zip(rs, nu.nums))
-            fns.append(ScaledFunction(nu.offset, nums, 8 * nu.den, nu.half_power,
-                                      nu.ambient_n))
+            fns.append(ScaledFunction(nu.offset, nums, 8 * nu.den, nu.ambient_n))
         v = verify_counting_bound(nu, fns, eq)
         if v.holds and v.premise_mass_ok and v.premise_energy_ok:
             res.passes += 1
@@ -273,9 +270,9 @@ def run_suites(which: str, seed: int, trials: int) -> list[SuiteResult]:
     if which == "counting":
         return [
             suite_oracle_equivalence(seed, trials),
-            suite_distinct_equivalence(seed + 1, trials),
-            suite_energy_three_ways(seed + 2, trials),
-            suite_counting_bound(seed + 3, trials),
+            suite_distinct_equivalence((seed + 1) % 2**128, trials),
+            suite_energy_three_ways((seed + 2) % 2**128, trials),
+            suite_counting_bound((seed + 3) % 2**128, trials),
         ]
     if which == "model":
         return [suite_dense_model()]

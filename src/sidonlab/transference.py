@@ -3,7 +3,8 @@
 The dense model of an almost-Sidon set S in [1, N] is
 f = sqrt(N) * 1_S convolved with the normalized indicator of a Bohr set B
 built on the large spectrum of S.  The ambient is first padded to a perfect
-square so sqrt(N) is an integer and every mass, energy and count below is
+square so sqrt(N) is an integer: f is the integer convolution g = 1_S * 1_B
+times the rational sqrt(N)/|B|, and every mass, energy and count below is
 an exact rational; only Fourier magnitudes are floating point.
 
 Every inequality that is a theorem (the repeated-difference bound, the
@@ -89,7 +90,7 @@ class BohrSet:
         nums = [0] * (2 * self.width + 1)
         for n in self.elements:
             nums[n + self.width] = 1
-        return ScaledFunction(-self.width, tuple(nums), self.size, 0, self.ambient_n)
+        return ScaledFunction(-self.width, tuple(nums), self.size, self.ambient_n)
 
 
 def _bohr_member(n: int, freq: Frequency, radius: Fraction) -> bool:
@@ -154,8 +155,8 @@ class DenseModel:
     """g = 1_S * 1_B with its Bohr set, spectrum and exact diagnostics.
 
     `base` has integer weights (denominator 1); the model function
-    f = sqrt(N) 1_S * mu_B has the same numerators over |B|, carried at
-    half_power 1.  `padded` is S in the ambient padded to a perfect square.
+    f = sqrt(N) 1_S * mu_B is `scale` * g with scale = sqrt(N)/|B|.
+    `padded` is S in the ambient padded to a perfect square.
     """
 
     base: ScaledFunction
@@ -171,18 +172,27 @@ class DenseModel:
         return self.padded.ambient_n
 
     @property
-    def model_f(self) -> ScaledFunction:
-        return ScaledFunction(self.base.offset, self.base.nums,
-                              self.bohr.size, 1, self.n_padded)
+    def scale(self) -> Fraction:
+        """sqrt(N) / |B|, rational because N is a perfect square."""
+        return Fraction(isqrt(self.n_padded), self.bohr.size)
 
     @property
-    def majorant_nu(self) -> ScaledFunction:
-        """nu = f + sqrt(N) 1_S, i.e. (g + |B| 1_S) / |B|."""
+    def model_f(self) -> ScaledFunction:
+        return self.base.scaled_by(self.scale)
+
+    @property
+    def majorant_base(self) -> ScaledFunction:
+        """The integer function g + |B| 1_S."""
         b = self.bohr.size
         nums = list(self.base.nums)
         for x in self.padded.elements:  # 0 is in B, so S lies in g's span
             nums[x - self.base.offset] += b
-        return ScaledFunction(self.base.offset, tuple(nums), b, 1, self.n_padded)
+        return ScaledFunction(self.base.offset, tuple(nums), 1, self.n_padded)
+
+    @property
+    def majorant_nu(self) -> ScaledFunction:
+        """nu = f + sqrt(N) 1_S, i.e. scale * (g + |B| 1_S)."""
+        return self.majorant_base.scaled_by(self.scale)
 
 
 def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
@@ -222,7 +232,7 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     for v in bohr.elements:
         ind_b[v - off_b] = 1
     g_ints = convolve(ind_s, ind_b)
-    g = ScaledFunction(off_s + off_b, tuple(g_ints), 1, 0, n)
+    g = ScaledFunction(off_s + off_b, tuple(g_ints), 1, n)
 
     mass = sum(g_ints)
     mass_ok = mass == padded.size * bohr.size
@@ -315,27 +325,16 @@ class LevelSetResult:
 
 
 def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
-    """Exact level-set density check for a nonnegative f on its interval.
-
-    All comparisons are done on squares so they stay rational even when the
-    sqrt(N) scale is irrational.
-    """
+    """Exact level-set density check for a nonnegative f on [1, N]."""
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValidationError(f"need 0 < delta <= 1, got {delta}")
     n = f.ambient_n
-    nh = Fraction(n) ** f.half_power
-    mass = f.mass()
-    # sum f = mass * N^(h/2) >= delta N  <=>  mass >= 0 and mass^2 N^h >= delta^2 N^2
-    hyp_mass = mass >= 0 and mass * mass * nh >= delta * delta * n * n
-    # sum f^2 = (sum w^2) N^h <= N
-    hyp_l2 = f.l2_weights() * nh <= n
-    # w N^(h/2) >= delta/2 with w = x/den and delta > 0 needs x > 0, then
-    # compare squares: x^2 >= (delta/2)^2 den^2 / N^h = p/q
-    thr = delta * delta / 4 * f.den**2 / nh
-    p, q = thr.numerator, thr.denominator
-    level = [f.offset + j for j, x in enumerate(f.nums)
-             if x > 0 and x * x * q >= p]
+    hyp_mass = f.mass() >= delta * n
+    hyp_l2 = f.l2_weights() <= n
+    # x / den >= delta / 2 = p / 2q in integers
+    p, q = delta.numerator, delta.denominator
+    level = [f.offset + j for j, x in enumerate(f.nums) if 2 * q * x >= p * f.den]
     lhs = 4 * len(level)
     rhs = delta * delta * n
     ok = (lhs >= rhs) if (hyp_mass and hyp_l2) else None
@@ -343,35 +342,23 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
 
 
 def weight_energy(f: ScaledFunction) -> Fraction:
-    """Energy of the raw weight array (no N^(h/2) scale), exactly."""
+    """The additive energy E(f) of the weights, exactly."""
     return count_solutions(ENERGY_EQUATION, [f] * 4).value
-
-
-def scaled_energy(f: ScaledFunction) -> Fraction:
-    """E(f) including the scale: weight energy times N^(2h)."""
-    return weight_energy(f) * Fraction(f.ambient_n) ** (2 * f.half_power)
-
-
-def scaled_mass_squared(f: ScaledFunction) -> Fraction:
-    """(sum f)^2 as an exact rational (sign of the mass reported separately)."""
-    m = f.mass()
-    return m * m * Fraction(f.ambient_n) ** f.half_power
 
 
 @dataclass(frozen=True)
 class CountingBoundVerdict:
     """The counting inequality |sum prod f_i| <= N^(s-2) min_i sup|f_i hat|.
 
-    The left side is exact (value times the half-power scale); the right
-    side uses the grid sup, which is below the true sup by at most the
-    reported grid factor 1/cos(pi/oversample), so a pass certifies the
-    stated inequality up to that factor.  The majorant hypotheses
+    The left side is exact; the right side uses the grid sup, which is
+    below the true sup by at most the reported grid factor
+    1/cos(pi/oversample), so a pass certifies the stated inequality up to
+    that factor.  The majorant hypotheses
     (sum nu <= N, E(nu) <= N^3) are checked exactly and reported.
     """
 
     lhs_abs: float
     lhs_value: Fraction
-    lhs_half_power: int
     rhs: float
     min_sup: float
     holds: bool
@@ -398,10 +385,10 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs,
         if not f.dominated_by(nu):
             raise ValidationError(f"function {i} is not dominated by nu")
     n = nu.ambient_n
-    premise_mass = scaled_mass_squared(nu) <= Fraction(n) ** 2
-    premise_energy = scaled_energy(nu) <= Fraction(n) ** 3
+    premise_mass = nu.mass() <= n
+    premise_energy = weight_energy(nu) <= n**3
     count = count_solutions(eq, fns)
-    lhs_abs = abs(float(count.value)) * float(n) ** (count.half_power / 2)
+    lhs_abs = abs(float(count.value))
     sups = [sup_norm_estimate(f, oversample)[0] for f in fns]
     min_sup = min(sups)
     rhs = float(n) ** (eq.s - 2) * min_sup
@@ -410,7 +397,6 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs,
     return CountingBoundVerdict(
         lhs_abs=lhs_abs,
         lhs_value=count.value,
-        lhs_half_power=count.half_power,
         rhs=rhs,
         min_sup=min_sup,
         holds=holds,
@@ -516,6 +502,8 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     eps = Fraction(eps)
     if eq.s < 5:
         raise ValidationError(f"transference needs s >= 5, got {eq.s}")
+    if fourier_c < 0:
+        raise ValidationError(f"fourier_c must be nonnegative, got {fourier_c}")
     if not eq.translation_invariant:
         raise ValidationError(
             f"equation must be translation invariant, coefficients sum to "
@@ -527,14 +515,16 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     root = isqrt(n)
     params = almost_sidon_params(padded)
 
-    f = model.model_f
-    nu = model.majorant_nu
-    nu_mass = nu.mass() * root
-    nu_energy = scaled_energy(nu)
+    # count the integer g and g + |B| 1_S, then scale: sqrt(N) in the counted
+    # numerators would only widen the convolutions
+    scale = model.scale
+    nu_base = model.majorant_base
+    nu_mass = nu_base.mass() * scale
+    nu_energy = weight_energy(nu_base) * scale**4
     mass_ok = nu_mass <= NU_MASS_FACTOR * n
     energy_ok = nu_energy <= NU_ENERGY_FACTOR * Fraction(n) ** 3
 
-    model_count = count_solutions(eq, [f] * eq.s).scaled()
+    model_count = count_solutions(eq, [model.base] * eq.s).value * scale**eq.s
     raw = count_solutions(eq, [ScaledFunction.from_set(padded)] * eq.s)
     set_count_raw = int(raw.value)
     set_count = Fraction(root) ** eq.s * set_count_raw
@@ -572,5 +562,5 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
         repeated_difference=verify_repeated_difference_bound(padded),
         size_bound=verify_size_bound(padded),
         model_l2=verify_model_l2(model),
-        level_set=verify_l2_reduction(f, params.delta),
+        level_set=verify_l2_reduction(model.model_f, params.delta),
     )

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sidonlab.cli import main
-from sidonlab.sets import erdos_turan, read_set_file
+from sidonlab.sets import erdos_turan, read_set_file, write_set_file
 
 
 def run(capsys, *argv):
@@ -122,7 +122,7 @@ class TestCount:
 
         monkeypatch.setattr(
             cli, "brute_force_count",
-            lambda *a, **k: SolutionCount(Fraction(-1), 0, None),
+            lambda *a, **k: SolutionCount(Fraction(-1)),
         )
         code, stdout, _ = run(capsys, "count", "--coeffs", "1,-1",
                               "--interval", "4", "--oracle")
@@ -320,6 +320,29 @@ class TestUsageErrors:
                               str(2**128 - 1), "--trials", "2")
         assert code == 0
         assert json.loads(stdout)["all_ok"] is True
+
+    @pytest.mark.parametrize("suite", ["counting", "all"])
+    def test_largest_seed_derived_seeds_wrap(self, capsys, suite):
+        # the counting suites derive seed + 1 .. seed + 3 modulo 2^128
+        code, stdout, stderr = run(capsys, "verify", suite, "--seed",
+                                   str(2**128 - 1), "--trials", "0")
+        assert code == 0, stderr
+        assert json.loads(stdout)["all_ok"] is True
+
+    @pytest.mark.parametrize("fourier_c", [-1, 0])
+    def test_fourier_c_sign(self, tmp_path, capsys, fourier_c):
+        # a negative certified ceiling is refused; 0 stays valid, and the
+        # degenerate model of ET(11) at eps 1/5 meets it with distance 0
+        path = tmp_path / "s.txt"
+        write_set_file(erdos_turan(11), path)
+        result = run(capsys, "report", "--set", str(path), "--coeffs",
+                     "1,1,1,1,-4", "--eps", "1/5", "--fourier-c", str(fourier_c))
+        if fourier_c < 0:
+            self.assert_usage_error(result, "fourier_c")
+        else:
+            code, stdout, _ = result
+            assert code == 0
+            assert json.loads(stdout)["model"]["fourier_bound_holds"] is True
 
     def test_negative_trials(self, capsys):
         self.assert_usage_error(

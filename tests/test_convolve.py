@@ -1,8 +1,11 @@
 """The exact convolution engine: the numpy and Kronecker routes agree with a
 plain double loop."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sidonlab.convolve as engine
 from sidonlab.convolve import SHORT_LEN, _kronecker, convolve, convolve_many
@@ -181,3 +184,49 @@ def test_threshold_boundary(kronecker_calls):
         assert convolve(a_past, b) == np.convolve(a_past, b).tolist()
         assert len(kronecker_calls) == 1
         kronecker_calls.clear()
+
+
+def int_lists(max_bits, max_size=24):
+    """Nonempty lists of integers |x| <= 2^bits for one drawn bits <= max_bits."""
+    return st.integers(0, max_bits).flatmap(lambda bits: st.lists(
+        st.integers(-(1 << bits), 1 << bits), min_size=1, max_size=max_size))
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_lists(26, SHORT_LEN), int_lists(26, SHORT_LEN + 40))
+def test_int64_route_property(a, b):
+    # a shorter input of at most SHORT_LEN entries with |x| <= 2^26 bounds
+    # the coefficients by 2^60 < 2^62, so these never leave np.convolve
+    with mock.patch.object(engine, "_kronecker", side_effect=AssertionError):
+        assert convolve(a, b) == slow_reference(a, b)
+        assert convolve(b, a) == slow_reference(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_lists(130), int_lists(130), st.booleans())
+def test_kronecker_route_property(a, b, signed):
+    # _kronecker called directly, signed and unsigned, slots of 1 to 34 bytes
+    if not signed:
+        a, b = [abs(x) for x in a], [abs(x) for x in b]
+    bound = engine._coeff_bound(a, b)
+    assume(bound > 0)
+    want = slow_reference(a, b)
+    assert _kronecker(a, b, bound) == want
+    assert convolve(a, b) == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data(), st.booleans(), st.integers(-2, 2), st.integers(0, 40))
+def test_route_cut_property(data, signed, step, extra):
+    # shorter input of cut - 2 .. cut + 2 entries of unit size: unsigned 0/1
+    # inputs have one-byte slots (cut SHORT_LEN), signed -1/0/1 inputs
+    # two-byte slots counted twice (cut 4 SHORT_LEN); Kronecker past the cut
+    low, cut = (-1, 4 * SHORT_LEN) if signed else (0, SHORT_LEN)
+    short = cut + step
+    unit = st.integers(low, 1)
+    a = data.draw(st.lists(unit, min_size=short, max_size=short))
+    b = data.draw(st.lists(unit, min_size=short + extra, max_size=short + extra))
+    a[0], b[0] = low or 1, 1
+    with mock.patch.object(engine, "_kronecker", wraps=_kronecker) as spy:
+        assert convolve(a, b) == slow_reference(a, b)
+    assert spy.called == (step > 0)

@@ -13,7 +13,6 @@ import sidonlab.counting as counting_module
 from sidonlab.counting import (
     EquationCoeffs,
     ScaledFunction,
-    SolutionCount,
     brute_force_count,
     count_distinct_solutions,
     count_solutions,
@@ -76,7 +75,7 @@ class TestEquationCoeffs:
 
 class TestScaledFunction:
     def test_trim_and_support(self):
-        f = ScaledFunction.from_weights(3, (0, 0, 1, 0, 2, 0), 0, 10)
+        f = ScaledFunction.from_weights(3, (0, 0, 1, 0, 2, 0), 10)
         t = f.trimmed()
         assert t.offset == 5 and t.weights == (1, 0, 2)
         assert f.support() == [5, 7]
@@ -88,22 +87,22 @@ class TestScaledFunction:
         assert f.weight_at(3) == Fraction(3, 2)
 
     def test_add_scale_mismatch(self):
-        a = ScaledFunction.from_weights(0, (1,), 0, 4)
-        b = ScaledFunction.from_weights(0, (1,), 1, 4)
+        a = ScaledFunction.from_weights(0, (1,), 4)
+        b = ScaledFunction.from_weights(0, (1,), 9)
         with pytest.raises(ValidationError):
             a + b
 
     def test_dominated_by(self):
-        nu = ScaledFunction.from_weights(0, (2, 3, 1), 0, 4)
+        nu = ScaledFunction.from_weights(0, (2, 3, 1), 4)
         f = ScaledFunction.from_weights(0, (Fraction(-2), Fraction(3), Fraction(-1)),
-                                        0, 4)
+                                        4)
         assert f.dominated_by(nu)
-        g = ScaledFunction.from_weights(0, (Fraction(-3), 0, 0), 0, 4)
+        g = ScaledFunction.from_weights(0, (Fraction(-3), 0, 0), 4)
         assert not g.dominated_by(nu)
 
     def test_integerized(self):
         # rational weights are stored over their lcm, in lowest terms
-        f = ScaledFunction.from_weights(0, (Fraction(1, 2), Fraction(2, 3)), 0, 4)
+        f = ScaledFunction.from_weights(0, (Fraction(1, 2), Fraction(2, 3)), 4)
         assert f.den == 6 and f.nums == (3, 4)
         assert f.weights == (Fraction(1, 2), Fraction(2, 3))
         g = ScaledFunction(0, (4, 6, 0), 8)
@@ -112,21 +111,6 @@ class TestScaledFunction:
             ScaledFunction(0, (1,), 0)
         with pytest.raises(TypeError):
             ScaledFunction(0, (Fraction(1, 2),))
-
-    def test_scale_exact(self):
-        # N^(h/2) of one unit: rational for even h or square N, else refused
-        assert SolutionCount(Fraction(1), 2, 7).scaled() == 7
-        assert SolutionCount(Fraction(1), 1, 9).scaled() == 3
-        with pytest.raises(ValidationError):
-            SolutionCount(Fraction(1), 1, 7).scaled()
-
-    def test_scaled_count(self):
-        c = SolutionCount(Fraction(3), 2, 5)
-        assert c.scaled() == 15
-        c = SolutionCount(Fraction(3), 1, 9)
-        assert c.scaled() == 9
-        with pytest.raises(ValidationError):
-            SolutionCount(Fraction(1), 1, 7).scaled()
 
 
 class TestCountSolutions:
@@ -148,20 +132,14 @@ class TestCountSolutions:
         with pytest.raises(ValidationError):
             count_solutions(EquationCoeffs((1, -1)), [interval(3)])
 
-    def test_mixed_ambient_scaled_rejected(self):
-        a = ScaledFunction.from_weights(1, (1, 1), 1, 4)
-        b = ScaledFunction.from_weights(1, (1, 1), 1, 9)
-        with pytest.raises(ValidationError):
-            count_solutions(EquationCoeffs((1, -1)), [a, b])
-
     def test_empty_support(self):
         eq = EquationCoeffs((1, 1, -2))
-        z = ScaledFunction.from_weights(0, (0, 0), 0, 5)
+        z = ScaledFunction.from_weights(0, (0, 0), 5)
         assert count_solutions(eq, [interval(5), z, interval(5)]).value == 0
 
     def test_rational_weights_exact(self):
         eq = EquationCoeffs((1, -1))
-        f = ScaledFunction.from_weights(1, (Fraction(1, 3), Fraction(2, 7)), 0, 2)
+        f = ScaledFunction.from_weights(1, (Fraction(1, 3), Fraction(2, 7)), 2)
         assert count_solutions(eq, [f, f]).value == \
             Fraction(1, 9) + Fraction(4, 49)
 
@@ -193,7 +171,7 @@ class TestCountSolutions:
                    for _ in range(3)]
             t = int(rng.integers(-10, 11))
             shifted = [ScaledFunction.from_weights(f.offset + t, f.weights,
-                                                   f.half_power, f.ambient_n)
+                                                   f.ambient_n)
                        for f in fns]
             assert count_solutions(eq, fns).value == \
                 count_solutions(eq, shifted).value
@@ -208,11 +186,11 @@ class TestCountSolutions:
             assert count_solutions(eq, [f] * 4).value == \
                 representation_profile(s).energy
 
-    def test_half_power_accumulates(self):
-        f = ScaledFunction.from_set(IntegerSet((1, 2), 4), half_power=1)
+    def test_sqrt_n_in_numerators(self):
+        # sqrt(N) 1_S with N = 4 is the integer function 2 * 1_S
+        f = ScaledFunction.from_set(IntegerSet((1, 2), 4)).scaled_by(2)
         c = count_solutions(EquationCoeffs((1, -1)), [f, f])
-        assert c.half_power == 2
-        assert c.scaled() == 8  # 2 solutions, each weighted N = 4
+        assert c.value == 8  # 2 solutions, each weighted N = 4
 
     def test_meet_in_middle_same_answer(self):
         # the split count equals the zero coefficient of the full product
@@ -235,7 +213,7 @@ class TestCountSolutions:
                 if kind == 1:
                     base = ScaledFunction.from_weights(base.offset, tuple(
                         Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
-                        * w for w in base.weights), 0, base.ambient_n)
+                        * w for w in base.weights), base.ambient_n)
                 elif kind == 2:
                     base = base.scaled_by(Fraction(2**70 + 1, 3))
                 fns.append(base)
@@ -318,7 +296,7 @@ class TestBruteForce:
 
     def test_empty_support(self):
         eq = EquationCoeffs((1, -1))
-        z = ScaledFunction.from_weights(0, (0,), 0, 3)
+        z = ScaledFunction.from_weights(0, (0,), 3)
         assert brute_force_count(eq, [interval(3), z]).value == 0
 
     def test_budget_exceeded(self):
@@ -346,7 +324,7 @@ class TestBruteForce:
 
     def test_signed_weights(self):
         eq = EquationCoeffs((1, -1))
-        f = ScaledFunction.from_weights(1, (Fraction(1), Fraction(-2)), 0, 2)
+        f = ScaledFunction.from_weights(1, (Fraction(1), Fraction(-2)), 2)
         assert brute_force_count(eq, [f, f]).value == 1 + 4
         assert count_solutions(eq, [f, f]).value == 5
 
@@ -383,7 +361,7 @@ class TestOracleEquivalence:
                 off = int(rng.integers(-20, 5))
                 ws = tuple(Fraction(int(x))
                            for x in rng.integers(0, 3, size=int(rng.integers(1, 12))))
-                fns.append(ScaledFunction.from_weights(off, ws, 0, 25))
+                fns.append(ScaledFunction.from_weights(off, ws, 25))
             assert count_solutions(eq, fns).value == \
                 brute_force_count(eq, fns).value
 
@@ -400,7 +378,7 @@ class TestOracleEquivalence:
                     Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
                     * x for x in w
                 )
-                fns.append(ScaledFunction.from_weights(off, ws, 0, base.ambient_n))
+                fns.append(ScaledFunction.from_weights(off, ws, base.ambient_n))
             assert count_solutions(eq, fns).value == \
                 brute_force_count(eq, fns).value
 
@@ -466,8 +444,8 @@ def oracle_count(coeffs, fns):
     return total
 
 
-def function(offset, ws, half_power=0, ambient_n=4):
-    return ScaledFunction.from_weights(offset, ws, half_power, ambient_n)
+def function(offset, ws, ambient_n=4):
+    return ScaledFunction.from_weights(offset, ws, ambient_n)
 
 
 class TestRepresentationProperties:
@@ -476,12 +454,11 @@ class TestRepresentationProperties:
     def test_count_solutions_against_fraction_oracle(self, data, s):
         coeffs = data.draw(st.lists(st.integers(-3, 3).filter(bool),
                                     min_size=s, max_size=s))
-        fns = [(data.draw(st.integers(-5, 5)), data.draw(weight_lists(max_size=5)),
-                data.draw(st.integers(0, 2))) for _ in range(s)]
+        fns = [(data.draw(st.integers(-5, 5)), data.draw(weight_lists(max_size=5)))
+               for _ in range(s)]
         got = count_solutions(EquationCoeffs(coeffs),
-                              [function(off, ws, h) for off, ws, h in fns])
-        assert got.value == oracle_count(coeffs, [(off, ws) for off, ws, _ in fns])
-        assert got.half_power == sum(h for _, _, h in fns)
+                              [function(off, ws) for off, ws in fns])
+        assert got.value == oracle_count(coeffs, fns)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-6, 6), weight_lists(), st.integers(-6, 6), weight_lists())

@@ -35,6 +35,9 @@ CASES = {
                     "--eps", "1/5"],
     "report_evens": ["report", "--set", "evens.txt", "--coeffs",
                      "1,1,1,-1,-2", "--eps", "1/4"],
+    # 2*ET(7) in [1, 196]: |B| = 7 and both majorant premises hold
+    "report_et7x2": ["report", "--set", "et7x2.txt", "--coeffs", "1,1,1,1,-4",
+                     "--eps", "11/24"],
     "count": ["count", "--coeffs", "1,1,1,1,-4", "--sets", "et11.txt"],
     "count_interval_oracle": ["count", "--coeffs", "1,2,-3", "--interval",
                               "30", "--oracle"],

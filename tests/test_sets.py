@@ -1,6 +1,8 @@
 """Constructions, profiles and exact statistics."""
 
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from sidonlab.sets import (
     parse_set_file,
     perturb_almost_sidon,
     philox,
+    read_set_file,
     representation_profile,
+    write_set_file,
 )
 
 PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -340,3 +344,27 @@ class TestSetFile:
             parse_set_file("M 10\n1\n")
         with pytest.raises(ValidationError):
             parse_set_file("# only comments\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(1, 300), st.booleans())
+    def test_file_round_trip(self, data, n, numpy_ints):
+        # write_set_file then read_set_file, on empty sets too, with numpy
+        # integer elements and with comment lines inserted anywhere
+        elems = sorted(data.draw(st.sets(st.integers(1, n), max_size=40)))
+        if numpy_ints:
+            elems = np.array(elems, dtype=np.int64)
+        s = IntegerSet(tuple(elems), np.int64(n) if numpy_ints else n)
+        comment = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                          max_size=12).map(lambda c: f"{' ' * (len(c) % 3)}# {c}")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.txt"
+            write_set_file(s, path)
+            assert read_set_file(path) == s
+            lines = path.read_text().splitlines()
+            for _ in range(data.draw(st.integers(0, 4))):
+                lines.insert(data.draw(st.integers(0, len(lines))),
+                             data.draw(comment))
+            path.write_text("\n".join(lines) + "\n")
+            back = read_set_file(path)
+        assert back == s
+        assert all(type(x) is int for x in back.elements)

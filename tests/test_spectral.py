@@ -23,14 +23,13 @@ from sidonlab.spectral import (
 
 def reference_dft(f: ScaledFunction, m: int):
     """Direct complex sum, independent of any fft."""
-    scale = f.ambient_n ** (f.half_power / 2)
     out = []
     for k in range(m):
         val = sum(
             float(w) * cmath.exp(2j * cmath.pi * k * (f.offset + j) / m)
             for j, w in enumerate(f.weights)
         )
-        out.append(val * scale)
+        out.append(val)
     return out
 
 
@@ -41,7 +40,7 @@ def interval(n):
 def random_function(rng, width=24):
     off = int(rng.integers(-10, 10))
     ws = tuple(Fraction(int(x)) for x in rng.integers(-4, 5, size=width))
-    return ScaledFunction.from_weights(off, ws, 0, width)
+    return ScaledFunction.from_weights(off, ws, width)
 
 
 class TestFrequency:
@@ -67,11 +66,11 @@ class TestDft:
         assert dft_magnitudes(interval(n), 64)[0] == pytest.approx(n, abs=1e-12)
 
     def test_point_mass(self):
-        f = ScaledFunction.from_weights(7, (Fraction(1),), 0, 10)
+        f = ScaledFunction.from_weights(7, (Fraction(1),), 10)
         assert np.allclose(dft_magnitudes(f, 32), 1.0, atol=1e-14)
 
     def test_opposite_phases(self):
-        f = ScaledFunction.from_weights(1, (Fraction(1), Fraction(1)), 0, 2)
+        f = ScaledFunction.from_weights(1, (Fraction(1), Fraction(1)), 2)
         assert dft_magnitudes(f, 2)[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_fft_matches_reference(self):
@@ -92,7 +91,7 @@ class TestDft:
     def test_nonpow2_matches_phase_sum(self, m):
         # oracle: the direct phase sum with k n reduced mod m in integers,
         # sum_n w(n) exp(2 pi i ((k n) mod m) / m), evaluated as a matrix
-        # product.  Tolerance: 1e-12 times the l1 mass of the scaled weights,
+        # product.  Tolerance: 1e-12 times the l1 mass of the weights,
         # a bound on |f_hat| itself, so this is 1e-12 relative to the largest
         # value any grid point can take.
         rng = np.random.Generator(np.random.Philox(key=m))
@@ -100,8 +99,8 @@ class TestDft:
         ws = tuple(Fraction(int(x), int(y)) for x, y in
                    zip(rng.integers(-9, 10, size=width),
                        rng.integers(1, 5, size=width)))
-        f = ScaledFunction.from_weights(int(rng.integers(-3 * m, 3 * m)), ws, 1, 7)
-        w = f.float_weights() * f.scale_float()
+        f = ScaledFunction.from_weights(int(rng.integers(-3 * m, 3 * m)), ws, 7)
+        w = f.float_weights()
         positions = (np.arange(width, dtype=np.int64) + f.offset) % m
         ks = np.arange(m, dtype=np.int64)[:, None]
         phases = np.exp(2j * np.pi * ((ks * positions[None, :]) % m) / m)
@@ -110,11 +109,12 @@ class TestDft:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(w))
 
     def test_negative_offset_wraps_exactly(self):
-        f = ScaledFunction.from_weights(-5, (Fraction(2), Fraction(3)), 0, 8)
+        f = ScaledFunction.from_weights(-5, (Fraction(2), Fraction(3)), 8)
         assert np.allclose(dft_values(f, 32), reference_dft(f, 32), atol=1e-10)
 
     def test_scale_applied(self):
-        f = ScaledFunction.from_set(IntegerSet((1, 2), 9), half_power=1)
+        # sqrt(N) 1_S with N = 9 carries its factor 3 in the numerators
+        f = ScaledFunction.from_set(IntegerSet((1, 2), 9)).scaled_by(3)
         assert dft_magnitudes(f, 16)[0] == pytest.approx(6.0, abs=1e-12)
 
     def test_zero_frequency_is_mass(self):

@@ -33,7 +33,6 @@ from sidonlab.transference import (
     bohr_set,
     bohr_size_bound,
     dense_model,
-    scaled_energy,
     transference_report,
     verify_counting_bound,
     verify_l2_reduction,
@@ -48,8 +47,8 @@ def evens(n):
     return IntegerSet(tuple(range(2, n + 1, 2)), n)
 
 
-def interval_fn(n, half_power=0):
-    return ScaledFunction.from_interval(1, n, n, half_power)
+def interval_fn(n):
+    return ScaledFunction.from_interval(1, n, n)
 
 
 class TestBohrSet:
@@ -246,7 +245,7 @@ class TestDenseModel:
     def test_l2_value_matches_direct_sum(self):
         model = dense_model(evens(64), Fraction(1, 4))
         f = model.model_f
-        direct = sum(w * w for w in f.weights) * model.n_padded
+        direct = sum(w * w for w in f.weights)
         assert model.diagnostics.l2_value == direct
 
     def test_convolution_theorem_on_grid(self):
@@ -406,7 +405,7 @@ class TestCountingBound:
     def test_zero_function(self):
         n = 8
         nu = interval_fn(n)
-        zero = ScaledFunction.from_weights(1, (Fraction(0),) * n, 0, n)
+        zero = ScaledFunction.from_weights(1, (Fraction(0),) * n, n)
         v = verify_counting_bound(nu, [zero] * 5,
                                   EquationCoeffs((1, 1, 1, 1, -4)))
         assert v.lhs_abs == 0 and v.holds
@@ -428,7 +427,6 @@ class TestCountingBound:
                 ws = tuple(Fraction(int(rng.integers(-8, 9)), 8) * w
                            for w in nu.weights)
                 fns.append(ScaledFunction.from_weights(nu.offset, ws,
-                                                       nu.half_power,
                                                        nu.ambient_n))
             v = verify_counting_bound(nu, fns, eq)
             assert v.holds
@@ -445,12 +443,12 @@ class TestCountingBound:
         rng = np.random.Generator(np.random.Philox(key=72))
         model = dense_model(erdos_turan(7), Fraction(1, 5))
         nu = scale_to_counting_hypotheses(model.majorant_nu)
-        e_nu = scaled_energy(nu)
+        e_nu = weight_energy(nu)
         for _ in range(5):
             ws = tuple(Fraction(int(rng.integers(-8, 9)), 8) * w
                        for w in nu.weights)
-            f = ScaledFunction.from_weights(nu.offset, ws, nu.half_power, nu.ambient_n)
-            assert scaled_energy(f) <= e_nu
+            f = ScaledFunction.from_weights(nu.offset, ws, nu.ambient_n)
+            assert weight_energy(f) <= e_nu
 
 
 class TestModelL2:
@@ -495,7 +493,7 @@ class TestTransferenceReport:
         fast = count_solutions(rep.eq, [f] * 5)
         slow = brute_force_count(rep.eq, [f] * 5)
         assert fast.value == slow.value
-        assert rep.model_count == fast.scaled()
+        assert rep.model_count == fast.value
 
     def test_mian_chowla_five_term(self):
         s = mian_chowla(10)  # ambient 81 is already a perfect square
@@ -538,7 +536,7 @@ class TestTransferenceReport:
         fast = count_solutions(eq, [f] * 5)
         slow = brute_force_count(eq, [f] * 5)
         assert fast.value == slow.value
-        assert rep.model_count == fast.scaled()
+        assert rep.model_count == fast.value
 
     def test_validation(self):
         with pytest.raises(ValidationError):
