@@ -38,14 +38,17 @@ print(f"evens in [1,16]: |hat| at 0 = {mags_even[0]:.1f}, "
 
 # ---------------------------------------------------------------------------
 # Large spectra at threshold eps |S|, with the greedy maximal
-# (1/N)-separated subsequence.
+# (1/N)-separated subsequence.  A frequency is a grid index k, standing
+# for k/m on the grid of size m.
 
 for label, s_set, eps in (("interval", full, Fraction(1, 2)),
                           ("evens   ", evens, Fraction(3, 4)),
                           ("Sidon 11", erdos_turan(11), Fraction(1, 5))):
     spec = large_spectrum(s_set, eps)
+    head = ", ".join(f"{k}/{spec.grid_m}" for k in spec.separated[:3])
     print(f"{label}: eps = {eps}, grid = {spec.grid_m}, "
-          f"|Spec| = {len(spec.entries)}, separated R = {spec.r_count}")
+          f"|Spec| = {len(spec.entries)}, separated R = {spec.r_count}, "
+          f"first k/m: {head}")
 
 # ---------------------------------------------------------------------------
 # The grid sup norm is a certified lower bound on the true sup; doubling
@@ -58,7 +61,7 @@ balanced = ScaledFunction.from_set(s) + \
 for rho in (8, 16, 64):
     val, freq = sup_norm_estimate(balanced, rho)
     print(f"oversample {rho:2d}: sup |balanced hat| >= {val:.6f} "
-          f"at alpha = {freq.k}/{freq.m}")
+          f"at alpha = {freq}")
 
 # ---------------------------------------------------------------------------
 # Energy through the spectrum: the autocorrelation route must reproduce the

@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import isqrt
 
 from sidonlab import (
-    Frequency,
     IntegerSet,
     bohr_set,
     dense_model,
@@ -21,15 +20,15 @@ from sidonlab import (
 )
 
 # ---------------------------------------------------------------------------
-# Bohr sets from explicit frequencies: each rational constraint carves out
-# a subgroup-like pattern inside the window.
+# Bohr sets from explicit frequencies k/m on one grid m: each rational
+# constraint carves out a subgroup-like pattern inside the window.
 
-for freqs, eps, n in (((), Fraction(1, 10), 100),
-                      ((Frequency(1, 2),), Fraction(1, 10), 100),
-                      ((Frequency(1, 3),), Fraction(1, 4), 60),
-                      ((Frequency(1, 3), Frequency(1, 4)), Fraction(1, 8), 120)):
-    b = bohr_set(freqs, eps, n)
-    shown = [f"{f.k}/{f.m}" for f in freqs] or ["none"]
+for ks, m, eps, n in (((), 1, Fraction(1, 10), 100),
+                      ((1,), 2, Fraction(1, 10), 100),
+                      ((1,), 3, Fraction(1, 4), 60),
+                      ((4, 3), 12, Fraction(1, 8), 120)):
+    b = bohr_set(ks, m, eps, n)
+    shown = [str(Fraction(k, m)) for k in ks] or ["none"]
     print(f"freqs {','.join(shown):9s} eps = {eps}: width {b.width}, "
           f"|B| = {b.size}, elements {b.elements[:7]}...")
 

@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 
 from .counting import (
     EquationCoeffs,
@@ -38,7 +39,7 @@ from .sets import (
     read_set_file,
     write_set_file,
 )
-from .spectral import Frequency, large_spectrum
+from .spectral import large_spectrum
 from .suites import run_suites
 from .transference import (
     DEFAULT_FOURIER_C,
@@ -81,11 +82,11 @@ def _parse_coeffs(text: str) -> EquationCoeffs:
     return EquationCoeffs(tuple(_parse_ints(text, "coefficients")))
 
 
-def _parse_frequency(text: str) -> Frequency:
+def _parse_frequency(text: str) -> Fraction:
     f = _parse_fraction(text)
     if not 0 <= f < 1:
         raise ValidationError(f"frequency must lie in [0, 1), got {text}")
-    return Frequency(f.numerator, f.denominator)
+    return f
 
 
 def _emit_json(doc: dict) -> None:
@@ -207,23 +208,26 @@ def _cmd_spectrum(args) -> int:
     s = read_set_file(args.set)
     eps = _parse_fraction(args.eps)
     spectrum = large_spectrum(s, eps, args.m)
+    m = spectrum.grid_m
     selected = set(spectrum.separated)
     cfg = _config(args, ["set", "eps", "m"])
     print(f"# schema=1 config={json.dumps(cfg, sort_keys=True)}")
-    print(f"# grid_m={spectrum.grid_m} entries={len(spectrum.entries)} "
+    print(f"# grid_m={m} entries={len(spectrum.entries)} "
           f"r_count={spectrum.r_count}")
     print("k\tm\talpha\tmagnitude\tselected")
-    for freq, mag in spectrum.entries:
-        sel = 1 if freq in selected else 0
-        print(f"{freq.k}\t{freq.m}\t{_float17(freq.k / freq.m)}\t"
-              f"{_float17(mag)}\t{sel}")
+    for k, mag in zip(spectrum.entries, spectrum.magnitudes):
+        sel = 1 if k in selected else 0
+        print(f"{k}\t{m}\t{_float17(k / m)}\t{_float17(mag)}\t{sel}")
     return EXIT_OK
 
 
 def _cmd_bohr(args) -> int:
     eps = _parse_fraction(args.eps)
     freqs = [_parse_frequency(t) for t in (args.freq or [])]
-    b = bohr_set(freqs, eps, args.n)
+    # one grid for all: k/d = (k m/d)/m scales each membership test by m/d
+    m = lcm(*(f.denominator for f in freqs))
+    b = bohr_set([f.numerator * (m // f.denominator) for f in freqs], m,
+                 eps, args.n)
     verdict = bohr_size_bound(b.size, eps, len(freqs), args.n)
     doc = {
         "schema": 1,
@@ -310,7 +314,7 @@ def _cmd_report(args) -> int:
         "model": {
             **_model_fields(model),
             "selected_frequencies": [
-                [f.k, f.m] for f in model.spectrum.separated
+                [k, model.spectrum.grid_m] for k in model.spectrum.separated
             ],
             "fourier_bound_holds": rep.fourier_bound_holds,
             "size_bound": _verdict_dict(model.size_bound),

@@ -85,6 +85,8 @@ class ScaledFunction:
 
     def __post_init__(self):
         nums, den = tuple(map(index, self.nums)), index(self.den)
+        object.__setattr__(self, "offset", index(self.offset))
+        object.__setattr__(self, "ambient_n", index(self.ambient_n))
         if den < 1 or self.ambient_n < 1:
             raise ValidationError(
                 f"den and ambient_n must be positive, got {den}, {self.ambient_n}")
@@ -333,8 +335,8 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
     The cost is the product of the first s-1 support sizes; it must not
     exceed the budget (argument, else SIDONLAB_BUDGET, else 10^9).  The
     enumeration never uses convolution.  Inner grids are evaluated in
-    numpy blocks, with int64 weights when a rigorous product bound permits
-    and Python-integer (object) weights otherwise.
+    numpy blocks, with int64 positions and weights when rigorous sum and
+    product bounds permit and Python-integer (object) arrays otherwise.
     """
     fns = [f.trimmed() for f in fns]
     if len(fns) != eq.s:
@@ -353,21 +355,26 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
     int_weights = [[x for x in f.nums if x] for f in fns]
     den_product = prod(f.den for f in fns)
     wmax = prod(max(abs(w) for w in ws) for ws in int_weights)
+    # every partial sum of a_i x_i is at most sum |a_i| * max |x|
+    xmax = max(max(abs(sup[0]), abs(sup[-1])) for sup in supports)
+    pmax = sum(abs(a) for a in eq.coeffs) * xmax
     total = _enumerate(eq.coeffs, supports, int_weights, distinct_only,
+                       np.int64 if pmax < _INT64_SAFE else object,
                        np.int64 if wmax < _INT64_SAFE else object)
     return SolutionCount(Fraction(total, den_product))
 
 
-def _enumerate(coeffs, supports, weights, distinct_only, dtype) -> int:
+def _enumerate(coeffs, supports, weights, distinct_only, pdtype, dtype) -> int:
     s = len(coeffs)
-    pos = [np.asarray(p, dtype=np.int64) for p in supports]
+    pos = [np.asarray(p, dtype=pdtype) for p in supports]
     wts = [np.asarray(w, dtype=dtype) for w in weights]
     a_last = coeffs[-1]
     pos_last, wts_last = pos[-1], wts[-1]
 
     def solve_block(tsum, wprod, coords):
-        q, r = np.divmod(-tsum, a_last)
-        mask = r == 0
+        neg = -tsum
+        q = neg // a_last  # np.divmod has no loop for object arrays
+        mask = q * a_last == neg
         idx = np.clip(np.searchsorted(pos_last, q), 0, len(pos_last) - 1)
         mask = mask & (pos_last[idx] == q)
         if distinct_only:
@@ -382,9 +389,9 @@ def _enumerate(coeffs, supports, weights, distinct_only, dtype) -> int:
         rem = prod(len(pos[k]) for k in range(axis, s - 1))
         if rem <= _CHUNK:
             nax = s - 1 - axis
-            t = np.asarray(tsum, dtype=np.int64)
+            t = np.asarray(tsum, dtype=pdtype)
             w = np.asarray(wprod, dtype=dtype)
-            coords = [np.int64(x) for x in fixed]
+            coords = list(fixed)
             for t_i, k in enumerate(range(axis, s - 1)):
                 shape = [1] * nax
                 shape[t_i] = len(pos[k])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -27,51 +26,26 @@ THRESHOLD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Frequency:
-    """A rational point k/m on the circle, 0 <= k < m; equality is by value."""
-
-    k: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError(f"denominator must be positive, got {self.m}")
-        if not 0 <= self.k < self.m:
-            raise ValidationError(f"need 0 <= k < m, got {self.k}/{self.m}")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.k, self.m)
-
-    def wrap_distance(self, other: "Frequency") -> Fraction:
-        """Exact distance on the circle, min(|a-b|, 1-|a-b|)."""
-        d = abs(self.value - other.value)
-        return min(d, 1 - d)
-
-    def __eq__(self, other):
-        return isinstance(other, Frequency) and self.k * other.m == other.k * self.m
-
-    def __hash__(self):
-        g = gcd(self.k, self.m)
-        return hash((self.k // g, self.m // g))
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Grid frequencies with |1_S hat| above a threshold, plus a separated set.
 
-    `entries` holds every grid frequency k/m whose magnitude reaches
-    eps * |S| (up to the documented float tolerance), in increasing k.
-    `separated` is the greedy maximal subsequence with pairwise wrap-around
-    distance > 1/N; maximality means every entry lies within 1/N of some
-    selected frequency.
+    A frequency is its grid index k, standing for k/m with m = `grid_m`.
+    `entries` holds every k whose magnitude reaches eps * |S| (up to the
+    documented float tolerance), in increasing order, and `magnitudes` the
+    aligned values.  `separated` is the greedy maximal subsequence with
+    pairwise wrap-around distance > 1/N; maximality means every entry lies
+    within 1/N of some selected frequency.
     """
 
     threshold: Fraction
     grid_m: int
-    entries: tuple[tuple[Frequency, float], ...]
-    separated: tuple[Frequency, ...]
-    r_count: int
+    entries: tuple[int, ...]
+    magnitudes: tuple[float, ...]
+    separated: tuple[int, ...]
+
+    @property
+    def r_count(self) -> int:
+        return len(self.separated)
 
 
 def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
@@ -87,7 +61,8 @@ def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
     if not t.nums:
         return np.zeros(m, dtype=complex)
     w = t.float_weights()
-    positions = (np.arange(len(w), dtype=np.int64) + t.offset) % m
+    # the offset is reduced as a Python int: offset + j may not fit int64
+    positions = (np.arange(len(w), dtype=np.int64) + t.offset % m) % m
     arr = np.zeros(m, dtype=complex)
     np.add.at(arr, positions, w)
     return m * np.fft.ifft(arr)
@@ -104,7 +79,7 @@ def default_grid(width: int) -> int:
 
 
 def sup_norm_estimate(f: ScaledFunction, oversample: int = 8
-                      ) -> tuple[float, Frequency]:
+                      ) -> tuple[float, Fraction]:
     """Grid maximum of |f_hat| over a grid of size oversample * width.
 
     This is a lower bound on the true sup over the circle; for a
@@ -120,7 +95,7 @@ def sup_norm_estimate(f: ScaledFunction, oversample: int = 8
     m = oversample * width
     mags = dft_magnitudes(f, m)
     k = int(np.argmax(mags))
-    return float(mags[k]), Frequency(k, m)
+    return float(mags[k]), Fraction(k, m)
 
 
 def large_spectrum(s_set: IntegerSet, eps, m: int | None = None) -> Spectrum:
@@ -136,18 +111,18 @@ def large_spectrum(s_set: IntegerSet, eps, m: int | None = None) -> Spectrum:
     mags = dft_magnitudes(ScaledFunction.from_set(s_set), m)
     size = s_set.size
     cutoff = float(eps) * size - THRESHOLD_TOL * size
-    ks = [int(k) for k in np.nonzero(mags >= cutoff)[0]]
-    entries = tuple((Frequency(k, m), float(mags[k])) for k in ks)
+    ks = np.flatnonzero(mags >= cutoff)
+    entries = ks.tolist()
     # greedy selection in increasing k; on a common grid the circular
     # distance from k to the selected set is attained at the largest or
     # (wrapping) smallest selected index, so the scan is exact integer
     # arithmetic
-    selected = ks[:1]
-    for k in ks[1:]:
+    selected = entries[:1]
+    for k in entries[1:]:
         if min(k - selected[-1], m - k + selected[0]) * n > m:
             selected.append(k)
-    separated = tuple(Frequency(k, m) for k in selected)
-    return Spectrum(eps, m, entries, separated, len(separated))
+    return Spectrum(eps, m, tuple(entries), tuple(mags[ks].tolist()),
+                    tuple(selected))
 
 
 def energy_via_fourier(s_set: IntegerSet) -> int:
@@ -185,8 +160,10 @@ class LargeSieveReport:
 def large_sieve_diagnostic(s_set: IntegerSet, spectrum: Spectrum) -> LargeSieveReport:
     if not spectrum.separated:
         raise ValidationError("spectrum has no separated frequencies")
-    mags = {f: mag for f, mag in spectrum.entries}
-    lhs = float(sum(mags[f] ** 4 for f in spectrum.separated))
+    if not np.isin(spectrum.separated, spectrum.entries).all():
+        raise ValidationError("separated frequencies must be spectrum entries")
+    at = np.searchsorted(spectrum.entries, spectrum.separated)
+    lhs = sum(x ** 4 for x in np.take(spectrum.magnitudes, at).tolist())
     n = s_set.ambient_n
     rhs = 2 * n * s_set.profile.energy
     size = s_set.size

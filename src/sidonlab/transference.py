@@ -30,7 +30,6 @@ from .counting import EquationCoeffs, ScaledFunction, count_solutions
 from .errors import ValidationError
 from .sets import BLOCK_PAIRS, IntegerSet, almost_sidon_params, difference_counts
 from .spectral import (
-    Frequency,
     Spectrum,
     default_grid,
     dft_values,
@@ -64,14 +63,15 @@ class InequalityVerdict:
 
 @dataclass(frozen=True)
 class BohrSet:
-    """Integers n in [-width, width] with ||n alpha|| <= radius for all
-    stored frequencies.
+    """Integers n in [-width, width] with ||n k/m|| <= radius for every
+    stored grid index k, where m = `grid_m`.
 
-    Membership is exactly decidable: for alpha = k/m the condition reads
+    Membership is exactly decidable: the condition reads
     min(nk mod m, m - nk mod m) * q <= p * m where radius = p/q.
     """
 
-    freqs: tuple[Frequency, ...]
+    ks: tuple[int, ...]
+    grid_m: int
     radius: Fraction
     width: int
     elements: tuple[int, ...]
@@ -83,7 +83,7 @@ class BohrSet:
 
     def contains(self, n: int) -> bool:
         return abs(n) <= self.width and all(
-            _bohr_member(n, f, self.radius) for f in self.freqs)
+            _bohr_member(n, k, self.grid_m, self.radius) for k in self.ks)
 
     def measure(self) -> ScaledFunction:
         """The normalized indicator 1_B / |B| as a ScaledFunction."""
@@ -93,13 +93,15 @@ class BohrSet:
         return ScaledFunction(-self.width, tuple(nums), self.size, self.ambient_n)
 
 
-def _bohr_member(n: int, freq: Frequency, radius: Fraction) -> bool:
-    r = (n * freq.k) % freq.m
-    return min(r, freq.m - r) * radius.denominator <= radius.numerator * freq.m
+def _bohr_member(n: int, k: int, m: int, radius: Fraction) -> bool:
+    r = (n * k) % m
+    return min(r, m - r) * radius.denominator <= radius.numerator * m
 
 
-def bohr_set(freqs, eps, n: int) -> BohrSet:
-    """Enumerate the Bohr set on [-floor(eps n), floor(eps n)], 0 < eps <= 1/2.
+def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
+    """Enumerate the Bohr set of the frequencies k/m, k in ks, on
+    [-floor(eps n), floor(eps n)], 0 < eps <= 1/2; the grid size m >= 1
+    is shared by every k, and each k is taken mod m.
 
     B is symmetric and contains 0, so only n = 1..width is scanned: the
     survivors meet BOHR_BLOCK frequencies at a time (fewer past BLOCK_PAIRS
@@ -111,20 +113,21 @@ def bohr_set(freqs, eps, n: int) -> BohrSet:
         raise ValidationError(f"need 0 < eps <= 1/2, got {eps}")
     if n < 0:
         raise ValidationError(f"need n >= 0, got {n}")
-    freqs = tuple(freqs)
+    if m < 1:
+        raise ValidationError(f"grid size must be positive, got {m}")
+    ks = tuple(ks)
     p, q = eps.numerator, eps.denominator
     width = (p * n) // q
-    max_m = max((f.m for f in freqs), default=1)
-    dtype = np.int64 if (width + 1) * max_m * q < 2**62 else object
+    dtype = np.int64 if (width + 1) * m * q < 2**62 else object
+    residues = np.array([k % m for k in ks], dtype=dtype)
     ns, i = np.arange(1, width + 1, dtype=dtype), 0
-    while ns.size and i < len(freqs):
-        block = freqs[i:i + max(1, min(BOHR_BLOCK, BLOCK_PAIRS // ns.size))]
-        i += len(block)
-        ks, ms = np.array([(f.k, f.m) for f in block], dtype=dtype).T
-        r = np.multiply.outer(ns, ks) % ms
-        ns = ns[(np.minimum(r, ms - r) * q <= p * ms).all(axis=1)]
+    while ns.size and i < len(ks):
+        j = i + max(1, min(BOHR_BLOCK, BLOCK_PAIRS // ns.size))
+        r = np.multiply.outer(ns, residues[i:j]) % m
+        ns = ns[(np.minimum(r, m - r) * q <= p * m).all(axis=1)]
+        i = j
     elements = tuple([-v for v in ns[::-1].tolist()] + [0] + ns.tolist())
-    return BohrSet(freqs, eps, width, elements, n)
+    return BohrSet(ks, m, eps, width, elements, n)
 
 
 def bohr_size_bound(size: int, eps: Fraction, r: int, n: int) -> InequalityVerdict:
@@ -224,7 +227,7 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     if m is None:
         m = default_grid(n)
     spectrum = large_spectrum(padded, eps, m)
-    bohr = bohr_set((f for f, _ in spectrum.entries), eps, n)
+    bohr = bohr_set(spectrum.entries, m, eps, n)
 
     ind_s, off_s = padded.indicator()
     off_b = bohr.elements[0]
@@ -242,7 +245,7 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     g_hat = dft_values(g, m)
     fourier_distance = float(np.max(np.abs(root * s_hat - root * g_hat / bohr.size)))
 
-    half_bohr = bohr_set(spectrum.separated, eps / 2, n)
+    half_bohr = bohr_set(spectrum.separated, m, eps / 2, n)
     containment = set(half_bohr.elements) <= set(bohr.elements)
     size_verdict = bohr_size_bound(bohr.size, eps, spectrum.r_count, n)
 

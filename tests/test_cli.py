@@ -1,11 +1,15 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
+from contextlib import redirect_stdout
+from fractions import Fraction
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidonlab.cli import main
-from sidonlab.sets import erdos_turan, read_set_file, write_set_file
+from sidonlab.sets import IntegerSet, erdos_turan, read_set_file, write_set_file
 
 
 def run(capsys, *argv):
@@ -129,6 +133,16 @@ class TestCount:
         assert code == 1
         assert json.loads(stdout)["oracle_agrees"] is False
 
+    @pytest.mark.parametrize("base", [2**62, 2**63])
+    def test_oracle_past_int64_agrees(self, tmp_path, capsys, base):
+        path = tmp_path / "s.txt"
+        write_set_file(IntegerSet((base, base + 1, base + 2), base + 2), path)
+        code, stdout, _ = run(capsys, "count", "--coeffs", "1,1,-2", "--sets",
+                              str(path), "--oracle")
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["oracle_agrees"] is True and doc["value_numerator"] == 5
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "count", "--coeffs", "1,1,-2", "--interval", "9")
         _, out2, _ = run(capsys, "count", "--coeffs", "1,1,-2", "--interval", "9")
@@ -158,6 +172,25 @@ class TestSpectrum:
         _, b, _ = run(capsys, "spectrum", "--set", str(out), "--eps", "1/4")
         assert a == b
 
+    def test_elements_past_int64(self, tmp_path, capsys):
+        # the same set shifted by a multiple of the grid size has the same
+        # magnitudes; the shift takes every element past 2^63
+        small = IntegerSet((1, 2, 4, 8, 13), 13)
+        shift = 64 * 2**64
+        big = IntegerSet(tuple(x + shift for x in small.elements), 13 + shift)
+        docs = []
+        for s_set, name in ((small, "small.txt"), (big, "big.txt")):
+            write_set_file(s_set, tmp_path / name)
+            code, stdout, _ = run(capsys, "spectrum", "--set",
+                                  str(tmp_path / name), "--eps", "1/2",
+                                  "--m", "64")
+            assert code == 0
+            docs.append(stdout.splitlines()[2:])
+        rows = [[r.split("\t") for r in d[1:]] for d in docs]
+        assert [r[:3] for r in rows[0]] == [r[:3] for r in rows[1]]
+        for a, b in zip(rows[0], rows[1]):
+            assert float(a[3]) == pytest.approx(float(b[3]), abs=1e-12)
+
 
 class TestBohr:
     def test_multiples_of_three(self, capsys):
@@ -171,6 +204,30 @@ class TestBohr:
     def test_bad_eps_exit_2(self, capsys):
         code, _, _ = run(capsys, "bohr", "--eps", "2/3", "--n", "10")
         assert code == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.builds(lambda q, p: Fraction(p % q, q),
+                              st.integers(1, 40), st.integers(0, 10**6)),
+                    max_size=5),
+           st.builds(Fraction, st.integers(1, 20), st.integers(2, 80)).filter(
+               lambda e: e <= Fraction(1, 2)),
+           st.integers(0, 300))
+    def test_mixed_denominators_per_point(self, freqs, eps, n):
+        # the lcm grid against ||v alpha|| <= eps in Fraction arithmetic
+        texts = [f"{f.numerator}/{f.denominator}" for f in freqs]
+        argv = ["bohr", "--eps", str(eps), "--n", str(n)]
+        for text in texts:
+            argv += ["--freq", text]
+        out = StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        doc = json.loads(out.getvalue())
+        width = int(eps * n)
+        want = [v for v in range(-width, width + 1)
+                if all(min(v * f % 1, 1 - v * f % 1) <= eps for f in freqs)]
+        assert doc["width"] == width and doc["elements"] == want
+        assert doc["size"] == len(want)
+        assert doc["config"]["freq"] == (texts or None)
 
 
 class TestModel:

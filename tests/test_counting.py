@@ -112,6 +112,16 @@ class TestScaledFunction:
         with pytest.raises(TypeError):
             ScaledFunction(0, (Fraction(1, 2),))
 
+    def test_float_offset_and_ambient_refused(self):
+        # a float offset used to surface later as a raw slicing TypeError
+        with pytest.raises(TypeError):
+            ScaledFunction(0.5, (1, 1), 1, 4)
+        with pytest.raises(TypeError):
+            ScaledFunction(0, (1, 1), 1, 4.0)
+        f = ScaledFunction(np.int64(-2), (1, 1), 1, np.int64(4))
+        assert type(f.offset) is int and type(f.ambient_n) is int
+        assert f == ScaledFunction(-2, (1, 1), 1, 4)
+
 
 class TestCountSolutions:
     def test_progression_on_interval(self):
@@ -250,6 +260,34 @@ class TestDistinct:
         assert count_distinct_solutions(eq, s).value == brute.value
 
 
+@st.composite
+def distinct_instances(draw):
+    """s = 2..6 coefficients in [-3, 3] minus 0, some with forced repeats
+    or a zero sum, and a set in [1, 30] of at most eight points (six at
+    s = 6, to keep the oracle's |S|^(s-1) tuples small)."""
+    s = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=s,
+                           max_size=s))
+    shape = draw(st.sampled_from(["free", "repeat", "invariant"]))
+    if shape == "repeat":
+        coeffs[-1] = coeffs[0]
+    elif shape == "invariant" and 0 < abs(sum(coeffs[:-1])) <= 3:
+        coeffs[-1] = -sum(coeffs[:-1])
+    elems = draw(st.lists(st.integers(1, 30), max_size=8 if s < 6 else 6,
+                          unique=True))
+    return EquationCoeffs(tuple(coeffs)), IntegerSet(tuple(sorted(elems)), 30)
+
+
+class TestDistinctProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(distinct_instances())
+    def test_against_brute_force(self, instance):
+        eq, s_set = instance
+        brute = brute_force_count(eq, [ScaledFunction.from_set(s_set)] * eq.s,
+                                  distinct_only=True)
+        assert count_distinct_solutions(eq, s_set).value == brute.value
+
+
 class TestDistinctMemo:
     @staticmethod
     def merged_keys(coeffs):
@@ -327,6 +365,41 @@ class TestBruteForce:
         f = ScaledFunction.from_weights(1, (Fraction(1), Fraction(-2)), 2)
         assert brute_force_count(eq, [f, f]).value == 1 + 4
         assert count_solutions(eq, [f, f]).value == 5
+
+
+class TestBruteForcePastInt64:
+    @pytest.mark.parametrize("base", [2**62, 2**63, 2**70])
+    def test_three_term_progression(self, base):
+        # x1 + x2 = 2 x3 on a 3-term progression: 3 diagonal solutions and
+        # the 2 orderings of the outer pair; the partial sums reach
+        # 4 * base, past int64, so positions are Python ints
+        s = IntegerSet((base, base + 1, base + 2), base + 2)
+        eq = EquationCoeffs((1, 1, -2))
+        fns = [ScaledFunction.from_set(s)] * 3
+        assert brute_force_count(eq, fns).value == 5
+        assert brute_force_count(eq, fns, distinct_only=True).value == 2
+        assert count_solutions(eq, fns).value == 5
+
+    def test_negative_positions(self):
+        base = -(2**63)
+        f = ScaledFunction(base, (1, 1, 1), 1, 4)
+        eq = EquationCoeffs((1, 1, -2))
+        assert brute_force_count(eq, [f] * 3).value == 5
+
+    def test_int64_route_kept_below_the_bound(self, monkeypatch):
+        seen = []
+        inner = counting_module._enumerate
+
+        def spy(*args):
+            seen.append(args[-2])
+            return inner(*args)
+
+        monkeypatch.setattr(counting_module, "_enumerate", spy)
+        eq = EquationCoeffs((1, 1, -2))
+        brute_force_count(eq, [interval(30)] * 3)
+        big = ScaledFunction(2**61, (1, 1), 1, 2**62)
+        brute_force_count(eq, [big] * 3)
+        assert seen == [np.int64, object]
 
 
 class TestOracleEquivalence:

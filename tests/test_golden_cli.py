@@ -27,8 +27,14 @@ CASES = {
                           "--extra", "4", "--seed", "7"],
     "energy": ["energy", "--set", "et11.txt"],
     "spectrum": ["spectrum", "--set", "et11.txt", "--eps", "1/2"],
+    # a grid that is not a power of two
+    "spectrum_m1000": ["spectrum", "--set", "et11.txt", "--eps", "1/2",
+                       "--m", "1000"],
     "bohr": ["bohr", "--freq", "1/7", "--freq", "2/9", "--eps", "1/5",
              "--n", "60"],
+    # mixed denominators: the frequencies share the grid lcm(6, 10, 15, 1)
+    "bohr_lcm": ["bohr", "--freq", "1/6", "--freq", "3/10", "--freq", "2/15",
+                 "--freq", "0/1", "--eps", "1/5", "--n", "200"],
     "model": ["model", "--set", "evens.txt", "--eps", "1/4"],
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "4"],
     "report_et11": ["report", "--set", "et11.txt", "--coeffs", "1,1,1,1,-4",

@@ -10,7 +10,6 @@ from sidonlab.counting import ScaledFunction
 from sidonlab.errors import ValidationError
 from sidonlab.sets import IntegerSet, erdos_turan, representation_profile
 from sidonlab.spectral import (
-    Frequency,
     Spectrum,
     dft_magnitudes,
     dft_values,
@@ -43,21 +42,10 @@ def random_function(rng, width=24):
     return ScaledFunction.from_weights(off, ws, width)
 
 
-class TestFrequency:
-    def test_value_equality(self):
-        assert Frequency(1, 4) == Frequency(2, 8)
-        assert Frequency(1, 4) != Frequency(3, 8)
-        assert hash(Frequency(1, 4)) == hash(Frequency(2, 8))
-
-    def test_wrap_distance(self):
-        assert Frequency(1, 8).wrap_distance(Frequency(7, 8)) == Fraction(1, 4)
-        assert Frequency(0, 1).wrap_distance(Frequency(7, 8)) == Fraction(1, 8)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            Frequency(4, 4)
-        with pytest.raises(ValidationError):
-            Frequency(0, 0)
+def wrap_distance(a: Fraction, b: Fraction) -> Fraction:
+    """Exact distance of two points of the circle, min(|a-b|, 1-|a-b|)."""
+    d = abs(a - b) % 1
+    return min(d, 1 - d)
 
 
 class TestDft:
@@ -108,6 +96,16 @@ class TestDft:
         got = dft_values(f, m)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(w))
 
+    @pytest.mark.parametrize("offset", [2**63 - 2, 2**63, 2**70 + 5])
+    def test_offset_past_int64_matches_phase_sum(self, offset):
+        # residues of offset + j are taken in Python ints, so an offset
+        # near or past 2^63 places every weight exactly
+        f = ScaledFunction(offset, (1, 2, 5), 1, offset + 2)
+        m = 3
+        want = [sum(w * cmath.exp(2j * cmath.pi * ((k * (offset + j)) % m) / m)
+                    for j, w in enumerate(f.nums)) for k in range(m)]
+        assert np.max(np.abs(dft_values(f, m) - want)) <= 1e-12 * 8
+
     def test_negative_offset_wraps_exactly(self):
         f = ScaledFunction.from_weights(-5, (Fraction(2), Fraction(3)), 8)
         assert np.allclose(dft_values(f, 32), reference_dft(f, 32), atol=1e-10)
@@ -141,7 +139,7 @@ class TestSupNorm:
     def test_full_interval(self):
         val, freq = sup_norm_estimate(interval(12))
         assert val == pytest.approx(12.0, abs=1e-12)
-        assert freq.value == 0
+        assert freq == 0 and isinstance(freq, Fraction)
 
     def test_balanced_function_vanishes_at_zero(self):
         n = 16
@@ -173,39 +171,55 @@ class TestLargeSpectrum:
     def test_contains_zero(self):
         s = erdos_turan(5)
         spec = large_spectrum(s, Fraction(1, 4))
-        assert spec.entries[0][0].value == 0
-        assert spec.separated[0].value == 0
+        assert spec.entries[0] == 0
+        assert spec.separated[0] == 0
 
     def test_full_interval_separated_is_zero_only(self):
         n = 16
         s = IntegerSet(tuple(range(1, n + 1)), n)
         spec = large_spectrum(s, Fraction(1, 2), 8 * n)
-        assert [f.value for f in spec.separated] == [0]
+        assert spec.separated == (0,) and spec.r_count == 1
 
     def test_evens_contain_half(self):
         n = 16
         s = IntegerSet(tuple(range(2, n + 1, 2)), n)
         spec = large_spectrum(s, Fraction(3, 4), 128)
-        values = {f.value for f, _ in spec.entries}
+        values = {Fraction(k, spec.grid_m) for k in spec.entries}
         assert Fraction(0) in values and Fraction(1, 2) in values
 
     def test_separated_invariants(self):
         s = erdos_turan(7)
         spec = large_spectrum(s, Fraction(1, 5))
         gap = Fraction(1, s.ambient_n)
-        sep = spec.separated
+        sep = [Fraction(k, spec.grid_m) for k in spec.separated]
         for i in range(len(sep)):
             for j in range(i + 1, len(sep)):
-                assert sep[i].wrap_distance(sep[j]) > gap
-        for f, _ in spec.entries:
-            assert any(f.wrap_distance(sel) <= gap for sel in sep)
+                assert wrap_distance(sep[i], sep[j]) > gap
+        for k in spec.entries:
+            f = Fraction(k, spec.grid_m)
+            assert any(wrap_distance(f, sel) <= gap for sel in sep)
+
+    def test_wrap_distance(self):
+        assert wrap_distance(Fraction(1, 8), Fraction(7, 8)) == Fraction(1, 4)
+        assert wrap_distance(Fraction(0), Fraction(7, 8)) == Fraction(1, 8)
+
+    def test_entries_are_grid_indices(self):
+        s = erdos_turan(7)
+        spec = large_spectrum(s, Fraction(1, 5), 300)
+        mags = dft_magnitudes(ScaledFunction.from_set(s), 300)
+        assert list(spec.entries) == sorted(set(spec.entries))
+        assert all(type(k) is int for k in spec.entries + spec.separated)
+        assert all(type(x) is float for x in spec.magnitudes)
+        assert list(spec.magnitudes) == [float(mags[k]) for k in spec.entries]
+        assert set(spec.separated) <= set(spec.entries)
+        assert spec.r_count == len(spec.separated)
 
     def test_entry_magnitudes_above_threshold(self):
         s = erdos_turan(7)
         eps = Fraction(1, 5)
         spec = large_spectrum(s, eps)
         floor = float(eps) * s.size - 1e-9 * s.size
-        assert all(mag >= floor for _, mag in spec.entries)
+        assert all(mag >= floor for mag in spec.magnitudes)
 
     def test_eps_validation(self):
         with pytest.raises(ValidationError):
@@ -236,9 +250,9 @@ class TestLargeSieve:
         spec = Spectrum(
             threshold=Fraction(1),
             grid_m=1,
-            entries=((Frequency(0, 1), float(size)),),
-            separated=(Frequency(0, 1),),
-            r_count=1,
+            entries=(0,),
+            magnitudes=(float(size),),
+            separated=(0,),
         )
         rep = large_sieve_diagnostic(s, spec)
         assert rep.lhs == pytest.approx(size**4)
@@ -258,7 +272,24 @@ class TestLargeSieve:
         rep = large_sieve_diagnostic(s, spec)
         assert rep.holds
 
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_lhs_sums_the_separated_magnitudes(self, p):
+        # the separated indices read their own magnitudes, summed as Python
+        # floats in increasing k
+        s = erdos_turan(p)
+        spec = large_spectrum(s, Fraction(1, 10))
+        mags = dict(zip(spec.entries, spec.magnitudes))
+        want = sum(mags[k] ** 4 for k in spec.separated)
+        assert large_sieve_diagnostic(s, spec).lhs == want
+
+    @pytest.mark.parametrize("entries", [(), (0, 2), (0, 1)])
+    def test_separated_outside_entries_rejected(self, entries):
+        # an index the entries lack has no magnitude to read
+        spec = Spectrum(Fraction(1), 8, entries, (5.0,) * len(entries), (0, 3))
+        with pytest.raises(ValidationError, match="spectrum entries"):
+            large_sieve_diagnostic(erdos_turan(3), spec)
+
     def test_empty_separated_rejected(self):
-        spec = Spectrum(Fraction(1), 1, (), (), 0)
+        spec = Spectrum(Fraction(1), 1, (), (), ())
         with pytest.raises(ValidationError):
             large_sieve_diagnostic(erdos_turan(3), spec)

@@ -21,7 +21,6 @@ from sidonlab.sets import (
     perturb_almost_sidon,
     representation_profile,
 )
-from sidonlab.spectral import Frequency
 from sidonlab.suites import (
     DENSE_MODEL_GRID,
     scale_to_counting_hypotheses,
@@ -54,53 +53,66 @@ def interval_fn(n):
 class TestBohrSet:
     def test_negative_n_rejected(self):
         with pytest.raises(ValidationError, match="n >= 0"):
-            bohr_set([Frequency(1, 3)], Fraction(1, 4), -10)
+            bohr_set([1], 3, Fraction(1, 4), -10)
         with pytest.raises(ValidationError):
-            bohr_set([], Fraction(1, 4), -1)
+            bohr_set([], 1, Fraction(1, 4), -1)
+
+    def test_grid_size_validated(self):
+        for m in (0, -3):
+            with pytest.raises(ValidationError, match="grid size"):
+                bohr_set([0], m, Fraction(1, 4), 10)
+            with pytest.raises(ValidationError, match="grid size"):
+                bohr_set([], m, Fraction(1, 4), 10)
+
+    def test_indices_reduced_mod_grid(self):
+        # k and k + c m name the same frequency, negative k included
+        want = bohr_set([1, 4], 7, Fraction(1, 6), 90).elements
+        assert bohr_set([8, -3], 7, Fraction(1, 6), 90).elements == want
+        assert bohr_set([1 + 7 * 2**70, 4], 7, Fraction(1, 6), 90).elements == want
 
     def test_zero_n(self):
-        b = bohr_set([Frequency(1, 3)], Fraction(1, 4), 0)
+        b = bohr_set([1], 3, Fraction(1, 4), 0)
         assert (b.width, b.elements) == (0, (0,))
 
     def test_no_frequencies(self):
-        b = bohr_set([], Fraction(1, 10), 100)
+        b = bohr_set([], 1, Fraction(1, 10), 100)
         assert b.elements == tuple(range(-10, 11))
         assert b.size == 21
 
     def test_half_frequency(self):
-        b = bohr_set([Frequency(1, 2)], Fraction(1, 10), 100)
+        b = bohr_set([1], 2, Fraction(1, 10), 100)
         assert b.elements == tuple(range(-10, 11, 2))
         assert b.size == 11
 
     def test_third_frequency(self):
-        b = bohr_set([Frequency(1, 3)], Fraction(1, 4), 60)
+        b = bohr_set([1], 3, Fraction(1, 4), 60)
         assert b.elements == tuple(range(-15, 16, 3))
         assert b.size == 11
 
     def test_contains_zero_and_symmetric(self):
-        b = bohr_set([Frequency(3, 7), Frequency(1, 5)], Fraction(1, 8), 64)
+        # 3/7 and 1/5 on the grid 35
+        b = bohr_set([15, 7], 35, Fraction(1, 8), 64)
         assert 0 in b.elements
         assert set(b.elements) == {-v for v in b.elements}
 
     def test_membership_both_directions(self):
         eps = Fraction(1, 6)
-        freqs = [Frequency(2, 9), Frequency(1, 4)]
-        b = bohr_set(freqs, eps, 80)
+        freqs = [Fraction(2, 9), Fraction(1, 4)]
+        b = bohr_set([8, 9], 36, eps, 80)
         members = set(b.elements)
         for n in range(-b.width, b.width + 1):
+            # ||n alpha|| <= eps in Fraction arithmetic
             expected = all(
-                min((n * f.k) % f.m, f.m - (n * f.k) % f.m)
-                * eps.denominator <= eps.numerator * f.m
-                for f in freqs
+                min((n * f) % 1, 1 - (n * f) % 1) <= eps for f in freqs
             )
             assert (n in members) == expected
         assert b.contains(0) and not b.contains(b.width + 5)
 
     def test_eps_validation(self):
         with pytest.raises(ValidationError):
-            bohr_set([], Fraction(3, 5), 10)
+            bohr_set([], 1, Fraction(3, 5), 10)
         with pytest.raises(ValidationError):
-            bohr_set([], Fraction(0), 10)
+            bohr_set([], 1, Fraction(0), 10)
 
     def test_model_bohr_membership_exact(self):
         # the production path builds B from hundreds of spectrum
@@ -109,12 +121,14 @@ class TestBohrSet:
         model = dense_model(evens(64), Fraction(1, 4))
         b = model.bohr
         eps = b.radius
+        m = b.grid_m
+        assert m == model.spectrum.grid_m and b.ks == model.spectrum.entries
         members = set(b.elements)
         for n in range(-b.width, b.width + 1):
             passes = all(
-                min((n * f.k) % f.m, f.m - (n * f.k) % f.m)
-                * eps.denominator <= eps.numerator * f.m
-                for f in b.freqs
+                min((n * k) % m, m - (n * k) % m)
+                * eps.denominator <= eps.numerator * m
+                for k in b.ks
             )
             assert (n in members) == passes
 
@@ -124,16 +138,16 @@ class TestBohrSet:
 
     def test_big_denominator_falls_back_to_loop(self):
         eps = Fraction(1, 10**15)
-        b = bohr_set([Frequency(1, 3)], eps, 2 * 10**15)
+        b = bohr_set([1], 3, eps, 2 * 10**15)
         # width 2, and only multiples of 3 pass a radius this small
         assert b.elements == (0,)
 
 
-def scan_oracle(freqs, eps, n):
+def scan_oracle(ks, m, eps, n):
     """Per-point membership over the whole window, both signs scanned."""
     width = (eps.numerator * n) // eps.denominator
     return tuple(v for v in range(-width, width + 1)
-                 if all(_bohr_member(v, f, eps) for f in freqs))
+                 if all(_bohr_member(v, k, m, eps) for k in ks))
 
 
 radii = st.builds(Fraction, st.integers(1, 40), st.integers(2, 200)).filter(
@@ -141,76 +155,61 @@ radii = st.builds(Fraction, st.integers(1, 40), st.integers(2, 200)).filter(
 
 
 @st.composite
-def frequency_lists(draw, max_m):
-    """Frequencies with repeats, conjugate pairs k/m and (m-k)/m, and k = 0."""
-    m_cap = draw(st.sampled_from([4, max_m]))
-    base = draw(st.lists(st.builds(lambda m, k: Frequency(k % m, m),
-                                   st.integers(1, m_cap), st.integers(0, 10**9)),
-                         max_size=2 * BOHR_BLOCK + 10))
+def grid_indices(draw, min_m, max_m, max_size=2 * BOHR_BLOCK + 10):
+    """One grid m and indices on it with repeats, conjugate pairs k and
+    m - k, and k = 0."""
+    m = draw(st.integers(min_m, max_m))
+    base = draw(st.lists(st.integers(0, m - 1), max_size=max_size))
     picks = draw(st.lists(st.sampled_from(base), max_size=6)) if base else []
-    twins = [Frequency((f.m - f.k) % f.m, f.m) for f in picks]
-    zeros = [Frequency(0, draw(st.integers(1, max_m)))] if draw(st.booleans()) else []
-    return draw(st.permutations(base + picks + twins + zeros))
+    twins = [(m - k) % m for k in picks]
+    zeros = [0] if draw(st.booleans()) else []
+    return draw(st.permutations(base + picks + twins + zeros)), m
 
 
 class TestBohrScanProperties:
     """The blocked survivor scan of bohr_set against per-point _bohr_member."""
 
     @staticmethod
-    def check(freqs, eps, n):
-        b = bohr_set(freqs, eps, n)
+    def check(ks, m, eps, n):
+        b = bohr_set(ks, m, eps, n)
         assert b.width == (eps.numerator * n) // eps.denominator
-        assert b.elements == scan_oracle(freqs, eps, n)
+        assert b.elements == scan_oracle(ks, m, eps, n)
         assert 0 in b.elements
         assert b.elements == tuple(-v for v in reversed(b.elements))
         return b
 
     @settings(max_examples=120, deadline=None)
-    @given(frequency_lists(60), radii, st.integers(0, 300),
+    @given(st.one_of(grid_indices(1, 4), grid_indices(1, 3600)), radii,
+           st.integers(0, 300),
            st.sampled_from([1, 50, transference_module.BLOCK_PAIRS]))
-    def test_matches_per_point_scan(self, freqs, eps, n, block_pairs):
+    def test_matches_per_point_scan(self, grid, eps, n, block_pairs):
         # a small pair cap narrows the blocks down to one frequency
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transference_module, "BLOCK_PAIRS", block_pairs)
-            self.check(freqs, eps, n)
+            self.check(*grid, eps, n)
 
     @settings(max_examples=40, deadline=None)
-    @given(frequency_lists(60), radii, st.integers(0, 1))
-    def test_width_zero(self, freqs, eps, n):
-        assert self.check(freqs, eps, n).elements == (0,)
+    @given(grid_indices(1, 3600), radii, st.integers(0, 1))
+    def test_width_zero(self, grid, eps, n):
+        assert self.check(*grid, eps, n).elements == (0,)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.builds(lambda m, k: Frequency(k % m, m),
-                              st.integers(2**62, 2**66), st.integers(0, 2**66)),
-                    max_size=BOHR_BLOCK + 3),
-           radii, st.integers(2, 60))
-    def test_object_route_past_int64(self, freqs, eps, n):
-        freqs.append(Frequency(1, 2**62 + 1))
-        width = (eps.numerator * n) // eps.denominator
+    @given(grid_indices(2**62, 2**66, BOHR_BLOCK + 3), radii, st.integers(2, 60))
+    def test_object_route_past_int64(self, grid, eps, n):
+        ks, m = grid
+        ks.append(1)
         # the int64 guard fails, so the scan runs on Python ints
-        assert (width + 1) * max(f.m for f in freqs) * eps.denominator >= 2**62
-        self.check(freqs, eps, n)
+        assert m * eps.denominator >= 2**62
+        self.check(ks, m, eps, n)
 
     def test_survivors_cross_several_blocks(self):
         # frequencies that keep every point, with the one that keeps only
         # the even points moved across two block boundaries
         for at in range(2 * BOHR_BLOCK + 2):
-            freqs = [Frequency(0, 1)] * (2 * BOHR_BLOCK + 1)
-            freqs.insert(at, Frequency(1, 2))
-            b = self.check(freqs, Fraction(1, 10), 200)
+            ks = [0] * (2 * BOHR_BLOCK + 1)
+            ks.insert(at, 1)
+            b = self.check(ks, 2, Fraction(1, 10), 200)
             assert b.elements == tuple(range(-20, 21, 2))
-
-
-class TestFrequencyKeys:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 10**6), st.integers(0, 10**9), st.integers(1, 10**4),
-           st.integers(1, 10**6), st.integers(0, 10**9))
-    def test_equality_and_hash_follow_the_value(self, m, k, c, m2, k2):
-        a, b = Frequency(k % m, m), Frequency(k % m * c, m * c)
-        other = Frequency(k2 % m2, m2)
-        assert a == b and hash(a) == hash(b)
-        assert (a == other) == (Fraction(a.k, a.m) == Fraction(other.k, other.m))
-        assert len({a, b, other}) == len({a.value, other.value})
 
 
 class TestDenseModel:
