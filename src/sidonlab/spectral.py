@@ -62,9 +62,15 @@ def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
         return np.zeros(m, dtype=complex)
     w = t.float_weights()
     # the offset is reduced as a Python int: offset + j may not fit int64
-    positions = (np.arange(len(w), dtype=np.int64) + t.offset % m) % m
+    start = t.offset % m
     arr = np.zeros(m, dtype=complex)
-    np.add.at(arr, positions, w)
+    if len(w) <= m:
+        # at most two slices, each residue hit once
+        head = min(len(w), m - start)
+        arr[start:start + head] = w[:head]
+        arr[:len(w) - head] = w[head:]
+    else:
+        np.add.at(arr, (np.arange(len(w), dtype=np.int64) + start) % m, w)
     return m * np.fft.ifft(arr)
 
 
@@ -105,11 +111,16 @@ def large_spectrum(s_set: IntegerSet, eps, m: int | None = None) -> Spectrum:
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValidationError(f"need 0 < eps <= 1, got {eps}")
-    n = s_set.ambient_n
     if m is None:
-        m = default_grid(n)
-    mags = dft_magnitudes(ScaledFunction.from_set(s_set), m)
-    size = s_set.size
+        m = default_grid(s_set.ambient_n)
+    return _spectrum_from_magnitudes(
+        s_set, eps, dft_magnitudes(ScaledFunction.from_set(s_set), m))
+
+
+def _spectrum_from_magnitudes(s_set: IntegerSet, eps: Fraction,
+                              mags: np.ndarray) -> Spectrum:
+    """`large_spectrum` of S from |1_S hat(k/m)| for k = 0..m-1, m = len(mags)."""
+    m, n, size = len(mags), s_set.ambient_n, s_set.size
     cutoff = float(eps) * size - THRESHOLD_TOL * size
     ks = np.flatnonzero(mags >= cutoff)
     entries = ks.tolist()

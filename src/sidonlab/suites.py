@@ -187,15 +187,19 @@ def suite_lemma_inequalities(seed: int, trials: int = 100) -> SuiteResult:
 
 
 def scale_to_counting_hypotheses(nu: ScaledFunction) -> ScaledFunction:
-    """Halve nu until sum nu <= N and E(nu) <= N^3 hold exactly.
+    """nu / 2^j for the smallest j >= 0 with sum nu / 2^j <= N and
+    E(nu / 2^j) <= N^3, both exact.
 
     This realizes the absolute-constant normalization of the majorant with
     a power of two, keeping every weight an exact rational.
     """
     n = nu.ambient_n
-    while nu.mass() > n or weight_energy(nu) > n**3:
-        nu = nu.scaled_by(Fraction(1, 2))
-    return nu
+    mass, energy = nu.mass(), weight_energy(nu)
+    # nu / 2^j has mass mass / 2^j and energy energy / 16^j
+    j = 0
+    while mass > n << j or energy > n**3 << 4 * j:
+        j += 1
+    return nu.scaled_by(Fraction(1, 1 << j))
 
 
 def suite_counting_bound(seed: int, trials: int = 50) -> SuiteResult:

@@ -31,13 +31,11 @@ from .errors import ValidationError
 from .sets import BLOCK_PAIRS, IntegerSet, almost_sidon_params, difference_counts
 from .spectral import (
     Spectrum,
+    _spectrum_from_magnitudes,
     default_grid,
     dft_values,
-    large_spectrum,
     sup_norm_estimate,
 )
-
-ENERGY_EQUATION = EquationCoeffs((1, -1, -1, 1))
 
 # the "suitable absolute constant" fixed for the majorant nu = f + sqrt(N) 1_S:
 # its mass must stay below NU_MASS_FACTOR * N and its energy below
@@ -226,7 +224,8 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
         )
     if m is None:
         m = default_grid(n)
-    spectrum = large_spectrum(padded, eps, m)
+    s_hat = dft_values(ScaledFunction.from_set(padded), m)
+    spectrum = _spectrum_from_magnitudes(padded, eps, np.abs(s_hat))
     bohr = bohr_set(spectrum.entries, m, eps, n)
 
     ind_s, off_s = padded.indicator()
@@ -241,7 +240,6 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     mass_ok = mass == padded.size * bohr.size
     l2_value = Fraction(n) * sum(x * x for x in g_ints) / bohr.size**2
 
-    s_hat = dft_values(ScaledFunction.from_set(padded), m)
     g_hat = dft_values(g, m)
     fourier_distance = float(np.max(np.abs(root * s_hat - root * g_hat / bohr.size)))
 
@@ -345,8 +343,10 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
 
 
 def weight_energy(f: ScaledFunction) -> Fraction:
-    """The additive energy E(f) of the weights, exactly."""
-    return count_solutions(ENERGY_EQUATION, [f] * 4).value
+    """The additive energy E(f) of the weights, exactly: the sum of the
+    squares of the autocorrelation of the numerators, over den^4."""
+    corr = convolve(list(f.nums), list(f.nums[::-1]))
+    return Fraction(sum(c * c for c in corr), f.den**4)
 
 
 @dataclass(frozen=True)

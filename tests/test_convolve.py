@@ -1,5 +1,5 @@
-"""The exact convolution engine: the numpy and Kronecker routes agree with a
-plain double loop."""
+"""The exact convolution engine: the support-pair, numpy and Kronecker routes
+agree with a plain double loop."""
 
 from unittest import mock
 
@@ -8,7 +8,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sidonlab.convolve as engine
-from sidonlab.convolve import SHORT_LEN, _kronecker, convolve, convolve_many
+from sidonlab.convolve import (
+    PAIRS_RATIO,
+    PAIRS_SETUP,
+    SHORT_LEN,
+    _kronecker,
+    convolve,
+    convolve_many,
+)
+from sidonlab.counting import (
+    EquationCoeffs,
+    ScaledFunction,
+    brute_force_count,
+    count_distinct_solutions,
+    count_solutions,
+)
+from sidonlab.sets import erdos_turan, perturb_almost_sidon
 
 
 def slow_reference(a, b):
@@ -42,6 +57,20 @@ def kronecker_calls(monkeypatch):
         return _kronecker(a, b, bound)
 
     monkeypatch.setattr(engine, "_kronecker", spy)
+    return calls
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """Count the calls that reach the support-pair route."""
+    calls = []
+    real = engine._pairs
+
+    def spy(xa, xb):
+        calls.append((int(np.count_nonzero(xa)), int(np.count_nonzero(xb))))
+        return real(xa, xb)
+
+    monkeypatch.setattr(engine, "_pairs", spy)
     return calls
 
 
@@ -220,13 +249,157 @@ def test_kronecker_route_property(a, b, signed):
 def test_route_cut_property(data, signed, step, extra):
     # shorter input of cut - 2 .. cut + 2 entries of unit size: unsigned 0/1
     # inputs have one-byte slots (cut SHORT_LEN), signed -1/0/1 inputs
-    # two-byte slots counted twice (cut 4 SHORT_LEN); Kronecker past the cut
+    # two-byte slots counted twice (cut 4 SHORT_LEN); Kronecker past the cut.
+    # The support-pair route is switched off: about one draw in a hundred is
+    # sparse enough to take it (see test_pairs_cut for that cut)
     low, cut = (-1, 4 * SHORT_LEN) if signed else (0, SHORT_LEN)
     short = cut + step
     unit = st.integers(low, 1)
     a = data.draw(st.lists(unit, min_size=short, max_size=short))
     b = data.draw(st.lists(unit, min_size=short + extra, max_size=short + extra))
     a[0], b[0] = low or 1, 1
-    with mock.patch.object(engine, "_kronecker", wraps=_kronecker) as spy:
+    with mock.patch.object(engine, "_kronecker", wraps=_kronecker) as spy, \
+            mock.patch.object(engine, "PAIRS_SETUP", 1 << 62):
         assert convolve(a, b) == slow_reference(a, b)
     assert spy.called == (step > 0)
+
+
+# --- the support-pair route ------------------------------------------------
+
+
+def sparse(rng, length, nnz, low=1, high=1):
+    """`length` entries, zero except `nnz` drawn positions with values drawn
+    from [low, high] \\ {0}."""
+    out = [0] * length
+    for pos in rng.choice(length, size=nnz, replace=False).tolist():
+        x = 0
+        while x == 0:
+            x = int(rng.integers(low, high + 1))
+        out[pos] = x
+    return out
+
+
+@st.composite
+def sparse_lists(draw, min_len=200, max_len=400, max_nnz=12):
+    """Lists of min_len..max_len entries with 1..max_nnz nonzeros of
+    |x| <= 2^bits (one drawn bits <= 26) at drawn positions: long zero runs,
+    and at most 144 pairs, so always past the support-pair cut."""
+    length = draw(st.integers(min_len, max_len))
+    bits = draw(st.integers(0, 26))
+    spots = draw(st.dictionaries(
+        st.integers(0, length - 1),
+        st.integers(-(1 << bits), 1 << bits).filter(bool),
+        min_size=1, max_size=max_nnz))
+    out = [0] * length
+    for pos, x in spots.items():
+        out[pos] = x
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_lists(), sparse_lists(), st.booleans())
+def test_pairs_route_property(a, b, signed):
+    # 200 x 200 entries or more against at most 12 x 12 nonzeros and a bound
+    # below 400 * 2^52 < 2^62: the pair route takes every draw, so the other
+    # two are patched to fail
+    if not signed:
+        a, b = [abs(x) for x in a], [abs(x) for x in b]
+    want = slow_reference(a, b)
+    with mock.patch.object(engine, "_kronecker", side_effect=AssertionError), \
+            mock.patch.object(np, "convolve", side_effect=AssertionError):
+        assert convolve(a, b) == want
+        assert convolve(b, a) == want
+
+
+@pytest.mark.parametrize("la, lb, nnz_a, nnz_b", [
+    (256, 256, 32, 24),   # 64 * 768 + 2^14 = 256 * 256
+    (129, 128, 2, 1),     # 64 * 2 + 2^14 = 129 * 128
+    (300, 1000, 21, 211),  # 64 * 4431 + 2^14 <= 300 * 1000 < 64 * 4432 + 2^14
+])
+@pytest.mark.parametrize("low", [0, -3])
+def test_pairs_cut(la, lb, nnz_a, nnz_b, low, pair_calls):
+    # nnz(a) * nnz(b) at the largest product that takes the pair route, then
+    # one more nonzero in b, which leaves it for a dense route
+    assert PAIRS_RATIO * nnz_a * nnz_b + PAIRS_SETUP <= la * lb \
+        < PAIRS_RATIO * nnz_a * (nnz_b + 1) + PAIRS_SETUP
+    rng = np.random.Generator(np.random.Philox(key=la + lb + low))
+    a = sparse(rng, la, nnz_a, low, 3)
+    for nnz, taken in ((nnz_b, True), (nnz_b + 1, False)):
+        b = sparse(rng, lb, nnz, low, 3)
+        assert convolve(a, b) == slow_reference(a, b)
+        assert convolve(b, a) == slow_reference(b, a)
+        assert len(pair_calls) == (2 if taken else 0)
+        pair_calls.clear()
+
+
+def test_pairs_need_the_setup_term(pair_calls):
+    # single spikes in 128 x 128 entries: one pair, but 64 + 2^14 > 128^2
+    a = [0] * 127 + [5]
+    assert convolve(a, a) == [0] * 254 + [25]
+    assert pair_calls == []
+    assert convolve(a + [0], a) == [0] * 254 + [25, 0]
+    assert pair_calls == [(1, 1)]
+
+
+class _AddAt:
+    """Stands in for np.add: records the length of every np.add.at block."""
+
+    def __init__(self, real):
+        self.real = real
+        self.blocks = []
+
+    def at(self, out, idx, vals):
+        self.blocks.append(len(idx))
+        self.real.at(out, idx, vals)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 24, 25, 49, 50, 600, 1 << 20])
+def test_pairs_blocks(block, monkeypatch, pair_calls):
+    # 24 x 25 nonzeros: blocks of whole rows of 25 pairs, of single rows cut
+    # into columns below 25, and a single block from 600 pairs on
+    rng = np.random.Generator(np.random.Philox(key=block))
+    a = sparse(rng, 400, 24, -(1 << 20), 1 << 20)
+    b = sparse(rng, 500, 25, -(1 << 20), 1 << 20)
+    want = slow_reference(a, b)
+    monkeypatch.setattr(engine, "BLOCK_PAIRS", block)
+    add = _AddAt(np.add)
+    monkeypatch.setattr(np, "add", add)
+    assert convolve(a, b) == want
+    assert pair_calls == [(24, 25)]
+    assert sum(add.blocks) == 24 * 25
+    assert max(add.blocks) <= block
+    assert len(add.blocks) == -(-24 // max(1, block // 25)) * -(-25 // min(25, block))
+
+
+def test_pairs_int64_guard(pair_calls, kronecker_calls):
+    # min(len) = 2^8: entries of 2^27 against 2^27 - 1 give the bound
+    # 2^62 - 2^35, below _INT64_SAFE (pairs); 2^27 against 2^27 give 2^62
+    # (Kronecker).  24 adjacent nonzeros put 24 products on one slot
+    assert engine._INT64_SAFE == 1 << 62
+    for top, pairs in (((1 << 27) - 1, True), (1 << 27, False)):
+        for sign in (1, -1):
+            a = [0] * 100 + [sign << 27] * 24 + [0] * 132
+            b = [0] * 56 + [top] * 24 + [0] * 176
+            assert engine._coeff_bound(a, b) == 256 * (1 << 27) * top
+            out = convolve(a, b)
+            assert out == slow_reference(a, b)
+            assert max(map(abs, out)) == 24 * (1 << 27) * top
+            assert (len(pair_calls), len(kronecker_calls)) == \
+                ((1, 0) if pairs else (0, 1))
+            pair_calls.clear()
+            kronecker_calls.clear()
+
+
+@pytest.mark.parametrize("p, extra", [(11, 0), (13, 0), (11, 3), (13, 4)])
+def test_counts_through_pairs(p, extra, pair_calls):
+    # (1,1,1,1,-4) on ET(p) and ET(p) + extra points against the oracle:
+    # indicators of about sqrt(N) points in N slots take the pair route
+    s_set = erdos_turan(p)
+    if extra:
+        s_set = perturb_almost_sidon(s_set, extra, p * extra)
+    eq = EquationCoeffs((1, 1, 1, 1, -4))
+    fns = [ScaledFunction.from_set(s_set)] * eq.s
+    assert count_solutions(eq, fns) == brute_force_count(eq, fns)
+    assert count_distinct_solutions(eq, s_set) == \
+        brute_force_count(eq, fns, distinct_only=True)
+    assert pair_calls

@@ -106,6 +106,21 @@ class TestDft:
                     for j, w in enumerate(f.nums)) for k in range(m)]
         assert np.max(np.abs(dft_values(f, m) - want)) <= 1e-12 * 8
 
+    @pytest.mark.parametrize("offset, width, m", [
+        (0, 5, 5), (3, 5, 8), (7, 5, 8), (-5, 2, 32), (10**20 + 3, 40, 64),
+        (6, 13, 5), (-4, 30, 7),
+    ])
+    def test_slice_placement_is_bit_identical(self, offset, width, m):
+        # supports that fit the grid (with and without wrapping) are placed
+        # by slices; the transform equals the scatter-add placement bit for
+        # bit, and so does the scatter kept for supports wider than m
+        rng = np.random.Generator(np.random.Philox(key=width * m))
+        ws = [Fraction(int(x), 3) for x in rng.integers(1, 9, size=width)]
+        f = ScaledFunction.from_weights(offset, ws, 1)
+        arr = np.zeros(m, dtype=complex)
+        np.add.at(arr, (np.arange(width) + offset % m) % m, f.float_weights())
+        assert np.array_equal(dft_values(f, m), m * np.fft.ifft(arr))
+
     def test_negative_offset_wraps_exactly(self):
         f = ScaledFunction.from_weights(-5, (Fraction(2), Fraction(3)), 8)
         assert np.allclose(dft_values(f, 32), reference_dft(f, 32), atol=1e-10)

@@ -14,6 +14,7 @@ from sidonlab.counting import (
     count_solutions,
 )
 from sidonlab.errors import ValidationError
+from sidonlab.spectral import large_spectrum
 from sidonlab.sets import (
     IntegerSet,
     erdos_turan,
@@ -269,6 +270,17 @@ class TestDenseModel:
             assert model.containment_holds
             assert model.size_bound.holds
 
+    @pytest.mark.parametrize("s_set, eps, m", [
+        (erdos_turan(13), Fraction(1, 5), None),
+        (evens(64), Fraction(1, 4), None),
+        (perturb_almost_sidon(erdos_turan(11), 3, 5), Fraction(1, 10), 1000),
+    ])
+    def test_spectrum_is_large_spectrum_of_padded(self, s_set, eps, m):
+        # one transform of 1_S serves the spectrum and the Fourier distance;
+        # the spectrum, magnitudes included, is the one large_spectrum builds
+        model = dense_model(s_set, eps, m)
+        assert model.spectrum == large_spectrum(model.padded, eps, m)
+
     def test_eps_above_delta_rejected(self):
         # |S| = 2 in [1, 16]: delta = 1/2 exactly, so eps = 1/2 passes and
         # anything larger is out of range anyway
@@ -448,6 +460,40 @@ class TestCountingBound:
                        for w in nu.weights)
             f = ScaledFunction.from_weights(nu.offset, ws, nu.ambient_n)
             assert weight_energy(f) <= e_nu
+
+
+class TestMajorantNormalisation:
+    @staticmethod
+    def halved(nu):
+        """The halving loop: the reference for the closed form."""
+        n = nu.ambient_n
+        while nu.mass() > n or weight_energy(nu) > n**3:
+            nu = nu.scaled_by(Fraction(1, 2))
+        return nu
+
+    def test_weight_energy_is_the_energy_count(self):
+        # the autocorrelation form against the (1,-1,-1,1) count, on signed
+        # rational weights with zeros at both ends
+        rng = np.random.Generator(np.random.Philox(key=73))
+        energy_eq = EquationCoeffs((1, -1, -1, 1))
+        for _ in range(8):
+            ws = [Fraction(int(x), int(y)) for x, y in
+                  zip(rng.integers(-9, 10, size=int(rng.integers(1, 30))),
+                      rng.integers(1, 7, size=40))]
+            f = ScaledFunction.from_weights(int(rng.integers(-20, 20)),
+                                            [0, *ws, 0], 50)
+            assert weight_energy(f) == count_solutions(energy_eq, [f] * 4).value
+
+    @pytest.mark.parametrize("nu", [
+        dense_model(erdos_turan(7), Fraction(1, 5)).majorant_nu,
+        dense_model(erdos_turan(11), Fraction(1, 5)).majorant_nu,
+        dense_model(evens(64), Fraction(1, 4)).majorant_nu,
+        interval_fn(10).scaled_by(17),       # mass needs j = 5, energy 4
+        ScaledFunction.from_weights(1, [20], 16),  # mass needs 1, energy 2
+        interval_fn(10),                     # nothing to halve: j = 0
+    ])
+    def test_closed_form_matches_halving(self, nu):
+        assert scale_to_counting_hypotheses(nu) == self.halved(nu)
 
 
 class TestModelL2:
