@@ -32,8 +32,8 @@ for n in (5, 50, 500):
 
 # ---------------------------------------------------------------------------
 # In a Sidon set, every solution of a translation-invariant equation in few
-# variables is forced to repeat a variable.  Distinct-variable counting via
-# inclusion-exclusion over the partition lattice exposes that.
+# variables is forced to repeat a variable.  Distinct-variable counting
+# (free one variable at a time, subtract its merges) exposes that.
 
 s = erdos_turan(7)
 total = count_solutions(eq, [ScaledFunction.from_set(s)] * 3)

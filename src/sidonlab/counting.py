@@ -11,13 +11,13 @@ dot product (meet in the middle): an integer over the product of the
 denominators.
 
 The all-variables-distinct count is obtained from the plain counts by
-inclusion-exclusion over the lattice of set partitions: merging the
-variables of each block (block coefficient = sum of member coefficients)
-and weighting the merged count by the partition Mobius function
-mu(P) = prod over blocks of (-1)^(|b|-1) * (|b|-1)!.  Blocks whose merged
-coefficient vanishes leave their variable unconstrained inside S and
-contribute a free factor |S|.  Merged equations equal up to scaling, sign
-and order are counted once.
+freeing one variable at a time: a variable t that must differ from the
+other pairwise-distinct variables either differs from all of them or
+equals exactly one, so that count is the count with t free minus, per
+other variable, the count with t merged into it (coefficients added).
+The recursion is memoised on sorted coefficients.  Merged variables whose
+coefficient vanishes contribute a free factor |S|, and merged equations
+equal up to scaling, sign and order are counted once.
 
 `brute_force_count` is the independent oracle: direct enumeration over all
 tuples of the first s-1 supports, solving for the last variable.  It never
@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from numbers import Rational
 from operator import index, mul
 
@@ -253,25 +254,6 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     return SolutionCount(Fraction(_count_at_zero(dilations), den_product))
 
 
-def _set_partitions(items: list[int]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def _partition_mobius(part) -> int:
-    m = 1
-    for block in part:
-        b = len(block)
-        m *= (-1) ** (b - 1) * factorial(b - 1)
-    return m
-
-
 def _normalised(coeffs: list[int]) -> tuple[int, ...]:
     """The equation up to scaling, sign and order: the same count on S^s."""
     g = gcd(*coeffs)
@@ -283,35 +265,38 @@ def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet
                              ) -> SolutionCount:
     """Count solutions in S with all variables pairwise distinct.
 
-    Inclusion-exclusion over set partitions of the variable indices; blocks
-    with zero merged coefficient contribute a free factor |S| each, and
-    each merged equation is counted once per normalised form.  Raises
-    for s > 12 (Bell-number blowup); use brute_force_count there instead.
+    Frees one constrained variable at a time (see the module docstring);
+    each merged equation is counted once per normalised form.  Raises for
+    s > 12; use brute_force_count there instead.
     """
     if eq.s > MAX_DISTINCT_VARS:
         raise ValidationError(
-            f"s = {eq.s} > {MAX_DISTINCT_VARS}: the partition lattice is too "
-            "large, use brute_force_count(distinct_only=True) instead"
+            f"s = {eq.s} > {MAX_DISTINCT_VARS} variables for distinct counting, "
+            "use brute_force_count(distinct_only=True) instead"
         )
     ints, off = s_set.indicator()
     k = s_set.size
-    counts: dict[tuple[int, ...], int] = {}
-    total = 0
-    for part in _set_partitions(list(range(eq.s))):
-        merged = [sum(eq.coeffs[i] for i in block) for block in part]
-        nonzero = [c for c in merged if c != 0]
-        free = len(merged) - len(nonzero)
-        if nonzero:
-            if k == 0:
-                continue
-            key = _normalised(nonzero)
-            if key not in counts:
-                counts[key] = _count_at_zero([_dilate(ints, off, c) for c in key])
-            merged_count = counts[key]
-        else:
-            merged_count = 1
-        total += _partition_mobius(part) * k**free * merged_count
-    return SolutionCount(Fraction(total))
+    if k == 0:
+        return SolutionCount(Fraction(0))
+
+    @cache
+    def plain(key: tuple[int, ...]) -> int:
+        return _count_at_zero([_dilate(ints, off, c) for c in key])
+
+    @cache
+    def distinct(tied: tuple[int, ...], free: tuple[int, ...]) -> int:
+        """Solutions with the `tied` variables pairwise distinct."""
+        if len(tied) < 2:
+            nonzero = [c for c in tied + free if c != 0]
+            zeros = len(tied) + len(free) - len(nonzero)
+            return k**zeros * (plain(_normalised(nonzero)) if nonzero else 1)
+        *rest, t = tied
+        total = distinct(tuple(rest), tuple(sorted(free + (t,))))
+        for i, c in enumerate(rest):
+            total -= distinct(tuple(sorted(rest[:i] + [c + t] + rest[i + 1:])), free)
+        return total
+
+    return SolutionCount(Fraction(distinct(tuple(sorted(eq.coeffs)), ())))
 
 
 def _resolve_budget(budget: int | None) -> int:

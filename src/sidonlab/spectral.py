@@ -23,6 +23,8 @@ from .sets import IntegerSet, almost_sidon_params
 # absolute slack, times |S|, used when comparing float magnitudes against
 # the rational threshold eps * |S|
 THRESHOLD_TOL = 1e-9
+# grid points per unit of support width in sup_norm_estimate
+OVERSAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def default_grid(width: int) -> int:
     return 1 << (8 * max(1, width) - 1).bit_length()
 
 
-def sup_norm_estimate(f: ScaledFunction, oversample: int = 8
+def sup_norm_estimate(f: ScaledFunction, oversample: int = OVERSAMPLE
                       ) -> tuple[float, Fraction]:
     """Grid maximum of |f_hat| over a grid of size oversample * width.
 

@@ -110,8 +110,8 @@ def suite_oracle_equivalence(seed: int, trials: int = 200) -> SuiteResult:
 
 
 def suite_distinct_equivalence(seed: int, trials: int = 100) -> SuiteResult:
-    """Partition inclusion-exclusion against brute-force distinct counting
-    on random instances (N <= 25, s <= 5), exact equality."""
+    """count_distinct_solutions against brute-force distinct counting on
+    random instances (N <= 25, s <= 5), exact equality."""
     rng = philox(seed)
     res = SuiteResult("distinct_equivalence", trials, 0)
     for t in range(trials):

@@ -30,6 +30,7 @@ from .counting import EquationCoeffs, ScaledFunction, count_solutions
 from .errors import ValidationError
 from .sets import BLOCK_PAIRS, IntegerSet, almost_sidon_params, difference_counts
 from .spectral import (
+    OVERSAMPLE,
     Spectrum,
     _spectrum_from_magnitudes,
     default_grid,
@@ -355,7 +356,7 @@ class CountingBoundVerdict:
 
     The left side is exact; the right side uses the grid sup, which is
     below the true sup by at most the reported grid factor
-    1/cos(pi/oversample), so a pass certifies the stated inequality up to
+    1/cos(pi/OVERSAMPLE), so a pass certifies the stated inequality up to
     that factor.  The majorant hypotheses
     (sum nu <= N, E(nu) <= N^3) are checked exactly and reported.
     """
@@ -371,8 +372,8 @@ class CountingBoundVerdict:
     premise_energy_ok: bool
 
 
-def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs,
-                          oversample: int = 8) -> CountingBoundVerdict:
+def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
+                          ) -> CountingBoundVerdict:
     """Check the bounded-energy counting inequality for |f_i| <= nu.
 
     Validates the domination |f_i| <= nu pointwise (exact, rational);
@@ -392,7 +393,7 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs,
     premise_energy = weight_energy(nu) <= n**3
     count = count_solutions(eq, fns)
     lhs_abs = abs(float(count.value))
-    sups = [sup_norm_estimate(f, oversample)[0] for f in fns]
+    sups = [sup_norm_estimate(f)[0] for f in fns]
     min_sup = min(sups)
     rhs = float(n) ** (eq.s - 2) * min_sup
     holds = lhs_abs <= rhs * (1 + 1e-9)
@@ -404,7 +405,7 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs,
         min_sup=min_sup,
         holds=holds,
         slack_ratio=slack,
-        grid_factor=1.0 / float(np.cos(np.pi / oversample)),
+        grid_factor=1.0 / float(np.cos(np.pi / OVERSAMPLE)),
         premise_mass_ok=premise_mass,
         premise_energy_ok=premise_energy,
     )

@@ -1,8 +1,11 @@
 """Exact solution counting: engine, inclusion-exclusion, oracle, bounds."""
 
+import collections
+import functools
 import itertools
+import time
 from fractions import Fraction
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from sidonlab.counting import (
 )
 from sidonlab.convolve import convolve_many
 from sidonlab.errors import BudgetExceededError, ValidationError
-from sidonlab.sets import IntegerSet, erdos_turan
+from sidonlab.sets import IntegerSet, erdos_turan, perturb_almost_sidon
 
 
 def interval(n):
@@ -288,20 +291,116 @@ class TestDistinctProperties:
         assert count_distinct_solutions(eq, s_set).value == brute.value
 
 
+# --- the set-partition lattice: an independent route to distinct counts ---
+
+
+def set_partitions(items):
+    """Every set partition of `items`, Bell(len(items)) of them."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def normalised_key(nonzero):
+    """A merged equation up to scale, sign and order."""
+    g = 0
+    for c in nonzero:
+        g = gcd(g, c)
+    up = sorted(c // g for c in nonzero)
+    return min(tuple(up), tuple(sorted(-c for c in up)))
+
+
+@functools.cache
+def lattice_terms(coeffs):
+    """Rota's inclusion-exclusion over the set partitions P of the
+    variables: {(merged nonzero coefficients, zero blocks): sum of
+    mu(P) = prod (-1)^(|b|-1) (|b|-1)!} with each block of P merged."""
+    terms = collections.Counter()
+    for part in set_partitions(list(range(len(coeffs)))):
+        merged = [sum(coeffs[i] for i in block) for block in part]
+        nonzero = tuple(sorted(c for c in merged if c))
+        mobius = prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in part)
+        terms[nonzero, len(merged) - len(nonzero)] += mobius
+    return terms
+
+
+def lattice_walk(coeffs, s_set):
+    """The distinct count from the lattice terms and plain counts."""
+    ind = ScaledFunction.from_set(s_set)
+    total = 0
+    for (nonzero, zeros), mobius in lattice_terms(coeffs).items():
+        if len(nonzero) >= 2:
+            count = count_solutions(EquationCoeffs(nonzero), [ind] * len(nonzero)).value
+        else:  # a x = 0 needs x = 0; no x at all leaves one empty tuple
+            count = int(0 in s_set.elements) if nonzero else 1
+        total += mobius * s_set.size**zeros * count
+    return total
+
+
+class TestDistinctLattice:
+    @pytest.mark.parametrize("coeffs", [
+        (1, 1, 2, -1, -1, -2, 3, -3),     # six values, two of them repeated
+        (1, 2, 3, 4, -5, -6, 7),          # all values distinct
+        (1, 1, 1, 1, -1, -1, -1, -1),     # one value repeated four times
+        (1, 1, 1, 1, 1, 1, -3, -3),       # repeats, zero-sum blocks of 4
+        (2, -2, 1, -1, 3, -3, 1, -1, 2),  # many zero-sum pairs, s = 9
+        (1, 1, 1, 1, 1, 1, 1, 1, -8),     # (1^8, -8), s = 9
+    ])
+    @pytest.mark.parametrize("s_set", [
+        erdos_turan(11), erdos_turan(13), perturb_almost_sidon(erdos_turan(13), 2, 5),
+    ], ids=["ET11", "ET13", "ET13+2"])
+    def test_against_lattice_walk(self, coeffs, s_set):
+        # s = 7..9: past what brute_force_count enumerates in a test
+        assert count_distinct_solutions(EquationCoeffs(coeffs), s_set).value == \
+            lattice_walk(coeffs, s_set)
+
+    def test_lattice_walk_against_brute_force(self):
+        s_set = IntegerSet((1, 2, 3, 5, 8, 9), 9)
+        for coeffs in [(1, 1, -2), (2, -1, -1, 3), (1, 1, 1, -1, -1, -1)]:
+            brute = brute_force_count(
+                EquationCoeffs(coeffs), [ScaledFunction.from_set(s_set)] * len(coeffs),
+                distinct_only=True).value
+            assert lattice_walk(coeffs, s_set) == brute
+
+
 class TestDistinctMemo:
     @staticmethod
     def merged_keys(coeffs):
         """Distinct merged equations up to scale, sign and order."""
         keys = set()
-        for part in counting_module._set_partitions(list(range(len(coeffs)))):
+        for part in set_partitions(list(range(len(coeffs)))):
             merged = [sum(coeffs[i] for i in block) for block in part]
             nonzero = [c for c in merged if c]
             if nonzero:
-                g = 0
-                for c in nonzero:
-                    g = gcd(g, c)
-                up = sorted(c // g for c in nonzero)
-                keys.add(min(tuple(up), tuple(sorted(-c for c in up))))
+                keys.add(normalised_key(nonzero))
+        return keys
+
+    @staticmethod
+    def balanced_keys(ones, minus_ones):
+        """merged_keys of (1^ones, -1^minus_ones) without the Bell walk: a
+        block is fixed by its counts (j, l) of +1s and -1s, so walk the
+        multisets of blocks in non-increasing order."""
+        blocks = [(j, l) for j in range(ones + 1) for l in range(minus_ones + 1)
+                  if j or l]
+        keys = set()
+
+        def walk(j_left, l_left, start, merged):
+            if j_left == l_left == 0:
+                nonzero = [c for c in merged if c]
+                if nonzero:
+                    keys.add(normalised_key(nonzero))
+                return
+            for b in range(start, len(blocks)):
+                j, l = blocks[b]
+                if j <= j_left and l <= l_left:
+                    walk(j_left - j, l_left - l, b, merged + [j - l])
+
+        walk(ones, minus_ones, 0, [])
         return keys
 
     @pytest.mark.parametrize("coeffs", [(1, 1, 1, -1, -1, -1),
@@ -325,6 +424,29 @@ class TestDistinctMemo:
                                       distinct_only=True).value
             assert fast == brute
             assert len(calls) == len(self.merged_keys(coeffs))
+
+    @pytest.mark.parametrize("ones,minus_ones", [(3, 3), (4, 3), (2, 5)])
+    def test_balanced_keys_match_the_walk(self, ones, minus_ones):
+        coeffs = (1,) * ones + (-1,) * minus_ones
+        assert self.balanced_keys(ones, minus_ones) == self.merged_keys(coeffs)
+
+    def test_frontier_s12(self, monkeypatch):
+        # (1^6, -1^6) on ET(17): s = 12, the cap, where the lattice has
+        # Bell(12) = 4,213,597 set partitions; the count must not walk them.
+        # CPU time of this process, so a busy host does not fail the bound.
+        calls = []
+        inner = counting_module._count_at_zero
+
+        def spy(dilations):
+            calls.append(len(dilations))
+            return inner(dilations)
+
+        monkeypatch.setattr(counting_module, "_count_at_zero", spy)
+        eq = EquationCoeffs((1,) * 6 + (-1,) * 6)
+        start = time.process_time()
+        assert count_distinct_solutions(eq, erdos_turan(17)).value == 1_989_619_200
+        assert time.process_time() - start < 1.0
+        assert len(calls) == len(self.balanced_keys(6, 6))
 
 
 class TestBruteForce:
