@@ -177,7 +177,7 @@ def _cmd_count(args) -> int:
         "config": _config(args, ["coeffs", "sets", "interval", "distinct", "oracle"]),
     }
     if args.distinct:
-        if args.interval is not None or (args.sets and len(args.sets) != 1):
+        if args.interval is not None or not args.sets or len(args.sets) != 1:
             raise ValidationError("--distinct needs exactly one set file")
         s_set = read_set_file(args.sets[0])
         result = count_distinct_solutions(eq, s_set)

@@ -3,12 +3,18 @@
 Every weighted function is a `ScaledFunction`: integer numerators over one
 common denominator.  A sqrt(N) factor, as in the dense model, is an
 integer once the ambient is a perfect square and lives in the numerators
-like any other rational weight.  The fast path dilates the numerators
-of each input onto the lattice m = a_i * x_i, convolves the first
-ceil(s/2) dilations and the rest separately with the exact engine from
-`convolve`, and reads off the coefficient at zero of their product as one
-dot product (meet in the middle): an integer over the product of the
-denominators.
+like any other rational weight.  The fast path divides the coefficients
+by their gcd, dilates the numerators of each input onto the lattice
+m = a_i * x_i, folds the first ceil(s/2) dilations and the rest separately
+with the exact engine from `convolve`, and reads off the coefficient at
+zero of their product as one dot product (meet in the middle): an integer
+over the product of the denominators.
+
+On one set S, `count_distinct_solutions` and `degenerate_bound_check`
+share one memo of folds of 1_S dilations, each convolved once: fold(t) for
+a sorted coefficient tuple t is fold(t[:-1]) times the last dilation, so
+keys share prefixes, and the fold of the mirror (-t, sorted) is fold(t)
+reversed, at offset -(offset + len - 1).
 
 The all-variables-distinct count is obtained from the plain counts by
 freeing one variable at a time: a variable t that must differ from the
@@ -27,16 +33,18 @@ touches the convolution engine.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import compress
 from math import gcd, lcm, prod
 from numbers import Rational
 from operator import index, mul
 
 import numpy as np
 
-from .convolve import convolve_many
+from .convolve import convolve
 from .errors import BudgetExceededError, ValidationError
 from .sets import IntegerSet
 
@@ -114,6 +122,8 @@ class ScaledFunction:
     def from_interval(cls, lo: int, hi: int, ambient_n: int) -> "ScaledFunction":
         if hi < lo:
             raise ValidationError("empty interval")
+        if hi - lo + 1 > sys.maxsize:
+            raise ValidationError(f"interval [{lo}, {hi}] is too long to index")
         return cls(lo, (1,) * (hi - lo + 1), 1, ambient_n)
 
     @property
@@ -200,27 +210,24 @@ def _dilate(ints, offset: int, a: int) -> tuple[list[int], int]:
     if a == 0:
         return [sum(ints)], 0
     mag = abs(a)
-    out = [0] * (mag * (n - 1) + 1)
+    length = mag * (n - 1) + 1
+    if length > sys.maxsize:
+        raise ValidationError(f"dilating by {a} needs {length} slots, past an index")
+    out = [0] * length
     out[::mag] = ints if a > 0 else ints[::-1]
     return out, a * (offset if a > 0 else offset + n - 1)
 
 
-def _fold(dilations: list[tuple[list[int], int]]) -> tuple[list[int], int]:
-    """Product of dilated sequences (sequence, offset) and its offset."""
-    return (convolve_many([seq for seq, _ in dilations]),
-            sum(off for _, off in dilations))
+def _fold_step(acc, dilation):
+    """Product of two (sequence, offset) pairs, by the exact `convolve`."""
+    (a, a_off), (b, b_off) = acc, dilation
+    return convolve(a, b), a_off + b_off
 
 
-def _count_at_zero(dilations: list[tuple[list[int], int]]) -> int:
-    """Coefficient at lattice point 0 of the product of the dilations.
-
-    The first ceil(s/2) and the remaining dilations are folded separately;
-    the coefficient is the dot product of one fold against the other
-    reversed, at the offsets that sum to zero.
-    """
-    half = (len(dilations) + 1) // 2
-    left, left_off = _fold(dilations[:half])
-    right, right_off = _fold(dilations[half:]) if half < len(dilations) else ([1], 0)
+def _dot_at_zero(left, right) -> int:
+    """Coefficient at lattice point 0 of the product of two folds: the dot
+    product of one against the other reversed, at offsets summing to zero."""
+    (left, left_off), (right, right_off) = left, right
     # left[i] * right[k - i] lands on lattice point 0
     k = -left_off - right_off
     lo = max(0, k - len(right) + 1)
@@ -234,15 +241,17 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     """Exact weighted count of solutions to sum a_i x_i = 0.
 
     Returns sum over integer tuples (x_1, ..., x_s) with a1 x1 + ... = 0 of
-    the product of the function values.  Each function is dilated to the
-    lattice m = a_i x_i and the answer is the coefficient at zero of the
-    exact product of the dilations.
+    the product of the function values.  The coefficients are divided by
+    their gcd (the same solutions, shorter dilations) and each function is
+    dilated to the lattice m = a_i x_i; the answer is the coefficient at
+    zero of the exact product of the dilations.
     """
     fns = list(fns)
     if len(fns) != eq.s:
         raise ValidationError(
             f"equation has {eq.s} variables but {len(fns)} functions given"
         )
+    g = gcd(*eq.coeffs)
     dilations = []
     den_product = 1
     for a, f in zip(eq.coeffs, fns):
@@ -250,8 +259,11 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
         if not t.nums:
             return SolutionCount(Fraction(0))
         den_product *= t.den
-        dilations.append(_dilate(t.nums, t.offset, a))
-    return SolutionCount(Fraction(_count_at_zero(dilations), den_product))
+        dilations.append(_dilate(t.nums, t.offset, a // g))
+    half = (eq.s + 1) // 2
+    value = _dot_at_zero(reduce(_fold_step, dilations[:half]),
+                         reduce(_fold_step, dilations[half:]))
+    return SolutionCount(Fraction(value, den_product))
 
 
 def _normalised(coeffs: list[int]) -> tuple[int, ...]:
@@ -259,6 +271,46 @@ def _normalised(coeffs: list[int]) -> tuple[int, ...]:
     g = gcd(*coeffs)
     scaled = sorted(c // g for c in coeffs)
     return min(tuple(scaled), tuple(sorted(-c for c in scaled)))
+
+
+def _set_counts(s_set: IntegerSet):
+    """`fold` and `distinct` on one nonempty set S, over one memo of folds
+    of 1_S dilations (see the module docstring)."""
+    ints, off = s_set.indicator()
+
+    @cache
+    def canonical(key: tuple[int, ...]) -> tuple[list[int], int]:
+        if len(key) < 2:
+            return _dilate(ints, off, key[0]) if key else ([1], 0)
+        return _fold_step(fold(key[:-1]), _dilate(ints, off, key[-1]))
+
+    def fold(key: tuple[int, ...]) -> tuple[list[int], int]:
+        """Product of the dilations by the sorted `key`, and its offset."""
+        mirror = tuple(-c for c in reversed(key))
+        if mirror >= key:
+            return canonical(key)
+        seq, mirror_off = canonical(mirror)
+        return seq[::-1], -(mirror_off + len(seq) - 1)
+
+    @cache
+    def count(key: tuple[int, ...]) -> int:
+        half = (len(key) + 1) // 2
+        return _dot_at_zero(fold(key[:half]), fold(key[half:]))
+
+    @cache
+    def distinct(tied: tuple[int, ...], free: tuple[int, ...]) -> int:
+        """Solutions with the `tied` variables pairwise distinct."""
+        if len(tied) < 2:
+            nonzero = [c for c in tied + free if c != 0]
+            zeros = len(tied) + len(free) - len(nonzero)
+            return s_set.size**zeros * (count(_normalised(nonzero)) if nonzero else 1)
+        *rest, t = tied
+        total = distinct(tuple(rest), tuple(sorted(free + (t,))))
+        for i, c in enumerate(rest):
+            total -= distinct(tuple(sorted(rest[:i] + [c + t] + rest[i + 1:])), free)
+        return total
+
+    return fold, distinct
 
 
 def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet
@@ -274,28 +326,9 @@ def count_distinct_solutions(eq: EquationCoeffs, s_set: IntegerSet
             f"s = {eq.s} > {MAX_DISTINCT_VARS} variables for distinct counting, "
             "use brute_force_count(distinct_only=True) instead"
         )
-    ints, off = s_set.indicator()
-    k = s_set.size
-    if k == 0:
+    if s_set.size == 0:
         return SolutionCount(Fraction(0))
-
-    @cache
-    def plain(key: tuple[int, ...]) -> int:
-        return _count_at_zero([_dilate(ints, off, c) for c in key])
-
-    @cache
-    def distinct(tied: tuple[int, ...], free: tuple[int, ...]) -> int:
-        """Solutions with the `tied` variables pairwise distinct."""
-        if len(tied) < 2:
-            nonzero = [c for c in tied + free if c != 0]
-            zeros = len(tied) + len(free) - len(nonzero)
-            return k**zeros * (plain(_normalised(nonzero)) if nonzero else 1)
-        *rest, t = tied
-        total = distinct(tuple(rest), tuple(sorted(free + (t,))))
-        for i, c in enumerate(rest):
-            total -= distinct(tuple(sorted(rest[:i] + [c + t] + rest[i + 1:])), free)
-        return total
-
+    _, distinct = _set_counts(s_set)
     return SolutionCount(Fraction(distinct(tuple(sorted(eq.coeffs)), ())))
 
 
@@ -431,39 +464,28 @@ def degenerate_bound_check(eq: EquationCoeffs, s_set: IntegerSet
     """
     if eq.s < 5:
         raise ValidationError(f"degenerate bound check needs s >= 5, got {eq.s}")
-    ints, off = s_set.indicator()
-    if not ints:
+    if s_set.size == 0:
         raise ValidationError("degenerate bound check needs a nonempty set")
     energy = s_set.profile.energy
-    e_cubed = energy**3
-
-    head, head_off = _fold([_dilate(ints, off, c) for c in eq.coeffs[:3]])
-    tail_coeffs = list(eq.coeffs[3:-2]) + [eq.coeffs[-2] + eq.coeffs[-1]]
-    tail, tail_off = _fold([_dilate(ints, off, c) for c in tail_coeffs])
-
-    max_count = 0
-    holds = True
-    shifts = 0
-    merged_pair_total = 0
-    for j, mult in enumerate(tail):
-        if mult == 0:
-            continue
+    fold, distinct = _set_counts(s_set)
+    a = eq.coeffs
+    head = fold(tuple(sorted(a[:3])))
+    head_seq, head_off = head
+    tail, tail_off = fold(tuple(sorted(a[3:-2] + (a[-2] + a[-1],))))
+    max_count = shifts = merged_pair_total = 0
+    for j, mult in compress(enumerate(tail), tail):
+        idx = -(tail_off + j) - head_off
+        c = head_seq[idx] if 0 <= idx < len(head_seq) else 0
         shifts += 1
-        n = tail_off + j
-        idx = -n - head_off
-        c = head[idx] if 0 <= idx < len(head) else 0
         merged_pair_total += mult * c
-        if c > max_count:
-            max_count = c
-        if c**4 > e_cubed:
-            holds = False
+        max_count = max(max_count, c)
 
-    ind = ScaledFunction.from_set(s_set)
-    total = int(count_solutions(eq, [ind] * eq.s).value)
-    distinct = None
-    degenerate = None
+    total = _dot_at_zero(head, fold(tuple(sorted(a[3:]))))
+    distinct_total = degenerate = None
     if eq.s <= MAX_DISTINCT_VARS:
-        distinct = int(count_distinct_solutions(eq, s_set).value)
-        degenerate = total - distinct
-    return DegenerateBoundReport(max_count, holds, energy, shifts,
-                                 merged_pair_total, total, distinct, degenerate)
+        distinct_total = distinct(tuple(sorted(a)), ())
+        degenerate = total - distinct_total
+    # every count is nonnegative, so the largest decides the bound
+    return DegenerateBoundReport(max_count, max_count**4 <= energy**3, energy,
+                                 shifts, merged_pair_total, total,
+                                 distinct_total, degenerate)

@@ -1,9 +1,11 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
-from contextlib import redirect_stdout
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +76,25 @@ class TestEnergy:
         assert doc["delta"] == {"numerator": 7, "denominator": 10}
 
 
+@st.composite
+def count_argv(draw):
+    """`count` argv and an optional SIDONLAB_BUDGET: one to four
+    coefficients (zero allowed), an interval span, --distinct and --oracle.
+    Every |a_i| * span stays under 10^4, so no draw allocates a long list;
+    the tests above cover values past 2^63."""
+    span = draw(st.integers(-2, 60))
+    cap = 10**4 // max(span, 1)
+    coeffs = draw(st.lists(st.integers(-cap, cap), min_size=1, max_size=4))
+    argv = ["count", "--coeffs=" + ",".join(map(str, coeffs))]
+    if draw(st.integers(0, 4)):  # mostly an interval, seldom --distinct
+        argv += ["--interval", str(span)]
+    if not draw(st.integers(0, 4)):
+        argv.append("--distinct")
+    if draw(st.booleans()):
+        argv.append("--oracle")
+    return argv, draw(st.sampled_from([None, "1", "1000"]))
+
+
 class TestCount:
     def test_interval_progressions(self, capsys):
         code, stdout, _ = run(capsys, "count", "--coeffs", "1,1,-2",
@@ -142,6 +163,40 @@ class TestCount:
         assert code == 0
         doc = json.loads(stdout)
         assert doc["oracle_agrees"] is True and doc["value_numerator"] == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["--coeffs", "1,1,-2", "--interval", str(10**20)],
+        ["--coeffs", "1,1,-2", "--interval", str(2**63), "--oracle"],
+        ["--coeffs", f"{10**22},{-10**22 - 1}", "--interval", "5", "--oracle"],
+        ["--coeffs", f"{2**64},1", "--interval", "3"],
+        ["--coeffs", "1,-1", "--distinct"],
+    ])
+    def test_unindexable_or_incomplete_exit_2(self, capsys, argv):
+        code, stdout, stderr = run(capsys, "count", *argv)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+    def test_coefficients_past_int64_divided_by_gcd(self, capsys):
+        code, stdout, _ = run(capsys, "count", "--coeffs",
+                              f"{10**22},{-10**22}", "--interval", "5", "--oracle")
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["value_numerator"] == 5 and doc["oracle_agrees"] is True
+
+    @settings(max_examples=150, deadline=None)
+    @given(count_argv())
+    def test_exit_code_contract(self, drawn):
+        argv, budget = drawn
+        out, err = StringIO(), StringIO()
+        env = {"SIDONLAB_BUDGET": budget} if budget else {}
+        with redirect_stdout(out), redirect_stderr(err), \
+                mock.patch.dict(os.environ, env):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the argv
+                code = exc.code
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "count", "--coeffs", "1,1,-2", "--interval", "9")

@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import operator
 import time
 from fractions import Fraction
 from math import factorial, gcd, prod
@@ -115,6 +116,10 @@ class TestScaledFunction:
         with pytest.raises(TypeError):
             ScaledFunction(0, (Fraction(1, 2),))
 
+    def test_interval_past_an_index_refused(self):
+        with pytest.raises(ValidationError, match="index"):
+            ScaledFunction.from_interval(1, 10**20, 10**20)
+
     def test_float_offset_and_ambient_refused(self):
         # a float offset used to surface later as a raw slicing TypeError
         with pytest.raises(TypeError):
@@ -204,6 +209,33 @@ class TestCountSolutions:
         f = ScaledFunction.from_set(IntegerSet((1, 2), 4)).scaled_by(2)
         c = count_solutions(EquationCoeffs((1, -1)), [f, f])
         assert c.value == 8  # 2 solutions, each weighted N = 4
+
+    def test_gcd_divided_before_dilating(self, monkeypatch):
+        # (6, 6, -12) counts as (1, 1, -2), on dilations six times shorter
+        lengths = []
+        inner = counting_module.convolve
+
+        def spy(a, b):
+            lengths.append((len(a), len(b)))
+            return inner(a, b)
+
+        monkeypatch.setattr(counting_module, "convolve", spy)
+        fns = [interval(9)] * 3
+        reduced = count_solutions(EquationCoeffs((1, 1, -2)), fns).value
+        reduced_lengths = list(lengths)
+        lengths.clear()
+        assert count_solutions(EquationCoeffs((6, 6, -12)), fns).value == reduced
+        assert lengths == reduced_lengths
+
+    def test_coefficients_past_int64_share_a_gcd(self):
+        big = 10**22
+        eq = EquationCoeffs((big, -big))
+        assert count_solutions(eq, [interval(5)] * 2).value == 5
+
+    def test_dilation_past_an_index_refused(self):
+        big = 10**22
+        with pytest.raises(ValidationError, match="index"):
+            count_solutions(EquationCoeffs((big, 1 - big)), [interval(5)] * 2)
 
     def test_meet_in_middle_same_answer(self):
         # the split count equals the zero coefficient of the full product
@@ -403,27 +435,59 @@ class TestDistinctMemo:
         walk(ones, minus_ones, 0, [])
         return keys
 
+    @staticmethod
+    def fold_keys(split_keys, whole_keys=()):
+        """Canonical fold keys that need a convolution: every prefix of two
+        or more coefficients of the halves of each split key and of each
+        whole key, each taken as the lesser of itself and its mirror."""
+        out = set()
+
+        def add(key):
+            key = min(key, tuple(-c for c in reversed(key)))
+            if len(key) >= 2 and key not in out:
+                out.add(key)
+                add(key[:-1])
+
+        for key in split_keys:
+            half = (len(key) + 1) // 2
+            add(key[:half])
+            add(key[half:])
+        for key in whole_keys:
+            add(key)
+        return out
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """Record the calls to the counting module's `name`."""
+        calls = []
+        inner = getattr(counting_module, name)
+
+        def spy(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(counting_module, name, spy)
+        return calls
+
     @pytest.mark.parametrize("coeffs", [(1, 1, 1, -1, -1, -1),
                                         (1, 1, 1, 1, -4), (2, -2, 1, -1)])
     def test_memoised_matches_brute_force(self, coeffs, monkeypatch):
         # (2, -2, 1, -1) has merged blocks (2, -2) and (1, -1), equal up to
-        # sign and scale; each normalised equation is convolved once
-        calls = []
-        inner = counting_module._count_at_zero
-
-        def spy(dilations):
-            calls.append(len(dilations))
-            return inner(dilations)
-
-        monkeypatch.setattr(counting_module, "_count_at_zero", spy)
+        # sign and scale; each normalised equation is counted once, and
+        # each canonical fold of 1_S dilations is convolved once
+        dots = self.spy(monkeypatch, "_dot_at_zero")
+        convolutions = self.spy(monkeypatch, "convolve")
         eq = EquationCoeffs(coeffs)
+        keys = self.merged_keys(coeffs)
         for s_set in (erdos_turan(5), IntegerSet((1, 2, 3, 5, 8, 9), 9)):
-            calls.clear()
+            dots.clear()
+            convolutions.clear()
             fast = count_distinct_solutions(eq, s_set).value
             brute = brute_force_count(eq, [ScaledFunction.from_set(s_set)] * eq.s,
                                       distinct_only=True).value
             assert fast == brute
-            assert len(calls) == len(self.merged_keys(coeffs))
+            assert len(dots) == len(keys)
+            assert len(convolutions) == len(self.fold_keys(keys))
 
     @pytest.mark.parametrize("ones,minus_ones", [(3, 3), (4, 3), (2, 5)])
     def test_balanced_keys_match_the_walk(self, ones, minus_ones):
@@ -434,19 +498,101 @@ class TestDistinctMemo:
         # (1^6, -1^6) on ET(17): s = 12, the cap, where the lattice has
         # Bell(12) = 4,213,597 set partitions; the count must not walk them.
         # CPU time of this process, so a busy host does not fail the bound.
-        calls = []
-        inner = counting_module._count_at_zero
-
-        def spy(dilations):
-            calls.append(len(dilations))
-            return inner(dilations)
-
-        monkeypatch.setattr(counting_module, "_count_at_zero", spy)
+        dots = self.spy(monkeypatch, "_dot_at_zero")
+        convolutions = self.spy(monkeypatch, "convolve")
         eq = EquationCoeffs((1,) * 6 + (-1,) * 6)
         start = time.process_time()
         assert count_distinct_solutions(eq, erdos_turan(17)).value == 1_989_619_200
         assert time.process_time() - start < 1.0
-        assert len(calls) == len(self.balanced_keys(6, 6))
+        keys = self.balanced_keys(6, 6)
+        assert len(dots) == len(keys)
+        # 105 normalised keys share 61 canonical folds (431 convolutions
+        # when each key folded its own halves)
+        assert len(convolutions) == len(self.fold_keys(keys)) == 61
+
+    @pytest.mark.parametrize("coeffs", [(1, 1, 1, 1, -4), (1, 2, -1, 3, -3),
+                                        (1, -1, 1, -1, 1, -1)])
+    def test_degenerate_check_shares_the_memo(self, coeffs, monkeypatch):
+        # the head, merged tail and rest folds join the distinct count's
+        # folds in one memo; nothing is counted a second time
+        convolutions = self.spy(monkeypatch, "convolve")
+        plain_recounts = self.spy(monkeypatch, "count_solutions")
+        distinct_recounts = self.spy(monkeypatch, "count_distinct_solutions")
+        s_set = perturb_almost_sidon(erdos_turan(11), 2, 3)
+        rep = degenerate_bound_check(EquationCoeffs(coeffs), s_set)
+        fns = [ScaledFunction.from_set(s_set)] * len(coeffs)
+        assert rep.distinct == brute_force_count(EquationCoeffs(coeffs), fns,
+                                                 distinct_only=True).value
+        assert plain_recounts == distinct_recounts == []
+        whole = (tuple(sorted(coeffs[:3])),
+                 tuple(sorted(coeffs[3:-2] + (coeffs[-2] + coeffs[-1],))),
+                 tuple(sorted(coeffs[3:])))
+        assert len(convolutions) == len(self.fold_keys(self.merged_keys(coeffs),
+                                                       whole))
+
+
+@st.composite
+def degenerate_instances(draw):
+    """s = 2..7 coefficients in [-3, 3] minus 0, drawn free, as +-pairs
+    (a tuple equal to its own mirror when s is even) or with the last two
+    summing to zero (a merge that zeroes a coefficient), and a set in
+    [1, 20] of one to six points."""
+    s = draw(st.integers(2, 7))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=s,
+                           max_size=s))
+    shape = draw(st.sampled_from(["free", "mirror", "zero_merge"]))
+    if shape == "mirror":
+        half = coeffs[:s // 2]
+        coeffs[:2 * len(half)] = half + [-c for c in half]
+    elif shape == "zero_merge":
+        coeffs[-1] = -coeffs[-2]
+    elems = draw(st.lists(st.integers(1, 20), min_size=1, max_size=6,
+                          unique=True))
+    return EquationCoeffs(tuple(coeffs)), IntegerSet(tuple(sorted(elems)), 20)
+
+
+def brute_on_set(coeffs, s_set, distinct_only=False):
+    """brute_force_count of `coeffs` on S^s; a zero coefficient, allowed in
+    plain counts only, is a free factor |S|."""
+    nonzero = tuple(c for c in coeffs if c)
+    fns = [ScaledFunction.from_set(s_set)] * len(nonzero)
+    value = brute_force_count(EquationCoeffs(nonzero), fns, distinct_only).value
+    return s_set.size ** (len(coeffs) - len(nonzero)) * value
+
+
+class TestMemoProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(degenerate_instances())
+    def test_distinct_and_degenerate_against_brute_force(self, instance):
+        eq, s_set = instance
+        a = eq.coeffs
+        distinct = brute_on_set(a, s_set, distinct_only=True)
+        assert count_distinct_solutions(eq, s_set).value == distinct
+        if eq.s < 5:
+            return
+        # the shifts by a dictionary of sums over explicit tuples
+        tail_coeffs = a[3:-2] + (a[-2] + a[-1],)
+        head = collections.Counter(
+            sum(map(operator.mul, a[:3], xs))
+            for xs in itertools.product(s_set.elements, repeat=3))
+        tail = collections.Counter(
+            sum(map(operator.mul, tail_coeffs, xs))
+            for xs in itertools.product(s_set.elements, repeat=len(tail_coeffs)))
+        max_count = max(head[-n] for n in tail)
+        energy = brute_on_set((1, 1, -1, -1), s_set)
+        total = brute_on_set(a, s_set)
+        rep = degenerate_bound_check(eq, s_set)
+        assert rep == counting_module.DegenerateBoundReport(
+            max_shift_count=max_count,
+            bound_holds=max_count**4 <= energy**3,
+            energy=energy,
+            shifts_checked=len(tail),
+            merged_pair_total=brute_on_set(a[:-2] + (a[-2] + a[-1],), s_set),
+            total=total,
+            distinct=distinct,
+            degenerate_total=total - distinct,
+        )
+        assert rep.merged_pair_total == sum(m * head[-n] for n, m in tail.items())
 
 
 class TestBruteForce:
