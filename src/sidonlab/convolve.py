@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .sets import BLOCK_PAIRS
+from .sets import BLOCK_PAIRS, INT64_SAFE as _INT64_SAFE
 
 # numpy/Kronecker crossover in shorter-input entries per slot byte (measured)
 SHORT_LEN = 192
@@ -51,8 +51,6 @@ SHORT_LEN = 192
 # pairs their fixed cost of about 10 us matches the whole dense product
 PAIRS_RATIO = 64
 PAIRS_SETUP = 1 << 14
-
-_INT64_SAFE = 1 << 62
 
 
 def _extremes(seq) -> tuple[int, int]:

@@ -40,19 +40,18 @@ from functools import cache, reduce
 from itertools import compress
 from math import gcd, lcm, prod
 from numbers import Rational
-from operator import index, mul
+from operator import add, index, mul
 
 import numpy as np
 
 from .convolve import convolve
 from .errors import BudgetExceededError, ValidationError
-from .sets import IntegerSet
+from .sets import INT64_SAFE, IntegerSet
 
 DEFAULT_BRUTE_BUDGET = 10**9
 MAX_DISTINCT_VARS = 12
 
 _CHUNK = 1 << 21
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,8 @@ class ScaledFunction:
 
     def scaled_by(self, q) -> "ScaledFunction":
         q = Fraction(q)
-        return ScaledFunction(self.offset, tuple(x * q.numerator for x in self.nums),
+        p = q.numerator  # a property: read once, not once per weight
+        return ScaledFunction(self.offset, tuple(x * p for x in self.nums),
                               self.den * q.denominator, self.ambient_n)
 
     def __add__(self, other: "ScaledFunction") -> "ScaledFunction":
@@ -177,7 +177,7 @@ class ScaledFunction:
             k = den // f.den
             a = f.offset - lo
             b = a + len(f.nums)
-            out[a:b] = [y + k * x for y, x in zip(out[a:b], f.nums)]
+            out[a:b] = map(add, out[a:b], f.nums if k == 1 else [k * x for x in f.nums])
         return ScaledFunction(lo, tuple(out), den, self.ambient_n)
 
     def dominated_by(self, nu: "ScaledFunction") -> bool:
@@ -195,6 +195,13 @@ class ScaledFunction:
     def float_weights(self) -> np.ndarray:
         """float(weights[j]): int / int is correctly rounded."""
         return np.array([x / self.den for x in self.nums], dtype=float)
+
+
+def weight_energy(f: ScaledFunction) -> Fraction:
+    """The additive energy E(f) of the weights, exactly: the sum of the
+    squares of the autocorrelation of the numerators, over den^4."""
+    corr = convolve(list(f.nums), list(f.nums[::-1]))
+    return Fraction(sum(c * c for c in corr), f.den**4)
 
 
 @dataclass(frozen=True)
@@ -377,8 +384,8 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
     xmax = max(max(abs(sup[0]), abs(sup[-1])) for sup in supports)
     pmax = sum(abs(a) for a in eq.coeffs) * xmax
     total = _enumerate(eq.coeffs, supports, int_weights, distinct_only,
-                       np.int64 if pmax < _INT64_SAFE else object,
-                       np.int64 if wmax < _INT64_SAFE else object)
+                       np.int64 if pmax < INT64_SAFE else object,
+                       np.int64 if wmax < INT64_SAFE else object)
     return SolutionCount(Fraction(total, den_product))
 
 

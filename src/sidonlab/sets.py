@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ValidationError
 
 BLOCK_PAIRS = 2**20  # most pairs one numpy block of difference_counts holds
+# int64 arithmetic is exact while every value and partial sum stays below this
+INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -181,9 +183,9 @@ def mian_chowla(k: int) -> IntegerSet:
 
 def difference_counts(elems) -> dict[int, int]:
     """Ordered-pair counts #{(x, y) in elems^2 : x - y = d} by np.unique on blocks
-    of at most BLOCK_PAIRS differences; int64 below 2^62, else Python ints."""
+    of at most BLOCK_PAIRS differences; int64 below INT64_SAFE, else Python ints."""
     counts: dict[int, int] = {}
-    big = bool(elems) and max(map(abs, elems)) >= 2**62
+    big = bool(elems) and max(map(abs, elems)) >= INT64_SAFE
     arr = np.array(elems, dtype=object if big else np.int64)
     rows = max(1, BLOCK_PAIRS // max(1, len(arr)))
     for i in range(0, len(arr), rows):

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convolve import convolve
-from .counting import ScaledFunction
+from .counting import ScaledFunction, weight_energy
 from .errors import ValidationError
 from .sets import IntegerSet, almost_sidon_params
 
@@ -25,6 +24,11 @@ from .sets import IntegerSet, almost_sidon_params
 THRESHOLD_TOL = 1e-9
 # grid points per unit of support width in sup_norm_estimate
 OVERSAMPLE = 8
+# the most points one grid (m) or one side of a Bohr scan (its width) may
+# have, refused before any array is made: a complex128 grid of 2^23 points
+# takes 128 MiB, and the ET(401) report at eps 1/5 needs m = 2^22 and
+# width 64,525
+MAX_POINTS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,7 @@ def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
     grid value unchanged because e(alpha n) has period m in n; one inverse
     FFT of the placed array, times m, gives the sum with the e(+k n/m) sign.
     """
-    if m < 1:
-        raise ValidationError(f"grid size must be positive, got {m}")
+    _check_grid(m)
     t = f.trimmed()
     if not t.nums:
         return np.zeros(m, dtype=complex)
@@ -81,9 +84,16 @@ def dft_magnitudes(f: ScaledFunction, m: int) -> np.ndarray:
     return np.abs(dft_values(f, m))
 
 
+def _check_grid(m: int) -> int:
+    """m itself, refused unless 1 <= m <= MAX_POINTS (before any array)."""
+    if not 1 <= m <= MAX_POINTS:
+        raise ValidationError(f"grid size must lie in [1, {MAX_POINTS}], got {m}")
+    return m
+
+
 def default_grid(width: int) -> int:
-    """Smallest power of two at or above 8 * width."""
-    return 1 << (8 * max(1, width) - 1).bit_length()
+    """Smallest power of two at or above 8 * width, refused past MAX_POINTS."""
+    return _check_grid(1 << (8 * max(1, width) - 1).bit_length())
 
 
 def sup_norm_estimate(f: ScaledFunction, oversample: int = OVERSAMPLE
@@ -143,11 +153,7 @@ def energy_via_fourier(s_set: IntegerSet) -> int:
     sequence is the exact autocorrelation of the indicator (a cyclic
     convolution on any group of order >= 2N is alias-free), and the energy
     is the sum of its squares."""
-    ints, _ = s_set.indicator()
-    if not ints:
-        return 0
-    corr = convolve(ints, ints[::-1])
-    return sum(c * c for c in corr)
+    return int(weight_energy(ScaledFunction.from_set(s_set)))
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ from math import isqrt
 import numpy as np
 
 from .convolve import convolve
-from .counting import EquationCoeffs, ScaledFunction, count_solutions
+from .counting import EquationCoeffs, ScaledFunction, count_solutions, weight_energy
 from .errors import ValidationError
-from .sets import BLOCK_PAIRS, IntegerSet, almost_sidon_params, difference_counts
+from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, almost_sidon_params
 from .spectral import (
+    MAX_POINTS,
     OVERSAMPLE,
     Spectrum,
     _spectrum_from_magnitudes,
@@ -85,11 +86,12 @@ class BohrSet:
             _bohr_member(n, k, self.grid_m, self.radius) for k in self.ks)
 
     def measure(self) -> ScaledFunction:
-        """The normalized indicator 1_B / |B| as a ScaledFunction."""
-        nums = [0] * (2 * self.width + 1)
+        """The normalized indicator 1_B / |B| on [min B, max B]."""
+        lo = self.elements[0]
+        nums = [0] * (self.elements[-1] - lo + 1)
         for n in self.elements:
-            nums[n + self.width] = 1
-        return ScaledFunction(-self.width, tuple(nums), self.size, self.ambient_n)
+            nums[n - lo] = 1
+        return ScaledFunction(lo, tuple(nums), self.size, self.ambient_n)
 
 
 def _bohr_member(n: int, k: int, m: int, radius: Fraction) -> bool:
@@ -100,12 +102,13 @@ def _bohr_member(n: int, k: int, m: int, radius: Fraction) -> bool:
 def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
     """Enumerate the Bohr set of the frequencies k/m, k in ks, on
     [-floor(eps n), floor(eps n)], 0 < eps <= 1/2; the grid size m >= 1
-    is shared by every k, and each k is taken mod m.
+    is shared by every k, and each k is taken mod m.  A width past
+    MAX_POINTS is refused before the scan.
 
     B is symmetric and contains 0, so only n = 1..width is scanned: the
     survivors meet BOHR_BLOCK frequencies at a time (fewer past BLOCK_PAIRS
     pairs) until none are left.  Each test is _bohr_member's exact integer
-    comparison, in int64 while products stay below 2^62, else Python ints.
+    comparison, in int64 while products stay below INT64_SAFE, else Python ints.
     """
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
@@ -117,7 +120,9 @@ def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
     ks = tuple(ks)
     p, q = eps.numerator, eps.denominator
     width = (p * n) // q
-    dtype = np.int64 if (width + 1) * m * q < 2**62 else object
+    if width > MAX_POINTS:
+        raise ValidationError(f"Bohr width {width} is past the cap of {MAX_POINTS}")
+    dtype = np.int64 if (width + 1) * m * q < INT64_SAFE else object
     residues = np.array([k % m for k in ks], dtype=dtype)
     ns, i = np.arange(1, width + 1, dtype=dtype), 0
     while ns.size and i < len(ks):
@@ -185,11 +190,7 @@ class DenseModel:
     @property
     def majorant_base(self) -> ScaledFunction:
         """The integer function g + |B| 1_S."""
-        b = self.bohr.size
-        nums = list(self.base.nums)
-        for x in self.padded.elements:  # 0 is in B, so S lies in g's span
-            nums[x - self.base.offset] += b
-        return ScaledFunction(self.base.offset, tuple(nums), 1, self.n_padded)
+        return self.base + ScaledFunction.from_set(self.padded).scaled_by(self.bohr.size)
 
     @property
     def majorant_nu(self) -> ScaledFunction:
@@ -230,12 +231,9 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     bohr = bohr_set(spectrum.entries, m, eps, n)
 
     ind_s, off_s = padded.indicator()
-    off_b = bohr.elements[0]
-    ind_b = [0] * (bohr.elements[-1] - off_b + 1)
-    for v in bohr.elements:
-        ind_b[v - off_b] = 1
-    g_ints = convolve(ind_s, ind_b)
-    g = ScaledFunction(off_s + off_b, tuple(g_ints), 1, n)
+    mu_b = bohr.measure()
+    g_ints = convolve(ind_s, list(mu_b.nums))
+    g = ScaledFunction(off_s + mu_b.offset, tuple(g_ints), 1, n)
 
     mass = sum(g_ints)
     mass_ok = mass == padded.size * bohr.size
@@ -343,13 +341,6 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
     return LevelSetResult(tuple(level), hyp_mass, hyp_l2, lhs, rhs, ok)
 
 
-def weight_energy(f: ScaledFunction) -> Fraction:
-    """The additive energy E(f) of the weights, exactly: the sum of the
-    squares of the autocorrelation of the numerators, over den^4."""
-    corr = convolve(list(f.nums), list(f.nums[::-1]))
-    return Fraction(sum(c * c for c in corr), f.den**4)
-
-
 @dataclass(frozen=True)
 class CountingBoundVerdict:
     """The counting inequality |sum prod f_i| <= N^(s-2) min_i sup|f_i hat|.
@@ -426,8 +417,8 @@ def verify_model_l2(model: DenseModel) -> ModelL2Verdict:
     sum f^2 / N as a rational (its theoretical ceiling has an inexplicit
     constant and is therefore never asserted)."""
     prof_s = model.padded.profile
-    r_b = difference_counts(model.bohr.elements)
-    lhs = sum(c * r_b.get(d, 0) for d, c in prof_s.counts.items())
+    # s1 + b1 = s2 + b2 iff s1 - s2 = b2 - b1: sum_d r_S(d) r_B(d) = sum_n g(n)^2
+    lhs = sum(x * x for x in model.base.nums)
     k = model.padded.size
     b = model.bohr.size
     eta_s2 = max(0, prof_s.energy - 2 * k * k)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -11,7 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sidonlab.cli import main
-from sidonlab.sets import IntegerSet, erdos_turan, read_set_file, write_set_file
+from sidonlab.sets import (
+    IntegerSet,
+    erdos_turan,
+    mian_chowla,
+    read_set_file,
+    write_set_file,
+)
+from sidonlab.spectral import MAX_POINTS
+
+SET_PATH = "<set file>"  # stands for the drawn set file in a drawn argv
+OVERSIZED = [MAX_POINTS + 1, 10**11]
 
 
 def run(capsys, *argv):
@@ -92,7 +103,48 @@ def count_argv(draw):
         argv.append("--distinct")
     if draw(st.booleans()):
         argv.append("--oracle")
-    return argv, draw(st.sampled_from([None, "1", "1000"]))
+    return argv, draw(st.sampled_from([None, "1", "1000"])), None
+
+
+@st.composite
+def set_file_text(draw):
+    """A small set file: empty, singleton, full interval or any subset of
+    [1, N] with N <= 120, sometimes shifted past 2^63, or a malformed one."""
+    n = draw(st.integers(1, 120))
+    elems = draw(st.one_of(st.just(range(1, n + 1)),
+                           st.sets(st.integers(1, n), max_size=n).map(sorted)))
+    shift = draw(st.sampled_from([0, 0, 0, 2**64]))
+    text = f"N {n + shift}\n" + "".join(f"{x + shift}\n" for x in elems)
+    return draw(st.sampled_from([text] * 8 + ["", "N 0\n", "N 5\n3\n2\n", "N x\n"]))
+
+
+# mostly valid radii, then values that are refused or do not parse
+EPS_TEXT = st.sampled_from(["1/2", "1/4", "1/5", "1/10"] * 3
+                           + ["0", "-1/3", "3/5", "2", "x", "1/0"])
+
+
+@st.composite
+def set_argv(draw):
+    """`spectrum` or `model` argv on a drawn set file, with a grid of at most
+    4096 points or one refused by its size alone."""
+    argv = [draw(st.sampled_from(["spectrum", "model"])), "--set", SET_PATH,
+            "--eps", draw(EPS_TEXT)]
+    m = draw(st.one_of(st.none(), st.integers(-2, 4096), st.sampled_from(OVERSIZED)))
+    if m is not None:
+        argv += ["--m", str(m)]
+    return argv, None, draw(set_file_text())
+
+
+@st.composite
+def bohr_argv(draw):
+    """`bohr` argv: up to three frequencies, some malformed; every eps that
+    parses is at least 1/10, so --n 10^11 is refused by its width alone."""
+    freqs = draw(st.lists(st.sampled_from(
+        ["0", "1/2", "1/3", "2/7", "5/12", "7/4096", "1", "-1/3", "x", "1/0"]),
+        max_size=3))
+    argv = ["bohr", *(f"--freq={f}" for f in freqs), "--eps", draw(EPS_TEXT),
+            "--n", str(draw(st.one_of(st.integers(-3, 400), st.just(10**11))))]
+    return argv, None, None
 
 
 class TestCount:
@@ -183,16 +235,22 @@ class TestCount:
         doc = json.loads(stdout)
         assert doc["value_numerator"] == 5 and doc["oracle_agrees"] is True
 
-    @settings(max_examples=150, deadline=None)
-    @given(count_argv())
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(count_argv(), set_argv(), bohr_argv()))
     def test_exit_code_contract(self, drawn):
-        argv, budget = drawn
+        """`count`, `spectrum`, `model` and `bohr` argv all keep the
+        exit-code contract."""
+        argv, budget, set_text = drawn
         out, err = StringIO(), StringIO()
         env = {"SIDONLAB_BUDGET": budget} if budget else {}
-        with redirect_stdout(out), redirect_stderr(err), \
-                mock.patch.dict(os.environ, env):
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), \
+                redirect_stderr(err), mock.patch.dict(os.environ, env):
+            path = os.path.join(tmp, "s.txt")
+            if set_text is not None:
+                with open(path, "w") as fh:
+                    fh.write(set_text)
             try:
-                code = main(argv)
+                code = main([path if a == SET_PATH else a for a in argv])
             except SystemExit as exc:  # argparse refusing the argv
                 code = exc.code
         assert code in (0, 1, 2, 3)
@@ -407,6 +465,30 @@ class TestUsageErrors:
         self.assert_usage_error(
             run(capsys, "count", "--coeffs", "1,1,-2", "--interval", "6",
                 "--oracle"), "SIDONLAB_BUDGET")
+
+    @pytest.mark.parametrize("argv, needle", [
+        (("bohr", "--freq", "1/3", "--eps", "1/4", "--n", str(10**11)), "Bohr width"),
+        (("spectrum", "--set", SET_PATH, "--eps", "1/5", "--m", str(10**11)), "grid size"),
+        (("model", "--set", SET_PATH, "--eps", "1/5", "--m", str(10**11)), "grid size"),
+        (("report", "--set", SET_PATH, "--coeffs", "1,1,1,1,-4", "--eps", "1/5",
+          "--m", str(MAX_POINTS + 1)), "grid size"),
+        (("spectrum", "--set", "wide", "--eps", "1/5"), "grid size"),
+    ])
+    def test_oversized_grid_or_width(self, tmp_path, capsys, monkeypatch, argv, needle):
+        # refused by size before any array; "wide" is {1, 10^14 - 1} in
+        # N = 10^14, whose default grid follows N and whose indicator would
+        # have 10^14 slots
+        sets = {SET_PATH: mian_chowla(13), "wide": IntegerSet((1, 10**14 - 1), 10**14)}
+        if "wide" in argv:
+            monkeypatch.setattr(IntegerSet, "indicator",
+                                lambda self: pytest.fail("indicator built"))
+        path = tmp_path / "s.txt"
+        argv = list(argv)
+        for i, arg in enumerate(argv):
+            if arg in sets:
+                write_set_file(sets[arg], path)
+                argv[i] = str(path)
+        self.assert_usage_error(run(capsys, *argv), needle)
 
     def test_binary_set_file(self, tmp_path, capsys):
         path = tmp_path / "bin.txt"

@@ -90,6 +90,19 @@ class TestScaledFunction:
         assert f.weight_at(2) == Fraction(1, 2)
         assert f.weight_at(3) == Fraction(3, 2)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 6),
+                              st.lists(st.integers(-9, 9), max_size=12)),
+                    min_size=2, max_size=2),
+           st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    def test_add_and_scale_pointwise(self, parts, q):
+        # the per-point Fraction sum is the reference for the slice arithmetic
+        f, g = (ScaledFunction(off, tuple(nums), den, 50) for off, den, nums in parts)
+        total, scaled = f + g, f.scaled_by(q)
+        for x in range(-31, 43):
+            assert total.weight_at(x) == f.weight_at(x) + g.weight_at(x)
+            assert scaled.weight_at(x) == q * f.weight_at(x)
+
     def test_add_scale_mismatch(self):
         a = ScaledFunction.from_weights(0, (1,), 4)
         b = ScaledFunction.from_weights(0, (1,), 9)

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from sidonlab.counting import ScaledFunction
+import sidonlab.spectral as spectral_module
+from sidonlab.counting import ScaledFunction, weight_energy
 from sidonlab.errors import ValidationError
 from sidonlab.sets import IntegerSet, erdos_turan, representation_profile
 from sidonlab.spectral import (
+    MAX_POINTS,
     Spectrum,
+    default_grid,
     dft_magnitudes,
     dft_values,
     energy_via_fourier,
@@ -256,6 +259,47 @@ class TestEnergyViaFourier:
                            for v in rng.choice(n, size=size, replace=False))
             s = IntegerSet(tuple(elems), n)
             assert energy_via_fourier(s) == representation_profile(s).energy
+
+    @pytest.mark.parametrize("s", [IntegerSet((), 5), IntegerSet((3,), 5),
+                                   erdos_turan(7), IntegerSet(tuple(range(1, 30)), 40)])
+    def test_is_the_weight_energy_of_the_indicator(self, s):
+        e = energy_via_fourier(s)
+        assert type(e) is int
+        assert e == weight_energy(ScaledFunction.from_set(s))
+
+
+class TestGridCap:
+    """Grid sizes past MAX_POINTS are refused before any array is made."""
+
+    def test_frontier_grid_admitted(self):
+        # ET(401) padded to 568^2: its default grid and Bohr width fit
+        assert default_grid(568**2) == 1 << 22 <= MAX_POINTS
+        assert 64_525 <= MAX_POINTS
+        assert default_grid(MAX_POINTS // 8) == MAX_POINTS
+
+    @pytest.mark.parametrize("width", [MAX_POINTS // 8 + 1, 10**14])
+    def test_default_grid_refused(self, width):
+        with pytest.raises(ValidationError, match="grid size"):
+            default_grid(width)
+
+    @pytest.mark.parametrize("m", [0, -3, MAX_POINTS + 1, 10**11])
+    def test_dft_values_refused(self, m):
+        with pytest.raises(ValidationError, match="grid size"):
+            dft_values(interval(5), m)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(spectral_module, "MAX_POINTS", 64)
+        assert len(dft_values(interval(5), 64)) == 64
+        with pytest.raises(ValidationError, match="grid size"):
+            dft_values(interval(5), 65)
+
+    def test_default_grid_refused_before_the_indicator(self, monkeypatch):
+        # the indicator of this set would have 10^14 slots
+        s = IntegerSet((1, 99_999_999_999_999), 10**14)
+        monkeypatch.setattr(IntegerSet, "indicator",
+                            lambda self: pytest.fail("indicator built"))
+        with pytest.raises(ValidationError, match="grid size"):
+            large_spectrum(s, Fraction(1, 5))
 
 
 class TestLargeSieve:

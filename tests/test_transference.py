@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+import sidonlab.counting as counting_module
 import sidonlab.transference as transference_module
 
 from sidonlab.counting import (
@@ -14,9 +15,10 @@ from sidonlab.counting import (
     count_solutions,
 )
 from sidonlab.errors import ValidationError
-from sidonlab.spectral import large_spectrum
+from sidonlab.spectral import dft_values, large_spectrum
 from sidonlab.sets import (
     IntegerSet,
+    difference_counts,
     erdos_turan,
     mian_chowla,
     perturb_almost_sidon,
@@ -51,6 +53,21 @@ def interval_fn(n):
     return ScaledFunction.from_interval(1, n, n)
 
 
+def et17_with(start):
+    """ET(17) joined with the numbers of [1, 578] of the parity of start."""
+    et = erdos_turan(17)
+    n = et.ambient_n
+    return IntegerSet(tuple(sorted(set(et.elements) | set(range(start, n + 1, 2)))), n)
+
+
+# (set, eps, |B|): every instance smooths, so B has nonzero differences
+SMOOTHING = [
+    (et17_with(1), Fraction(1, 5), 79),
+    (et17_with(2), Fraction(1, 5), 75),
+    (evens(64), Fraction(1, 4), 17),
+]
+
+
 class TestBohrSet:
     def test_negative_n_rejected(self):
         with pytest.raises(ValidationError, match="n >= 0"):
@@ -64,6 +81,16 @@ class TestBohrSet:
                 bohr_set([0], m, Fraction(1, 4), 10)
             with pytest.raises(ValidationError, match="grid size"):
                 bohr_set([], m, Fraction(1, 4), 10)
+
+    def test_width_cap(self, monkeypatch):
+        # refused before the scan allocates; the grid m itself is a modulus
+        with pytest.raises(ValidationError, match="Bohr width"):
+            bohr_set([1], 3, Fraction(1, 4), 10**11)
+        monkeypatch.setattr(transference_module, "MAX_POINTS", 10)
+        assert bohr_set([1], 3, Fraction(1, 4), 40).width == 10
+        with pytest.raises(ValidationError, match="Bohr width"):
+            bohr_set([1], 3, Fraction(1, 4), 44)
+        assert bohr_set([1], 2**70, Fraction(1, 4), 40).width == 10
 
     def test_indices_reduced_mod_grid(self):
         # k and k + c m name the same frequency, negative k included
@@ -518,6 +545,68 @@ class TestModelL2:
         # lhs equals sum g^2 computed independently
         direct = sum(int(w) ** 2 for w in model.base.weights)
         assert v.lhs == direct
+
+    @staticmethod
+    def joined(model):
+        """The reference route: sum_d r_S(d) r_B(d) over both profiles."""
+        r_s = difference_counts(model.padded.elements)
+        r_b = difference_counts(model.bohr.elements)
+        return sum(c * r_b.get(d, 0) for d, c in r_s.items())
+
+    @pytest.mark.parametrize("s_set, eps, size", SMOOTHING)
+    def test_sum_of_g_squared_is_the_profile_join(self, s_set, eps, size):
+        model = dense_model(s_set, eps)
+        assert model.bohr.size == size
+        v = verify_model_l2(model)
+        assert v.lhs == self.joined(model)
+        assert v.holds
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 90).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(1, n), min_size=1))),
+        st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 5),
+                         Fraction(1, 10)]))
+    def test_sum_of_g_squared_property(self, drawn, eps):
+        n, elems = drawn
+        s_set = IntegerSet(tuple(sorted(elems)), n)
+        try:
+            model = dense_model(s_set, eps)
+        except ValidationError:  # eps above the density of the padded set
+            return
+        assert verify_model_l2(model).lhs == self.joined(model)
+
+
+class TestOneRoute:
+    """Each quantity the dense model certifies is built once; the removed
+    hand-built routes serve as references here."""
+
+    @pytest.mark.parametrize("s_set, eps, size", SMOOTHING)
+    def test_majorant_base_is_the_hand_loop(self, s_set, eps, size):
+        model = dense_model(s_set, eps)
+        nums = list(model.base.nums)
+        for x in model.padded.elements:
+            nums[x - model.base.offset] += size
+        want = ScaledFunction(model.base.offset, tuple(nums), 1, model.n_padded)
+        assert model.majorant_base == want
+
+    @pytest.mark.parametrize("s_set, eps, size", SMOOTHING)
+    def test_measure_spans_the_bohr_set(self, s_set, eps, size):
+        b = dense_model(s_set, eps).bohr
+        mu = b.measure()
+        assert mu.offset == b.elements[0] == -b.elements[-1]
+        assert mu.offset + len(mu.nums) - 1 == b.elements[-1]
+        assert tuple(mu.support()) == b.elements
+        assert (mu.den, mu.mass()) == (size, 1)
+        # the window [-width, width] only adds zeros: the transform is unchanged
+        window = [0] * (2 * b.width + 1)
+        for v in b.elements:
+            window[v + b.width] = 1
+        padded = ScaledFunction(-b.width, tuple(window), b.size, b.ambient_n)
+        for m in (b.grid_m, 97):
+            assert np.array_equal(dft_values(mu, m), dft_values(padded, m))
+
+    def test_weight_energy_has_one_home(self):
+        assert weight_energy is counting_module.weight_energy
 
 
 class TestTransferenceReport:
