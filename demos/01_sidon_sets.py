@@ -9,6 +9,7 @@ the exact rational eta with E(S) = (2 + eta)|S|^2.
 from fractions import Fraction
 
 from sidonlab import (
+    IntegerSet,
     almost_sidon_params,
     erdos_turan,
     is_sidon,
@@ -16,6 +17,7 @@ from sidonlab import (
     perturb_almost_sidon,
     representation_profile,
 )
+from sidonlab.sets import difference_counts
 
 # ---------------------------------------------------------------------------
 # The quadratic-residue construction: p points inside [1, 2p^2], so the
@@ -53,8 +55,9 @@ for extra in (1, 3, 6, 10):
 # The representation profile itself: differences of the progression
 # {1, 2, 3} pile up, which is what pushes its energy to 19 > 15.
 
-prof = representation_profile(mian_chowla(3))
-print(f"\nprofile of {mian_chowla(3).elements}: "
-      f"{dict(sorted(prof.counts.items()))}")
-print(f"repeated nonzero differences carry mass "
-      f"{prof.repeated_difference_sum}")
+ap = IntegerSet((1, 2, 3), 3)
+diffs, counts = difference_counts(ap.elements)
+print(f"\nr_S of {ap.elements}: {dict(zip(diffs.tolist(), counts.tolist()))}")
+prof = representation_profile(ap)
+print(f"E(S) = {prof.energy}, eta |S|^2 = {prof.excess}, repeated nonzero "
+      f"differences carry mass {prof.repeated_difference_sum}")

@@ -46,7 +46,7 @@ import numpy as np
 
 from .convolve import convolve
 from .errors import BudgetExceededError, ValidationError
-from .sets import INT64_SAFE, IntegerSet
+from .sets import INT64_SAFE, IntegerSet, check_span
 
 DEFAULT_BRUTE_BUDGET = 10**9
 MAX_DISTINCT_VARS = 12
@@ -121,9 +121,8 @@ class ScaledFunction:
     def from_interval(cls, lo: int, hi: int, ambient_n: int) -> "ScaledFunction":
         if hi < lo:
             raise ValidationError("empty interval")
-        if hi - lo + 1 > sys.maxsize:
-            raise ValidationError(f"interval [{lo}, {hi}] is too long to index")
-        return cls(lo, (1,) * (hi - lo + 1), 1, ambient_n)
+        return cls(lo, (1,) * check_span(hi - lo + 1, f"interval [{lo}, {hi}]"), 1,
+                   ambient_n)
 
     @property
     def weights(self) -> tuple[Rational, ...]:

@@ -22,9 +22,16 @@ import numpy as np
 
 from .errors import ValidationError
 
-BLOCK_PAIRS = 2**20  # most pairs one numpy block of difference_counts holds
+BLOCK_PAIRS = 2**20  # most pairs one numpy block holds in convolve._pairs and bohr_set
 # int64 arithmetic is exact while every value and partial sum stays below this
 INT64_SAFE = 1 << 62
+# the most ordered pairs |S|^2 (so |S| <= 4096) one profile takes, refused first
+MAX_PAIRS = 1 << 24
+# the most points one dense array (an indicator's span, an interval, a
+# perturbation's pool, a grid m, a Bohr width) may have, refused before it is
+# made: a complex128 grid of 2^23 points takes 128 MiB; the ET(401) report at
+# eps 1/5 needs m = 2^22 and width 64,525
+MAX_POINTS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -66,11 +73,12 @@ class IntegerSet:
         return i < len(self.elements) and self.elements[i] == x
 
     def indicator(self) -> tuple[list[int], int]:
-        """Dense 0/1 weight list over [min(S), max(S)] and its offset."""
+        """Dense 0/1 weight list over [min(S), max(S)] and its offset; a span
+        past MAX_POINTS is refused before the list is made."""
         if not self.elements:
             return [], 0
         lo, hi = self.elements[0], self.elements[-1]
-        w = [0] * (hi - lo + 1)
+        w = [0] * check_span(hi - lo + 1, f"the indicator of S on [{lo}, {hi}]")
         for x in self.elements:
             w[x - lo] = 1
         return w, lo
@@ -83,25 +91,18 @@ class IntegerSet:
 
 @dataclass(frozen=True)
 class RepresentationProfile:
-    """The difference-representation counts r_S(n) and the energy E(S).
+    """What the almost-Sidon hypothesis reads of the differences of S.
 
-    `counts` maps each difference n with r_S(n) > 0 to the number of ordered
-    pairs (n1, n2) in S^2 with n1 - n2 = n; differences not present have
-    count zero.  `energy` is the exact sum of the squared counts.  One
-    profile per set is cached as IntegerSet.profile and shared by every
-    reader, so `counts` must not be mutated.
+    With r_S(n) the number of ordered pairs (n1, n2) in S^2 with
+    n1 - n2 = n: `energy` is E(S) = sum r_S(n)^2, `excess` is
+    eta |S|^2 = max(0, E(S) - 2|S|^2), and `repeated_difference_sum` is the
+    sum of r_S(n) over nonzero n with r_S(n) > 1.  One profile per set is
+    cached as IntegerSet.profile.
     """
 
-    counts: dict[int, int]
     energy: int
-
-    def count(self, n: int) -> int:
-        return self.counts.get(n, 0)
-
-    @property
-    def repeated_difference_sum(self) -> int:
-        """Sum of r_S(n) over nonzero n with r_S(n) > 1."""
-        return sum(v for n, v in self.counts.items() if n != 0 and v > 1)
+    excess: int
+    repeated_difference_sum: int
 
 
 @dataclass(frozen=True)
@@ -181,25 +182,32 @@ def mian_chowla(k: int) -> IntegerSet:
     return IntegerSet(tuple(elems), elems[-1])
 
 
-def difference_counts(elems) -> dict[int, int]:
-    """Ordered-pair counts #{(x, y) in elems^2 : x - y = d} by np.unique on blocks
-    of at most BLOCK_PAIRS differences; int64 below INT64_SAFE, else Python ints."""
-    counts: dict[int, int] = {}
+def check_span(points: int, what: str) -> int:
+    """points itself, refused past MAX_POINTS (before any array)."""
+    if points > MAX_POINTS:
+        raise ValidationError(
+            f"{what} of {points} points is too long to index (the cap is {MAX_POINTS})")
+    return points
+
+
+def difference_counts(elems) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct differences x - y over elems^2 and how many ordered
+    pairs give each, by one np.unique; int64 below INT64_SAFE, else Python
+    ints.  More than MAX_PAIRS pairs are refused before any array is made."""
+    if len(elems) ** 2 > MAX_PAIRS:
+        raise ValidationError(
+            f"{len(elems)}^2 difference pairs are past the cap of {MAX_PAIRS}")
     big = bool(elems) and max(map(abs, elems)) >= INT64_SAFE
     arr = np.array(elems, dtype=object if big else np.int64)
-    rows = max(1, BLOCK_PAIRS // max(1, len(arr)))
-    for i in range(0, len(arr), rows):
-        diffs, mult = np.unique(np.subtract.outer(arr[i:i + rows], arr),
-                                return_counts=True)
-        for d, c in zip(diffs.tolist(), mult.tolist()):
-            counts[d] = counts.get(d, 0) + c
-    return counts
+    return np.unique(np.subtract.outer(arr, arr), return_counts=True)
 
 
 def representation_profile(s: IntegerSet) -> RepresentationProfile:
-    """All difference counts r_S(n) and the energy E(S) = sum r_S(n)^2."""
-    counts = difference_counts(s.elements)
-    return RepresentationProfile(counts, sum(v * v for v in counts.values()))
+    """E(S), eta |S|^2 and the repeated-difference sum from one np.unique."""
+    diffs, r = difference_counts(s.elements)
+    energy, k = int(r @ r), s.size
+    return RepresentationProfile(energy, max(0, energy - 2 * k * k),
+                                 int(r[(r > 1) & (diffs != 0)].sum()))
 
 
 def is_sidon(s: IntegerSet) -> bool:
@@ -216,7 +224,7 @@ def almost_sidon_params(s: IntegerSet) -> AlmostSidonParams:
     if s.size == 0:
         raise ValidationError("almost_sidon_params requires a nonempty set")
     k = s.size
-    eta = max(Fraction(0), Fraction(s.profile.energy, k * k) - 2)
+    eta = Fraction(s.profile.excess, k * k)
     delta = min(Fraction(1), Fraction(k, ceil_sqrt(s.ambient_n)))
     return AlmostSidonParams(eta, delta)
 
@@ -247,7 +255,8 @@ def perturb_almost_sidon(s: IntegerSet, extra: int, seed: int) -> IntegerSet:
     if extra == 0:
         return s
     present = set(s.elements)
-    pool = [n for n in range(1, s.ambient_n + 1) if n not in present]
+    pool = [n for n in range(1, check_span(s.ambient_n, "the candidate pool") + 1)
+            if n not in present]
     picks = []
     for _ in range(extra):
         j = int(rng.integers(0, len(pool)))

@@ -17,18 +17,13 @@ import numpy as np
 
 from .counting import ScaledFunction, weight_energy
 from .errors import ValidationError
-from .sets import IntegerSet, almost_sidon_params
+from .sets import MAX_POINTS, IntegerSet, almost_sidon_params
 
 # absolute slack, times |S|, used when comparing float magnitudes against
 # the rational threshold eps * |S|
 THRESHOLD_TOL = 1e-9
 # grid points per unit of support width in sup_norm_estimate
 OVERSAMPLE = 8
-# the most points one grid (m) or one side of a Bohr scan (its width) may
-# have, refused before any array is made: a complex128 grid of 2^23 points
-# takes 128 MiB, and the ET(401) report at eps 1/5 needs m = 2^22 and
-# width 64,525
-MAX_POINTS = 1 << 23
 
 
 @dataclass(frozen=True)

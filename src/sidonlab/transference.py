@@ -28,9 +28,8 @@ import numpy as np
 from .convolve import convolve
 from .counting import EquationCoeffs, ScaledFunction, count_solutions, weight_energy
 from .errors import ValidationError
-from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, almost_sidon_params
+from .sets import BLOCK_PAIRS, INT64_SAFE, MAX_POINTS, IntegerSet, almost_sidon_params
 from .spectral import (
-    MAX_POINTS,
     OVERSAMPLE,
     Spectrum,
     _spectrum_from_magnitudes,
@@ -264,11 +263,8 @@ def verify_repeated_difference_bound(s_set: IntegerSet) -> InequalityVerdict:
     This is a theorem for every finite set, so `holds` can only be False if
     the implementation is wrong.
     """
-    profile = s_set.profile
-    k = s_set.size
-    lhs = profile.repeated_difference_sum
-    # eta |S|^2 = max(0, E - 2|S|^2) exactly
-    rhs = max(0, profile.energy - 2 * k * k) + k
+    lhs = s_set.profile.repeated_difference_sum
+    rhs = s_set.profile.excess + s_set.size
     return InequalityVerdict(
         name="repeated_difference_bound",
         lhs=Fraction(lhs),
@@ -416,13 +412,11 @@ def verify_model_l2(model: DenseModel) -> ModelL2Verdict:
     """Exact autocorrelation bound for the model; also reports
     sum f^2 / N as a rational (its theoretical ceiling has an inexplicit
     constant and is therefore never asserted)."""
-    prof_s = model.padded.profile
     # s1 + b1 = s2 + b2 iff s1 - s2 = b2 - b1: sum_d r_S(d) r_B(d) = sum_n g(n)^2
     lhs = sum(x * x for x in model.base.nums)
     k = model.padded.size
     b = model.bohr.size
-    eta_s2 = max(0, prof_s.energy - 2 * k * k)
-    rhs = b * b + (eta_s2 + 2 * k) * b
+    rhs = b * b + (model.padded.profile.excess + 2 * k) * b
     return ModelL2Verdict(
         lhs=lhs,
         rhs=rhs,

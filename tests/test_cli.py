@@ -6,23 +6,30 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from math import isqrt
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sidonlab.sets as sets_module
 from sidonlab.cli import main
 from sidonlab.sets import (
+    MAX_PAIRS,
+    MAX_POINTS,
     IntegerSet,
     erdos_turan,
+    format_set_file,
     mian_chowla,
     read_set_file,
     write_set_file,
 )
-from sidonlab.spectral import MAX_POINTS
 
 SET_PATH = "<set file>"  # stands for the drawn set file in a drawn argv
+OUT_PATH = "<out file>"  # stands for a fresh output path in a drawn argv
 OVERSIZED = [MAX_POINTS + 1, 10**11]
+# F = {1, 10^14 - 1} in N = 10^14: a two-point set whose span is past MAX_POINTS
+WIDE = IntegerSet((1, 10**14 - 1), 10**14)
 
 
 def run(capsys, *argv):
@@ -90,37 +97,48 @@ class TestEnergy:
 @st.composite
 def count_argv(draw):
     """`count` argv and an optional SIDONLAB_BUDGET: one to four
-    coefficients (zero allowed), an interval span, --distinct and --oracle.
-    Every |a_i| * span stays under 10^4, so no draw allocates a long list;
-    the tests above cover values past 2^63."""
-    span = draw(st.integers(-2, 60))
+    coefficients (zero allowed), an interval span or a drawn set file,
+    --distinct and --oracle.  Every |a_i| * span stays under 10^4 (set files
+    span at most 120 or are refused), so no draw allocates a long list; the
+    tests above cover values past 2^63."""
+    choice = draw(st.integers(0, 5))  # mostly an interval, seldom a set file
+    span = draw(st.integers(-2, 60)) if choice > 1 else 120
     cap = 10**4 // max(span, 1)
     coeffs = draw(st.lists(st.integers(-cap, cap), min_size=1, max_size=4))
     argv = ["count", "--coeffs=" + ",".join(map(str, coeffs))]
-    if draw(st.integers(0, 4)):  # mostly an interval, seldom --distinct
+    set_text = None
+    if choice > 1:
         argv += ["--interval", str(span)]
+    elif choice:
+        argv += ["--sets", SET_PATH]
+        set_text = draw(set_file_text())
     if not draw(st.integers(0, 4)):
         argv.append("--distinct")
     if draw(st.booleans()):
         argv.append("--oracle")
-    return argv, draw(st.sampled_from([None, "1", "1000"])), None
+    return argv, draw(st.sampled_from([None, "1", "1000"])), set_text
 
 
 @st.composite
 def set_file_text(draw):
     """A small set file: empty, singleton, full interval or any subset of
-    [1, N] with N <= 120, sometimes shifted past 2^63, or a malformed one."""
+    [1, N] with N <= 120, sometimes shifted past 2^63, a few points spanning
+    past MAX_POINTS, or a malformed one."""
     n = draw(st.integers(1, 120))
     elems = draw(st.one_of(st.just(range(1, n + 1)),
                            st.sets(st.integers(1, n), max_size=n).map(sorted)))
     shift = draw(st.sampled_from([0, 0, 0, 2**64]))
     text = f"N {n + shift}\n" + "".join(f"{x + shift}\n" for x in elems)
-    return draw(st.sampled_from([text] * 8 + ["", "N 0\n", "N 5\n3\n2\n", "N x\n"]))
+    wide = [format_set_file(WIDE), f"N {MAX_POINTS + 1}\n1\n2\n{MAX_POINTS + 1}\n"]
+    return draw(st.sampled_from([text] * 8 + wide
+                                + ["", "N 0\n", "N 5\n3\n2\n", "N x\n"]))
 
 
 # mostly valid radii, then values that are refused or do not parse
 EPS_TEXT = st.sampled_from(["1/2", "1/4", "1/5", "1/10"] * 3
                            + ["0", "-1/3", "3/5", "2", "x", "1/0"])
+# a grid of at most 4096 points or one refused by its size alone
+GRID = st.one_of(st.none(), st.integers(-2, 4096), st.sampled_from(OVERSIZED))
 
 
 @st.composite
@@ -129,10 +147,59 @@ def set_argv(draw):
     4096 points or one refused by its size alone."""
     argv = [draw(st.sampled_from(["spectrum", "model"])), "--set", SET_PATH,
             "--eps", draw(EPS_TEXT)]
-    m = draw(st.one_of(st.none(), st.integers(-2, 4096), st.sampled_from(OVERSIZED)))
+    m = draw(GRID)
     if m is not None:
         argv += ["--m", str(m)]
     return argv, None, draw(set_file_text())
+
+
+@st.composite
+def construct_argv(draw):
+    """`construct` argv: small primes, and 4099 and 10007 whose profiles are
+    refused by their pair count alone; short greedy prefixes; perturbations
+    of a drawn set file, refused past MAX_POINTS before the pool is made."""
+    kind = draw(st.sampled_from(["erdos-turan", "mian-chowla", "perturb"]))
+    options = [("--p", st.sampled_from([-1, 2, 4, 13, 31, 4099, 10007])),
+               ("--k", st.integers(-1, 30)), ("--in", st.just(SET_PATH)),
+               ("--extra", st.integers(-1, 5)),
+               ("--seed", st.sampled_from([-1, 0, 7, 2**128 - 1, 2**128])),
+               ("--out", st.just(OUT_PATH))]
+    # an option the kind reads is given three times in four, any other once
+    reads = {"erdos-turan": ["--p"], "mian-chowla": ["--k"],
+             "perturb": ["--in", "--extra", "--seed"]}[kind] + ["--out"]
+    argv = ["construct", kind]
+    for flag, values in options:
+        if draw(st.integers(0, 3)) < (3 if flag in reads else 1):
+            argv += [flag, str(draw(values))]
+    return argv, None, draw(set_file_text())
+
+
+@st.composite
+def report_argv(draw):
+    """`energy` or `report` argv on a drawn set file."""
+    if not draw(st.integers(0, 3)):
+        return ["energy", "--set", SET_PATH], None, draw(set_file_text())
+    argv = ["report", "--set", SET_PATH, "--coeffs",
+            draw(st.sampled_from(["1,1,1,1,-4"] * 3 + ["1,1,1,-1,-2", "1,2,3,4,-10",
+                                                       "1,1,-2", "1,1,1,1,1", "1,x"])),
+            "--eps", draw(EPS_TEXT)]
+    m = draw(GRID)
+    if m is not None:
+        argv += ["--m", str(m)]
+    if draw(st.booleans()):
+        argv += ["--fourier-c", str(draw(st.integers(-2, 20)))]
+    return argv, None, draw(set_file_text())
+
+
+@st.composite
+def verify_argv(draw):
+    """`verify` argv: every suite name and a bad one, at most two trials,
+    seeds at and past both ends of the Philox key range."""
+    argv = ["verify", draw(st.sampled_from(["lemmas", "counting", "model", "all", "x"])),
+            "--trials", str(draw(st.integers(-1, 2)))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.sampled_from([-1, 0, 3, 2**128 - 1, 2**128])))]
+    return argv, None, None
 
 
 @st.composite
@@ -235,22 +302,24 @@ class TestCount:
         doc = json.loads(stdout)
         assert doc["value_numerator"] == 5 and doc["oracle_agrees"] is True
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(count_argv(), set_argv(), bohr_argv()))
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(count_argv(), set_argv(), bohr_argv(), construct_argv(),
+                     report_argv(), verify_argv()))
     def test_exit_code_contract(self, drawn):
-        """`count`, `spectrum`, `model` and `bohr` argv all keep the
-        exit-code contract."""
+        """`construct`, `energy`, `count`, `spectrum`, `bohr`, `model`,
+        `verify` and `report` argv all keep the exit-code contract."""
         argv, budget, set_text = drawn
         out, err = StringIO(), StringIO()
         env = {"SIDONLAB_BUDGET": budget} if budget else {}
         with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), \
                 redirect_stderr(err), mock.patch.dict(os.environ, env):
-            path = os.path.join(tmp, "s.txt")
+            paths = {SET_PATH: os.path.join(tmp, "s.txt"),
+                     OUT_PATH: os.path.join(tmp, "out.txt")}
             if set_text is not None:
-                with open(path, "w") as fh:
+                with open(paths[SET_PATH], "w") as fh:
                     fh.write(set_text)
             try:
-                code = main([path if a == SET_PATH else a for a in argv])
+                code = main([paths.get(a, a) for a in argv])
             except SystemExit as exc:  # argparse refusing the argv
                 code = exc.code
         assert code in (0, 1, 2, 3)
@@ -478,7 +547,7 @@ class TestUsageErrors:
         # refused by size before any array; "wide" is {1, 10^14 - 1} in
         # N = 10^14, whose default grid follows N and whose indicator would
         # have 10^14 slots
-        sets = {SET_PATH: mian_chowla(13), "wide": IntegerSet((1, 10**14 - 1), 10**14)}
+        sets = {SET_PATH: mian_chowla(13), "wide": WIDE}
         if "wide" in argv:
             monkeypatch.setattr(IntegerSet, "indicator",
                                 lambda self: pytest.fail("indicator built"))
@@ -489,6 +558,42 @@ class TestUsageErrors:
                 write_set_file(sets[arg], path)
                 argv[i] = str(path)
         self.assert_usage_error(run(capsys, *argv), needle)
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--set", SET_PATH, "--eps", "1/5", "--m", "64"),
+        ("count", "--coeffs", "1,-1", "--sets", SET_PATH),
+        ("count", "--coeffs", "1,1,-2", "--sets", SET_PATH, "--distinct"),
+        ("count", "--coeffs", "1,-1", "--interval", str(10**11)),
+    ])
+    def test_span_past_the_cap(self, tmp_path, capsys, argv):
+        # the set file is WIDE; each dense list would have about 10^11 or
+        # 10^14 slots, and is refused by its span before it is made
+        path = tmp_path / "s.txt"
+        write_set_file(WIDE, path)
+        argv = [str(path) if a == SET_PATH else a for a in argv]
+        self.assert_usage_error(run(capsys, *argv), "too long to index")
+
+    def test_wide_set_energy(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        write_set_file(WIDE, path)
+        code, stdout, _ = run(capsys, "energy", "--set", str(path))
+        assert code == 0
+        assert json.loads(stdout)["energy"] == 6
+
+    @pytest.mark.parametrize("argv", [
+        ("energy", "--set", SET_PATH),
+        ("construct", "erdos-turan", "--p", "4099"),
+        ("construct", "erdos-turan", "--p", "10007"),
+    ])
+    def test_profile_past_the_pair_cap(self, tmp_path, capsys, monkeypatch, argv):
+        # |S| = 4097, 4099 or 10007 is refused by |S|^2 alone: sets reaches
+        # numpy only to build the difference arrays
+        path = tmp_path / "s.txt"
+        k = isqrt(MAX_PAIRS) + 1
+        write_set_file(IntegerSet(tuple(range(1, k + 1)), k), path)
+        monkeypatch.setattr(sets_module, "np", None)
+        argv = [str(path) if a == SET_PATH else a for a in argv]
+        self.assert_usage_error(run(capsys, *argv), "difference pairs")
 
     def test_binary_set_file(self, tmp_path, capsys):
         path = tmp_path / "bin.txt"

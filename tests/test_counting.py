@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sidonlab.counting as counting_module
+import sidonlab.sets as sets_module
 
 from sidonlab.counting import (
     EquationCoeffs,
@@ -132,6 +133,12 @@ class TestScaledFunction:
     def test_interval_past_an_index_refused(self):
         with pytest.raises(ValidationError, match="index"):
             ScaledFunction.from_interval(1, 10**20, 10**20)
+
+    def test_interval_past_the_span_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(sets_module, "MAX_POINTS", 4)
+        assert ScaledFunction.from_interval(2, 5, 5).nums == (1, 1, 1, 1)
+        with pytest.raises(ValidationError, match="too long to index"):
+            ScaledFunction.from_interval(1, 5, 5)
 
     def test_float_offset_and_ambient_refused(self):
         # a float offset used to surface later as a raw slicing TypeError

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import isqrt
 from hypothesis import given, settings, strategies as st
 
 import sidonlab.sets as sets_module
@@ -67,6 +68,12 @@ class TestIntegerSet:
         w, off = s.indicator()
         assert off == 2
         assert [off + j for j, v in enumerate(w) if v] == [2, 5, 9]
+
+    def test_indicator_past_the_span_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(sets_module, "MAX_POINTS", 4)
+        assert IntegerSet((1, 4), 4).indicator() == ([1, 0, 0, 1], 1)
+        with pytest.raises(ValidationError, match="too long to index"):
+            IntegerSet((1, 5), 5).indicator()
 
     def test_padding(self):
         assert IntegerSet((1,), 242).padded_to_square().ambient_n == 256
@@ -177,81 +184,110 @@ class TestMianChowla:
             mian_chowla(0)
 
 
-class TestRepresentationProfile:
-    def test_two_elements(self):
-        p = representation_profile(IntegerSet((1, 2), 2))
-        assert p.count(0) == 2 and p.count(1) == 1 and p.count(-1) == 1
-        assert p.energy == 6
-
-    def test_sidon_triple(self):
-        p = representation_profile(IntegerSet((1, 2, 4), 4))
-        assert p.count(0) == 3
-        assert all(p.count(d) == 1 for d in (1, 2, 3, -1, -2, -3))
-        assert p.energy == 15
-
-    def test_progression_triple(self):
-        p = representation_profile(IntegerSet((1, 2, 3), 3))
-        assert p.count(0) == 3 and p.count(1) == 2 and p.count(2) == 1
-        assert p.energy == 19
-
-    def test_invariants_random(self):
-        rng = np.random.Generator(np.random.Philox(key=101))
-        for _ in range(25):
-            s = random_set(rng)
-            p = representation_profile(s)
-            k = s.size
-            assert p.count(0) == k
-            assert sum(p.counts.values()) == k * k
-            assert all(p.count(-n) == p.count(n) for n in p.counts)
-            assert p.energy == brute_energy(s.elements)
+def as_dict(diffs, counts):
+    """difference_counts arrays as {difference: count}, Python ints."""
+    return dict(zip(diffs.tolist(), counts.tolist()))
 
 
 def pair_counter(elems):
     return dict(Counter(x - y for x in elems for y in elems))
 
 
+def pair_profile(elems):
+    """(energy, excess, repeated sum) from a Counter over explicit pairs."""
+    r = pair_counter(elems)
+    k = len(elems)
+    energy = sum(v * v for v in r.values())
+    return (energy, max(0, energy - 2 * k * k),
+            sum(v for d, v in r.items() if d != 0 and v > 1))
+
+
+def fields(p):
+    return p.energy, p.excess, p.repeated_difference_sum
+
+
+class TestRepresentationProfile:
+    def test_two_elements(self):
+        assert as_dict(*difference_counts((1, 2))) == {-1: 1, 0: 2, 1: 1}
+        p = representation_profile(IntegerSet((1, 2), 2))
+        assert fields(p) == (6, 0, 0)
+
+    def test_sidon_triple(self):
+        r = as_dict(*difference_counts((1, 2, 4)))
+        assert r[0] == 3
+        assert all(r[d] == 1 for d in (1, 2, 3, -1, -2, -3)) and len(r) == 7
+        assert fields(representation_profile(IntegerSet((1, 2, 4), 4))) == (15, 0, 0)
+
+    def test_progression_triple(self):
+        r = as_dict(*difference_counts((1, 2, 3)))
+        assert r == {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1}
+        # E = 19 = 2 * 3^2 + 1, and the repeated differences +-1 carry 2 + 2
+        assert fields(representation_profile(IntegerSet((1, 2, 3), 3))) == (19, 1, 4)
+
+    def test_invariants_random(self):
+        rng = np.random.Generator(np.random.Philox(key=101))
+        for _ in range(25):
+            s = random_set(rng)
+            diffs, counts = difference_counts(s.elements)
+            k = s.size
+            r = as_dict(diffs, counts)
+            assert r[0] == k
+            assert counts.sum() == k * k
+            assert (diffs == -diffs[::-1]).all() and (counts == counts[::-1]).all()
+            p = representation_profile(s)
+            assert p.energy == brute_energy(s.elements)
+            assert p.excess == max(0, p.energy - 2 * k * k)
+            assert fields(p) == pair_profile(s.elements)
+
+
 class TestDifferenceCountProperties:
-    """The numpy block counter against a Counter over explicit pairs."""
+    """The one-np.unique profile against a Counter over explicit pairs."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([40, 2**62 + 40, 2**70]), st.data(), st.integers(1, 40))
-    def test_profile_against_pairs(self, n, data, block):
-        # elements up to 2^70 (Python-int route) and block sizes from one
-        # row per block up to every row at once
+    @given(st.sampled_from([40, 2**62 + 40, 2**70]), st.data())
+    def test_profile_against_pairs(self, n, data):
+        # elements up to 2^70 take the Python-int route
         elems = data.draw(st.sets(st.integers(max(1, n - 200), n) | st.integers(1, 40),
                                   max_size=25))
         s = IntegerSet(tuple(sorted(elems)), n)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sets_module, "BLOCK_PAIRS", block)
-            p = representation_profile(s)
-        want = pair_counter(s.elements)
-        assert p.counts == want
-        assert p.energy == sum(v * v for v in want.values())
+        assert fields(representation_profile(s)) == pair_profile(s.elements)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.integers(-2**64, 2**64) | st.integers(-30, 30)
-                   | st.sampled_from([2**62, -2**62, 2**62 - 1, 1 - 2**62]), max_size=20),
-           st.integers(1, 30))
-    def test_signed_elements(self, elems, block):
+                   | st.sampled_from([2**62, -2**62, 2**62 - 1, 1 - 2**62]), max_size=20))
+    def test_signed_elements(self, elems):
         # Bohr sets are symmetric: x - y may double the largest |element|
         elems = tuple(sorted(elems))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sets_module, "BLOCK_PAIRS", block)
-            assert difference_counts(elems) == pair_counter(elems)
+        diffs, counts = difference_counts(elems)
+        assert diffs.tolist() == sorted(pair_counter(elems))
+        assert as_dict(diffs, counts) == pair_counter(elems)
 
     def test_empty_and_singleton(self):
-        assert representation_profile(IntegerSet((), 5)).counts == {}
-        assert representation_profile(IntegerSet((), 5)).energy == 0
-        p = representation_profile(IntegerSet((2**63,), 2**63))
-        assert p.counts == {0: 1} and p.energy == 1
+        diffs, counts = difference_counts(())
+        assert diffs.size == counts.size == 0
+        assert fields(representation_profile(IntegerSet((), 5))) == (0, 0, 0)
+        assert as_dict(*difference_counts((2**63,))) == {0: 1}
+        assert fields(representation_profile(IntegerSet((2**63,), 2**63))) == (1, 0, 0)
 
-    def test_interval_spans_row_blocks(self):
-        # 1100^2 pairs exceed BLOCK_PAIRS, so the rows come in two blocks
+    def test_interval_exact(self):
+        # [1, 1100]: r(d) = k - |d| for |d| < k, 1.21 million pairs
         k = 1100
-        assert k * k > sets_module.BLOCK_PAIRS
+        diffs, counts = difference_counts(tuple(range(1, k + 1)))
+        assert diffs.tolist() == list(range(1 - k, k))
+        assert counts.tolist() == [k - abs(d) for d in range(1 - k, k)]
+        energy = sum((k - abs(d)) ** 2 for d in range(1 - k, k))
         p = representation_profile(IntegerSet(tuple(range(1, k + 1)), k))
-        assert p.counts == {d: k - abs(d) for d in range(1 - k, k)}
-        assert p.energy == sum((k - abs(d)) ** 2 for d in range(1 - k, k))
+        # every nonzero difference repeats but +-(k - 1), which occur once
+        assert fields(p) == (energy, energy - 2 * k * k, k * k - k - 2)
+
+    def test_pairs_past_the_cap_refused(self, monkeypatch):
+        # refused by |S| alone: sets reaches numpy only to build the arrays
+        monkeypatch.setattr(sets_module, "np", None)
+        k = isqrt(sets_module.MAX_PAIRS) + 1
+        with pytest.raises(ValidationError, match="difference pairs"):
+            difference_counts(tuple(range(k)))
+        with pytest.raises(ValidationError, match="difference pairs"):
+            IntegerSet(tuple(range(1, k + 1)), k).profile
 
 
 class TestIsSidon:
@@ -309,6 +345,13 @@ class TestPerturb:
     def test_no_room(self):
         with pytest.raises(ValidationError):
             perturb_almost_sidon(IntegerSet((1, 2), 3), 2, seed=0)
+
+    def test_pool_past_the_span_cap_refused(self):
+        # the pool would list every free point of [1, N]; extra = 0 draws none
+        s = IntegerSet((1, 10**14 - 1), 10**14)
+        assert perturb_almost_sidon(s, 0, seed=1) is s
+        with pytest.raises(ValidationError, match="too long to index"):
+            perturb_almost_sidon(s, 1, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     @pytest.mark.parametrize("extra", [0, 2])
