@@ -238,7 +238,7 @@ def _cmd_bohr(args) -> int:
         "size_bound": _int_bound_dict(verdict),
     }
     _emit_json(doc)
-    return EXIT_OK
+    return EXIT_OK if verdict.holds else EXIT_VERDICT_FAILURE
 
 
 def _model_fields(model) -> dict:
@@ -267,7 +267,7 @@ def _cmd_model(args) -> int:
         "size_bound": _int_bound_dict(model.size_bound),
     }
     _emit_json(doc)
-    return EXIT_OK if model.diagnostics.mass_identity_holds else EXIT_VERDICT_FAILURE
+    return EXIT_OK if model.theorem_verdicts_hold else EXIT_VERDICT_FAILURE
 
 
 def _cmd_verify(args) -> int:
@@ -364,8 +364,9 @@ def _cmd_bench(args) -> int:
     if any(n <= 0 for n in sizes):
         raise ValidationError("sizes must be positive")
     cfg = _config(args, ["sizes", "coeffs"])
-    print(f"# schema=1 config={json.dumps(cfg, sort_keys=True)}")
-    print("N\tfast_ms\tbrute_ms\tspeedup")
+    # the table is printed whole, so a refused size leaves stdout empty
+    rows = [f"# schema=1 config={json.dumps(cfg, sort_keys=True)}",
+            "N\tfast_ms\tbrute_ms\tspeedup"]
     for n in sizes:
         fns = [ScaledFunction.from_interval(1, n, n)] * eq.s
         t0 = time.perf_counter()
@@ -376,12 +377,14 @@ def _cmd_bench(args) -> int:
             slow = brute_force_count(eq, fns)
             brute_ms = (time.perf_counter() - t0) * 1e3
             if slow.value != fast.value:
+                print("\n".join(rows))
                 print(f"# MISMATCH at N={n}", file=sys.stderr)
                 return EXIT_VERDICT_FAILURE
             speed = brute_ms / fast_ms if fast_ms > 0 else float("inf")
-            print(f"{n}\t{fast_ms:.3f}\t{brute_ms:.3f}\t{speed:.2f}")
+            rows.append(f"{n}\t{fast_ms:.3f}\t{brute_ms:.3f}\t{speed:.2f}")
         except BudgetExceededError:
-            print(f"{n}\t{fast_ms:.3f}\tskipped\tskipped")
+            rows.append(f"{n}\t{fast_ms:.3f}\tskipped\tskipped")
+    print("\n".join(rows))
     return EXIT_OK
 
 

@@ -33,7 +33,6 @@ touches the convolution engine.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -98,7 +97,7 @@ class ScaledFunction:
         if den < 1 or self.ambient_n < 1:
             raise ValidationError(
                 f"den and ambient_n must be positive, got {den}, {self.ambient_n}")
-        g = gcd(den, *nums)
+        g = gcd(den, *nums) if den > 1 else 1
         object.__setattr__(self, "nums", tuple(x // g for x in nums) if g > 1 else nums)
         object.__setattr__(self, "den", den // g)
 
@@ -211,15 +210,13 @@ class SolutionCount:
 
 
 def _dilate(ints, offset: int, a: int) -> tuple[list[int], int]:
-    """Place ints[j] (value at x = offset + j) at lattice point a * x."""
+    """Place ints[j] (value at x = offset + j) at lattice point a * x; the
+    |a| (n - 1) + 1 slots are refused past MAX_POINTS before the list is made."""
     n = len(ints)
     if a == 0:
         return [sum(ints)], 0
     mag = abs(a)
-    length = mag * (n - 1) + 1
-    if length > sys.maxsize:
-        raise ValidationError(f"dilating by {a} needs {length} slots, past an index")
-    out = [0] * length
+    out = [0] * check_span(mag * (n - 1) + 1, f"the dilation by {a}")
     out[::mag] = ints if a > 0 else ints[::-1]
     return out, a * (offset if a > 0 else offset + n - 1)
 

@@ -28,9 +28,10 @@ INT64_SAFE = 1 << 62
 # the most ordered pairs |S|^2 (so |S| <= 4096) one profile takes, refused first
 MAX_PAIRS = 1 << 24
 # the most points one dense array (an indicator's span, an interval, a
-# perturbation's pool, a grid m, a Bohr width) may have, refused before it is
-# made: a complex128 grid of 2^23 points takes 128 MiB; the ET(401) report at
-# eps 1/5 needs m = 2^22 and width 64,525
+# dilation, a perturbation's pool, an Erdos-Turan set, a grid m, a Bohr width)
+# may have, refused by check_span before it is made: a complex128 grid of
+# 2^23 points takes 128 MiB; the ET(401) report at eps 1/5 needs m = 2^22
+# and width 64,525
 MAX_POINTS = 1 << 23
 
 
@@ -125,36 +126,18 @@ def ceil_sqrt(n: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, valid for all 64-bit inputs
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division: erdos_turan admits only p <= MAX_POINTS, so d <= 2,896
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def erdos_turan(p: int) -> IntegerSet:
     """Dense Sidon set {2pa + (a^2 mod p) + 1 : 0 <= a < p} in [1, 2p^2].
 
     Requires p prime.  The set has p elements, so its density against the
-    ambient length 2p^2 is p / sqrt(2p^2) = 2^(-1/2).
+    ambient length 2p^2 is p / sqrt(2p^2) = 2^(-1/2); p past MAX_POINTS is
+    refused before the primality test.
     """
-    if not _is_prime(p):
+    if not _is_prime(check_span(p, "the Erdos-Turan set")):
         raise ValidationError(f"erdos_turan requires a prime, got {p}")
     elems = sorted(2 * p * a + (a * a % p) + 1 for a in range(p))
     return IntegerSet(tuple(elems), 2 * p * p)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .counting import ScaledFunction, weight_energy
 from .errors import ValidationError
-from .sets import MAX_POINTS, IntegerSet, almost_sidon_params
+from .sets import IntegerSet, almost_sidon_params, check_span
 
 # absolute slack, times |S|, used when comparing float magnitudes against
 # the rational threshold eps * |S|
@@ -80,10 +80,11 @@ def dft_magnitudes(f: ScaledFunction, m: int) -> np.ndarray:
 
 
 def _check_grid(m: int) -> int:
-    """m itself, refused unless 1 <= m <= MAX_POINTS (before any array)."""
-    if not 1 <= m <= MAX_POINTS:
-        raise ValidationError(f"grid size must lie in [1, {MAX_POINTS}], got {m}")
-    return m
+    """m itself, refused below 1 and, by sets.check_span, past MAX_POINTS
+    (before any array)."""
+    if m < 1:
+        raise ValidationError(f"grid size must be positive, got {m}")
+    return check_span(m, "the grid size")
 
 
 def default_grid(width: int) -> int:

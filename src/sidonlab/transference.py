@@ -28,7 +28,7 @@ import numpy as np
 from .convolve import convolve
 from .counting import EquationCoeffs, ScaledFunction, count_solutions, weight_energy
 from .errors import ValidationError
-from .sets import BLOCK_PAIRS, INT64_SAFE, MAX_POINTS, IntegerSet, almost_sidon_params
+from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, almost_sidon_params, check_span
 from .spectral import (
     OVERSAMPLE,
     Spectrum,
@@ -118,9 +118,7 @@ def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
         raise ValidationError(f"grid size must be positive, got {m}")
     ks = tuple(ks)
     p, q = eps.numerator, eps.denominator
-    width = (p * n) // q
-    if width > MAX_POINTS:
-        raise ValidationError(f"Bohr width {width} is past the cap of {MAX_POINTS}")
+    width = check_span((p * n) // q, "the Bohr width")
     dtype = np.int64 if (width + 1) * m * q < INT64_SAFE else object
     residues = np.array([k % m for k in ks], dtype=dtype)
     ns, i = np.arange(1, width + 1, dtype=dtype), 0
@@ -176,6 +174,15 @@ class DenseModel:
     @property
     def n_padded(self) -> int:
         return self.padded.ambient_n
+
+    @property
+    def theorem_verdicts_hold(self) -> bool:
+        """The mass identity, the containment and the size bound."""
+        return (
+            self.diagnostics.mass_identity_holds
+            and self.containment_holds
+            and self.size_bound.holds
+        )
 
     @property
     def scale(self) -> Fraction:
@@ -465,9 +472,7 @@ class TransferenceReport:
     def theorem_verdicts_hold(self) -> bool:
         """Every theorem-backed exact verdict in this report."""
         return (
-            self.model.diagnostics.mass_identity_holds
-            and self.model.containment_holds
-            and self.model.size_bound.holds
+            self.model.theorem_verdicts_hold
             and self.repeated_difference.holds
             and self.size_bound.holds
             and self.model_l2.holds

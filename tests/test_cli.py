@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from io import StringIO
 from math import isqrt
@@ -94,18 +95,31 @@ class TestEnergy:
         assert doc["delta"] == {"numerator": 7, "denominator": 10}
 
 
+# coefficients whose dilations of any span past 1 are refused by their
+# length alone: pairwise coprime, so dividing by the gcd with each other or
+# with a coefficient of at most 10^4 leaves one of them at least 10^8
+HUGE_COEFF = st.sampled_from([10**12 + 39, -(10**12 + 61), 2**64])
+
+
+@st.composite
+def coefficient_text(draw, span):
+    """One to four coefficients (zero allowed): |a_i| * span under 10^4, or
+    a dilation refused before it is made."""
+    small = st.integers(-(10**4 // max(span, 1)), 10**4 // max(span, 1))
+    coeffs = draw(st.lists(st.one_of(small, small, small, HUGE_COEFF),
+                           min_size=1, max_size=4))
+    return ",".join(map(str, coeffs))
+
+
 @st.composite
 def count_argv(draw):
     """`count` argv and an optional SIDONLAB_BUDGET: one to four
-    coefficients (zero allowed), an interval span or a drawn set file,
-    --distinct and --oracle.  Every |a_i| * span stays under 10^4 (set files
-    span at most 120 or are refused), so no draw allocates a long list; the
-    tests above cover values past 2^63."""
+    coefficients, an interval span or a drawn set file, --distinct and
+    --oracle.  Set files span at most 120 or are refused, so no draw
+    allocates a long list; the tests above cover values past 2^63."""
     choice = draw(st.integers(0, 5))  # mostly an interval, seldom a set file
     span = draw(st.integers(-2, 60)) if choice > 1 else 120
-    cap = 10**4 // max(span, 1)
-    coeffs = draw(st.lists(st.integers(-cap, cap), min_size=1, max_size=4))
-    argv = ["count", "--coeffs=" + ",".join(map(str, coeffs))]
+    argv = ["count", "--coeffs=" + draw(coefficient_text(span))]
     set_text = None
     if choice > 1:
         argv += ["--interval", str(span)]
@@ -117,6 +131,18 @@ def count_argv(draw):
     if draw(st.booleans()):
         argv.append("--oracle")
     return argv, draw(st.sampled_from([None, "1", "1000"])), set_text
+
+
+@st.composite
+def bench_argv(draw):
+    """`bench` argv: one to three sizes of at most 8 or past MAX_POINTS,
+    and coefficients as for a `count` of span 8; the brute force runs at
+    most 8^4 tuples."""
+    sizes = draw(st.lists(st.one_of(st.integers(-1, 8), st.sampled_from(OVERSIZED)),
+                          min_size=1, max_size=3))
+    argv = ["bench", "--sizes=" + ",".join(map(str, sizes)),
+            "--coeffs=" + draw(coefficient_text(8))]
+    return argv, draw(st.sampled_from([None, "1", "1000"])), None
 
 
 @st.composite
@@ -156,10 +182,13 @@ def set_argv(draw):
 @st.composite
 def construct_argv(draw):
     """`construct` argv: small primes, and 4099 and 10007 whose profiles are
-    refused by their pair count alone; short greedy prefixes; perturbations
-    of a drawn set file, refused past MAX_POINTS before the pool is made."""
+    refused by their pair count alone, and 1000000007 and 10^30, refused
+    past MAX_POINTS before the set is built; short greedy prefixes;
+    perturbations of a drawn set file, refused past MAX_POINTS before the
+    pool is made."""
     kind = draw(st.sampled_from(["erdos-turan", "mian-chowla", "perturb"]))
-    options = [("--p", st.sampled_from([-1, 2, 4, 13, 31, 4099, 10007])),
+    options = [("--p", st.sampled_from([-1, 2, 4, 13, 31, 4099, 10007,
+                                        1000000007, 10**30])),
                ("--k", st.integers(-1, 30)), ("--in", st.just(SET_PATH)),
                ("--extra", st.integers(-1, 5)),
                ("--seed", st.sampled_from([-1, 0, 7, 2**128 - 1, 2**128])),
@@ -303,11 +332,11 @@ class TestCount:
         assert doc["value_numerator"] == 5 and doc["oracle_agrees"] is True
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(count_argv(), set_argv(), bohr_argv(), construct_argv(),
-                     report_argv(), verify_argv()))
+    @given(st.one_of(count_argv(), bench_argv(), set_argv(), bohr_argv(),
+                     construct_argv(), report_argv(), verify_argv()))
     def test_exit_code_contract(self, drawn):
-        """`construct`, `energy`, `count`, `spectrum`, `bohr`, `model`,
-        `verify` and `report` argv all keep the exit-code contract."""
+        """`construct`, `energy`, `count`, `bench`, `spectrum`, `bohr`,
+        `model`, `verify` and `report` argv all keep the exit-code contract."""
         argv, budget, set_text = drawn
         out, err = StringIO(), StringIO()
         env = {"SIDONLAB_BUDGET": budget} if budget else {}
@@ -383,6 +412,21 @@ class TestBohr:
         assert doc["size"] == 11
         assert doc["size_bound"]["holds"] is True
 
+    def test_failed_size_bound_exit_1(self, capsys, monkeypatch):
+        # exit-status contract for a verdict failure, forced by doctoring
+        # the bound (it is a pigeonhole theorem, so an honest failure would
+        # be a bug)
+        import sidonlab.cli as cli
+
+        real = cli.bohr_size_bound
+        monkeypatch.setattr(cli, "bohr_size_bound",
+                            lambda *a: replace(real(*a), holds=False))
+        code, stdout, _ = run(capsys, "bohr", "--freq", "1/3", "--eps", "1/4",
+                              "--n", "60")
+        assert code == 1
+        doc = json.loads(stdout)
+        assert doc["size_bound"]["holds"] is False and doc["size"] == 11
+
     def test_bad_eps_exit_2(self, capsys):
         code, _, _ = run(capsys, "bohr", "--eps", "2/3", "--n", "10")
         assert code == 2
@@ -424,6 +468,28 @@ class TestModel:
         assert doc["mass_identity_holds"] is True
         assert doc["containment_holds"] is True
         assert doc["fourier_distance"] == 0.0
+
+    @pytest.mark.parametrize("verdict, field", [
+        ("mass_identity", "mass_identity_holds"),
+        ("containment", "containment_holds"),
+        ("size_bound", "size_bound"),
+    ])
+    def test_failed_verdict_exit_1(self, tmp_path, capsys, monkeypatch,
+                                   verdict, field):
+        # each theorem-backed verdict, forced to fail by doctoring the
+        # model, turns the exit code to 1 with the JSON still printed
+        import sidonlab.cli as cli
+        from test_transference import fail_model_verdict
+
+        real = cli.dense_model
+        monkeypatch.setattr(cli, "dense_model",
+                            lambda *a: fail_model_verdict(real(*a), verdict))
+        path = tmp_path / "s.txt"
+        write_set_file(erdos_turan(11), path)
+        code, stdout, _ = run(capsys, "model", "--set", str(path), "--eps", "1/5")
+        assert code == 1
+        doc = json.loads(stdout)
+        assert (doc[field]["holds"] if field == "size_bound" else doc[field]) is False
 
 
 class TestVerify:
@@ -571,6 +637,17 @@ class TestUsageErrors:
         path = tmp_path / "s.txt"
         write_set_file(WIDE, path)
         argv = [str(path) if a == SET_PATH else a for a in argv]
+        self.assert_usage_error(run(capsys, *argv), "too long to index")
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--coeffs", "100000000,-1", "--interval", "1000"),
+        ("bench", "--sizes", "1000", "--coeffs", "100000000,-1"),
+        ("construct", "erdos-turan", "--p", "1000000007"),
+        ("construct", "erdos-turan", "--p", str(10**30)),
+    ])
+    def test_dilation_or_prime_past_the_cap(self, capsys, argv):
+        # a 99,900,000,001-slot dilation, or an Erdos-Turan set of 10^9 or
+        # 10^30 points, refused by its size before it is made
         self.assert_usage_error(run(capsys, *argv), "too long to index")
 
     def test_wide_set_energy(self, tmp_path, capsys):

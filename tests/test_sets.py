@@ -149,6 +149,38 @@ class TestErdosTuran:
     def test_sidon_all_primes_to_97(self, p):
         assert is_sidon(erdos_turan(p))
 
+    @pytest.mark.parametrize("p", [sets_module.MAX_POINTS + 1, 1_000_000_007, 10**30])
+    def test_prime_past_the_cap_refused_before_the_test(self, monkeypatch, p):
+        monkeypatch.setattr(sets_module, "_is_prime",
+                            lambda n: pytest.fail("primality tested"))
+        with pytest.raises(ValidationError, match="too long to index"):
+            erdos_turan(p)
+
+
+def sieve(n):
+    """Eratosthenes: flags[k] is True iff k is prime, for 0 <= k <= n."""
+    flags = [False, False] + [True] * (n - 1)
+    for d in range(2, isqrt(n) + 1):
+        if flags[d]:
+            flags[d * d::d] = [False] * len(range(d * d, n + 1, d))
+    return flags
+
+
+class TestIsPrime:
+    def test_matches_a_sieve(self):
+        flags = sieve(10**5)
+        assert [sets_module._is_prime(n) for n in range(-3, 10**5 + 1)] == \
+            [False] * 3 + flags
+
+    @pytest.mark.parametrize("n, prime", [
+        (561, False), (1105, False), (1729, False), (41041, False),  # Carmichael
+        (2879**2, False),  # 8,288,641, a prime square under the cap
+        (8_388_593, True),  # the largest prime below 2^23
+        (2**23 - 1, False),  # 47 * 178481
+    ])
+    def test_known_values(self, n, prime):
+        assert sets_module._is_prime(n) is prime
+
 
 class TestMianChowla:
     def test_k1(self):

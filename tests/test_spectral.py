@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-import sidonlab.spectral as spectral_module
+import sidonlab.sets as sets_module
 from sidonlab.counting import ScaledFunction, weight_energy
 from sidonlab.errors import ValidationError
-from sidonlab.sets import IntegerSet, erdos_turan, representation_profile
+from sidonlab.sets import MAX_POINTS, IntegerSet, erdos_turan, representation_profile
 from sidonlab.spectral import (
-    MAX_POINTS,
     Spectrum,
     default_grid,
     dft_magnitudes,
@@ -288,7 +287,7 @@ class TestGridCap:
             dft_values(interval(5), m)
 
     def test_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(spectral_module, "MAX_POINTS", 64)
+        monkeypatch.setattr(sets_module, "MAX_POINTS", 64)
         assert len(dft_values(interval(5), 64)) == 64
         with pytest.raises(ValidationError, match="grid size"):
             dft_values(interval(5), 65)

@@ -1,11 +1,14 @@
 """Bohr sets, dense models, and the certified inequalities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import sidonlab.counting as counting_module
+import sidonlab.sets as sets_module
 import sidonlab.transference as transference_module
 
 from sidonlab.counting import (
@@ -43,6 +46,16 @@ from sidonlab.transference import (
     verify_size_bound,
     weight_energy,
 )
+
+
+def fail_model_verdict(model, verdict):
+    """The dense model with one theorem-backed verdict set to fail."""
+    if verdict == "mass_identity":
+        return replace(model, diagnostics=replace(model.diagnostics,
+                                                  mass_identity_holds=False))
+    if verdict == "containment":
+        return replace(model, containment_holds=False)
+    return replace(model, size_bound=replace(model.size_bound, holds=False))
 
 
 def evens(n):
@@ -86,7 +99,7 @@ class TestBohrSet:
         # refused before the scan allocates; the grid m itself is a modulus
         with pytest.raises(ValidationError, match="Bohr width"):
             bohr_set([1], 3, Fraction(1, 4), 10**11)
-        monkeypatch.setattr(transference_module, "MAX_POINTS", 10)
+        monkeypatch.setattr(sets_module, "MAX_POINTS", 10)
         assert bohr_set([1], 3, Fraction(1, 4), 40).width == 10
         with pytest.raises(ValidationError, match="Bohr width"):
             bohr_set([1], 3, Fraction(1, 4), 44)
@@ -253,6 +266,15 @@ class TestDenseModel:
         g = model.base.trimmed()
         assert g.offset == off
         assert [int(x) for x in g.weights] == w
+
+    @pytest.mark.parametrize("verdict", ["mass_identity", "containment", "size_bound"])
+    def test_theorem_verdicts_read_by_the_report(self, verdict):
+        rep = transference_report(evens(64), EquationCoeffs((1, 1, 1, -1, -2)),
+                                  Fraction(1, 4))
+        assert rep.model.theorem_verdicts_hold and rep.theorem_verdicts_hold
+        broken = fail_model_verdict(rep.model, verdict)
+        assert not broken.theorem_verdicts_hold
+        assert not replace(rep, model=broken).theorem_verdicts_hold
 
     def test_mass_identity_nontrivial_bohr(self):
         model = dense_model(evens(64), Fraction(1, 4))
