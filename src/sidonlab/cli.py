@@ -32,6 +32,8 @@ from .errors import BudgetExceededError, ValidationError
 from .sets import (
     IntegerSet,
     almost_sidon_params,
+    check_pairs,
+    check_span,
     erdos_turan,
     is_sidon,
     mian_chowla,
@@ -121,6 +123,8 @@ def _cmd_construct(args) -> int:
     if args.kind == "erdos-turan":
         if args.p is None:
             raise ValidationError("construct erdos-turan requires --p")
+        # |S| = p, and the summary reads the profile: refuse p before the build
+        check_pairs(check_span(args.p, "the Erdos-Turan set"))
         s = erdos_turan(args.p)
     elif args.kind == "mian-chowla":
         if args.k is None:

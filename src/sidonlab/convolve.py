@@ -1,6 +1,6 @@
 """Exact linear convolution of integer sequences.
 
-Three routes, all exact:
+Four routes, all exact:
 
 * the support-pair route for sparse inputs, such as the indicator of a
   dense Sidon set (about sqrt(N) ones in N slots) and its dilates: the
@@ -8,27 +8,54 @@ Three routes, all exact:
   their int64 weights multiplied pairwise, in blocks of at most
   ``sets.BLOCK_PAIRS`` pairs, and the products are scatter-added into an
   int64 output with ``np.add.at``;
-* numpy's int64 ``np.convolve`` when the shorter input has at most
-  ``SHORT_LEN`` entries per byte of Kronecker slot, twice that for signed
-  inputs (which Kronecker packs twice and unpacks through a bias);
+* numpy's int64 ``np.convolve`` when it does at most DENSE_CUT
+  multiply-adds per output slot, len(a) * len(b) <= DENSE_CUT * (len(a) +
+  len(b) - 1);
+* a float FFT when the rounding error bound below admits it: each input is
+  split into at most MAX_LIMBS limbs, each limb pair is convolved with numpy
+  ``rfft``/``irfft`` and rounded, and the limb products are recombined;
 * otherwise Kronecker substitution: each sequence is packed into one Python
   integer as the value of its polynomial at 2^w, the two integers are
   multiplied once (CPython's Karatsuba), and the product is unpacked slot by
   slot (Schonhage 1982; Harvey, J. Symb. Comput. 2009).
 
 The route depends only on the lengths, the nonzero counts and the
-coefficient bound min(len a, len b) * max|a| * max|b|.  The two int64 routes
-need that bound below 2^62.  The support-pair route is taken when, in
+coefficient bound min(len a, len b) * max|a| * max|b|.  The three int64
+routes need that bound below 2^62.  The support-pair route is taken when, in
 addition, PAIRS_RATIO * nnz(a) * nnz(b) + PAIRS_SETUP <= len(a) * len(b):
 its work is one scatter per pair of nonzeros plus a fixed setup, against
-len(a) * len(b) multiply-adds for the dense routes.  The scatter is exact
-because an output slot receives at most min(nnz a, nnz b) products, each at
-most max|a| * max|b| in size, so every partial sum, in whatever order
-``np.add.at`` takes the pairs, stays below the bound and never wraps.
+len(a) * len(b) multiply-adds for np.convolve and a few transforms for the
+FFT.  The scatter is exact because an output slot receives at most
+min(nnz a, nnz b) products, each at most max|a| * max|b| in size, so every
+partial sum, in whatever order ``np.add.at`` takes the pairs, stays below the
+bound and never wraps.
 
-The slot width w is the bit length of the coefficient bound, plus one sign
-bit when an input is signed, rounded up to whole bytes so that packing and
-unpacking are byte copies.  A signed sequence is packed as
+The FFT route splits x into sign-magnitude limbs x = sum_i x_i 2^(w i):
+x_i carries the sign of x and the i-th w-bit digit of |x|, so |x_i| < 2^w.
+Each limb pair is zero-padded to L = 2^n, the least power of two at or
+above len a + len b - 1, and its product z = x_i * y_j is computed as
+irfft(rfft(x_i) rfft(y_j)).  Percival's bound (Percival, "Rapid
+multiplication modulo the sum and difference of highly composite numbers",
+Math. Comp. 72, 2003; Brent & Zimmermann, Modern Computer Arithmetic, 2010,
+ch. 3) on the error of the computed z' is
+
+    |z' - z|_inf <= |x|_2 |y|_2 ((1+eps)^(3n) (1+eps sqrt 5)^(3n+1) (1+beta)^(3n) - 1)
+
+with eps = 2^-53 (binary64 rounding) and beta the error of the computed
+roots of unity.  BETA = 2^-51 is an assumption about numpy: its
+power-of-two rfft of a unit impulse at index 1, which returns the roots,
+stays within BETA of their 50-digit values for L = 2 .. 2^16 (about 2.1 eps
+at 2^16; the tests check it).  With |x|_2 <= sqrt(len x) max|x_i| the bound
+depends on lengths and limb maxima only.  The route is taken when it is
+below 1/4 for every limb pair, with the fewest limbs up to MAX_LIMBS per
+input: then np.rint(z') = z, and the factor 2 below 1/2 covers numpy's
+real-input transform, which is not the complex radix-2 transform the bound
+models.  The recombination sum z_ij 2^(w_a i + w_b j) is exact in int64: in
+any order its partial sums are at most (|a| * |b|)[k] <= the bound < 2^62.
+
+The Kronecker slot width w is the bit length of the coefficient bound, plus
+one sign bit when an input is signed, rounded up to whole bytes so that
+packing and unpacking are byte copies.  A signed sequence is packed as
 pack(positive part) - pack(negative part), and the product is unpacked
 after adding 2^(w-1) to every slot, so each slot holds c + 2^(w-1) in
 [0, 2^w) and no carry crosses a slot boundary.  Big integers have no size
@@ -37,13 +64,19 @@ limit, so this route needs no fallback.
 
 from __future__ import annotations
 
+from math import expm1, log1p, sqrt
+
 import numpy as np
 
 from .errors import ValidationError
 from .sets import BLOCK_PAIRS, INT64_SAFE as _INT64_SAFE
 
-# numpy/Kronecker crossover in shorter-input entries per slot byte (measured)
-SHORT_LEN = 192
+# np.convolve/FFT crossover in multiply-adds per output slot,
+# len(a) len(b) / (len(a) + len(b) - 1), measured on 6-bit inputs from
+# 64 x 64 to 512 x 8192 entries: np.convolve wins below about 90 and the
+# FFT above about 190; a cut on len(a) len(b) alone would misroute skewed
+# shapes (at 64 x 16384 np.convolve is still 1.3 times faster)
+DENSE_CUT = 128
 # support-pair/dense crossover, measured on 0/1 inputs with nnz(a) = nnz(b):
 # the pairs win while nnz(a) nnz(b) < len(a) len(b) / 8 from 130 x 130 to
 # 400 x 400 entries, but only below about / 30 at 1000 x 1000 and / 100 at
@@ -51,6 +84,14 @@ SHORT_LEN = 192
 # pairs their fixed cost of about 10 us matches the whole dense product
 PAIRS_RATIO = 64
 PAIRS_SETUP = 1 << 14
+# the most limbs the FFT route splits one input into
+MAX_LIMBS = 3
+# the assumed error of numpy's roots of unity, and Percival's factor at
+# L = 2^n for n < 64 (both in the module docstring)
+BETA = 2.0**-51
+_EPS = 2.0**-53
+_PERCIVAL = [expm1(3 * n * log1p(_EPS) + (3 * n + 1) * log1p(_EPS * sqrt(5))
+                   + 3 * n * log1p(BETA)) for n in range(64)]
 
 
 def _extremes(seq) -> tuple[int, int]:
@@ -60,11 +101,15 @@ def _extremes(seq) -> tuple[int, int]:
     return min(seq), max(seq)
 
 
+def _max_abs(seq) -> int:
+    lo, hi = _extremes(seq)
+    return max(hi, -lo)
+
+
 def _coeff_bound(a, b) -> int:
     """min(len a, len b) * max|a| * max|b|: no partial sum of an output slot
     exceeds it, in whatever order its products are added."""
-    (lo_a, hi_a), (lo_b, hi_b) = _extremes(a), _extremes(b)
-    return min(len(a), len(b)) * max(hi_a, -lo_a) * max(hi_b, -lo_b)
+    return min(len(a), len(b)) * _max_abs(a) * _max_abs(b)
 
 
 def _pack(seq: list[int], nbytes: int) -> int:
@@ -127,6 +172,49 @@ def _pairs(xa: np.ndarray, xb: np.ndarray) -> list[int]:
     return out.tolist()
 
 
+def _fft_plan(len_a: int, len_b: int, max_a: int, max_b: int):
+    """(n, (w_a, k_a), (w_b, k_b)) for the FFT route on L = 2^n with k limbs
+    of w bits per input, the fewest transforms k_a + k_b + k_a k_b among the
+    splits whose Percival bound is below 1/4 for every limb pair; None when
+    no split into at most MAX_LIMBS limbs per input is admitted."""
+    n = (len_a + len_b - 2).bit_length()
+    # sqrt(len a) sqrt(len b) |x_i| |y_j| _PERCIVAL[n] < 1/4
+    budget = 0.25 / (_PERCIVAL[n] * sqrt(len_a * len_b))
+    best, plan = None, None
+    for k_a in range(1, MAX_LIMBS + 1):
+        w_a = -(-max_a.bit_length() // k_a)
+        for k_b in range(1, MAX_LIMBS + 1):
+            w_b = -(-max_b.bit_length() // k_b)
+            cost = k_a + k_b + k_a * k_b
+            if (min(max_a, (1 << w_a) - 1) * min(max_b, (1 << w_b) - 1) < budget
+                    and (best is None or cost < best)):
+                best, plan = cost, (n, (w_a, k_a), (w_b, k_b))
+    return plan
+
+
+def _limbs(x: np.ndarray, w: int, k: int) -> np.ndarray:
+    """k rows x_i with x = sum x_i 2^(w i): the w-bit digits of |x|, signed
+    as x."""
+    rows = (np.abs(x) >> (w * np.arange(k))[:, None]) & ((1 << w) - 1)
+    np.negative(rows, out=rows, where=x < 0)
+    return rows
+
+
+def _fft(xa: np.ndarray, xb: np.ndarray, n: int, split_a, split_b) -> list[int]:
+    """The product through rfft/irfft of every limb pair, rounded and
+    recombined (see the module docstring)."""
+    (w_a, k_a), (w_b, k_b) = split_a, split_b
+    size, out_len = 1 << n, len(xa) + len(xb) - 1
+    fa = np.fft.rfft(_limbs(xa, w_a, k_a), size)
+    fb = np.fft.rfft(_limbs(xb, w_b, k_b), size)
+    out = np.zeros(out_len, dtype=np.int64)
+    for i in range(k_a):
+        for j in range(k_b):
+            z = np.rint(np.fft.irfft(fa[i] * fb[j], size)[:out_len]).astype(np.int64)
+            out += z << (w_a * i + w_b * j)
+    return out.tolist()
+
+
 def convolve(a: list[int], b: list[int]) -> list[int]:
     """Exact linear convolution of two integer sequences.
 
@@ -140,16 +228,19 @@ def convolve(a: list[int], b: list[int]) -> list[int]:
         return _kronecker(a, b, _coeff_bound(a, b))
     # numpy reductions beat the builtins from about a hundred entries
     ends = (xa, xb) if len(a) + len(b) > 256 else (a, b)
-    bound = _coeff_bound(*ends)
+    max_a, max_b = map(_max_abs, ends)
+    bound = min(len(a), len(b)) * max_a * max_b
     if bound == 0:
         return [0] * (len(a) + len(b) - 1)
     if bound < _INT64_SAFE:
         pairs = int(np.count_nonzero(xa)) * int(np.count_nonzero(xb))
         if PAIRS_RATIO * pairs + PAIRS_SETUP <= len(a) * len(b):
             return _pairs(xa, xb)
-        nbytes, signed = _slot(*ends, bound)
-        if min(len(a), len(b)) <= SHORT_LEN * nbytes * (1 + signed):
+        if len(a) * len(b) <= DENSE_CUT * (len(a) + len(b) - 1):
             return np.convolve(xa, xb).tolist()
+        plan = _fft_plan(len(a), len(b), max_a, max_b)
+        if plan:
+            return _fft(xa, xb, *plan)
     return _kronecker(a, b, bound)
 
 

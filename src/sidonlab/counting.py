@@ -209,14 +209,20 @@ class SolutionCount:
     value: Fraction
 
 
+def _dilation_span(n: int, a: int) -> int:
+    """The |a| (n - 1) + 1 slots of a dilation by a of n values, refused
+    past MAX_POINTS."""
+    return check_span(abs(a) * (n - 1) + 1, f"the dilation by {a}")
+
+
 def _dilate(ints, offset: int, a: int) -> tuple[list[int], int]:
     """Place ints[j] (value at x = offset + j) at lattice point a * x; the
-    |a| (n - 1) + 1 slots are refused past MAX_POINTS before the list is made."""
+    slots are refused past MAX_POINTS before the list is made."""
     n = len(ints)
     if a == 0:
         return [sum(ints)], 0
     mag = abs(a)
-    out = [0] * check_span(mag * (n - 1) + 1, f"the dilation by {a}")
+    out = [0] * _dilation_span(n, a)
     out[::mag] = ints if a > 0 else ints[::-1]
     return out, a * (offset if a > 0 else offset + n - 1)
 
@@ -246,8 +252,9 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     Returns sum over integer tuples (x_1, ..., x_s) with a1 x1 + ... = 0 of
     the product of the function values.  The coefficients are divided by
     their gcd (the same solutions, shorter dilations) and each function is
-    dilated to the lattice m = a_i x_i; the answer is the coefficient at
-    zero of the exact product of the dilations.
+    dilated to the lattice m = a_i x_i, every span checked against
+    MAX_POINTS before the first dilation is made; the answer is the
+    coefficient at zero of the exact product of the dilations.
     """
     fns = list(fns)
     if len(fns) != eq.s:
@@ -255,14 +262,13 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
             f"equation has {eq.s} variables but {len(fns)} functions given"
         )
     g = gcd(*eq.coeffs)
-    dilations = []
-    den_product = 1
-    for a, f in zip(eq.coeffs, fns):
-        t = f.trimmed()
-        if not t.nums:
-            return SolutionCount(Fraction(0))
-        den_product *= t.den
-        dilations.append(_dilate(t.nums, t.offset, a // g))
+    trimmed = [f.trimmed() for f in fns]
+    if not all(t.nums for t in trimmed):
+        return SolutionCount(Fraction(0))
+    for a, t in zip(eq.coeffs, trimmed):
+        _dilation_span(len(t.nums), a // g)
+    den_product = prod(t.den for t in trimmed)
+    dilations = [_dilate(t.nums, t.offset, a // g) for a, t in zip(eq.coeffs, trimmed)]
     half = (eq.s + 1) // 2
     value = _dot_at_zero(reduce(_fold_step, dilations[:half]),
                          reduce(_fold_step, dilations[half:]))

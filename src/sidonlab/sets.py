@@ -173,13 +173,19 @@ def check_span(points: int, what: str) -> int:
     return points
 
 
+def check_pairs(size: int) -> int:
+    """size itself, refused when its size^2 difference pairs are past
+    MAX_PAIRS (before any array)."""
+    if size ** 2 > MAX_PAIRS:
+        raise ValidationError(f"{size}^2 difference pairs are past the cap of {MAX_PAIRS}")
+    return size
+
+
 def difference_counts(elems) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct differences x - y over elems^2 and how many ordered
     pairs give each, by one np.unique; int64 below INT64_SAFE, else Python
     ints.  More than MAX_PAIRS pairs are refused before any array is made."""
-    if len(elems) ** 2 > MAX_PAIRS:
-        raise ValidationError(
-            f"{len(elems)}^2 difference pairs are past the cap of {MAX_PAIRS}")
+    check_pairs(len(elems))
     big = bool(elems) and max(map(abs, elems)) >= INT64_SAFE
     arr = np.array(elems, dtype=object if big else np.int64)
     return np.unique(np.subtract.outer(arr, arr), return_counts=True)

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sidonlab.cli as cli_module
 import sidonlab.sets as sets_module
 from sidonlab.cli import main
 from sidonlab.sets import (
@@ -649,6 +650,14 @@ class TestUsageErrors:
         # a 99,900,000,001-slot dilation, or an Erdos-Turan set of 10^9 or
         # 10^30 points, refused by its size before it is made
         self.assert_usage_error(run(capsys, *argv), "too long to index")
+
+    @pytest.mark.parametrize("p", [4099, 10007, 8388593])
+    def test_erdos_turan_past_the_pair_cap_not_built(self, capsys, monkeypatch, p):
+        # |S| = p past isqrt(MAX_PAIRS) = 4096: the summary's profile would
+        # refuse the set, so the set is refused before erdos_turan runs
+        monkeypatch.setattr(cli_module, "erdos_turan", mock.Mock(side_effect=AssertionError))
+        self.assert_usage_error(run(capsys, "construct", "erdos-turan", "--p", str(p)),
+                                "difference pairs")
 
     def test_wide_set_energy(self, tmp_path, capsys):
         path = tmp_path / "s.txt"

@@ -1,6 +1,7 @@
-"""The exact convolution engine: the support-pair, numpy and Kronecker routes
-agree with a plain double loop."""
+"""The exact convolution engine: the support-pair, numpy, FFT and Kronecker
+routes agree with a plain double loop."""
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sidonlab.convolve as engine
 from sidonlab.convolve import (
+    BETA,
+    DENSE_CUT,
+    MAX_LIMBS,
     PAIRS_RATIO,
     PAIRS_SETUP,
-    SHORT_LEN,
     _kronecker,
     convolve,
     convolve_many,
@@ -24,6 +27,7 @@ from sidonlab.counting import (
     count_solutions,
 )
 from sidonlab.sets import erdos_turan, perturb_almost_sidon
+from sidonlab.transference import transference_report
 
 
 def slow_reference(a, b):
@@ -58,6 +62,26 @@ def kronecker_calls(monkeypatch):
 
     monkeypatch.setattr(engine, "_kronecker", spy)
     return calls
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Record the plan of every call that reaches the FFT route."""
+    calls = []
+    real = engine._fft
+
+    def spy(xa, xb, n, split_a, split_b):
+        calls.append((n, split_a, split_b))
+        return real(xa, xb, n, split_a, split_b)
+
+    monkeypatch.setattr(engine, "_fft", spy)
+    return calls
+
+
+def dense_cut_len(long):
+    """The most entries a shorter input may have against `long` entries and
+    stay on np.convolve: n long <= DENSE_CUT (n + long - 1)."""
+    return DENSE_CUT * (long - 1) // (long - DENSE_CUT)
 
 
 @pytest.fixture
@@ -120,20 +144,21 @@ def test_wide_fuzz(seed, kronecker_calls):
 
 
 @pytest.mark.parametrize("seed", [7, 8])
-def test_long_fuzz_both_sides_of_short_len(seed, kronecker_calls):
-    # shorter inputs of one less to two more than the cut: 0/1 inputs
-    # (one-byte slots, cut SHORT_LEN) and signed -1/0/1 inputs (the sign bit
-    # makes two-byte slots and signed inputs count twice, cut 4 SHORT_LEN);
-    # int64 np.convolve is exact on these values and shares no code with
-    # either route
+def test_long_fuzz_both_sides_of_the_dense_cut(seed, kronecker_calls, fft_calls):
+    # shorter inputs of one less to two more than the cut against 400
+    # entries, 0/1 and signed -1/0/1: the cut reads the lengths alone, so
+    # both kinds leave np.convolve for the FFT at the same length; int64
+    # np.convolve is exact on these values and shares no code with the FFT
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for cut, low in ((SHORT_LEN, 0), (4 * SHORT_LEN, -1)):
+    cut = dense_cut_len(400)
+    for low in (0, -1):
         for short in range(cut - 1, cut + 3):
             a = [int(x) for x in rng.integers(low, 2, size=short)]
-            b = [int(x) for x in rng.integers(low, 2, size=short + 40)]
+            b = [int(x) for x in rng.integers(low, 2, size=400)]
             a[0], b[0] = low or 1, 1
             assert convolve(a, b) == np.convolve(a, b).tolist()
-    assert len(kronecker_calls) == 4
+    assert len(fft_calls) == 4
+    assert kronecker_calls == []
 
 
 def test_length_one_and_single_nonzero():
@@ -197,22 +222,23 @@ def test_convolve_many_associative():
     assert folded == manual
 
 
-def test_threshold_boundary(kronecker_calls):
-    # a shorter input of SHORT_LEN entries per slot byte (twice that when
-    # signed) stays on numpy, one entry more goes through Kronecker; both
-    # agree with the reference
-    for value, nbytes, signed in ((1, 1, False), (100, 3, False), (-1, 2, True)):
-        cut = SHORT_LEN * nbytes * (1 + signed)
-        b = [value] * (cut + 5)
+def test_threshold_boundary(kronecker_calls, fft_calls):
+    # a shorter input at the cut stays on np.convolve, one entry more goes
+    # to the FFT, whatever the size and sign of the entries; both agree with
+    # the reference
+    cut = dense_cut_len(1000)
+    assert cut * 1000 <= DENSE_CUT * (cut + 999)
+    assert (cut + 1) * 1000 > DENSE_CUT * (cut + 1000)
+    for value in (1, 100, -1, -(1 << 20)):
+        b = [value] * 1000
         a_at = [abs(value)] * cut
         a_past = a_at + [abs(value)]
-        bound = engine._coeff_bound(a_past, b)
-        assert engine._slot(a_past, b, bound) == (nbytes, signed)
         assert convolve(a_at, b) == np.convolve(a_at, b).tolist()
-        assert kronecker_calls == []
+        assert fft_calls == []
         assert convolve(a_past, b) == np.convolve(a_past, b).tolist()
-        assert len(kronecker_calls) == 1
-        kronecker_calls.clear()
+        assert len(fft_calls) == 1
+        fft_calls.clear()
+    assert kronecker_calls == []
 
 
 def int_lists(max_bits, max_size=24):
@@ -222,11 +248,14 @@ def int_lists(max_bits, max_size=24):
 
 
 @settings(max_examples=80, deadline=None)
-@given(int_lists(26, SHORT_LEN), int_lists(26, SHORT_LEN + 40))
+@given(int_lists(26, DENSE_CUT), int_lists(26, DENSE_CUT + 40))
 def test_int64_route_property(a, b):
-    # a shorter input of at most SHORT_LEN entries with |x| <= 2^26 bounds
-    # the coefficients by 2^60 < 2^62, so these never leave np.convolve
-    with mock.patch.object(engine, "_kronecker", side_effect=AssertionError):
+    # a shorter input of n <= DENSE_CUT entries takes at most DENSE_CUT
+    # multiply-adds per output slot (n m <= DENSE_CUT (n + m - 1)), and with
+    # |x| <= 2^26 bounds the coefficients by 2^59 < 2^62, so these never
+    # leave np.convolve
+    with mock.patch.object(engine, "_kronecker", side_effect=AssertionError), \
+            mock.patch.object(engine, "_fft", side_effect=AssertionError):
         assert convolve(a, b) == slow_reference(a, b)
         assert convolve(b, a) == slow_reference(a, b)
 
@@ -245,23 +274,155 @@ def test_kronecker_route_property(a, b, signed):
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.data(), st.booleans(), st.integers(-2, 2), st.integers(0, 40))
-def test_route_cut_property(data, signed, step, extra):
-    # shorter input of cut - 2 .. cut + 2 entries of unit size: unsigned 0/1
-    # inputs have one-byte slots (cut SHORT_LEN), signed -1/0/1 inputs
-    # two-byte slots counted twice (cut 4 SHORT_LEN); Kronecker past the cut.
-    # The support-pair route is switched off: about one draw in a hundred is
-    # sparse enough to take it (see test_pairs_cut for that cut)
-    low, cut = (-1, 4 * SHORT_LEN) if signed else (0, SHORT_LEN)
-    short = cut + step
+@given(st.data(), st.booleans(), st.integers(-2, 2), st.integers(300, 340))
+def test_route_cut_property(data, signed, step, long):
+    # shorter input of cut - 2 .. cut + 2 entries of unit size against
+    # `long` entries, unsigned 0/1 or signed -1/0/1: the FFT past the cut,
+    # never Kronecker.  The support-pair route is switched off: about one
+    # draw in a hundred is sparse enough to take it (see test_pairs_cut for
+    # that cut)
+    low = -1 if signed else 0
+    short = dense_cut_len(long) + step
     unit = st.integers(low, 1)
     a = data.draw(st.lists(unit, min_size=short, max_size=short))
-    b = data.draw(st.lists(unit, min_size=short + extra, max_size=short + extra))
+    b = data.draw(st.lists(unit, min_size=long, max_size=long))
     a[0], b[0] = low or 1, 1
-    with mock.patch.object(engine, "_kronecker", wraps=_kronecker) as spy, \
+    with mock.patch.object(engine, "_fft", wraps=engine._fft) as spy, \
+            mock.patch.object(engine, "_kronecker", side_effect=AssertionError), \
             mock.patch.object(engine, "PAIRS_SETUP", 1 << 62):
         assert convolve(a, b) == slow_reference(a, b)
     assert spy.called == (step > 0)
+
+
+# --- the FFT route ---------------------------------------------------------
+
+
+def largest_admitted(len_a, len_b, max_b):
+    """The largest max|a| whose FFT plan against max|b| = max_b is admitted,
+    below the coefficient bound 2^62 (0 when none is)."""
+    lo, hi = 0, (engine._INT64_SAFE - 1) // (min(len_a, len_b) * max_b)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if engine._fft_plan(len_a, len_b, mid, max_b):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, MAX_LIMBS), st.integers(260, 420), st.integers(260, 420),
+       st.integers(0, 40), st.booleans(), st.booleans(), st.integers(0, 2**32))
+def test_fft_route_property(limbs, len_a, len_b, bits_b, signed, extreme, seed):
+    # with at most `limbs` limbs per input, max|a| as large as the bound
+    # admits against max|b| = 2^bits_b: every entry at +-max (the largest
+    # 2-norm the bound allows) or drawn below it; past the dense cut (both
+    # lengths above 2 DENSE_CUT), so the FFT takes the call and must agree
+    # with Kronecker and the double loop
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    max_b = 1 << bits_b
+    with mock.patch.object(engine, "MAX_LIMBS", limbs):
+        max_a = largest_admitted(len_a, len_b, max_b)
+        assume(max_a > 0)
+        if engine._coeff_bound([max_a + 1] * len_a, [max_b] * len_b) < engine._INT64_SAFE:
+            assert engine._fft_plan(len_a, len_b, max_a + 1, max_b) is None
+
+        def draw(length, top):
+            if extreme:
+                x = [top] * length
+            else:
+                x = [int(v) for v in rng.integers(0, top, size=length, endpoint=True)]
+            x[int(rng.integers(0, length))] = top
+            return [-v if signed and rng.integers(0, 2) else v for v in x]
+
+        a, b = draw(len_a, max_a), draw(len_b, max_b)
+        with mock.patch.object(engine, "_fft", wraps=engine._fft) as spy, \
+                mock.patch.object(engine, "_kronecker", side_effect=AssertionError):
+            got = convolve(a, b)
+    (_, _, _, (_, k_a), (_, k_b)), _ = spy.call_args
+    assert max(k_a, k_b) <= limbs
+    assert got == _kronecker(a, b, engine._coeff_bound(a, b)) == slow_reference(a, b)
+
+
+def test_bound_at_a_half_goes_to_kronecker(kronecker_calls, fft_calls):
+    # Percival's factor patched to 1/2: every limb pair has entries of size
+    # at least 1, so its bound sqrt(500 * 600) * 1/2 is past 1/4 whatever
+    # the split, and the call goes to Kronecker
+    a, b = [3, -1] * 250, [5] * 600
+    want = slow_reference(a, b)
+    assert convolve(a, b) == want
+    assert len(fft_calls) == 1 and kronecker_calls == []
+    with mock.patch.object(engine, "_PERCIVAL", [0.5] * 64):
+        assert convolve(a, b) == want
+    assert len(fft_calls) == 1 and len(kronecker_calls) == 1
+
+
+def test_bound_of_a_quarter_is_refused(kronecker_calls, fft_calls):
+    # 512 x 512 entries of 1 and 4, one limb each, L = 2^10: a factor of
+    # 2^-13 makes the bound sqrt(512 * 512) * 1 * 4 * 2^-13 exactly 1/4,
+    # which is refused; one ulp less is admitted
+    a, b = [1] * 512, [4] * 512
+    want = slow_reference(a, b)
+    with mock.patch.object(engine, "MAX_LIMBS", 1):
+        for factor, fft in ((2.0**-13, False), (np.nextafter(2.0**-13, 0), True)):
+            table = list(engine._PERCIVAL)
+            table[10] = float(factor)
+            with mock.patch.object(engine, "_PERCIVAL", table):
+                assert convolve(a, b) == want
+            assert (len(fft_calls), len(kronecker_calls)) == ((1, 0) if fft else (0, 1))
+            fft_calls.clear()
+            kronecker_calls.clear()
+
+
+def test_percival_factor():
+    # the table against the formula in exact rationals: (1+x)^m - 1 with
+    # x = eps, eps sqrt 5 (bracketed by rationals) and BETA
+    eps, beta = Fraction(1, 2**53), Fraction(BETA)
+    root5 = (Fraction(2236067977, 10**9), Fraction(2236067978, 10**9))
+    for n in (1, 10, 20, 23, 63):
+        lo, hi = ((1 + eps) ** (3 * n) * (1 + eps * r) ** (3 * n + 1)
+                  * (1 + beta) ** (3 * n) - 1 for r in root5)
+        assert lo * (1 - Fraction(1, 10**12)) <= Fraction(engine._PERCIVAL[n]) \
+            <= hi * (1 + Fraction(1, 10**12))
+
+
+def test_numpy_roots_within_beta():
+    # the assumption behind BETA: numpy's rfft of a unit impulse at index 1
+    # returns exp(-2 pi i k / L), k <= L/2; against 50-digit values, split
+    # into a double and its remainder, for L = 2 .. 2^16
+    mpmath = pytest.importorskip("mpmath")
+    top = 1 << 16
+    with mpmath.workdps(50):
+        exact = [(mpmath.cospi(mpmath.mpf(2 * k) / top),
+                  -mpmath.sinpi(mpmath.mpf(2 * k) / top)) for k in range(top // 2 + 1)]
+        hi = np.array([[float(c), float(s)] for c, s in exact])
+        lo = np.array([[float(c - h), float(s - g)]
+                       for (c, s), (h, g) in zip(exact, hi.tolist())])
+    worst = 0.0
+    for n in range(1, 17):
+        size = 1 << n
+        impulse = np.zeros(size)
+        impulse[1] = 1.0
+        roots = np.fft.rfft(impulse)
+        step = top // size
+        err = np.hypot((roots.real - hi[::step, 0]) - lo[::step, 0],
+                       (roots.imag - hi[::step, 1]) - lo[::step, 1])
+        worst = max(worst, float(err.max()))
+    assert 0 < worst <= BETA
+
+
+def test_report_without_the_fft_route():
+    # ET(151) at eps 1/5, where the dense model first smooths (|B| = 95):
+    # the report's wide products go through the FFT, and with the route
+    # switched off (Kronecker takes them) every field is the same
+    s_set, eq = erdos_turan(151), EquationCoeffs((1, 1, 1, 1, -4))
+    with mock.patch.object(engine, "_fft", wraps=engine._fft) as spy:
+        fast = transference_report(s_set, eq, "1/5")
+    assert spy.called and fast.model.bohr.size == 95
+    with mock.patch.object(engine, "_fft_plan", return_value=None), \
+            mock.patch.object(engine, "_fft", side_effect=AssertionError):
+        slow = transference_report(s_set, eq, "1/5")
+    assert fast == slow
 
 
 # --- the support-pair route ------------------------------------------------

@@ -7,6 +7,7 @@ import operator
 import time
 from fractions import Fraction
 from math import factorial, gcd, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,6 +156,19 @@ class TestCountSolutions:
     def test_progression_on_interval(self):
         eq = EquationCoeffs((1, 1, -2))
         assert count_solutions(eq, [interval(5)] * 3).value == 13
+
+    def test_every_dilation_checked_before_the_first(self, monkeypatch):
+        # with a cap of 1000 slots, [1, 600] fits dilated by 1 but not by -2
+        # (1199 slots): the refusal comes before any dilation is made, in
+        # whatever order the coefficients come
+        monkeypatch.setattr(sets_module, "MAX_POINTS", 1000)
+        f = interval(600)
+        assert count_solutions(EquationCoeffs((1, -1)), [f, f]).value == 600
+        monkeypatch.setattr(counting_module, "_dilate",
+                            mock.Mock(side_effect=AssertionError))
+        for coeffs in ((1, 1, -2), (-2, 1, 1), (2, 2, -4)):
+            with pytest.raises(ValidationError, match="dilation by -2"):
+                count_solutions(EquationCoeffs(coeffs), [f] * 3)
 
     def test_diagonal(self):
         eq = EquationCoeffs((1, -1))
