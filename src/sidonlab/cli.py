@@ -129,7 +129,8 @@ def _cmd_construct(args) -> int:
     elif args.kind == "mian-chowla":
         if args.k is None:
             raise ValidationError("construct mian-chowla requires --k")
-        s = mian_chowla(args.k)
+        # |S| = k: refuse k before the greedy search, as p above
+        s = mian_chowla(check_pairs(args.k))
     else:
         if args.infile is None or args.extra is None:
             raise ValidationError("construct perturb requires --in and --extra")

@@ -53,17 +53,19 @@ real-input transform, which is not the complex radix-2 transform the bound
 models.  The recombination sum z_ij 2^(w_a i + w_b j) is exact in int64: in
 any order its partial sums are at most (|a| * |b|)[k] <= the bound < 2^62.
 
-The Kronecker slot width w is the bit length of the coefficient bound, plus
-one sign bit when an input is signed, rounded up to whole bytes so that
-packing and unpacking are byte copies.  A signed sequence is packed as
-pack(positive part) - pack(negative part), and the product is unpacked
-after adding 2^(w-1) to every slot, so each slot holds c + 2^(w-1) in
-[0, 2^w) and no carry crosses a slot boundary.  Big integers have no size
-limit, so this route needs no fallback.
+The Kronecker slot width w is the bit length of the coefficient bound,
+plus one sign bit when an input is signed, rounded up to whole bytes, so
+that packing and unpacking are int.to_bytes/int.from_bytes copies.  A
+signed sequence is packed as pack(positive part) - pack(negative part), and
+the product gets 2^(w-1) in every slot (one integer of repeated bias
+bytes), so each slot holds c + 2^(w-1) in [0, 2^w) and no carry crosses a
+slot boundary.  Big integers have no size limit, so this route needs no
+fallback.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import expm1, log1p, sqrt
 
 import numpy as np
@@ -94,16 +96,11 @@ _PERCIVAL = [expm1(3 * n * log1p(_EPS) + (3 * n + 1) * log1p(_EPS * sqrt(5))
                    + 3 * n * log1p(BETA)) for n in range(64)]
 
 
-def _extremes(seq) -> tuple[int, int]:
-    """(min, max) of a list of ints or of an int64 array, as Python ints."""
-    if isinstance(seq, np.ndarray):
-        return int(seq.min()), int(seq.max())
-    return min(seq), max(seq)
-
-
 def _max_abs(seq) -> int:
-    lo, hi = _extremes(seq)
-    return max(hi, -lo)
+    """max|x| over a sequence of ints or an int64 array, as a Python int."""
+    if isinstance(seq, np.ndarray):
+        return max(int(seq.max()), -int(seq.min()))
+    return max(max(seq), -min(seq))
 
 
 def _coeff_bound(a, b) -> int:
@@ -112,49 +109,28 @@ def _coeff_bound(a, b) -> int:
     return min(len(a), len(b)) * _max_abs(a) * _max_abs(b)
 
 
-def _pack(seq: list[int], nbytes: int) -> int:
-    """sum seq[i] * 2^(8 nbytes i) for a sequence with 0 <= seq[i] < 2^(8 nbytes)."""
-    if nbytes <= 8:
-        arr = np.asarray(seq, dtype="<u8").view(np.uint8).reshape(-1, 8)
-        return int.from_bytes(arr[:, :nbytes].tobytes(), "little")
-    return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in seq),
-                          "little")
-
-
-def _pack_signed(seq: list[int], nbytes: int) -> int:
+def _pack(seq: Sequence[int], nbytes: int) -> int:
+    """sum seq[i] * 2^(8 nbytes i) for |seq[i]| < 2^(8 nbytes), packed as
+    pack(positive part) - pack(negative part)."""
+    def join(xs) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in xs), "little")
     if min(seq) >= 0:
-        return _pack(seq, nbytes)
-    return (_pack([x if x > 0 else 0 for x in seq], nbytes)
-            - _pack([-x if x < 0 else 0 for x in seq], nbytes))
+        return join(seq)
+    return join([x if x > 0 else 0 for x in seq]) - join([-x if x < 0 else 0 for x in seq])
 
 
-def _unpack(raw: bytes, nbytes: int, bias: int) -> list[int]:
-    """The slots of `raw`, nbytes each, read as integers minus `bias`."""
-    if nbytes <= 8:
-        slots = np.zeros((len(raw) // nbytes, 8), dtype=np.uint8)
-        slots[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
-        vals = slots.view("<u8").ravel()
-        # uint64 wraparound, then two's complement: exact since |c| < 2^63
-        return (vals - np.uint64(bias)).view(np.int64).tolist() if bias else vals.tolist()
+def _kronecker(a: Sequence[int], b: Sequence[int], bound: int) -> list[int]:
+    """The product by one big-integer multiplication (module docstring)."""
+    out_len = len(a) + len(b) - 1
+    signed = min(a) < 0 or min(b) < 0
+    nbytes = (bound.bit_length() + signed + 7) // 8
+    prod = _pack(a, nbytes) * _pack(b, nbytes)
+    bias = 1 << (8 * nbytes - 1) if signed else 0
+    if signed:  # a top byte of 0x80 in every slot
+        prod += int.from_bytes((bytes(nbytes - 1) + b"\x80") * out_len, "little")
+    raw = prod.to_bytes(nbytes * out_len, "little")
     return [int.from_bytes(raw[i:i + nbytes], "little") - bias
             for i in range(0, len(raw), nbytes)]
-
-
-def _slot(a, b, bound: int) -> tuple[int, bool]:
-    """Kronecker slot width in bytes and whether an input is signed."""
-    signed = _extremes(a)[0] < 0 or _extremes(b)[0] < 0
-    return (bound.bit_length() + signed + 7) // 8, signed
-
-
-def _kronecker(a: list[int], b: list[int], bound: int) -> list[int]:
-    out_len = len(a) + len(b) - 1
-    nbytes, signed = _slot(a, b, bound)
-    pack = _pack_signed if signed else _pack
-    prod = pack(a, nbytes) * pack(b, nbytes)
-    bias = 1 << (8 * nbytes - 1) if signed else 0
-    if bias:
-        prod += _pack([bias] * out_len, nbytes)
-    return _unpack(prod.to_bytes(nbytes * out_len, "little"), nbytes, bias)
 
 
 def _pairs(xa: np.ndarray, xb: np.ndarray) -> list[int]:
@@ -215,10 +191,11 @@ def _fft(xa: np.ndarray, xb: np.ndarray, n: int, split_a, split_b) -> list[int]:
     return out.tolist()
 
 
-def convolve(a: list[int], b: list[int]) -> list[int]:
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Exact linear convolution of two integer sequences.
 
-    Output index k holds sum over i+j = k of a[i]*b[j] as a Python integer.
+    a and b are any sequences of ints (lists, tuples); output index k holds
+    sum over i+j = k of a[i]*b[j] as a Python integer, in a list.
     """
     if not a or not b:
         return []

@@ -198,7 +198,7 @@ class ScaledFunction:
 def weight_energy(f: ScaledFunction) -> Fraction:
     """The additive energy E(f) of the weights, exactly: the sum of the
     squares of the autocorrelation of the numerators, over den^4."""
-    corr = convolve(list(f.nums), list(f.nums[::-1]))
+    corr = convolve(f.nums, f.nums[::-1])
     return Fraction(sum(c * c for c in corr), f.den**4)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import inf, isfinite, isqrt
 
 import numpy as np
 
@@ -238,7 +238,7 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
 
     ind_s, off_s = padded.indicator()
     mu_b = bohr.measure()
-    g_ints = convolve(ind_s, list(mu_b.nums))
+    g_ints = convolve(ind_s, mu_b.nums)
     g = ScaledFunction(off_s + mu_b.offset, tuple(g_ints), 1, n)
 
     mass = sum(g_ints)
@@ -491,7 +491,9 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     and set counts are computed by exact convolution on identical weights.
     The majorant bounds sum nu <= 4N and E(nu) <= 64 N^3 are exact checks;
     the telescoped difference is compared against
-    s * N^(s-2) * fourier_distance and printed beside eps * N^(s-1).
+    s * N^(s-2) * fourier_distance and printed beside eps * N^(s-1); when
+    one of these floats is not finite the report is refused before the
+    counts.
     """
     eps = Fraction(eps)
     if eq.s < 5:
@@ -509,6 +511,19 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     root = isqrt(n)
     params = almost_sidon_params(padded)
 
+    # the measured floats first: an overflow is refused before the counts
+    fdist = model.diagnostics.fourier_distance
+    c_s = eq.s * fdist / (float(eps) * n) if fdist > 0 else 0.0
+    try:
+        comparison = eq.s * float(n) ** (eq.s - 2) * fdist
+        eps_n_power = float(eps) * float(n) ** (eq.s - 1)
+    except OverflowError:
+        comparison = eps_n_power = inf
+    if not all(map(isfinite, (fdist, c_s, comparison, eps_n_power))):
+        raise ValidationError(
+            f"the report's measured floats are not finite at s = {eq.s}, N = {n}")
+    fourier_ok = fdist <= fourier_c * float(eps) * n
+
     # count the integer g and g + |B| 1_S, then scale: sqrt(N) in the counted
     # numerators would only widen the convolutions
     scale = model.scale
@@ -523,12 +538,6 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     set_count_raw = int(raw.value)
     set_count = Fraction(root) ** eq.s * set_count_raw
     difference = model_count - set_count
-
-    fdist = model.diagnostics.fourier_distance
-    c_s = eq.s * fdist / (float(eps) * n) if fdist > 0 else 0.0
-    comparison = eq.s * float(n) ** (eq.s - 2) * fdist
-    eps_n_power = float(eps) * float(n) ** (eq.s - 1)
-    fourier_ok = fdist <= fourier_c * float(eps) * n
 
     return TransferenceReport(
         n_original=s_set.ambient_n,

@@ -184,13 +184,15 @@ def set_argv(draw):
 def construct_argv(draw):
     """`construct` argv: small primes, and 4099 and 10007 whose profiles are
     refused by their pair count alone, and 1000000007 and 10^30, refused
-    past MAX_POINTS before the set is built; short greedy prefixes;
+    past MAX_POINTS before the set is built; short greedy prefixes, and
+    4097 and 10^9 terms, refused by their pair count before the search;
     perturbations of a drawn set file, refused past MAX_POINTS before the
     pool is made."""
     kind = draw(st.sampled_from(["erdos-turan", "mian-chowla", "perturb"]))
     options = [("--p", st.sampled_from([-1, 2, 4, 13, 31, 4099, 10007,
                                         1000000007, 10**30])),
-               ("--k", st.integers(-1, 30)), ("--in", st.just(SET_PATH)),
+               ("--k", st.integers(-1, 30) | st.sampled_from([4097, 10**9])),
+               ("--in", st.just(SET_PATH)),
                ("--extra", st.integers(-1, 5)),
                ("--seed", st.sampled_from([-1, 0, 7, 2**128 - 1, 2**128])),
                ("--out", st.just(OUT_PATH))]
@@ -651,13 +653,32 @@ class TestUsageErrors:
         # 10^30 points, refused by its size before it is made
         self.assert_usage_error(run(capsys, *argv), "too long to index")
 
-    @pytest.mark.parametrize("p", [4099, 10007, 8388593])
-    def test_erdos_turan_past_the_pair_cap_not_built(self, capsys, monkeypatch, p):
-        # |S| = p past isqrt(MAX_PAIRS) = 4096: the summary's profile would
-        # refuse the set, so the set is refused before erdos_turan runs
-        monkeypatch.setattr(cli_module, "erdos_turan", mock.Mock(side_effect=AssertionError))
-        self.assert_usage_error(run(capsys, "construct", "erdos-turan", "--p", str(p)),
+    @pytest.mark.parametrize("kind, flag, size", [
+        pytest.param("erdos-turan", "--p", p, id=str(p)) for p in (4099, 10007, 8388593)
+    ] + [
+        pytest.param("mian-chowla", "--k", k, id=f"k{k}") for k in (4097, 10**9)
+    ])
+    def test_erdos_turan_past_the_pair_cap_not_built(self, capsys, monkeypatch,
+                                                     kind, flag, size):
+        # |S| = p or k past isqrt(MAX_PAIRS) = 4096: the summary's profile
+        # would refuse the set, so the set is refused before erdos_turan or
+        # the greedy search of mian_chowla runs
+        for builder in ("erdos_turan", "mian_chowla"):
+            monkeypatch.setattr(cli_module, builder, mock.Mock(side_effect=AssertionError))
+        self.assert_usage_error(run(capsys, "construct", kind, flag, str(size)),
                                 "difference pairs")
+
+    @pytest.mark.parametrize("s", [512, 513])
+    def test_report_floats_past_float_range(self, tmp_path, capsys, s):
+        # s - 1 ones and -(s - 1) on {1, 2, 3, 4} in N = 4: N^(s-1) at
+        # s = 513 overflows a float, and at s = 512 s * N^(s-2) times the
+        # Fourier distance is infinite, which JSON cannot carry
+        path = tmp_path / "s.txt"
+        write_set_file(IntegerSet((1, 2, 3, 4), 4), path)
+        coeffs = ",".join(["1"] * (s - 1) + [str(1 - s)])
+        self.assert_usage_error(
+            run(capsys, "report", "--set", str(path), "--coeffs", coeffs, "--eps", "1/2"),
+            "not finite")
 
     def test_wide_set_energy(self, tmp_path, capsys):
         path = tmp_path / "s.txt"

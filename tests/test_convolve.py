@@ -177,7 +177,7 @@ def test_length_one_and_single_nonzero():
     assert convolve([-(1 << 63)], [-(1 << 63)]) == [1 << 126]
 
 
-def test_big_values_use_more_primes():
+def test_multi_word_slots():
     # coefficients near 2^120 need a slot of several machine words
     rng = np.random.Generator(np.random.Philox(key=9))
     a = [int(x) * 2**100 + int(y) for x, y in
@@ -186,22 +186,29 @@ def test_big_values_use_more_primes():
     assert convolve(a, b) == slow_reference(a, b)
 
 
-def test_values_beyond_prime_capacity_fall_back():
+def test_products_near_2_to_800():
     # products around 2^800: big integers have no capacity limit
     a = [2**400 + 1, -(2**399), 17]
     b = [2**400 - 3, 2**398]
     assert convolve(a, b) == slow_reference(a, b)
 
 
-def test_int64_overflow_edge(kronecker_calls):
-    # the bound check must route near-2^62 products away from int64
-    big = 2**31
-    a = [big] * 40
-    b = [big] * 40
-    out = convolve(a, b)
-    assert out[39] == 40 * big * big
-    assert out == slow_reference(a, b)
-    assert len(kronecker_calls) == 1
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("bound, n, x", [
+    (2**62, 4, 2**30), (2**63 - 1, 7, 7 * 73 * 127), (2**63, 8, 2**30),
+    (2**64 - 1, 3, 5 * 17 * 257), (2**64, 16, 2**30),
+], ids=["2^62", "2^63-1", "2^63", "2^64-1", "2^64"])
+def test_int64_overflow_edge(kronecker_calls, bound, n, x, signed):
+    # int64 entries whose coefficient bound n max|a| max|b| is at the edges
+    # of 8- and 9-byte slots, and is reached by the middle slots: each
+    # product leaves the int64 routes for Kronecker once, with that bound
+    y = bound // (n * x)
+    assert n * x * y == bound
+    sign = -1 if signed else 1
+    a = [sign * x] * n
+    b = [sign * y] * (n + 2) + [y]
+    assert convolve(a, b) == slow_reference(a, b)
+    assert kronecker_calls == [(len(a), len(b), bound)]
 
 
 def test_kronecker_matches_numpy_path():
