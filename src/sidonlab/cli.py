@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .counting import (
@@ -393,7 +394,10 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first main call and shared by every later one: each
+    parse_args call makes a fresh Namespace."""
     p = argparse.ArgumentParser(
         prog="sidonlab",
         description="Exact arithmetic for Sidon sets, solution counting, "
@@ -469,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, OSError, UnicodeDecodeError) as exc:

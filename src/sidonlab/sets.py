@@ -182,17 +182,28 @@ def check_pairs(size: int) -> int:
 
 
 def difference_counts(elems) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct differences x - y over elems^2 and how many ordered
-    pairs give each, by one np.unique; int64 below INT64_SAFE, else Python
-    ints.  More than MAX_PAIRS pairs are refused before any array is made."""
-    check_pairs(len(elems))
-    big = bool(elems) and max(map(abs, elems)) >= INT64_SAFE
+    """The sorted distinct differences x - y over elems^2 (int64 below
+    INT64_SAFE, else object dtype) and how many ordered pairs give each, for
+    any elems; only x - y > 0 is sorted, since r(-d) = r(d) and r(0) is
+    k^2 - 2 #{x - y > 0}.  More than MAX_PAIRS pairs are refused first."""
+    k = check_pairs(len(elems))
+    if not k:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    big = max(map(abs, elems)) >= INT64_SAFE
     arr = np.array(elems, dtype=object if big else np.int64)
-    return np.unique(np.subtract.outer(arr, arr), return_counts=True)
+    outer = np.subtract.outer(arr, arr)
+    pos = outer[outer > 0]
+    pos.sort()
+    # where each run of equal differences starts, then pos.size (alone if 0)
+    cuts = np.concatenate(([pos.size > 0], pos[1:] != pos[:-1], [True])).nonzero()[0]
+    d, r = pos[cuts[:-1]], cuts[1:] - cuts[:-1]
+    return (np.concatenate((-d[::-1], np.zeros(1, arr.dtype), d)),
+            np.concatenate((r[::-1], [k * k - 2 * pos.size], r)))
 
 
 def representation_profile(s: IntegerSet) -> RepresentationProfile:
-    """E(S), eta |S|^2 and the repeated-difference sum from one np.unique."""
+    """E(S), eta |S|^2 and the repeated-difference sum from the counts r_S(n)
+    of difference_counts."""
     diffs, r = difference_counts(s.elements)
     energy, k = int(r @ r), s.size
     return RepresentationProfile(energy, max(0, energy - 2 * k * k),

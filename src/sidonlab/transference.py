@@ -348,11 +348,12 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
 class CountingBoundVerdict:
     """The counting inequality |sum prod f_i| <= N^(s-2) min_i sup|f_i hat|.
 
-    The left side is exact; the right side uses the grid sup, which is
-    below the true sup by at most the reported grid factor
-    1/cos(pi/OVERSAMPLE), so a pass certifies the stated inequality up to
-    that factor.  The majorant hypotheses
-    (sum nu <= N, E(nu) <= N^3) are checked exactly and reported.
+    holds compares in rationals, within a relative 1e-9, the exact left side
+    and N^(s-2) times the float grid sup; that sup is below the true one by
+    at most the reported grid factor 1/cos(pi/OVERSAMPLE), so a pass
+    certifies the inequality up to that factor.  lhs_abs, rhs and
+    slack_ratio are display floats (inf past the float range).  The majorant
+    hypotheses (sum nu <= N, E(nu) <= N^3) are checked exactly and reported.
     """
 
     lhs_abs: float
@@ -364,6 +365,14 @@ class CountingBoundVerdict:
     grid_factor: float
     premise_mass_ok: bool
     premise_energy_ok: bool
+
+
+def _float(x) -> float:
+    """x as a float, inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return inf
 
 
 def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
@@ -386,19 +395,17 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
     premise_mass = nu.mass() <= n
     premise_energy = weight_energy(nu) <= n**3
     count = count_solutions(eq, fns)
-    lhs_abs = abs(float(count.value))
-    sups = [sup_norm_estimate(f)[0] for f in fns]
-    min_sup = min(sups)
-    rhs = float(n) ** (eq.s - 2) * min_sup
-    holds = lhs_abs <= rhs * (1 + 1e-9)
-    slack = lhs_abs / rhs if rhs > 0 else float("inf") if lhs_abs > 0 else 0.0
+    min_sup = min(sup_norm_estimate(f)[0] for f in fns)
+    lhs = abs(count.value)
+    rhs = n ** (eq.s - 2) * Fraction(min_sup)
+    slack = lhs / rhs if rhs else inf if lhs else 0
     return CountingBoundVerdict(
-        lhs_abs=lhs_abs,
+        lhs_abs=_float(lhs),
         lhs_value=count.value,
-        rhs=rhs,
+        rhs=_float(rhs),
         min_sup=min_sup,
-        holds=holds,
-        slack_ratio=slack,
+        holds=lhs <= rhs * (1 + Fraction(1, 10**9)),
+        slack_ratio=_float(slack),
         grid_factor=1.0 / float(np.cos(np.pi / OVERSAMPLE)),
         premise_mass_ok=premise_mass,
         premise_energy_ok=premise_energy,

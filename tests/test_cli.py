@@ -1,13 +1,17 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import argparse
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from io import StringIO
 from math import isqrt
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -758,3 +762,66 @@ class TestUsageErrors:
         self.assert_usage_error(
             run(capsys, "bohr", "--freq", "1/3", "--eps", "1/4", "--n", "-10"),
             "n >= 0")
+
+
+class TestParserReuse:
+    """main builds its parser on first use and shares it: no state of one
+    call reaches the next."""
+
+    def test_one_parser_for_many_calls(self, capsys, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli_module.build_parser.cache_clear()
+        for n in range(24):
+            assert run(capsys, "count", "--coeffs", "1,1,-2", "--interval", str(n + 1))[0] == 0
+        # the top-level parser and one per subcommand, once
+        assert progs.count("sidonlab") == 1 and len(progs) == 10
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter: importing the module must leave argparse idle
+        code = ("import argparse\n"
+                "made = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "argparse.ArgumentParser.__init__ = "
+                "lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+                "import sidonlab.cli\n"
+                "print(len(made))\n")
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "0\n"
+
+    def test_appended_frequencies_do_not_leak(self, capsys):
+        rest = ["--eps", "1/5", "--n", "60"]
+        alone = []
+        for freq in ("1/7", "2/9"):
+            cli_module.build_parser.cache_clear()
+            alone.append(run(capsys, "bohr", "--freq", freq, *rest))
+        shared = [run(capsys, "bohr", "--freq", freq, *rest) for freq in ("1/7", "2/9")]
+        assert shared == alone
+        assert json.loads(shared[1][1])["config"]["freq"] == ["2/9"]
+
+    def test_usage_refusal_after_a_success(self, capsys):
+        assert run(capsys, "count", "--coeffs", "1,1,-2", "--interval", "9")[0] == 0
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                pytest.raises(SystemExit) as exc:
+            main(["count", "--coeffs", "1,1,-2", "--interval", "nine"])
+        assert exc.value.code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage: sidonlab count")
+        assert "invalid int value: 'nine'" in err.getvalue()
+        with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert out.getvalue().startswith("usage: sidonlab")
+        assert capsys.readouterr() == ("", "")

@@ -1,7 +1,9 @@
 """The exact convolution engine: the support-pair, numpy, FFT and Kronecker
 routes agree with a plain double loop."""
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from sidonlab.convolve import (
     convolve,
     convolve_many,
 )
+from sidonlab.cli import main
 from sidonlab.counting import (
     EquationCoeffs,
     ScaledFunction,
@@ -571,3 +574,26 @@ def test_counts_through_pairs(p, extra, pair_calls):
     assert count_distinct_solutions(eq, s_set) == \
         brute_force_count(eq, fns, distinct_only=True)
     assert pair_calls
+
+
+def test_only_sequences_cross_the_convolve_boundary(monkeypatch, capsys):
+    # the benchmark tracer takes the truth value of what crosses convolve,
+    # which a numpy array of more than one entry refuses
+    crossed = []
+
+    def spy(a, b):
+        result = convolve(a, b)
+        crossed.extend(type(x) for x in (a, b, result))
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name == "sidonlab" or name.startswith("sidonlab."):
+            for attr, value in list(vars(module).items()):
+                if value is convolve:
+                    monkeypatch.setattr(module, attr, spy)
+    evens = Path(__file__).resolve().parent / "golden" / "evens.txt"
+    assert main(["report", "--set", str(evens), "--coeffs", "1,1,1,-1,-2",
+                 "--eps", "1/4"]) == 0
+    assert main(["verify", "all", "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert crossed and set(crossed) <= {list, tuple}

@@ -273,7 +273,7 @@ class TestRepresentationProfile:
 
 
 class TestDifferenceCountProperties:
-    """The one-np.unique profile against a Counter over explicit pairs."""
+    """difference_counts and the profile against a Counter over explicit pairs."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([40, 2**62 + 40, 2**70]), st.data())
@@ -293,6 +293,25 @@ class TestDifferenceCountProperties:
         diffs, counts = difference_counts(elems)
         assert diffs.tolist() == sorted(pair_counter(elems))
         assert as_dict(diffs, counts) == pair_counter(elems)
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_unsorted_repeated_against_pairs(self, big):
+        # the public function takes any integer sequence; past INT64_SAFE the
+        # differences are object dtype, the counts int64 either way
+        rng = np.random.Generator(np.random.Philox(key=104))
+        shift = sets_module.INT64_SAFE if big else 0
+        draws = [[], [7], [3, 3, 3], [5, -5, 5, 0], [40, -40]]
+        draws += [rng.integers(-40, 41, size=int(rng.integers(2, 30))).tolist()
+                  for _ in range(40)]
+        for draw in draws:
+            elems = tuple(x + shift for x in draw)
+            diffs, counts = difference_counts(elems)
+            past = max(map(abs, elems), default=0) >= sets_module.INT64_SAFE
+            assert diffs.dtype == (object if past else np.int64)
+            assert counts.dtype == np.int64
+            want = pair_counter(elems)
+            assert diffs.tolist() == sorted(want)
+            assert as_dict(diffs, counts) == want
 
     def test_empty_and_singleton(self):
         diffs, counts = difference_counts(())

@@ -491,6 +491,19 @@ class TestCountingBound:
             v = verify_counting_bound(nu, fns, eq)
             assert v.holds
 
+    @pytest.mark.parametrize("s", [513, 514])
+    def test_decided_past_the_float_range(self, s):
+        # 1_S on {1, 2, 3, 4} in N = 4 with s - 1 ones and -(s - 1): N^(s-2)
+        # overflows a float, which once made a vacuous pass (s = 513) or
+        # raised OverflowError (s = 514)
+        nu = ScaledFunction.from_set(IntegerSet((1, 2, 3, 4), 4))
+        v = verify_counting_bound(nu, [nu] * s, EquationCoeffs((1,) * (s - 1) + (1 - s,)))
+        assert v.min_sup == 4.0 and v.rhs == float("inf")
+        exact = abs(v.lhs_value) / (4 ** (s - 2) * Fraction(v.min_sup))
+        assert v.holds and v.slack_ratio == float(exact)
+        assert 1e-25 < v.slack_ratio < 1e-24
+        assert v.lhs_abs == float(v.lhs_value)
+
     def test_domination_violation_rejected(self):
         nu = interval_fn(6)
         too_big = nu.scaled_by(2)
