@@ -37,11 +37,10 @@ for ks, m, eps, n in (((), 1, Fraction(1, 10), 100),
 # model is exact, with zero Fourier distance.
 
 model = dense_model(erdos_turan(13), Fraction(1, 5))
-d = model.diagnostics
 print(f"\nSidon p = 13: padded N = {model.n_padded}, |B| = {model.bohr.size}, "
       f"R = {model.spectrum.r_count}")
-print(f"mass = {d.mass} = |S||B|? {d.mass_identity_holds},  "
-      f"fourier distance = {d.fourier_distance}")
+print(f"mass = {model.mass} = |S||B|? {model.mass_identity_holds},  "
+      f"fourier distance = {model.fourier_distance}")
 
 # ---------------------------------------------------------------------------
 # Dense model of a structured set: the evens have spectrum {0, 1/2} plus
@@ -50,12 +49,11 @@ print(f"mass = {d.mass} = |S||B|? {d.mass_identity_holds},  "
 
 evens = IntegerSet(tuple(range(2, 65, 2)), 64)
 model = dense_model(evens, Fraction(1, 4))
-d = model.diagnostics
 print(f"\nevens in [1,64]: |B| = {model.bohr.size}, "
       f"B = {model.bohr.elements}")
-print(f"mass identity holds: {d.mass_identity_holds},  "
-      f"sum f^2 = {d.l2_value} ~ {float(d.l2_value):.1f} vs N = {model.n_padded}")
-print(f"fourier distance = {d.fourier_distance:.3f} "
+print(f"mass identity holds: {model.mass_identity_holds},  "
+      f"sum f^2 = {model.l2_value} ~ {float(model.l2_value):.1f} vs N = {model.n_padded}")
+print(f"fourier distance = {model.fourier_distance:.3f} "
       f"<= 16 eps N = {16 * 0.25 * model.n_padded}")
 
 # the exact autocorrelation inequality behind the model's mean square

@@ -248,15 +248,14 @@ def _cmd_bohr(args) -> int:
 
 
 def _model_fields(model) -> dict:
-    d = model.diagnostics
     return {
         "bohr_size": model.bohr.size,
         "bohr_width": model.bohr.width,
         "r_count": model.spectrum.r_count,
-        "mass": d.mass,
-        "mass_identity_holds": d.mass_identity_holds,
-        "l2_value": _frac(d.l2_value),
-        "fourier_distance": _float17(d.fourier_distance),
+        "mass": model.mass,
+        "mass_identity_holds": model.mass_identity_holds,
+        "l2_value": _frac(model.l2_value),
+        "fourier_distance": _float17(model.fourier_distance),
         "containment_holds": model.containment_holds,
     }
 
@@ -344,10 +343,10 @@ def _cmd_report(args) -> int:
             "repeated_difference": _verdict_dict(rep.repeated_difference),
             "size_bound": _verdict_dict(rep.size_bound),
             "model_l2": {
-                "lhs": rep.model_l2.lhs,
-                "rhs": rep.model_l2.rhs,
+                "lhs": int(rep.model_l2.lhs),
+                "rhs": int(rep.model_l2.rhs),
                 "holds": rep.model_l2.holds,
-                "l2_over_n": _frac(rep.model_l2.l2_over_n),
+                "l2_over_n": _frac(model.l2_value / model.n_padded),
             },
             "level_set": {
                 "size": len(rep.level_set.level_set),

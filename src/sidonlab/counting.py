@@ -191,8 +191,12 @@ class ScaledFunction:
         return True
 
     def float_weights(self) -> np.ndarray:
-        """float(weights[j]): int / int is correctly rounded."""
-        return np.array([x / self.den for x in self.nums], dtype=float)
+        """float(weights[j]): int / int is correctly rounded; a weight past
+        the float range is refused."""
+        try:
+            return np.array([x / self.den for x in self.nums], dtype=float)
+        except OverflowError:
+            raise ValidationError("a weight is past the float range") from None
 
 
 def weight_energy(f: ScaledFunction) -> Fraction:

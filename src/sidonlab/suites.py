@@ -249,9 +249,9 @@ def suite_dense_model() -> SuiteResult:
     for p, eps in DENSE_MODEL_GRID:
         model = dense_model(erdos_turan(p), eps)
         checks = {
-            "mass_identity": model.diagnostics.mass_identity_holds,
+            "mass_identity": model.mass_identity_holds,
             "model_l2": verify_model_l2(model).holds,
-            "fourier_distance": model.diagnostics.fourier_distance
+            "fourier_distance": model.fourier_distance
             <= DEFAULT_FOURIER_C * float(eps) * model.n_padded,
             "containment": model.containment_holds,
             "size_bound": model.size_bound.holds,

@@ -147,14 +147,6 @@ def bohr_size_bound(size: int, eps: Fraction, r: int, n: int) -> InequalityVerdi
 
 
 @dataclass(frozen=True)
-class DenseModelDiagnostics:
-    mass: int
-    mass_identity_holds: bool
-    l2_value: Fraction
-    fourier_distance: float
-
-
-@dataclass(frozen=True)
 class DenseModel:
     """g = 1_S * 1_B with its Bohr set, spectrum and exact diagnostics.
 
@@ -167,7 +159,9 @@ class DenseModel:
     bohr: BohrSet
     padded: IntegerSet
     spectrum: Spectrum
-    diagnostics: DenseModelDiagnostics
+    mass: int
+    square_sum: int
+    fourier_distance: float
     containment_holds: bool
     size_bound: InequalityVerdict
 
@@ -176,13 +170,19 @@ class DenseModel:
         return self.padded.ambient_n
 
     @property
+    def mass_identity_holds(self) -> bool:
+        """sum g = |S||B|."""
+        return self.mass == self.padded.size * self.bohr.size
+
+    @property
+    def l2_value(self) -> Fraction:
+        """sum f^2 = N sum g^2 / |B|^2, exactly."""
+        return self.scale**2 * self.square_sum
+
+    @property
     def theorem_verdicts_hold(self) -> bool:
         """The mass identity, the containment and the size bound."""
-        return (
-            self.diagnostics.mass_identity_holds
-            and self.containment_holds
-            and self.size_bound.holds
-        )
+        return self.mass_identity_holds and self.containment_holds and self.size_bound.holds
 
     @property
     def scale(self) -> Fraction:
@@ -213,8 +213,9 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     (default: smallest power of two at or above 8N), the Bohr set uses every
     spectrum frequency, and g = 1_S * 1_B is an exact integer convolution.
 
-    Diagnostics: mass sum(g) with the identity sum(g) = |S||B|, the exact
-    rational sum f^2 = N sum(g^2)/|B|^2, and the grid maximum of
+    Stored: the mass sum(g), checked against |S||B|; square_sum = sum(g^2),
+    which gives sum f^2 = N sum(g^2)/|B|^2 and the left side of the model
+    autocorrelation bound; and fourier_distance, the grid maximum of
     |sqrt(N) 1_S hat - f hat|.  Also checked: the Bohr set built on the
     separated frequencies at radius eps/2 is contained in B, and the
     sign-corrected size bound with R the separated count.
@@ -232,18 +233,14 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
         )
     if m is None:
         m = default_grid(n)
-    s_hat = dft_values(ScaledFunction.from_set(padded), m)
+    ind_s = ScaledFunction.from_set(padded)
+    s_hat = dft_values(ind_s, m)
     spectrum = _spectrum_from_magnitudes(padded, eps, np.abs(s_hat))
     bohr = bohr_set(spectrum.entries, m, eps, n)
 
-    ind_s, off_s = padded.indicator()
     mu_b = bohr.measure()
-    g_ints = convolve(ind_s, mu_b.nums)
-    g = ScaledFunction(off_s + mu_b.offset, tuple(g_ints), 1, n)
-
-    mass = sum(g_ints)
-    mass_ok = mass == padded.size * bohr.size
-    l2_value = Fraction(n) * sum(x * x for x in g_ints) / bohr.size**2
+    g_ints = convolve(ind_s.nums, mu_b.nums)
+    g = ScaledFunction(ind_s.offset + mu_b.offset, tuple(g_ints), 1, n)
 
     g_hat = dft_values(g, m)
     fourier_distance = float(np.max(np.abs(root * s_hat - root * g_hat / bohr.size)))
@@ -257,7 +254,9 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
         bohr=bohr,
         padded=padded,
         spectrum=spectrum,
-        diagnostics=DenseModelDiagnostics(mass, mass_ok, l2_value, fourier_distance),
+        mass=sum(g_ints),
+        square_sum=sum(x * x for x in g_ints),
+        fourier_distance=fourier_distance,
         containment_holds=containment,
         size_bound=size_verdict,
     )
@@ -381,7 +380,8 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
 
     Validates the domination |f_i| <= nu pointwise (exact, rational);
     checks the majorant hypotheses exactly; computes the left side by exact
-    signed convolution counting and the right side from grid sups.
+    signed convolution counting and the right side from grid sups.  Weights
+    or a grid sup past the float range are refused.
     """
     fns = list(fns)
     if eq.s < 5:
@@ -396,6 +396,8 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
     premise_energy = weight_energy(nu) <= n**3
     count = count_solutions(eq, fns)
     min_sup = min(sup_norm_estimate(f)[0] for f in fns)
+    if not isfinite(min_sup):
+        raise ValidationError(f"the grid sup {min_sup} is not finite")
     lhs = abs(count.value)
     rhs = n ** (eq.s - 2) * Fraction(min_sup)
     slack = lhs / rhs if rhs else inf if lhs else 0
@@ -412,31 +414,14 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
     )
 
 
-@dataclass(frozen=True)
-class ModelL2Verdict:
-    """sum_n r_S(n) r_B(n) <= |B|^2 + (eta |S|^2 + 2|S|) |B|, exactly."""
-
-    lhs: int
-    rhs: int
-    holds: bool
-    l2_over_n: Fraction
-
-
-def verify_model_l2(model: DenseModel) -> ModelL2Verdict:
-    """Exact autocorrelation bound for the model; also reports
-    sum f^2 / N as a rational (its theoretical ceiling has an inexplicit
-    constant and is therefore never asserted)."""
+def verify_model_l2(model: DenseModel) -> InequalityVerdict:
+    """Exact autocorrelation bound for the model,
+    sum_n r_S(n) r_B(n) <= |B|^2 + (eta |S|^2 + 2|S|) |B|."""
     # s1 + b1 = s2 + b2 iff s1 - s2 = b2 - b1: sum_d r_S(d) r_B(d) = sum_n g(n)^2
-    lhs = sum(x * x for x in model.base.nums)
-    k = model.padded.size
-    b = model.bohr.size
-    rhs = b * b + (model.padded.profile.excess + 2 * k) * b
-    return ModelL2Verdict(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        l2_over_n=model.diagnostics.l2_value / model.n_padded,
-    )
+    lhs, b = model.square_sum, model.bohr.size
+    rhs = b * b + (model.padded.profile.excess + 2 * model.padded.size) * b
+    return InequalityVerdict(name="model_l2", lhs=Fraction(lhs), rhs=Fraction(rhs),
+                             holds=lhs <= rhs)
 
 
 @dataclass(frozen=True)
@@ -472,7 +457,7 @@ class TransferenceReport:
     fourier_c: int
     repeated_difference: InequalityVerdict
     size_bound: InequalityVerdict
-    model_l2: ModelL2Verdict
+    model_l2: InequalityVerdict
     level_set: LevelSetResult
 
     @property
@@ -519,7 +504,7 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     params = almost_sidon_params(padded)
 
     # the measured floats first: an overflow is refused before the counts
-    fdist = model.diagnostics.fourier_distance
+    fdist = model.fourier_distance
     c_s = eq.s * fdist / (float(eps) * n) if fdist > 0 else 0.0
     try:
         comparison = eq.s * float(n) ** (eq.s - 2) * fdist

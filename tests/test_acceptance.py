@@ -126,10 +126,9 @@ def test_criterion_07_dense_model():
     ok = True
     details = []
     for p, eps, model in _dense_models():
-        mass_ok = model.diagnostics.mass_identity_holds
+        mass_ok = model.mass_identity_holds
         l2 = verify_model_l2(model)
-        fdist_ok = (model.diagnostics.fourier_distance
-                    <= 16 * float(eps) * model.n_padded)
+        fdist_ok = model.fourier_distance <= 16 * float(eps) * model.n_padded
         size_ok = model.size_bound.holds
         ok &= mass_ok and l2.holds and fdist_ok and size_ok
         details.append(f"p={p} eps={eps}: |B|={model.bohr.size} "

@@ -1,7 +1,9 @@
 """The exact convolution engine: the support-pair, numpy, FFT and Kronecker
 routes agree with a plain double loop."""
 
+import importlib
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -597,3 +599,19 @@ def test_only_sequences_cross_the_convolve_boundary(monkeypatch, capsys):
     assert main(["verify", "all", "--trials", "2"]) == 0
     capsys.readouterr()
     assert crossed and set(crossed) <= {list, tuple}
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # benchmarks/tracing.py wraps these names and records a missing one as an
+    # absent layer, so deleting or renaming one silently empties its metrics;
+    # the source is executed from its text, so nothing is written beside it
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    tracing = types.ModuleType("benchmark_tracing")
+    monkeypatch.setitem(sys.modules, tracing.__name__, tracing)  # for dataclass
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    names = [(mod, func) for mod, func, _, _ in tracing.WRAPPED]
+    assert names
+    missing = [f"{mod}.{func}" for mod, func in names
+               if not callable(getattr(importlib.import_module(f"sidonlab.{mod}"),
+                                       func, None))]
+    assert missing == []

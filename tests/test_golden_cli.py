@@ -9,6 +9,7 @@ After an intended change of output, rewrite the files with
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
 """
 
+import json
 import os
 import sys
 from contextlib import redirect_stdout
@@ -18,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from sidonlab.cli import main
+from sidonlab.counting import EquationCoeffs, ScaledFunction, brute_force_count
+from sidonlab.sets import read_set_file
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -44,6 +47,11 @@ CASES = {
     # 2*ET(7) in [1, 196]: |B| = 7 and both majorant premises hold
     "report_et7x2": ["report", "--set", "et7x2.txt", "--coeffs", "1,1,1,1,-4",
                      "--eps", "11/24"],
+    # the paper's s > 5 regime on the same smoothing set
+    "report_et7x2_s6": ["report", "--set", "et7x2.txt", "--coeffs",
+                        "1,1,1,1,1,-5", "--eps", "11/24"],
+    "report_et7x2_s7": ["report", "--set", "et7x2.txt", "--coeffs",
+                        "1,1,1,1,1,1,-6", "--eps", "11/24"],
     "count": ["count", "--coeffs", "1,1,1,1,-4", "--sets", "et11.txt"],
     "count_interval_oracle": ["count", "--coeffs", "1,2,-3", "--interval",
                               "30", "--oracle"],
@@ -78,6 +86,18 @@ def test_golden_output(name):
     code, text = run_case(name)
     assert code == 0
     assert text == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name, raw", [("report_et7x2_s6", 277),
+                                       ("report_et7x2_s7", 2227)])
+def test_set_count_is_the_oracle(name, raw):
+    # the golden's raw set count, recounted by direct enumeration
+    doc = json.loads((GOLDEN / f"{name}.out").read_text())
+    padded = read_set_file(GOLDEN / "et7x2.txt").padded_to_square()
+    eq = EquationCoeffs(tuple(doc["params"]["coeffs"]))
+    oracle = brute_force_count(eq, [ScaledFunction.from_set(padded)] * eq.s)
+    assert doc["counts"]["set_count_raw"] == oracle.value == raw
+    assert doc["params"]["n_padded"] == padded.ambient_n
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from sidonlab.suites import (
 )
 from sidonlab.transference import (
     BOHR_BLOCK,
+    InequalityVerdict,
     _bohr_member,
     bohr_set,
     bohr_size_bound,
@@ -51,8 +52,7 @@ from sidonlab.transference import (
 def fail_model_verdict(model, verdict):
     """The dense model with one theorem-backed verdict set to fail."""
     if verdict == "mass_identity":
-        return replace(model, diagnostics=replace(model.diagnostics,
-                                                  mass_identity_holds=False))
+        return replace(model, mass=model.mass + 1)
     if verdict == "containment":
         return replace(model, containment_holds=False)
     return replace(model, size_bound=replace(model.size_bound, holds=False))
@@ -259,8 +259,8 @@ class TestDenseModel:
         # model is exactly sqrt(N) 1_S and the Fourier distance vanishes
         model = dense_model(erdos_turan(11), Fraction(1, 5))
         assert model.bohr.elements == (0,)
-        assert model.diagnostics.fourier_distance == 0.0
-        assert model.diagnostics.mass_identity_holds
+        assert model.fourier_distance == 0.0
+        assert model.mass_identity_holds
         padded = model.padded
         w, off = padded.indicator()
         g = model.base.trimmed()
@@ -279,8 +279,8 @@ class TestDenseModel:
     def test_mass_identity_nontrivial_bohr(self):
         model = dense_model(evens(64), Fraction(1, 4))
         assert model.bohr.size > 1
-        assert model.diagnostics.mass_identity_holds
-        assert model.diagnostics.mass == 32 * model.bohr.size
+        assert model.mass_identity_holds
+        assert model.mass == 32 * model.bohr.size
 
     def test_support_inside_padded_window(self):
         model = dense_model(evens(64), Fraction(1, 4))
@@ -295,7 +295,7 @@ class TestDenseModel:
         model = dense_model(evens(64), Fraction(1, 4))
         f = model.model_f
         direct = sum(w * w for w in f.weights)
-        assert model.diagnostics.l2_value == direct
+        assert model.l2_value == direct
 
     def test_convolution_theorem_on_grid(self):
         # f_hat must equal sqrt(N) S_hat B_hat / |B| pointwise on the grid
@@ -504,6 +504,16 @@ class TestCountingBound:
         assert 1e-25 < v.slack_ratio < 1e-24
         assert v.lhs_abs == float(v.lhs_value)
 
+    @pytest.mark.parametrize("power", [308, 309])
+    def test_weights_past_the_float_range_refused(self, power):
+        # at 10^308 the weights are floats but the grid sup is inf; at 10^309
+        # the weights themselves are past the float range
+        f = ScaledFunction(1, (10**power,) * 3, 1, 3)
+        eq = EquationCoeffs((1, 1, 1, 1, -4))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError, match="float range|not finite"):
+            verify_counting_bound(f, [f] * 5, eq)
+
     def test_domination_violation_rejected(self):
         nu = interval_fn(6)
         too_big = nu.scaled_by(2)
@@ -640,6 +650,21 @@ class TestOneRoute:
         padded = ScaledFunction(-b.width, tuple(window), b.size, b.ambient_n)
         for m in (b.grid_m, 97):
             assert np.array_equal(dft_values(mu, m), dft_values(padded, m))
+
+    @pytest.mark.parametrize("s_set, eps, size", SMOOTHING)
+    def test_square_sum_is_stored_once(self, s_set, eps, size):
+        model = dense_model(s_set, eps)
+        assert model.square_sum == sum(x * x for x in model.base.nums)
+        assert model.l2_value == model.n_padded * Fraction(model.square_sum, size**2)
+        # the verdict reads the stored sum rather than summing g again
+        v = verify_model_l2(replace(model, square_sum=model.square_sum + 1))
+        assert type(v) is InequalityVerdict and v.name == "model_l2"
+        assert v.lhs == model.square_sum + 1
+
+    def test_mass_identity_reads_the_stored_mass(self):
+        model = dense_model(evens(64), Fraction(1, 4))
+        assert model.mass == sum(model.base.nums) == model.padded.size * model.bohr.size
+        assert not replace(model, mass=model.mass - 1).mass_identity_holds
 
     def test_weight_energy_has_one_home(self):
         assert weight_energy is counting_module.weight_energy
