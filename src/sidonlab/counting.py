@@ -35,11 +35,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from itertools import compress
+from functools import cache, cached_property, reduce
+from itertools import compress, repeat
 from math import gcd, lcm, prod
 from numbers import Rational
-from operator import add, index, mul
+from operator import add, index, le, mul
 
 import numpy as np
 
@@ -155,13 +155,18 @@ class ScaledFunction:
         """Sum of the weights."""
         return Fraction(sum(self.nums), self.den)
 
+    @cached_property
+    def energy(self) -> Fraction:
+        """weight_energy(self), computed once per function."""
+        return weight_energy(self)
+
     def l2_weights(self) -> Fraction:
-        return Fraction(sum(x * x for x in self.nums), self.den * self.den)
+        return Fraction(sum(map(mul, self.nums, self.nums)), self.den * self.den)
 
     def scaled_by(self, q) -> "ScaledFunction":
         q = Fraction(q)
         p = q.numerator  # a property: read once, not once per weight
-        return ScaledFunction(self.offset, tuple(x * p for x in self.nums),
+        return ScaledFunction(self.offset, tuple(map(mul, self.nums, repeat(p))),
                               self.den * q.denominator, self.ambient_n)
 
     def __add__(self, other: "ScaledFunction") -> "ScaledFunction":
@@ -183,17 +188,21 @@ class ScaledFunction:
         if nu.ambient_n != self.ambient_n:
             raise ValidationError("majorant must live on the same ambient")
         shift = self.offset - nu.offset
-        for j, x in enumerate(self.nums):
-            k = j + shift
-            b = nu.nums[k] if 0 <= k < len(nu.nums) else 0
-            if abs(x) * nu.den > b * self.den:
-                return False
-        return True
+        # self.nums[lo:hi] lies over nu's span, and self must vanish elsewhere
+        lo = min(max(-shift, 0), len(self.nums))
+        hi = max(min(len(nu.nums) - shift, len(self.nums)), lo)
+        if any(self.nums[:lo]) or any(self.nums[hi:]):
+            return False
+        return all(map(le, map(mul, map(abs, self.nums[lo:hi]), repeat(nu.den)),
+                       map(mul, nu.nums[lo + shift:hi + shift], repeat(self.den))))
 
     def float_weights(self) -> np.ndarray:
         """float(weights[j]): int / int is correctly rounded; a weight past
-        the float range is refused."""
+        the float range is refused.  At den 1 numpy converts each int, also
+        correctly rounded."""
         try:
+            if self.den == 1:
+                return np.array(self.nums, dtype=float)
             return np.array([x / self.den for x in self.nums], dtype=float)
         except OverflowError:
             raise ValidationError("a weight is past the float range") from None
@@ -203,7 +212,7 @@ def weight_energy(f: ScaledFunction) -> Fraction:
     """The additive energy E(f) of the weights, exactly: the sum of the
     squares of the autocorrelation of the numerators, over den^4."""
     corr = convolve(f.nums, f.nums[::-1])
-    return Fraction(sum(c * c for c in corr), f.den**4)
+    return Fraction(sum(map(mul, corr, corr)), f.den**4)
 
 
 @dataclass(frozen=True)

@@ -254,14 +254,31 @@ def perturb_almost_sidon(s: IntegerSet, extra: int, seed: int) -> IntegerSet:
     rng = philox(seed)  # checks the seed even when nothing is drawn
     if extra == 0:
         return s
-    present = set(s.elements)
-    pool = [n for n in range(1, check_span(s.ambient_n, "the candidate pool") + 1)
-            if n not in present]
+    n = check_span(s.ambient_n, "the candidate pool")
+    # the j-th candidate left, in increasing order, is found in a binary
+    # indexed tree over [1, n] whose node i counts the candidates left in
+    # (i - lowbit(i), i]
+    free = np.ones(n + 1, dtype=np.int64)
+    free[0] = 0
+    free[list(s.elements)] = 0
+    below = np.cumsum(free)
+    i = np.arange(n + 1)
+    tree = memoryview(below - below[i - (i & -i)])
+    top = 1 << (n.bit_length() - 1)
     picks = []
-    for _ in range(extra):
-        j = int(rng.integers(0, len(pool)))
-        picks.append(pool.pop(j))
-    return IntegerSet(tuple(sorted(present | set(picks))), s.ambient_n)
+    for left in range(n - s.size, n - s.size - extra, -1):
+        j, pos, step = int(rng.integers(0, left)), 0, top
+        while step:
+            if pos + step <= n and tree[pos + step] <= j:
+                pos += step
+                j -= tree[pos]
+            step >>= 1
+        picks.append(pos + 1)
+        pos += 1
+        while pos <= n:
+            tree[pos] -= 1
+            pos += pos & -pos
+    return IntegerSet(tuple(sorted(set(s.elements).union(picks))), s.ambient_n)
 
 
 # --- set file format -------------------------------------------------------

@@ -10,14 +10,16 @@ every m, prime sizes included), so magnitudes carry full float64 accuracy
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
 from .counting import ScaledFunction, weight_energy
 from .errors import ValidationError
-from .sets import IntegerSet, almost_sidon_params, check_span
+from .sets import MAX_POINTS, IntegerSet, almost_sidon_params, check_span
 
 # absolute slack, times |S|, used when comparing float magnitudes against
 # the rational threshold eps * |S|
@@ -58,20 +60,26 @@ def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
     """
     _check_grid(m)
     t = f.trimmed()
+    arr = np.zeros(m, dtype=complex)
     if not t.nums:
-        return np.zeros(m, dtype=complex)
-    w = t.float_weights()
+        return arr
+    _place(t, arr)
+    return m * np.fft.ifft(arr)
+
+
+def _place(t: ScaledFunction, row: np.ndarray) -> None:
+    """Write the float weights of t into the zeroed row, each at its residue
+    mod len(row)."""
+    m, w = len(row), t.float_weights()
     # the offset is reduced as a Python int: offset + j may not fit int64
     start = t.offset % m
-    arr = np.zeros(m, dtype=complex)
     if len(w) <= m:
         # at most two slices, each residue hit once
         head = min(len(w), m - start)
-        arr[start:start + head] = w[:head]
-        arr[:len(w) - head] = w[head:]
+        row[start:start + head] = w[:head]
+        row[:len(w) - head] = w[head:]
     else:
-        np.add.at(arr, (np.arange(len(w), dtype=np.int64) + start) % m, w)
-    return m * np.fft.ifft(arr)
+        np.add.at(row, (np.arange(len(w), dtype=np.int64) + start) % m, w)
 
 
 def dft_magnitudes(f: ScaledFunction, m: int) -> np.ndarray:
@@ -102,14 +110,38 @@ def sup_norm_estimate(f: ScaledFunction, oversample: int = OVERSAMPLE
     oversample 8), since the nearest grid point is within 1/(2 rho w) of the
     maximizer.
     """
+    return _grid_sups([f], oversample)[0]
+
+
+def _grid_sups(fns, oversample: int = OVERSAMPLE) -> list[tuple[float, Fraction]]:
+    """`sup_norm_estimate` of each function, in order, with one inverse FFT
+    per grid size: the placed rows of the functions that share a grid are
+    stacked, at most MAX_POINTS points (or one row) per transform, and a row
+    of a 2-D transform equals the 1-D transform of that row."""
+    try:
+        oversample = index(oversample)
+    except TypeError:
+        raise ValidationError(
+            f"oversample must be an integer, got {oversample!r}") from None
     if oversample < 4:
         raise ValidationError(f"oversample must be >= 4, got {oversample}")
-    t = f.trimmed()
-    width = max(1, len(t.nums))
-    m = oversample * width
-    mags = dft_magnitudes(f, m)
-    k = int(np.argmax(mags))
-    return float(mags[k]), Fraction(k, m)
+    trimmed = [f.trimmed() for f in fns]
+    grids: dict[int, list[int]] = {}
+    for i, t in enumerate(trimmed):
+        grids.setdefault(oversample * max(1, len(t.nums)), []).append(i)
+    sups: list = [None] * len(trimmed)
+    for m, members in grids.items():
+        _check_grid(m)
+        per_block = max(1, MAX_POINTS // m)
+        for b in range(0, len(members), per_block):
+            block = members[b:b + per_block]
+            rows = np.zeros((len(block), m), dtype=complex)
+            for row, i in zip(rows, block):
+                _place(trimmed[i], row)
+            mags = np.abs(m * np.fft.ifft(rows, axis=1))
+            for i, mag, k in zip(block, mags, mags.argmax(axis=1).tolist()):
+                sups[i] = (float(mag[k]), Fraction(k, m))
+    return sups
 
 
 def large_spectrum(s_set: IntegerSet, eps, m: int | None = None) -> Spectrum:
@@ -135,11 +167,16 @@ def _spectrum_from_magnitudes(s_set: IntegerSet, eps: Fraction,
     # greedy selection in increasing k; on a common grid the circular
     # distance from k to the selected set is attained at the largest or
     # (wrapping) smallest selected index, so the scan is exact integer
-    # arithmetic
+    # arithmetic.  (k - last) n > m exactly when k >= last + step, so each
+    # next selection is one bisection; the wrap-around test
+    # (m - k + first) n > m fails for every larger k once it fails.
     selected = entries[:1]
-    for k in entries[1:]:
-        if min(k - selected[-1], m - k + selected[0]) * n > m:
-            selected.append(k)
+    step, j = m // n + 1, 0
+    while selected:
+        j = bisect_left(entries, entries[j] + step, j + 1)
+        if j == len(entries) or (m - entries[j] + selected[0]) * n <= m:
+            break
+        selected.append(entries[j])
     return Spectrum(eps, m, tuple(entries), tuple(mags[ks].tolist()),
                     tuple(selected))
 

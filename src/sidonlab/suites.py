@@ -40,7 +40,6 @@ from .transference import (
     verify_model_l2,
     verify_repeated_difference_bound,
     verify_size_bound,
-    weight_energy,
 )
 
 DENSE_MODEL_GRID = (
@@ -194,7 +193,7 @@ def scale_to_counting_hypotheses(nu: ScaledFunction) -> ScaledFunction:
     a power of two, keeping every weight an exact rational.
     """
     n = nu.ambient_n
-    mass, energy = nu.mass(), weight_energy(nu)
+    mass, energy = nu.mass(), nu.energy
     # nu / 2^j has mass mass / 2^j and energy energy / 16^j
     j = 0
     while mass > n << j or energy > n**3 << 4 * j:

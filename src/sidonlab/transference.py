@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, isqrt
+from operator import mul
 
 import numpy as np
 
@@ -32,10 +33,10 @@ from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, almost_sidon_params, chec
 from .spectral import (
     OVERSAMPLE,
     Spectrum,
+    _grid_sups,
     _spectrum_from_magnitudes,
     default_grid,
     dft_values,
-    sup_norm_estimate,
 )
 
 # the "suitable absolute constant" fixed for the majorant nu = f + sqrt(N) 1_S:
@@ -255,7 +256,7 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
         padded=padded,
         spectrum=spectrum,
         mass=sum(g_ints),
-        square_sum=sum(x * x for x in g_ints),
+        square_sum=sum(map(mul, g_ints, g_ints)),
         fourier_distance=fourier_distance,
         containment_holds=containment,
         size_bound=size_verdict,
@@ -393,9 +394,9 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
             raise ValidationError(f"function {i} is not dominated by nu")
     n = nu.ambient_n
     premise_mass = nu.mass() <= n
-    premise_energy = weight_energy(nu) <= n**3
+    premise_energy = nu.energy <= n**3
     count = count_solutions(eq, fns)
-    min_sup = min(sup_norm_estimate(f)[0] for f in fns)
+    min_sup = min(sup for sup, _ in _grid_sups(fns))
     if not isfinite(min_sup):
         raise ValidationError(f"the grid sup {min_sup} is not finite")
     lhs = abs(count.value)

@@ -119,6 +119,67 @@ class TestScaledFunction:
         g = ScaledFunction.from_weights(0, (Fraction(-3), 0, 0), 4)
         assert not g.dominated_by(nu)
 
+    @staticmethod
+    def dominated_loop(f, nu):
+        """|f| <= nu point by point over f's span, nu 0 outside its own."""
+        shift = f.offset - nu.offset
+        for j, x in enumerate(f.nums):
+            k = j + shift
+            b = nu.nums[k] if 0 <= k < len(nu.nums) else 0
+            if abs(x) * nu.den > b * f.den:
+                return False
+        return True
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-12, 12), st.lists(st.integers(-3, 3), max_size=9),
+           st.integers(1, 4), st.integers(-12, 12), st.lists(st.integers(-1, 4), max_size=9),
+           st.integers(1, 4), st.sampled_from([1, 2**63 + 1, 3**50]))
+    def test_dominated_by_matches_the_loop(self, off, nums, den, nu_off, nu_nums,
+                                           nu_den, big):
+        # spans overlapping, nested or apart; numerators past 2^63; a
+        # denominator of either side may exceed the other's
+        f = ScaledFunction(off, tuple(x * big for x in nums), den, 4)
+        nu = ScaledFunction(nu_off, tuple(x * big for x in nu_nums), nu_den, 4)
+        assert f.dominated_by(nu) == self.dominated_loop(f, nu)
+        assert nu.dominated_by(f) == self.dominated_loop(nu, f)
+
+    def test_dominated_by_support_outside_nu(self):
+        nu = ScaledFunction(5, (1, 1, 1), 1, 9)
+        for off, nums in ((2, (0, 0, 1, 1)), (2, (1, 0, 0)), (7, (1, 0, 1)),
+                          (6, (1, 1, 0, 0, 0, 2)), (-20, (1,)), (20, (1,))):
+            f = ScaledFunction(off, nums, 1, 9)
+            assert not f.dominated_by(nu) and not self.dominated_loop(f, nu)
+        for off, nums in ((2, (0, 0, 0, 1, 1, 1, 0)), (-20, (0,)), (20, ())):
+            f = ScaledFunction(off, nums, 1, 9)
+            assert f.dominated_by(nu) and self.dominated_loop(f, nu)
+
+    @pytest.mark.parametrize("x", [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**54 - 1,
+                                   2**63 + 1, 2**1024 - 2**970 - 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_weights_at_den_one_are_int_over_one(self, x, sign):
+        got = ScaledFunction(0, (sign * x, 1, 0), 1, 1).float_weights()
+        assert got.tobytes() == np.array([sign * x / 1, 1.0, 0.0]).tobytes()
+
+    @pytest.mark.parametrize("x", [2**1024, -2**1024, 2**1024 - 2**970, 2**2000])
+    def test_float_weights_past_the_range_refused_at_den_one(self, x):
+        with pytest.raises(ValidationError, match="float range"):
+            ScaledFunction(0, (1, x), 1, 1).float_weights()
+
+    def test_energy_is_the_weight_energy_computed_once(self, monkeypatch):
+        f = ScaledFunction(-3, (2, 0, -1, 5), 3, 7)
+        g = ScaledFunction(-3, (2, 0, -1, 5), 3, 7)
+        before = (repr(f), hash(f))
+        calls = []
+        monkeypatch.setattr(counting_module, "weight_energy",
+                            lambda h: calls.append(h) or Fraction(len(calls)))
+        assert f.energy == f.energy == Fraction(1) and len(calls) == 1
+        monkeypatch.undo()
+        assert g.energy == counting_module.weight_energy(g)
+        # the cached value is no field: equality, hashing and repr ignore it
+        assert (repr(f), hash(f)) == before == (repr(g), hash(g))
+        assert f == g and f == ScaledFunction(-3, (2, 0, -1, 5), 3, 7)
+        assert "energy" not in repr(f)
+
     def test_integerized(self):
         # rational weights are stored over their lcm, in lowest terms
         f = ScaledFunction.from_weights(0, (Fraction(1, 2), Fraction(2, 3)), 4)

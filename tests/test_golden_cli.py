@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import sidonlab.suites as suites_module
 from sidonlab.cli import main
 from sidonlab.counting import EquationCoeffs, ScaledFunction, brute_force_count
 from sidonlab.sets import read_set_file
@@ -100,9 +101,36 @@ def test_set_count_is_the_oracle(name, raw):
     assert doc["params"]["n_padded"] == padded.ambient_n
 
 
+def counting_bound_verdicts() -> str:
+    """The repr of every verdict of suite_counting_bound at seeds 0-2 with 25
+    trials, one a line: `verify` prints only pass or fail, so this pins the
+    floats (min_sup, rhs, slack_ratio) that decide each verdict."""
+    seen = []
+    real = suites_module.verify_counting_bound
+
+    def recorded(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    suites_module.verify_counting_bound = recorded
+    try:
+        for seed in range(3):
+            suites_module.suite_counting_bound(seed, 25)
+    finally:
+        suites_module.verify_counting_bound = real
+    return "".join(f"{v!r}\n" for v in seen)
+
+
+def test_counting_bound_verdicts():
+    text = counting_bound_verdicts()
+    assert text.count("\n") == 75
+    assert text == (GOLDEN / "counting_bound_verdicts.txt").read_text()
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         rc, stdout = run_case(case)
         if rc != 0:
             sys.exit(f"{case}: exit {rc}")
         (GOLDEN / f"{case}.out").write_text(stdout)
+    (GOLDEN / "counting_bound_verdicts.txt").write_text(counting_bound_verdicts())

@@ -404,6 +404,31 @@ class TestPerturb:
         with pytest.raises(ValidationError, match="too long to index"):
             perturb_almost_sidon(s, 1, seed=1)
 
+    @staticmethod
+    def popped(s, extra, seed):
+        """The draws of a sorted Python pool that pops each pick."""
+        rng = philox(seed)
+        pool = [n for n in range(1, s.ambient_n + 1) if n not in s]
+        picks = [pool.pop(int(rng.integers(0, len(pool)))) for _ in range(extra)]
+        return IntegerSet(tuple(sorted(set(s.elements) | set(picks))), s.ambient_n)
+
+    def test_tree_draws_match_the_popped_pool(self):
+        rng = np.random.Generator(np.random.Philox(key=58))
+        for _ in range(150):
+            s = erdos_turan(int(rng.choice([2, 3, 5, 7, 11, 13, 17])))
+            free = s.ambient_n - s.size
+            extra = int(rng.integers(1, free + 1 if rng.random() < 0.3 else min(12, free) + 1))
+            seed = int(rng.integers(0, 2**63))
+            assert perturb_almost_sidon(s, extra, seed) == self.popped(s, extra, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 31, 32, 33])
+    def test_tree_draws_fill_every_ambient(self, n):
+        # every power-of-two boundary of the tree, down to an empty pool
+        for elems in ((), (1,), (n,)):
+            s = IntegerSet(tuple(sorted(set(elems))), n)
+            for extra in range(1, n - s.size + 1):
+                assert perturb_almost_sidon(s, extra, 5) == self.popped(s, extra, 5)
+
     @pytest.mark.parametrize("seed", [-1, 2**128])
     @pytest.mark.parametrize("extra", [0, 2])
     def test_seed_outside_key_range(self, seed, extra):

@@ -12,6 +12,8 @@ from sidonlab.errors import ValidationError
 from sidonlab.sets import MAX_POINTS, IntegerSet, erdos_turan, representation_profile
 from sidonlab.spectral import (
     Spectrum,
+    _grid_sups,
+    _spectrum_from_magnitudes,
     default_grid,
     dft_magnitudes,
     dft_values,
@@ -182,6 +184,106 @@ class TestSupNorm:
     def test_oversample_floor(self):
         with pytest.raises(ValidationError):
             sup_norm_estimate(interval(4), 2)
+
+    @pytest.mark.parametrize("oversample", [4.5, 8.0, Fraction(8), "8"])
+    def test_oversample_not_an_integer_refused(self, oversample):
+        with pytest.raises(ValidationError, match="integer"):
+            sup_norm_estimate(interval(3), oversample)
+        with pytest.raises(ValidationError, match="integer"):
+            _grid_sups([interval(3)], oversample)
+
+    def test_numpy_integer_oversample_accepted(self):
+        assert sup_norm_estimate(interval(5), np.int64(8)) == sup_norm_estimate(interval(5))
+
+
+class TestGridSups:
+    """The stacked transform against one dft_magnitudes and argmax per
+    function, bit for bit."""
+
+    @staticmethod
+    def one_by_one(f, oversample):
+        m = oversample * max(1, len(f.trimmed().nums))
+        mags = dft_magnitudes(f, m)
+        k = int(np.argmax(mags))
+        return float(mags[k]), Fraction(k, m)
+
+    @pytest.mark.parametrize("oversample", [4, 5, 8, 13])
+    def test_mixed_widths_match_one_by_one(self, oversample):
+        rng = np.random.Generator(np.random.Philox(key=oversample))
+        fns = [random_function(rng, width=int(rng.integers(1, 40))) for _ in range(12)]
+        fns += [interval(7), ScaledFunction(3, (0, 0, 0), 1, 8),
+                ScaledFunction(10**20, (0, 5, -2, 0), 7, 1), ScaledFunction(0, (), 1, 1)]
+        fns += fns[:3]  # the same grid several times in one stack
+        got = _grid_sups(fns, oversample)
+        want = [self.one_by_one(f, oversample) for f in fns]
+        assert [(np.float64(v).tobytes(), k) for v, k in got] == \
+            [(np.float64(v).tobytes(), k) for v, k in want]
+
+    def test_all_zero_function(self):
+        assert _grid_sups([ScaledFunction(5, (0, 0), 1, 9)]) == [(0.0, Fraction(0))]
+
+    def test_empty_list(self):
+        assert _grid_sups([]) == []
+
+    @pytest.mark.parametrize("cap, transforms", [(80, 5), (160, 3), (399, 2), (400, 1)])
+    def test_blocks_split_past_the_point_cap(self, cap, transforms, monkeypatch):
+        # five functions on one grid of m = 80: at most MAX_POINTS points per
+        # stacked transform, one row at least
+        rng = np.random.Generator(np.random.Philox(key=56))
+        fns = [ScaledFunction(int(rng.integers(-9, 9)),
+                              tuple(rng.integers(1, 9, size=10).tolist()), 1, 10)
+               for _ in range(5)]
+        want = _grid_sups(fns)
+        calls = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
+        monkeypatch.setattr(sets_module, "MAX_POINTS", cap)
+        monkeypatch.setattr("sidonlab.spectral.MAX_POINTS", cap)
+        assert _grid_sups(fns) == want
+        assert len(calls) == transforms
+
+    def test_grid_past_the_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(sets_module, "MAX_POINTS", 63)
+        with pytest.raises(ValidationError, match="too long to index"):
+            _grid_sups([interval(8)])
+
+
+def separation_loop(entries, m, n):
+    """The greedy scan element by element: keep k when its wrap-around
+    distance to the selected set is above 1/N."""
+    selected = entries[:1]
+    for k in entries[1:]:
+        if min(k - selected[-1], m - k + selected[0]) * n > m:
+            selected.append(k)
+    return selected
+
+
+class TestSeparationScan:
+    """The bisection scan of _spectrum_from_magnitudes against the loop."""
+
+    @staticmethod
+    def separated(entries, m, n):
+        # magnitude 1 at the entries and 0 elsewhere, with |S| = 1 and eps 1
+        mags = np.zeros(m)
+        mags[list(entries)] = 1.0
+        spec = _spectrum_from_magnitudes(IntegerSet((1,), n), Fraction(1), mags)
+        assert list(spec.entries) == sorted(entries)
+        return list(spec.separated)
+
+    def test_random_against_the_loop(self):
+        rng = np.random.Generator(np.random.Philox(key=57))
+        for _ in range(600):
+            m, n = int(rng.integers(1, 301)), int(rng.integers(1, 401))
+            density = rng.random()
+            entries = np.flatnonzero(rng.random(m) < density).tolist()
+            assert self.separated(entries, m, n) == separation_loop(entries, m, n)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (7, 3), (7, 7), (10, 30), (300, 400),
+                                      (64, 8), (64, 9), (299, 1)])
+    def test_edges_against_the_loop(self, m, n):
+        for entries in ([], [0], [m - 1], list(range(m)), list(range(0, m, 2)),
+                        list(range(m // 2, m))):
+            assert self.separated(entries, m, n) == separation_loop(entries, m, n)
 
 
 class TestLargeSpectrum:
