@@ -18,7 +18,6 @@ from sidonlab import (
     large_sieve_diagnostic,
     large_spectrum,
     representation_profile,
-    sup_norm_estimate,
 )
 
 # ---------------------------------------------------------------------------
@@ -52,16 +51,19 @@ for label, s_set, eps in (("interval", full, Fraction(1, 2)),
 
 # ---------------------------------------------------------------------------
 # The grid sup norm is a certified lower bound on the true sup; doubling
-# the oversampling can only help, and 8x is already within ~8 percent.
+# the oversampling can only help, and 8x (sup_norm_estimate's grid) is
+# already within ~8 percent.
 
 s = erdos_turan(7)
 balanced = ScaledFunction.from_set(s) + \
     ScaledFunction.from_interval(1, s.ambient_n, s.ambient_n).scaled_by(
         Fraction(-s.size, s.ambient_n))
+width = len(balanced.trimmed().nums)
 for rho in (8, 16, 64):
-    val, freq = sup_norm_estimate(balanced, rho)
-    print(f"oversample {rho:2d}: sup |balanced hat| >= {val:.6f} "
-          f"at alpha = {freq}")
+    mags = dft_magnitudes(balanced, rho * width)
+    k = int(mags.argmax())
+    print(f"oversample {rho:2d}: sup |balanced hat| >= {mags[k]:.6f} "
+          f"at alpha = {Fraction(k, rho * width)}")
 
 # ---------------------------------------------------------------------------
 # Energy through the spectrum: the autocorrelation route must reproduce the

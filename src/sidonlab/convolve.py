@@ -53,14 +53,13 @@ real-input transform, which is not the complex radix-2 transform the bound
 models.  The recombination sum z_ij 2^(w_a i + w_b j) is exact in int64: in
 any order its partial sums are at most (|a| * |b|)[k] <= the bound < 2^62.
 
-The Kronecker slot width w is the bit length of the coefficient bound,
-plus one sign bit when an input is signed, rounded up to whole bytes, so
-that packing and unpacking are int.to_bytes/int.from_bytes copies.  A
-signed sequence is packed as pack(positive part) - pack(negative part), and
-the product gets 2^(w-1) in every slot (one integer of repeated bias
-bytes), so each slot holds c + 2^(w-1) in [0, 2^w) and no carry crosses a
-slot boundary.  Big integers have no size limit, so this route needs no
-fallback.
+The Kronecker slot width w is the bit length of the coefficient bound
+plus one sign bit, rounded up to whole bytes, so that packing and unpacking
+are int.to_bytes/int.from_bytes copies.  Every sequence, signed or not, is
+packed as pack(positive part) - pack(negative part), and the product gets
+2^(w-1) in every slot (one integer of repeated bias bytes), so each slot
+holds c + 2^(w-1) in [0, 2^w) and no carry crosses a slot boundary.  Big
+integers have no size limit, so this route needs no fallback.
 """
 
 from __future__ import annotations
@@ -114,21 +113,18 @@ def _pack(seq: Sequence[int], nbytes: int) -> int:
     pack(positive part) - pack(negative part)."""
     def join(xs) -> int:
         return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in xs), "little")
-    if min(seq) >= 0:
-        return join(seq)
     return join([x if x > 0 else 0 for x in seq]) - join([-x if x < 0 else 0 for x in seq])
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], bound: int) -> list[int]:
     """The product by one big-integer multiplication (module docstring)."""
     out_len = len(a) + len(b) - 1
-    signed = min(a) < 0 or min(b) < 0
-    nbytes = (bound.bit_length() + signed + 7) // 8
-    prod = _pack(a, nbytes) * _pack(b, nbytes)
-    bias = 1 << (8 * nbytes - 1) if signed else 0
-    if signed:  # a top byte of 0x80 in every slot
-        prod += int.from_bytes((bytes(nbytes - 1) + b"\x80") * out_len, "little")
+    nbytes = (bound.bit_length() + 8) // 8  # the bound and one sign bit
+    # the product plus the bias 2^(w-1), a top byte of 0x80, in every slot
+    prod = _pack(a, nbytes) * _pack(b, nbytes) + int.from_bytes(
+        (bytes(nbytes - 1) + b"\x80") * out_len, "little")
     raw = prod.to_bytes(nbytes * out_len, "little")
+    bias = 1 << (8 * nbytes - 1)
     return [int.from_bytes(raw[i:i + nbytes], "little") - bias
             for i in range(0, len(raw), nbytes)]
 

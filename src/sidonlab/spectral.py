@@ -3,9 +3,10 @@
 The transform convention is f_hat(alpha) = sum_n f(n) e(alpha n) with
 e(beta) = exp(2 pi i beta).  Grid evaluation at alpha = k/m places each
 support point n at its residue n mod m in integer arithmetic before any
-float enters, then takes one length-m FFT (numpy's pocketfft, O(m log m) for
+float enters, then takes a length-m FFT (numpy's pocketfft, O(m log m) for
 every m, prime sizes included), so magnitudes carry full float64 accuracy
-(at least 15 significant digits).
+(at least 15 significant digits).  `_transforms` is the one routine that
+places and transforms; every grid evaluation goes through it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 
 import numpy as np
 
@@ -21,9 +21,10 @@ from .counting import ScaledFunction, weight_energy
 from .errors import ValidationError
 from .sets import MAX_POINTS, IntegerSet, almost_sidon_params, check_span
 
-# absolute slack, times |S|, used when comparing float magnitudes against
-# the rational threshold eps * |S|
-THRESHOLD_TOL = 1e-9
+# the slack of every verdict that reads a float: relative for the large
+# sieve and the counting bound, and times |S| against the rational spectrum
+# threshold eps * |S|; float(FLOAT_SLACK) is the double nearest 10^-9
+FLOAT_SLACK = Fraction(1, 10**9)
 # grid points per unit of support width in sup_norm_estimate
 OVERSAMPLE = 8
 
@@ -52,34 +53,31 @@ class Spectrum:
 
 
 def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
-    """Complex f_hat(k/m) for k = 0..m-1.
+    """Complex f_hat(k/m) for k = 0..m-1."""
+    return _transforms([f.trimmed()], _check_grid(m))[0]
 
-    Support points are placed at their residues mod m, which leaves every
-    grid value unchanged because e(alpha n) has period m in n; one inverse
-    FFT of the placed array, times m, gives the sum with the e(+k n/m) sign.
+
+def _transforms(ts, m: int) -> np.ndarray:
+    """One row t_hat(k/m), k = 0..m-1, per trimmed function t in ts.
+
+    Each row holds the float weights of t at their residues mod m, which
+    leaves every grid value unchanged because e(alpha n) has period m in n;
+    one inverse FFT of the rows, times m, gives the sums with the e(+k n/m)
+    sign.  A row of the 2-D transform equals the 1-D transform of that row.
     """
-    _check_grid(m)
-    t = f.trimmed()
-    arr = np.zeros(m, dtype=complex)
-    if not t.nums:
-        return arr
-    _place(t, arr)
-    return m * np.fft.ifft(arr)
-
-
-def _place(t: ScaledFunction, row: np.ndarray) -> None:
-    """Write the float weights of t into the zeroed row, each at its residue
-    mod len(row)."""
-    m, w = len(row), t.float_weights()
-    # the offset is reduced as a Python int: offset + j may not fit int64
-    start = t.offset % m
-    if len(w) <= m:
-        # at most two slices, each residue hit once
-        head = min(len(w), m - start)
-        row[start:start + head] = w[:head]
-        row[:len(w) - head] = w[head:]
-    else:
-        np.add.at(row, (np.arange(len(w), dtype=np.int64) + start) % m, w)
+    rows = np.zeros((len(ts), m), dtype=complex)
+    for row, t in zip(rows, ts):
+        w = t.float_weights()
+        # the offset is reduced as a Python int: offset + j may not fit int64
+        start = t.offset % m
+        if len(w) <= m:
+            # at most two slices, each residue hit once
+            head = min(len(w), m - start)
+            row[start:start + head] = w[:head]
+            row[:len(w) - head] = w[head:]
+        else:
+            np.add.at(row, (np.arange(len(w), dtype=np.int64) + start) % m, w)
+    return m * np.fft.ifft(rows, axis=1)
 
 
 def dft_magnitudes(f: ScaledFunction, m: int) -> np.ndarray:
@@ -100,45 +98,33 @@ def default_grid(width: int) -> int:
     return _check_grid(1 << (8 * max(1, width) - 1).bit_length())
 
 
-def sup_norm_estimate(f: ScaledFunction, oversample: int = OVERSAMPLE
-                      ) -> tuple[float, Fraction]:
-    """Grid maximum of |f_hat| over a grid of size oversample * width.
+def sup_norm_estimate(f: ScaledFunction) -> tuple[float, Fraction]:
+    """Grid maximum of |f_hat| over a grid of size OVERSAMPLE * width.
 
     This is a lower bound on the true sup over the circle; for a
     trigonometric polynomial of degree at most the support width it is
-    within a factor 1/cos(pi/oversample) of the sup (about 8 percent low at
-    oversample 8), since the nearest grid point is within 1/(2 rho w) of the
+    within a factor 1/cos(pi/OVERSAMPLE) of the sup (about 8 percent low),
+    since the nearest grid point is within 1/(2 OVERSAMPLE w) of the
     maximizer.
     """
-    return _grid_sups([f], oversample)[0]
+    return _grid_sups([f])[0]
 
 
-def _grid_sups(fns, oversample: int = OVERSAMPLE) -> list[tuple[float, Fraction]]:
-    """`sup_norm_estimate` of each function, in order, with one inverse FFT
-    per grid size: the placed rows of the functions that share a grid are
-    stacked, at most MAX_POINTS points (or one row) per transform, and a row
-    of a 2-D transform equals the 1-D transform of that row."""
-    try:
-        oversample = index(oversample)
-    except TypeError:
-        raise ValidationError(
-            f"oversample must be an integer, got {oversample!r}") from None
-    if oversample < 4:
-        raise ValidationError(f"oversample must be >= 4, got {oversample}")
+def _grid_sups(fns) -> list[tuple[float, Fraction]]:
+    """`sup_norm_estimate` of each function, in order, with one call of
+    `_transforms` per grid size: the functions that share a grid are
+    stacked, at most MAX_POINTS points (or one row) per transform."""
     trimmed = [f.trimmed() for f in fns]
     grids: dict[int, list[int]] = {}
     for i, t in enumerate(trimmed):
-        grids.setdefault(oversample * max(1, len(t.nums)), []).append(i)
+        grids.setdefault(OVERSAMPLE * max(1, len(t.nums)), []).append(i)
     sups: list = [None] * len(trimmed)
     for m, members in grids.items():
         _check_grid(m)
         per_block = max(1, MAX_POINTS // m)
         for b in range(0, len(members), per_block):
             block = members[b:b + per_block]
-            rows = np.zeros((len(block), m), dtype=complex)
-            for row, i in zip(rows, block):
-                _place(trimmed[i], row)
-            mags = np.abs(m * np.fft.ifft(rows, axis=1))
+            mags = np.abs(_transforms([trimmed[i] for i in block], m))
             for i, mag, k in zip(block, mags, mags.argmax(axis=1).tolist()):
                 sups[i] = (float(mag[k]), Fraction(k, m))
     return sups
@@ -161,7 +147,7 @@ def _spectrum_from_magnitudes(s_set: IntegerSet, eps: Fraction,
                               mags: np.ndarray) -> Spectrum:
     """`large_spectrum` of S from |1_S hat(k/m)| for k = 0..m-1, m = len(mags)."""
     m, n, size = len(mags), s_set.ambient_n, s_set.size
-    cutoff = float(eps) * size - THRESHOLD_TOL * size
+    cutoff = float(eps) * size - float(FLOAT_SLACK) * size
     ks = np.flatnonzero(mags >= cutoff)
     entries = ks.tolist()
     # greedy selection in increasing k; on a common grid the circular
@@ -226,7 +212,7 @@ def large_sieve_diagnostic(s_set: IntegerSet, spectrum: Spectrum) -> LargeSieveR
     return LargeSieveReport(
         lhs=lhs,
         rhs=rhs,
-        holds=lhs <= rhs * (1 + 1e-9),
+        holds=lhs <= rhs * (1 + float(FLOAT_SLACK)),
         r_count=r,
         r_bound_lhs=r_lhs,
         r_bound_rhs=r_rhs,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -223,7 +224,7 @@ def suite_counting_bound(seed: int, trials: int = 50) -> SuiteResult:
         fns = []
         for _ in range(5):
             rs = rng.integers(-8, 9, size=len(nu.nums)).tolist()  # weight r/8 * nu
-            nums = tuple(r * x for r, x in zip(rs, nu.nums))
+            nums = tuple(map(mul, rs, nu.nums))
             fns.append(ScaledFunction(nu.offset, nums, 8 * nu.den, nu.ambient_n))
         v = verify_counting_bound(nu, fns, eq)
         if v.holds and v.premise_mass_ok and v.premise_energy_ok:
@@ -242,11 +243,13 @@ def suite_dense_model() -> SuiteResult:
     For each (p, eps): the mass identity sum g = |S||B|, the exact
     autocorrelation bound, the Fourier distance against 16 eps N, the
     separated-frequency Bohr containment, the sign-corrected size bound,
-    and the large-sieve diagnostic on the separated spectrum.
+    and the large-sieve diagnostic on the separated spectrum with its exact
+    bound R eps^4 |S|^4 <= 2N (2 + eta) |S|^2 on the separated count R.
     """
     res = SuiteResult("dense_model", len(DENSE_MODEL_GRID), 0)
     for p, eps in DENSE_MODEL_GRID:
         model = dense_model(erdos_turan(p), eps)
+        sieve = large_sieve_diagnostic(model.padded, model.spectrum)
         checks = {
             "mass_identity": model.mass_identity_holds,
             "model_l2": verify_model_l2(model).holds,
@@ -254,7 +257,8 @@ def suite_dense_model() -> SuiteResult:
             <= DEFAULT_FOURIER_C * float(eps) * model.n_padded,
             "containment": model.containment_holds,
             "size_bound": model.size_bound.holds,
-            "large_sieve": large_sieve_diagnostic(model.padded, model.spectrum).holds,
+            "large_sieve": sieve.holds,
+            "r_bound": sieve.r_bound_holds,
         }
         bad = [k for k, v in checks.items() if not v]
         if bad:

@@ -31,6 +31,7 @@ from .counting import EquationCoeffs, ScaledFunction, count_solutions, weight_en
 from .errors import ValidationError
 from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, almost_sidon_params, check_span
 from .spectral import (
+    FLOAT_SLACK,
     OVERSAMPLE,
     Spectrum,
     _grid_sups,
@@ -58,7 +59,6 @@ class InequalityVerdict:
     rhs: Fraction
     holds: bool
     applicable: bool = True
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,6 @@ def bohr_size_bound(size: int, eps: Fraction, r: int, n: int) -> InequalityVerdi
         lhs=Fraction(lhs),
         rhs=Fraction(n),
         holds=lhs >= n,
-        note=f"|B| * ceil(4/eps)^(1+R) vs N with R = {r}",
     )
 
 
@@ -294,7 +293,6 @@ def verify_size_bound(s_set: IntegerSet) -> InequalityVerdict:
             rhs=Fraction(4 * n),
             holds=True,
             applicable=False,
-            note="eta >= 1, inequality vacuous",
         )
     lhs = (1 - params.eta) * k * k
     return InequalityVerdict(
@@ -348,12 +346,13 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
 class CountingBoundVerdict:
     """The counting inequality |sum prod f_i| <= N^(s-2) min_i sup|f_i hat|.
 
-    holds compares in rationals, within a relative 1e-9, the exact left side
-    and N^(s-2) times the float grid sup; that sup is below the true one by
-    at most the reported grid factor 1/cos(pi/OVERSAMPLE), so a pass
-    certifies the inequality up to that factor.  lhs_abs, rhs and
-    slack_ratio are display floats (inf past the float range).  The majorant
-    hypotheses (sum nu <= N, E(nu) <= N^3) are checked exactly and reported.
+    holds compares in rationals, within the relative spectral.FLOAT_SLACK,
+    the exact left side and N^(s-2) times the float grid sup; that sup is
+    below the true one by at most the reported grid factor
+    1/cos(pi/OVERSAMPLE), so a pass certifies the inequality up to that
+    factor.  lhs_abs, rhs and slack_ratio are display floats (inf past the
+    float range).  The majorant hypotheses (sum nu <= N, E(nu) <= N^3) are
+    checked exactly and reported.
     """
 
     lhs_abs: float
@@ -407,7 +406,7 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
         lhs_value=count.value,
         rhs=_float(rhs),
         min_sup=min_sup,
-        holds=lhs <= rhs * (1 + Fraction(1, 10**9)),
+        holds=lhs <= rhs * (1 + FLOAT_SLACK),
         slack_ratio=_float(slack),
         grid_factor=1.0 / float(np.cos(np.pi / OVERSAMPLE)),
         premise_mass_ok=premise_mass,

@@ -216,6 +216,21 @@ def test_int64_overflow_edge(kronecker_calls, bound, n, x, signed):
     assert kronecker_calls == [(len(a), len(b), bound)]
 
 
+@pytest.mark.parametrize("n, y", [(1, 1), (2, 127), (3, (2**64 - 1) // 3)],
+                         ids=["64-bit", "72-bit", "128-bit"])
+def test_unsigned_past_int64_fills_whole_bytes(kronecker_calls, n, y):
+    # entries past int64 with a bound of a whole number of bytes, reached
+    # by the middle slots: the slot keeps a sign bit above the bound, so
+    # it is one byte wider than the bound itself
+    x = 2**64 - 1
+    a, b = [x] * n, [y] * (n + 1)
+    bound = n * x * y
+    assert bound.bit_length() % 8 == 0
+    got = convolve(a, b)
+    assert got == slow_reference(a, b) and max(got) == bound
+    assert kronecker_calls == [(len(a), len(b), bound)]
+
+
 def test_kronecker_matches_numpy_path():
     a = [2**20, -(2**21), 3]
     b = [2**40, 5]

@@ -11,6 +11,7 @@ from sidonlab.counting import ScaledFunction, weight_energy
 from sidonlab.errors import ValidationError
 from sidonlab.sets import MAX_POINTS, IntegerSet, erdos_turan, representation_profile
 from sidonlab.spectral import (
+    OVERSAMPLE,
     Spectrum,
     _grid_sups,
     _spectrum_from_magnitudes,
@@ -34,6 +35,30 @@ def reference_dft(f: ScaledFunction, m: int):
         )
         out.append(val)
     return out
+
+
+def one_dimensional_dft(f: ScaledFunction, m: int):
+    """The slow route of dft_values: its own residue placement and 1-D
+    inverse FFT, as dft_values computed it before it became the one-row case
+    of the stacked transform."""
+    t = f.trimmed()
+    arr = np.zeros(m, dtype=complex)
+    if not t.nums:
+        return arr
+    w = t.float_weights()
+    start = t.offset % m
+    if len(w) <= m:
+        head = min(len(w), m - start)
+        arr[start:start + head] = w[:head]
+        arr[:len(w) - head] = w[head:]
+    else:
+        np.add.at(arr, (np.arange(len(w), dtype=np.int64) + start) % m, w)
+    return m * np.fft.ifft(arr)
+
+
+def grid_sup(f: ScaledFunction, rho: int) -> float:
+    """max |f_hat| on the grid of rho * width points."""
+    return float(dft_magnitudes(f, rho * max(1, len(f.trimmed().nums))).max())
 
 
 def interval(n):
@@ -125,6 +150,28 @@ class TestDft:
         np.add.at(arr, (np.arange(width) + offset % m) % m, f.float_weights())
         assert np.array_equal(dft_values(f, m), m * np.fft.ifft(arr))
 
+    @pytest.mark.parametrize("m", [1, 2, 64, 1024, 48, 600, 3, 97, 1009])
+    @pytest.mark.parametrize("width", [1, 5, 40, 1500])
+    def test_matches_one_dimensional_route(self, m, width):
+        # bit for bit on power-of-two, composite and prime grids, with
+        # supports narrower and wider than m (the scatter-add placement)
+        rng = np.random.Generator(np.random.Philox(key=m * width))
+        ws = [Fraction(int(x), int(y)) for x, y in
+              zip(rng.integers(-9, 10, size=width), rng.integers(1, 5, size=width))]
+        ws[0] = ws[-1] = Fraction(1)
+        f = ScaledFunction.from_weights(int(rng.integers(-5 * m, 5 * m)), ws, 1)
+        assert dft_values(f, m).tobytes() == one_dimensional_dft(f, m).tobytes()
+
+    @pytest.mark.parametrize("f", [
+        ScaledFunction(3, (), 1, 4), ScaledFunction(-2, (0, 0, 0), 1, 4),
+        ScaledFunction(2**63 - 2, (1, 2, 5), 1, 2**63 + 1),
+        ScaledFunction(2**70 + 5, (7, 0, -3, 1), 2, 2**70 + 9),
+        ScaledFunction(-(2**64), tuple(range(1, 200)), 3, 1),
+    ], ids=["empty", "all-zero", "offset-2^63", "offset-2^70", "offset-minus-2^64"])
+    @pytest.mark.parametrize("m", [1, 3, 64, 97])
+    def test_edge_functions_match_one_dimensional_route(self, f, m):
+        assert dft_values(f, m).tobytes() == one_dimensional_dft(f, m).tobytes()
+
     def test_negative_offset_wraps_exactly(self):
         f = ScaledFunction.from_weights(-5, (Fraction(2), Fraction(3)), 8)
         assert np.allclose(dft_values(f, 32), reference_dft(f, 32), atol=1e-10)
@@ -167,33 +214,21 @@ class TestSupNorm:
         assert dft_magnitudes(f, 64)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_oversample_consistency(self):
+        # the estimate is the grid max at OVERSAMPLE * width, and a grid of
+        # 64 * width raises it by at most the 1/cos(pi/8) grid factor
         rng = np.random.Generator(np.random.Philox(key=54))
         for _ in range(5):
             f = random_function(rng)
-            lo, _ = sup_norm_estimate(f, 8)
-            hi, _ = sup_norm_estimate(f, 64)
+            lo, _ = sup_norm_estimate(f)
+            assert lo == grid_sup(f, OVERSAMPLE)
+            hi = grid_sup(f, 64)
             assert hi <= lo * 1.05 + 1e-12 and lo <= hi + 1e-12
 
     def test_nested_grid_monotone(self):
+        # the grid of 16 * width contains the grid of 8 * width
         rng = np.random.Generator(np.random.Philox(key=55))
         f = random_function(rng)
-        lo, _ = sup_norm_estimate(f, 8)
-        hi, _ = sup_norm_estimate(f, 16)
-        assert hi >= lo - 1e-12
-
-    def test_oversample_floor(self):
-        with pytest.raises(ValidationError):
-            sup_norm_estimate(interval(4), 2)
-
-    @pytest.mark.parametrize("oversample", [4.5, 8.0, Fraction(8), "8"])
-    def test_oversample_not_an_integer_refused(self, oversample):
-        with pytest.raises(ValidationError, match="integer"):
-            sup_norm_estimate(interval(3), oversample)
-        with pytest.raises(ValidationError, match="integer"):
-            _grid_sups([interval(3)], oversample)
-
-    def test_numpy_integer_oversample_accepted(self):
-        assert sup_norm_estimate(interval(5), np.int64(8)) == sup_norm_estimate(interval(5))
+        assert grid_sup(f, 16) >= grid_sup(f, 8) - 1e-12
 
 
 class TestGridSups:
@@ -201,21 +236,21 @@ class TestGridSups:
     function, bit for bit."""
 
     @staticmethod
-    def one_by_one(f, oversample):
-        m = oversample * max(1, len(f.trimmed().nums))
+    def one_by_one(f):
+        m = OVERSAMPLE * max(1, len(f.trimmed().nums))
         mags = dft_magnitudes(f, m)
         k = int(np.argmax(mags))
         return float(mags[k]), Fraction(k, m)
 
-    @pytest.mark.parametrize("oversample", [4, 5, 8, 13])
-    def test_mixed_widths_match_one_by_one(self, oversample):
-        rng = np.random.Generator(np.random.Philox(key=oversample))
+    @pytest.mark.parametrize("seed", [4, 5, 8, 13])
+    def test_mixed_widths_match_one_by_one(self, seed):
+        rng = np.random.Generator(np.random.Philox(key=seed))
         fns = [random_function(rng, width=int(rng.integers(1, 40))) for _ in range(12)]
         fns += [interval(7), ScaledFunction(3, (0, 0, 0), 1, 8),
                 ScaledFunction(10**20, (0, 5, -2, 0), 7, 1), ScaledFunction(0, (), 1, 1)]
         fns += fns[:3]  # the same grid several times in one stack
-        got = _grid_sups(fns, oversample)
-        want = [self.one_by_one(f, oversample) for f in fns]
+        got = _grid_sups(fns)
+        want = [self.one_by_one(f) for f in fns]
         assert [(np.float64(v).tobytes(), k) for v, k in got] == \
             [(np.float64(v).tobytes(), k) for v, k in want]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import sidonlab.counting as counting_module
 import sidonlab.sets as sets_module
+import sidonlab.suites as suites_module
 import sidonlab.transference as transference_module
 
 from sidonlab.counting import (
@@ -18,7 +19,7 @@ from sidonlab.counting import (
     count_solutions,
 )
 from sidonlab.errors import ValidationError
-from sidonlab.spectral import dft_values, large_spectrum
+from sidonlab.spectral import Spectrum, dft_values, large_spectrum
 from sidonlab.sets import (
     IntegerSet,
     difference_counts,
@@ -359,6 +360,23 @@ class TestOneProfile:
         assert suite_dense_model().ok
         assert len(profile_calls) == len(DENSE_MODEL_GRID)
         assert len({id(s) for s in profile_calls}) == len(DENSE_MODEL_GRID)
+
+    def test_forged_spectrum_fails_the_r_bound(self, monkeypatch):
+        # every grid index a separated frequency of magnitude 0 at threshold
+        # 1: the fourth moment (0) still passes the large sieve, while
+        # R |S|^4 > 2N (2 + eta) |S|^2 breaks the bound on R
+        real = suites_module.large_sieve_diagnostic
+
+        def forged(s_set, spectrum):
+            ks = tuple(range(spectrum.grid_m))
+            return real(s_set, Spectrum(Fraction(1), spectrum.grid_m, ks,
+                                        (0.0,) * len(ks), ks))
+
+        monkeypatch.setattr(suites_module, "large_sieve_diagnostic", forged)
+        res = suite_dense_model()
+        assert res.passes == 0
+        assert res.failures == [f"p={p} eps={eps}: failed ['r_bound']"
+                                for p, eps in DENSE_MODEL_GRID]
 
     def test_padded_set(self):
         s = evens(64)
