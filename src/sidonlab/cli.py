@@ -97,11 +97,7 @@ def _emit_json(doc: dict) -> None:
 
 
 def _config(args, keys) -> dict:
-    out = {}
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"))
-        out[key] = str(val) if isinstance(val, Fraction) else val
-    return out
+    return {key: getattr(args, key) for key in keys}
 
 
 def _set_summary(s: IntegerSet) -> dict:
@@ -187,27 +183,20 @@ def _cmd_count(args) -> int:
             raise ValidationError("--distinct needs exactly one set file")
         s_set = read_set_file(args.sets[0])
         result = count_distinct_solutions(eq, s_set)
-        oracle = (
-            brute_force_count(
-                eq, [ScaledFunction.from_set(s_set)] * eq.s, distinct_only=True
-            )
-            if args.oracle
-            else None
-        )
+        if args.oracle:
+            fns = [ScaledFunction.from_set(s_set)] * eq.s
     else:
         fns = _count_functions(args, eq.s)
         result = count_solutions(eq, fns)
-        oracle = brute_force_count(eq, fns) if args.oracle else None
     doc["value_numerator"] = result.value.numerator
     doc["value_denominator"] = result.value.denominator
     doc["half_power"] = 0  # kept for schema stability
-    if oracle is not None:
-        agrees = oracle.value == result.value
-        doc["oracle_agrees"] = agrees
-        _emit_json(doc)
-        return EXIT_OK if agrees else EXIT_VERDICT_FAILURE
+    agrees = True
+    if args.oracle:
+        oracle = brute_force_count(eq, fns, distinct_only=args.distinct)
+        agrees = doc["oracle_agrees"] = oracle.value == result.value
     _emit_json(doc)
-    return EXIT_OK
+    return EXIT_OK if agrees else EXIT_VERDICT_FAILURE
 
 
 def _cmd_spectrum(args) -> int:

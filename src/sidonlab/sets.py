@@ -11,7 +11,7 @@ energy excess eta and the density delta are decided exactly.
 from __future__ import annotations
 
 import io
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,10 +28,10 @@ INT64_SAFE = 1 << 62
 # the most ordered pairs |S|^2 (so |S| <= 4096) one profile takes, refused first
 MAX_PAIRS = 1 << 24
 # the most points one dense array (an indicator's span, an interval, a
-# dilation, a perturbation's pool, an Erdos-Turan set, a grid m, a Bohr width)
-# may have, refused by check_span before it is made: a complex128 grid of
-# 2^23 points takes 128 MiB; the ET(401) report at eps 1/5 needs m = 2^22
-# and width 64,525
+# dilation, an Erdos-Turan set, a grid m, a Bohr width) or a perturbation's
+# ambient may have, refused by check_span before it is made: a complex128
+# grid of 2^23 points takes 128 MiB; the ET(401) report at eps 1/5 needs
+# m = 2^22 and width 64,525
 MAX_POINTS = 1 << 23
 
 
@@ -240,10 +240,12 @@ def perturb_almost_sidon(s: IntegerSet, extra: int, seed: int) -> IntegerSet:
     """S together with `extra` pseudorandom new points of [1, N].
 
     Draws are made with a Philox counter-based generator keyed by `seed`
-    (chosen for reproducibility and splittability), removing each pick from
-    the candidate pool, so the result is a deterministic function of
-    (S, extra, seed).  Note that adding points may either create or avoid
-    difference coincidences, so no monotonicity of eta is implied.
+    (chosen for reproducibility and splittability); each draw j picks the
+    (j+1)-th point of [1, N] not yet taken, so the result is a deterministic
+    function of (S, extra, seed).  A result past MAX_PAIRS difference pairs
+    is refused before the first draw.  Note that adding points may either
+    create or avoid difference coincidences, so no monotonicity of eta is
+    implied.
     """
     if extra < 0:
         raise ValidationError(f"extra must be nonnegative, got {extra}")
@@ -254,31 +256,18 @@ def perturb_almost_sidon(s: IntegerSet, extra: int, seed: int) -> IntegerSet:
     rng = philox(seed)  # checks the seed even when nothing is drawn
     if extra == 0:
         return s
-    n = check_span(s.ambient_n, "the candidate pool")
-    # the j-th candidate left, in increasing order, is found in a binary
-    # indexed tree over [1, n] whose node i counts the candidates left in
-    # (i - lowbit(i), i]
-    free = np.ones(n + 1, dtype=np.int64)
-    free[0] = 0
-    free[list(s.elements)] = 0
-    below = np.cumsum(free)
-    i = np.arange(n + 1)
-    tree = memoryview(below - below[i - (i & -i)])
-    top = 1 << (n.bit_length() - 1)
-    picks = []
+    n = check_span(s.ambient_n, "the ambient of a perturbation")
+    check_pairs(s.size + extra)
+    picks: list[int] = []
     for left in range(n - s.size, n - s.size - extra, -1):
-        j, pos, step = int(rng.integers(0, left)), 0, top
-        while step:
-            if pos + step <= n and tree[pos + step] <= j:
-                pos += step
-                j -= tree[pos]
-            step >>= 1
-        picks.append(pos + 1)
-        pos += 1
-        while pos <= n:
-            tree[pos] -= 1
-            pos += pos & -pos
-    return IntegerSet(tuple(sorted(set(s.elements).union(picks))), s.ambient_n)
+        # the rank-th free point is the least v = rank + #{taken <= v};
+        # iterating from v = rank climbs to it without passing it
+        rank = int(rng.integers(0, left)) + 1
+        v, w = 0, rank
+        while v != w:
+            v, w = w, rank + bisect_right(s.elements, w) + bisect_right(picks, w)
+        insort(picks, v)
+    return IntegerSet(tuple(sorted(s.elements + tuple(picks))), s.ambient_n)
 
 
 # --- set file format -------------------------------------------------------

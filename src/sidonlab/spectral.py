@@ -143,12 +143,16 @@ def large_spectrum(s_set: IntegerSet, eps, m: int | None = None) -> Spectrum:
         s_set, eps, dft_magnitudes(ScaledFunction.from_set(s_set), m))
 
 
+def _cutoff(eps: Fraction, size: int) -> float:
+    """The float a magnitude must reach to count as at least eps * |S|."""
+    return float(eps) * size - float(FLOAT_SLACK) * size
+
+
 def _spectrum_from_magnitudes(s_set: IntegerSet, eps: Fraction,
                               mags: np.ndarray) -> Spectrum:
     """`large_spectrum` of S from |1_S hat(k/m)| for k = 0..m-1, m = len(mags)."""
-    m, n, size = len(mags), s_set.ambient_n, s_set.size
-    cutoff = float(eps) * size - float(FLOAT_SLACK) * size
-    ks = np.flatnonzero(mags >= cutoff)
+    m, n = len(mags), s_set.ambient_n
+    ks = np.flatnonzero(mags >= _cutoff(eps, s_set.size))
     entries = ks.tolist()
     # greedy selection in increasing k; on a common grid the circular
     # distance from k to the selected set is attained at the largest or
@@ -196,13 +200,23 @@ class LargeSieveReport:
 
 
 def large_sieve_diagnostic(s_set: IntegerSet, spectrum: Spectrum) -> LargeSieveReport:
+    """The LargeSieveReport of S on the separated frequencies of spectrum;
+    a separated set that is empty, outside the entries, not (1/N)-separated
+    or below the spectrum's cutoff is refused, since the sieve does not
+    cover it."""
     if not spectrum.separated:
         raise ValidationError("spectrum has no separated frequencies")
     if not np.isin(spectrum.separated, spectrum.entries).all():
         raise ValidationError("separated frequencies must be spectrum entries")
-    at = np.searchsorted(spectrum.entries, spectrum.separated)
-    lhs = sum(x ** 4 for x in np.take(spectrum.magnitudes, at).tolist())
-    n = s_set.ambient_n
+    n, m, sep = s_set.ambient_n, spectrum.grid_m, spectrum.separated
+    # the test _spectrum_from_magnitudes selects with: every gap between
+    # consecutive indices, the wrap-around one included, times N exceeds m
+    if len(sep) > 1 and int(np.diff(sep, append=sep[0] + m).min()) * n <= m:
+        raise ValidationError("separated frequencies must be (1/N)-separated")
+    mags = np.take(spectrum.magnitudes, np.searchsorted(spectrum.entries, sep))
+    if not (mags >= _cutoff(spectrum.threshold, s_set.size)).all():
+        raise ValidationError("separated magnitudes must reach the spectrum's cutoff")
+    lhs = sum(x ** 4 for x in mags.tolist())
     rhs = 2 * n * s_set.profile.energy
     size = s_set.size
     params = almost_sidon_params(s_set)

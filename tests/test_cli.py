@@ -281,6 +281,16 @@ class TestCount:
         assert code == 0
         assert json.loads(stdout)["oracle_agrees"] is True
 
+    @staticmethod
+    def count_source(tmp_path, distinct, n):
+        """The count arguments on [1, n]: an interval, or under --distinct
+        a set file of it."""
+        if not distinct:
+            return ["--interval", str(n)]
+        path = tmp_path / "s.txt"
+        write_set_file(IntegerSet(tuple(range(1, n + 1)), n), path)
+        return ["--sets", str(path), "--distinct"]
+
     def test_budget_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("SIDONLAB_BUDGET", "10")
         code, _, stderr = run(capsys, "count", "--coeffs", "1,1,-2",
@@ -288,11 +298,20 @@ class TestCount:
         assert code == 3
         assert "budget" in stderr
 
+    def test_distinct_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIDONLAB_BUDGET", "10")
+        code, stdout, stderr = run(capsys, "count", "--coeffs", "1,1,-2",
+                                   *self.count_source(tmp_path, True, 10),
+                                   "--oracle")
+        assert code == 3
+        assert "budget" in stderr and stdout == ""
+
     def test_bad_coeffs_exit_2(self, capsys):
         code, _, _ = run(capsys, "count", "--coeffs", "1,x", "--interval", "4")
         assert code == 2
 
-    def test_oracle_mismatch_exit_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_oracle_mismatch_exit_1(self, tmp_path, capsys, monkeypatch, distinct):
         # exit-status contract for a verdict failure, forced by doctoring
         # the oracle (an honest mismatch would be an engine bug)
         from fractions import Fraction
@@ -300,14 +319,19 @@ class TestCount:
         import sidonlab.cli as cli
         from sidonlab.counting import SolutionCount
 
-        monkeypatch.setattr(
-            cli, "brute_force_count",
-            lambda *a, **k: SolutionCount(Fraction(-1)),
-        )
+        calls = []
+
+        def doctored(*a, **k):
+            calls.append(k)
+            return SolutionCount(Fraction(-1))
+
+        monkeypatch.setattr(cli, "brute_force_count", doctored)
         code, stdout, _ = run(capsys, "count", "--coeffs", "1,-1",
-                              "--interval", "4", "--oracle")
+                              *self.count_source(tmp_path, distinct, 4),
+                              "--oracle")
         assert code == 1
         assert json.loads(stdout)["oracle_agrees"] is False
+        assert calls == [{"distinct_only": distinct}]
 
     @pytest.mark.parametrize("base", [2**62, 2**63])
     def test_oracle_past_int64_agrees(self, tmp_path, capsys, base):
@@ -724,6 +748,18 @@ class TestUsageErrors:
         self.assert_usage_error(
             run(capsys, "construct", "perturb", "--in", str(path), "--extra", "2",
                 "--seed", "-1"), "seed")
+
+    def test_perturb_past_the_pair_cap_before_any_draw(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # 3 + 300000 points: refused by the pair cap before the first draw
+        path = tmp_path / "s.txt"
+        write_set_file(IntegerSet((1, 4097, 2**23), 2**23), path)
+        undrawn = mock.Mock(integers=mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(sets_module, "philox", lambda seed: undrawn)
+        self.assert_usage_error(
+            run(capsys, "construct", "perturb", "--in", str(path), "--extra",
+                "300000", "--seed", "1"),
+            f"300003^2 difference pairs are past the cap of {MAX_PAIRS}")
 
     def test_largest_seed_accepted(self, capsys):
         code, stdout, _ = run(capsys, "verify", "lemmas", "--seed",

@@ -29,6 +29,9 @@ CASES = {
     "construct_erdos_turan": ["construct", "erdos-turan", "--p", "7"],
     "construct_perturb": ["construct", "perturb", "--in", "et11.txt",
                           "--extra", "4", "--seed", "7"],
+    # 100 picks in an ambient of 2^23 points around a 3-point set
+    "construct_perturb_wide": ["construct", "perturb", "--in", "wide3.txt",
+                               "--extra", "100", "--seed", "7"],
     "energy": ["energy", "--set", "et11.txt"],
     "spectrum": ["spectrum", "--set", "et11.txt", "--eps", "1/2"],
     # a grid that is not a power of two

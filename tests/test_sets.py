@@ -3,6 +3,7 @@
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -398,7 +399,7 @@ class TestPerturb:
             perturb_almost_sidon(IntegerSet((1, 2), 3), 2, seed=0)
 
     def test_pool_past_the_span_cap_refused(self):
-        # the pool would list every free point of [1, N]; extra = 0 draws none
+        # an ambient past MAX_POINTS is refused; extra = 0 draws none
         s = IntegerSet((1, 10**14 - 1), 10**14)
         assert perturb_almost_sidon(s, 0, seed=1) is s
         with pytest.raises(ValidationError, match="too long to index"):
@@ -412,7 +413,7 @@ class TestPerturb:
         picks = [pool.pop(int(rng.integers(0, len(pool)))) for _ in range(extra)]
         return IntegerSet(tuple(sorted(set(s.elements) | set(picks))), s.ambient_n)
 
-    def test_tree_draws_match_the_popped_pool(self):
+    def test_draws_match_the_popped_pool(self):
         rng = np.random.Generator(np.random.Philox(key=58))
         for _ in range(150):
             s = erdos_turan(int(rng.choice([2, 3, 5, 7, 11, 13, 17])))
@@ -422,12 +423,31 @@ class TestPerturb:
             assert perturb_almost_sidon(s, extra, seed) == self.popped(s, extra, seed)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 31, 32, 33])
-    def test_tree_draws_fill_every_ambient(self, n):
-        # every power-of-two boundary of the tree, down to an empty pool
+    def test_draws_fill_every_ambient(self, n):
+        # every extra, down to no free point, with a taken point at either end
         for elems in ((), (1,), (n,)):
             s = IntegerSet(tuple(sorted(set(elems))), n)
             for extra in range(1, n - s.size + 1):
                 assert perturb_almost_sidon(s, extra, 5) == self.popped(s, extra, 5)
+
+    def test_draws_fill_the_pair_cap(self):
+        # |S| + extra = 4096 = isqrt(MAX_PAIRS): every point of [1, 4096]
+        s = IntegerSet((), isqrt(sets_module.MAX_PAIRS))
+        assert perturb_almost_sidon(s, s.ambient_n, 3) == self.popped(s, s.ambient_n, 3)
+
+    def test_many_draws_around_few_points(self):
+        s = IntegerSet((1, 2**15, 2**16), 2**16)
+        assert perturb_almost_sidon(s, 4000, 11) == self.popped(s, 4000, 11)
+
+    @pytest.mark.parametrize("s, extra", [(IntegerSet((), 4097), 4097),
+                                          (IntegerSet((1,), 2**23), 4096),
+                                          (IntegerSet((1, 2), 2**23), 300000)],
+                             ids=["0+4097", "1+4096", "2+300000"])
+    def test_pair_cap_refused_before_any_draw(self, monkeypatch, s, extra):
+        undrawn = mock.Mock(integers=mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(sets_module, "philox", lambda seed: undrawn)
+        with pytest.raises(ValidationError, match="difference pairs"):
+            perturb_almost_sidon(s, extra, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     @pytest.mark.parametrize("extra", [0, 2])

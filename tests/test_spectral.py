@@ -488,3 +488,43 @@ class TestLargeSieve:
         spec = Spectrum(Fraction(1), 1, (), (), ())
         with pytest.raises(ValidationError):
             large_sieve_diagnostic(erdos_turan(3), spec)
+
+    def test_every_grid_index_rejected(self):
+        # every index of the ET(11) grid marked separated at threshold 1
+        # with magnitude 0: neither separated nor above the cutoff
+        ks = tuple(range(2048))
+        spec = Spectrum(Fraction(1), 2048, ks, (0.0,) * len(ks), ks)
+        with pytest.raises(ValidationError, match="separated"):
+            large_sieve_diagnostic(erdos_turan(11), spec)
+
+    @pytest.mark.parametrize("sep", [(5, 6), (0, 2047)])
+    def test_unseparated_rejected(self, sep):
+        # ET(11) has N = 242, so on m = 2048 two indices are (1/N)-separated
+        # only 9 or more apart; (0, 2047) are adjacent across the wrap
+        s = erdos_turan(11)
+        entries = tuple(sorted({*sep, 100}))
+        spec = Spectrum(Fraction(1, 5), 2048, entries,
+                        (float(s.size),) * len(entries), sep)
+        with pytest.raises(ValidationError, match="separated"):
+            large_sieve_diagnostic(s, spec)
+
+    def test_separation_boundary(self):
+        # a gap of exactly m/N is refused and one past it admitted, as in
+        # the greedy selection (N = 18 for ET(3), m = 36: gaps 2 and 3)
+        s = erdos_turan(3)
+        mag = (float(s.size),) * 3
+        bad = Spectrum(Fraction(1, 5), 36, (0, 2, 20), mag, (0, 2, 20))
+        with pytest.raises(ValidationError, match="separated"):
+            large_sieve_diagnostic(s, bad)
+        good = Spectrum(Fraction(1, 5), 36, (0, 3, 20), mag, (0, 3, 20))
+        assert large_sieve_diagnostic(s, good).r_count == 3
+
+    def test_below_cutoff_rejected(self):
+        # the entry at 0 has magnitude |S|; the one at 100 falls short of
+        # eps |S| - FLOAT_SLACK |S| at eps 1/5
+        s = erdos_turan(11)
+        low = float(s.size) / 5 * (1 - 1e-6)
+        spec = Spectrum(Fraction(1, 5), 2048, (0, 100),
+                        (float(s.size), low), (0, 100))
+        with pytest.raises(ValidationError, match="cutoff"):
+            large_sieve_diagnostic(s, spec)

@@ -19,7 +19,7 @@ from sidonlab.counting import (
     count_solutions,
 )
 from sidonlab.errors import ValidationError
-from sidonlab.spectral import Spectrum, dft_values, large_spectrum
+from sidonlab.spectral import dft_values, large_spectrum
 from sidonlab.sets import (
     IntegerSet,
     difference_counts,
@@ -362,15 +362,13 @@ class TestOneProfile:
         assert len({id(s) for s in profile_calls}) == len(DENSE_MODEL_GRID)
 
     def test_forged_spectrum_fails_the_r_bound(self, monkeypatch):
-        # every grid index a separated frequency of magnitude 0 at threshold
-        # 1: the fourth moment (0) still passes the large sieve, while
-        # R |S|^4 > 2N (2 + eta) |S|^2 breaks the bound on R
+        # the sieve refuses a spectrum it does not cover (see
+        # TestLargeSieve in test_spectral.py), so the forgery is a report
+        # whose bound on R fails while the fourth moment still passes
         real = suites_module.large_sieve_diagnostic
 
         def forged(s_set, spectrum):
-            ks = tuple(range(spectrum.grid_m))
-            return real(s_set, Spectrum(Fraction(1), spectrum.grid_m, ks,
-                                        (0.0,) * len(ks), ks))
+            return replace(real(s_set, spectrum), r_bound_holds=False)
 
         monkeypatch.setattr(suites_module, "large_sieve_diagnostic", forged)
         res = suite_dense_model()
