@@ -39,6 +39,7 @@ from .sets import (
     is_sidon,
     mian_chowla,
     perturb_almost_sidon,
+    rational,
     read_set_file,
     write_set_file,
 )
@@ -67,13 +68,6 @@ def _frac(x) -> dict:
     return {"numerator": f.numerator, "denominator": f.denominator}
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse rational {text!r}: {exc}") from exc
-
-
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
@@ -86,7 +80,7 @@ def _parse_coeffs(text: str) -> EquationCoeffs:
 
 
 def _parse_frequency(text: str) -> Fraction:
-    f = _parse_fraction(text)
+    f = rational(text)
     if not 0 <= f < 1:
         raise ValidationError(f"frequency must lie in [0, 1), got {text}")
     return f
@@ -201,8 +195,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     s = read_set_file(args.set)
-    eps = _parse_fraction(args.eps)
-    spectrum = large_spectrum(s, eps, args.m)
+    spectrum = large_spectrum(s, args.eps, args.m)
     m = spectrum.grid_m
     selected = set(spectrum.separated)
     cfg = _config(args, ["set", "eps", "m"])
@@ -217,7 +210,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bohr(args) -> int:
-    eps = _parse_fraction(args.eps)
+    eps = rational(args.eps)
     freqs = [_parse_frequency(t) for t in (args.freq or [])]
     # one grid for all: k/d = (k m/d)/m scales each membership test by m/d
     m = lcm(*(f.denominator for f in freqs))
@@ -251,7 +244,7 @@ def _model_fields(model) -> dict:
 
 def _cmd_model(args) -> int:
     s = read_set_file(args.set)
-    model = dense_model(s, _parse_fraction(args.eps), args.m)
+    model = dense_model(s, args.eps, args.m)
     doc = {
         "schema": 1,
         "config": _config(args, ["set", "eps", "m"]),
@@ -289,8 +282,7 @@ def _verdict_dict(v) -> dict:
 def _cmd_report(args) -> int:
     s = read_set_file(args.set)
     eq = _parse_coeffs(args.coeffs)
-    eps = _parse_fraction(args.eps)
-    rep = transference_report(s, eq, eps, args.m, args.fourier_c)
+    rep = transference_report(s, eq, args.eps, args.m, args.fourier_c)
     model = rep.model
     doc = {
         "schema": 1,

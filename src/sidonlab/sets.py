@@ -11,7 +11,7 @@ energy excess eta and the density delta are decided exactly.
 from __future__ import annotations
 
 import io
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,20 +74,44 @@ class IntegerSet:
         return i < len(self.elements) and self.elements[i] == x
 
     def indicator(self) -> tuple[list[int], int]:
-        """Dense 0/1 weight list over [min(S), max(S)] and its offset; a span
-        past MAX_POINTS is refused before the list is made."""
-        if not self.elements:
-            return [], 0
-        lo, hi = self.elements[0], self.elements[-1]
-        w = [0] * check_span(hi - lo + 1, f"the indicator of S on [{lo}, {hi}]")
-        for x in self.elements:
-            w[x - lo] = 1
-        return w, lo
+        """The dense 0/1 weights of S over [min S, max S] and their offset,
+        by zero_one."""
+        return zero_one(self.elements, "S")
+
+    @property
+    def density(self) -> Fraction:
+        """delta = min(1, |S| / ceil(sqrt(N))); see AlmostSidonParams."""
+        return min(Fraction(1), Fraction(self.size, ceil_sqrt(self.ambient_n)))
 
     def padded_to_square(self) -> "IntegerSet":
         """Same elements with the ambient enlarged to the next perfect square."""
         c = ceil_sqrt(self.ambient_n)
         return IntegerSet(self.elements, c * c)
+
+
+def zero_one(elements, name: str) -> tuple[list[int], int]:
+    """Dense 0/1 weight list over [min, max] of strictly increasing integer
+    elements and its offset min; a span past MAX_POINTS is refused before
+    the list is made."""
+    if not elements:
+        return [], 0
+    lo, hi = elements[0], elements[-1]
+    w = [0] * check_span(hi - lo + 1, f"the indicator of {name} on [{lo}, {hi}]")
+    for x in elements:
+        w[x - lo] = 1
+    return w, lo
+
+
+def rational(x) -> Fraction:
+    """x as an exact Fraction: an int, a Fraction or a string such as "1/5"
+    or "0.2".  A float is refused, since its binary value is not the decimal
+    it prints as, and so is anything Fraction cannot read."""
+    if isinstance(x, (float, np.floating)):
+        raise ValidationError(f"cannot parse rational {x!r}: a float is not exact")
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValidationError(f"cannot parse rational {x!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -223,10 +247,7 @@ def almost_sidon_params(s: IntegerSet) -> AlmostSidonParams:
     """
     if s.size == 0:
         raise ValidationError("almost_sidon_params requires a nonempty set")
-    k = s.size
-    eta = Fraction(s.profile.excess, k * k)
-    delta = min(Fraction(1), Fraction(k, ceil_sqrt(s.ambient_n)))
-    return AlmostSidonParams(eta, delta)
+    return AlmostSidonParams(Fraction(s.profile.excess, s.size ** 2), s.density)
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -258,16 +279,15 @@ def perturb_almost_sidon(s: IntegerSet, extra: int, seed: int) -> IntegerSet:
         return s
     n = check_span(s.ambient_n, "the ambient of a perturbation")
     check_pairs(s.size + extra)
-    picks: list[int] = []
+    taken = list(s.elements)
     for left in range(n - s.size, n - s.size - extra, -1):
-        # the rank-th free point is the least v = rank + #{taken <= v};
-        # iterating from v = rank climbs to it without passing it
+        # taken[i] - i - 1 free points lie below taken[i], a nondecreasing
+        # count: the rank-th free point is rank + i for the first i whose
+        # count reaches rank
         rank = int(rng.integers(0, left)) + 1
-        v, w = 0, rank
-        while v != w:
-            v, w = w, rank + bisect_right(s.elements, w) + bisect_right(picks, w)
-        insort(picks, v)
-    return IntegerSet(tuple(sorted(s.elements + tuple(picks))), s.ambient_n)
+        i = bisect_right(range(len(taken)), rank, key=lambda i: taken[i] - i)
+        taken.insert(i, rank + i)
+    return IntegerSet(tuple(taken), s.ambient_n)
 
 
 # --- set file format -------------------------------------------------------

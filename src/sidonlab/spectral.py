@@ -14,12 +14,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 
 import numpy as np
 
 from .counting import ScaledFunction, weight_energy
 from .errors import ValidationError
-from .sets import MAX_POINTS, IntegerSet, almost_sidon_params, check_span
+from .sets import MAX_POINTS, IntegerSet, almost_sidon_params, check_span, rational
 
 # the slack of every verdict that reads a float: relative for the large
 # sieve and the counting bound, and times |S| against the rational spectrum
@@ -38,7 +39,9 @@ class Spectrum:
     documented float tolerance), in increasing order, and `magnitudes` the
     aligned values.  `separated` is the greedy maximal subsequence with
     pairwise wrap-around distance > 1/N; maximality means every entry lies
-    within 1/N of some selected frequency.
+    within 1/N of some selected frequency.  The shape is checked on
+    construction: aligned magnitudes, strictly increasing entries in
+    [0, grid_m), and separated a subsequence of entries.
     """
 
     threshold: Fraction
@@ -46,6 +49,19 @@ class Spectrum:
     entries: tuple[int, ...]
     magnitudes: tuple[float, ...]
     separated: tuple[int, ...]
+
+    def __post_init__(self):
+        e = self.entries
+        if len(self.magnitudes) != len(e):
+            raise ValidationError(
+                f"{len(self.magnitudes)} magnitudes for {len(e)} spectrum entries")
+        if e and not (0 <= e[0] and e[-1] < self.grid_m and all(map(lt, e, e[1:]))):
+            raise ValidationError(
+                f"spectrum entries must increase strictly inside [0, {self.grid_m})")
+        rest = iter(e)
+        if not all(k in rest for k in self.separated):
+            raise ValidationError(
+                "separated frequencies must be a subsequence of the spectrum entries")
 
     @property
     def r_count(self) -> int:
@@ -134,7 +150,7 @@ def large_spectrum(s_set: IntegerSet, eps, m: int | None = None) -> Spectrum:
     """All grid frequencies with |1_S hat(k/m)| >= eps |S|, plus a greedy
     maximal (1/N)-separated subsequence (wrap-around distance, exact
     rational comparisons, scanned in increasing k)."""
-    eps = Fraction(eps)
+    eps = rational(eps)
     if not 0 < eps <= 1:
         raise ValidationError(f"need 0 < eps <= 1, got {eps}")
     if m is None:
@@ -201,13 +217,11 @@ class LargeSieveReport:
 
 def large_sieve_diagnostic(s_set: IntegerSet, spectrum: Spectrum) -> LargeSieveReport:
     """The LargeSieveReport of S on the separated frequencies of spectrum;
-    a separated set that is empty, outside the entries, not (1/N)-separated
-    or below the spectrum's cutoff is refused, since the sieve does not
-    cover it."""
+    a separated set that is empty, not (1/N)-separated or below the
+    spectrum's cutoff is refused, since the sieve does not cover it (the
+    Spectrum itself checks that the separated frequencies are entries)."""
     if not spectrum.separated:
         raise ValidationError("spectrum has no separated frequencies")
-    if not np.isin(spectrum.separated, spectrum.entries).all():
-        raise ValidationError("separated frequencies must be spectrum entries")
     n, m, sep = s_set.ambient_n, spectrum.grid_m, spectrum.separated
     # the test _spectrum_from_magnitudes selects with: every gap between
     # consecutive indices, the wrap-around one included, times N exceeds m

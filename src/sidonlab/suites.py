@@ -2,8 +2,9 @@
 
 Every suite is a deterministic function of its seed: instances are drawn
 from a Philox counter-based generator, so a failure can be replayed from
-the (seed, trial index) pair alone.  Suites return a SuiteResult whose
-`failures` list carries one human-readable witness per failed trial.
+the (seed, trial index) pair alone.  Each suite is written as a generator
+of one outcome per trial, None for a pass or a human-readable witness for
+a failure, and `_suite` turns it into a function returning a SuiteResult.
 
 These back both the command-line `verify` subcommand and the acceptance
 tests.
@@ -11,8 +12,9 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from operator import mul
 
 import numpy as np
@@ -51,25 +53,36 @@ DENSE_MODEL_GRID = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteResult:
     name: str
     trials: int
-    passes: int
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
+
+    @property
+    def passes(self) -> int:
+        return self.trials - len(self.failures)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "passes": self.passes,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
+        return {"name": self.name, "trials": self.trials, "passes": self.passes,
+                "ok": self.ok, "failures": list(self.failures)}
+
+
+def _suite(name: str):
+    """Make a generator of one outcome per trial, None for a pass and the
+    witness text for a failure, return the SuiteResult `name`."""
+    def wrap(gen):
+        @wraps(gen)
+        def run(*args, **kwargs) -> SuiteResult:
+            outcomes = list(gen(*args, **kwargs))
+            return SuiteResult(name, len(outcomes),
+                               [w for w in outcomes if w is not None])
+        return run
+    return wrap
 
 
 def _random_set(rng: np.random.Generator, n_max: int) -> IntegerSet:
@@ -89,55 +102,43 @@ def _random_coeffs(rng: np.random.Generator, s: int) -> EquationCoeffs:
     return EquationCoeffs(tuple(coeffs))
 
 
-def suite_oracle_equivalence(seed: int, trials: int = 200) -> SuiteResult:
+@_suite("oracle_equivalence")
+def suite_oracle_equivalence(seed: int, trials: int = 200):
     """count_solutions against brute-force enumeration on random instances
     (N <= 40, 2 <= s <= 5, |a_i| <= 3), exact equality."""
     rng = philox(seed)
-    res = SuiteResult("oracle_equivalence", trials, 0)
     for t in range(trials):
         s = int(rng.integers(2, 6))
         eq = _random_coeffs(rng, s)
         fns = [ScaledFunction.from_set(_random_set(rng, 40)) for _ in range(s)]
-        fast = count_solutions(eq, fns)
-        slow = brute_force_count(eq, fns)
-        if fast.value == slow.value:
-            res.passes += 1
-        else:
-            res.failures.append(
-                f"trial {t}: eq {eq.coeffs} fast {fast.value} != brute {slow.value}"
-            )
-    return res
+        fast = count_solutions(eq, fns).value
+        slow = brute_force_count(eq, fns).value
+        yield None if fast == slow else (
+            f"trial {t}: eq {eq.coeffs} fast {fast} != brute {slow}")
 
 
-def suite_distinct_equivalence(seed: int, trials: int = 100) -> SuiteResult:
+@_suite("distinct_equivalence")
+def suite_distinct_equivalence(seed: int, trials: int = 100):
     """count_distinct_solutions against brute-force distinct counting on
     random instances (N <= 25, s <= 5), exact equality."""
     rng = philox(seed)
-    res = SuiteResult("distinct_equivalence", trials, 0)
     for t in range(trials):
         s = int(rng.integers(2, 6))
         eq = _random_coeffs(rng, s)
         s_set = _random_set(rng, 25)
-        ie = count_distinct_solutions(eq, s_set)
+        ie = count_distinct_solutions(eq, s_set).value
         slow = brute_force_count(
-            eq, [ScaledFunction.from_set(s_set)] * s, distinct_only=True
-        )
-        if ie.value == slow.value:
-            res.passes += 1
-        else:
-            res.failures.append(
-                f"trial {t}: eq {eq.coeffs} S {s_set.elements} "
-                f"IE {ie.value} != brute {slow.value}"
-            )
-    return res
+            eq, [ScaledFunction.from_set(s_set)] * s, distinct_only=True).value
+        yield None if ie == slow else (
+            f"trial {t}: eq {eq.coeffs} S {s_set.elements} IE {ie} != brute {slow}")
 
 
-def suite_energy_three_ways(seed: int, trials: int = 50) -> SuiteResult:
+@_suite("energy_three_ways")
+def suite_energy_three_ways(seed: int, trials: int = 50):
     """Profile energy, brute-force quadruple enumeration, and the
     convolution route must agree exactly on random sets with N <= 64."""
     rng = philox(seed)
     eq = EquationCoeffs((1, -1, -1, 1))
-    res = SuiteResult("energy_three_ways", trials, 0)
     for t in range(trials):
         s_set = _random_set(rng, 64)
         e_profile = s_set.profile.energy
@@ -145,28 +146,24 @@ def suite_energy_three_ways(seed: int, trials: int = 50) -> SuiteResult:
             brute_force_count(eq, [ScaledFunction.from_set(s_set)] * 4).value
         )
         e_fourier = energy_via_fourier(s_set)
-        if e_profile == e_brute == e_fourier:
-            res.passes += 1
-        else:
-            res.failures.append(
-                f"trial {t}: S {s_set.elements} profile {e_profile} "
-                f"brute {e_brute} fourier {e_fourier}"
-            )
-    return res
+        yield None if e_profile == e_brute == e_fourier else (
+            f"trial {t}: S {s_set.elements} profile {e_profile} "
+            f"brute {e_brute} fourier {e_fourier}")
 
 
-def suite_lemma_inequalities(seed: int, trials: int = 100) -> SuiteResult:
+@_suite("lemma_inequalities")
+def suite_lemma_inequalities(seed: int, trials: int = 100):
     """Repeated-difference and cardinality bounds on seeded almost-Sidon
-    perturbations with eta < 1; both are theorems, any failure is a bug."""
+    perturbations with eta < 1; both are theorems, any failure is a bug.
+    Perturbations with eta >= 1 are redrawn, up to 50 attempts per trial."""
     rng = philox(seed)
     bases = [erdos_turan(p) for p in (5, 7, 11, 13)] + [
         mian_chowla(k) for k in (8, 12, 20)
     ]
-    res = SuiteResult("lemma_inequalities", trials, 0)
     done = 0
-    attempts = 0
-    while done < trials and attempts < 50 * trials:
-        attempts += 1
+    for _ in range(50 * trials):
+        if done == trials:
+            break
         base = bases[int(rng.integers(0, len(bases)))]
         extra = int(rng.integers(0, max(2, base.size // 2) + 1))
         s_set = perturb_almost_sidon(base, extra, seed=int(rng.integers(0, 2**31)))
@@ -175,15 +172,9 @@ def suite_lemma_inequalities(seed: int, trials: int = 100) -> SuiteResult:
         done += 1
         rd = verify_repeated_difference_bound(s_set)
         sb = verify_size_bound(s_set)
-        if rd.holds and sb.holds:
-            res.passes += 1
-        else:
-            res.failures.append(
-                f"trial {done}: S {s_set.elements} repeated-difference "
-                f"{rd.lhs}<={rd.rhs}:{rd.holds} size {sb.lhs}<={sb.rhs}:{sb.holds}"
-            )
-    res.trials = done
-    return res
+        yield None if rd.holds and sb.holds else (
+            f"trial {done}: S {s_set.elements} repeated-difference "
+            f"{rd.lhs}<={rd.rhs}:{rd.holds} size {sb.lhs}<={sb.rhs}:{sb.holds}")
 
 
 def scale_to_counting_hypotheses(nu: ScaledFunction) -> ScaledFunction:
@@ -202,7 +193,8 @@ def scale_to_counting_hypotheses(nu: ScaledFunction) -> ScaledFunction:
     return nu.scaled_by(Fraction(1, 1 << j))
 
 
-def suite_counting_bound(seed: int, trials: int = 50) -> SuiteResult:
+@_suite("counting_bound")
+def suite_counting_bound(seed: int, trials: int = 50):
     """Counting inequality on signed functions dominated by a dense-model
     majorant, s = 5.  The majorant nu = f + sqrt(N) 1_S is halved until its
     mass and energy hypotheses hold exactly; each trial draws signed
@@ -217,7 +209,6 @@ def suite_counting_bound(seed: int, trials: int = 50) -> SuiteResult:
     evens = IntegerSet(tuple(range(2, 65, 2)), 64)
     model = dense_model(evens, Fraction(1, 4))
     majorants.append(scale_to_counting_hypotheses(model.majorant_nu))
-    res = SuiteResult("counting_bound", trials, 0)
     for t in range(trials):
         nu = majorants[int(rng.integers(0, len(majorants)))]
         eq = _random_coeffs(rng, 5)
@@ -227,17 +218,13 @@ def suite_counting_bound(seed: int, trials: int = 50) -> SuiteResult:
             nums = tuple(map(mul, rs, nu.nums))
             fns.append(ScaledFunction(nu.offset, nums, 8 * nu.den, nu.ambient_n))
         v = verify_counting_bound(nu, fns, eq)
-        if v.holds and v.premise_mass_ok and v.premise_energy_ok:
-            res.passes += 1
-        else:
-            res.failures.append(
-                f"trial {t}: eq {eq.coeffs} lhs {v.lhs_abs:.6g} "
-                f"rhs {v.rhs:.6g} premises {v.premise_mass_ok},{v.premise_energy_ok}"
-            )
-    return res
+        yield None if v.holds and v.premise_mass_ok and v.premise_energy_ok else (
+            f"trial {t}: eq {eq.coeffs} lhs {v.lhs_abs:.6g} "
+            f"rhs {v.rhs:.6g} premises {v.premise_mass_ok},{v.premise_energy_ok}")
 
 
-def suite_dense_model() -> SuiteResult:
+@_suite("dense_model")
+def suite_dense_model():
     """Dense-model certification on the fixed grid of instances.
 
     For each (p, eps): the mass identity sum g = |S||B|, the exact
@@ -246,26 +233,20 @@ def suite_dense_model() -> SuiteResult:
     and the large-sieve diagnostic on the separated spectrum with its exact
     bound R eps^4 |S|^4 <= 2N (2 + eta) |S|^2 on the separated count R.
     """
-    res = SuiteResult("dense_model", len(DENSE_MODEL_GRID), 0)
     for p, eps in DENSE_MODEL_GRID:
         model = dense_model(erdos_turan(p), eps)
         sieve = large_sieve_diagnostic(model.padded, model.spectrum)
         checks = {
             "mass_identity": model.mass_identity_holds,
             "model_l2": verify_model_l2(model).holds,
-            "fourier_distance": model.fourier_distance
-            <= DEFAULT_FOURIER_C * float(eps) * model.n_padded,
+            "fourier_distance": model.fourier_bound_holds(DEFAULT_FOURIER_C),
             "containment": model.containment_holds,
             "size_bound": model.size_bound.holds,
             "large_sieve": sieve.holds,
             "r_bound": sieve.r_bound_holds,
         }
         bad = [k for k, v in checks.items() if not v]
-        if bad:
-            res.failures.append(f"p={p} eps={eps}: failed {bad}")
-        else:
-            res.passes += 1
-    return res
+        yield f"p={p} eps={eps}: failed {bad}" if bad else None
 
 
 def run_suites(which: str, seed: int, trials: int) -> list[SuiteResult]:

@@ -29,7 +29,8 @@ import numpy as np
 from .convolve import convolve
 from .counting import EquationCoeffs, ScaledFunction, count_solutions, weight_energy
 from .errors import ValidationError
-from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, almost_sidon_params, check_span
+from .sets import (BLOCK_PAIRS, INT64_SAFE, IntegerSet, almost_sidon_params, check_span,
+                   rational, zero_one)
 from .spectral import (
     FLOAT_SLACK,
     OVERSAMPLE,
@@ -87,11 +88,16 @@ class BohrSet:
 
     def measure(self) -> ScaledFunction:
         """The normalized indicator 1_B / |B| on [min B, max B]."""
-        lo = self.elements[0]
-        nums = [0] * (self.elements[-1] - lo + 1)
-        for n in self.elements:
-            nums[n - lo] = 1
+        nums, lo = zero_one(self.elements, "B")
         return ScaledFunction(lo, tuple(nums), self.size, self.ambient_n)
+
+
+def _radius(eps) -> Fraction:
+    """eps read by sets.rational, refused outside (0, 1/2]."""
+    eps = rational(eps)
+    if not 0 < eps <= Fraction(1, 2):
+        raise ValidationError(f"need 0 < eps <= 1/2, got {eps}")
+    return eps
 
 
 def _bohr_member(n: int, k: int, m: int, radius: Fraction) -> bool:
@@ -110,9 +116,7 @@ def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
     pairs) until none are left.  Each test is _bohr_member's exact integer
     comparison, in int64 while products stay below INT64_SAFE, else Python ints.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= Fraction(1, 2):
-        raise ValidationError(f"need 0 < eps <= 1/2, got {eps}")
+    eps = _radius(eps)
     if n < 0:
         raise ValidationError(f"need n >= 0, got {n}")
     if m < 1:
@@ -132,18 +136,14 @@ def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
     return BohrSet(ks, m, eps, width, elements, n)
 
 
-def bohr_size_bound(size: int, eps: Fraction, r: int, n: int) -> InequalityVerdict:
+def bohr_size_bound(size: int, eps, r: int, n: int) -> InequalityVerdict:
     """Sign-corrected size bound |B| >= ceil(4/eps)^-(1+R) * N, compared as
-    the integer inequality |B| * ceil(4/eps)^(1+R) >= N."""
-    eps = Fraction(eps)
+    the integer inequality |B| * ceil(4/eps)^(1+R) >= N, for the radii
+    0 < eps <= 1/2 of bohr_set."""
+    eps = _radius(eps)
     ceil4 = -((-4 * eps.denominator) // eps.numerator)
     lhs = size * ceil4 ** (1 + r)
-    return InequalityVerdict(
-        name="bohr_size_bound",
-        lhs=Fraction(lhs),
-        rhs=Fraction(n),
-        holds=lhs >= n,
-    )
+    return InequalityVerdict("bohr_size_bound", Fraction(lhs), Fraction(n), lhs >= n)
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,10 @@ class DenseModel:
         """The mass identity, the containment and the size bound."""
         return self.mass_identity_holds and self.containment_holds and self.size_bound.holds
 
+    def fourier_bound_holds(self, fourier_c: int) -> bool:
+        """fourier_distance <= fourier_c * eps * N, in floats."""
+        return self.fourier_distance <= fourier_c * float(self.bohr.radius) * self.n_padded
+
     @property
     def scale(self) -> Fraction:
         """sqrt(N) / |B|, rational because N is a perfect square."""
@@ -220,13 +224,13 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     separated frequencies at radius eps/2 is contained in B, and the
     sign-corrected size bound with R the separated count.
     """
+    eps = rational(eps)
     if s_set.size == 0:
         raise ValidationError("dense_model requires a nonempty set")
-    eps = Fraction(eps)
     padded = s_set.padded_to_square()
     n = padded.ambient_n
     root = isqrt(n)
-    delta = min(Fraction(1), Fraction(padded.size, root))
+    delta = padded.density
     if not 0 < eps <= min(Fraction(1, 2), delta):
         raise ValidationError(
             f"need 0 < eps <= min(1/2, delta) = min(1/2, {delta}), got {eps}"
@@ -283,24 +287,11 @@ def verify_size_bound(s_set: IntegerSet) -> InequalityVerdict:
     """Exact check of |S| <= 2 sqrt(N / (1 - eta)), via squares:
     (1 - eta) |S|^2 <= 4N.  Vacuous (reported as inapplicable) when
     eta >= 1."""
-    params = almost_sidon_params(s_set)
-    k = s_set.size
-    n = s_set.ambient_n
-    if params.eta >= 1:
-        return InequalityVerdict(
-            name="size_bound",
-            lhs=Fraction(0),
-            rhs=Fraction(4 * n),
-            holds=True,
-            applicable=False,
-        )
-    lhs = (1 - params.eta) * k * k
-    return InequalityVerdict(
-        name="size_bound",
-        lhs=lhs,
-        rhs=Fraction(4 * n),
-        holds=lhs <= 4 * n,
-    )
+    eta, rhs = almost_sidon_params(s_set).eta, Fraction(4 * s_set.ambient_n)
+    if eta >= 1:
+        return InequalityVerdict("size_bound", Fraction(0), rhs, True, applicable=False)
+    lhs = (1 - eta) * s_set.size ** 2
+    return InequalityVerdict("size_bound", lhs, rhs, lhs <= rhs)
 
 
 @dataclass(frozen=True)
@@ -327,7 +318,7 @@ class LevelSetResult:
 
 def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
     """Exact level-set density check for a nonnegative f on [1, N]."""
-    delta = Fraction(delta)
+    delta = rational(delta)
     if not 0 < delta <= 1:
         raise ValidationError(f"need 0 < delta <= 1, got {delta}")
     n = f.ambient_n
@@ -487,7 +478,7 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     one of these floats is not finite the report is refused before the
     counts.
     """
-    eps = Fraction(eps)
+    eps = rational(eps)
     if eq.s < 5:
         raise ValidationError(f"transference needs s >= 5, got {eq.s}")
     if fourier_c < 0:
@@ -514,7 +505,6 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     if not all(map(isfinite, (fdist, c_s, comparison, eps_n_power))):
         raise ValidationError(
             f"the report's measured floats are not finite at s = {eq.s}, N = {n}")
-    fourier_ok = fdist <= fourier_c * float(eps) * n
 
     # count the integer g and g + |B| 1_S, then scale: sqrt(N) in the counted
     # numerators would only widen the convolutions
@@ -552,7 +542,7 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
         counting_comparison=comparison,
         c_s=c_s,
         eps_n_power=eps_n_power,
-        fourier_bound_holds=fourier_ok,
+        fourier_bound_holds=model.fourier_bound_holds(fourier_c),
         fourier_c=fourier_c,
         repeated_difference=verify_repeated_difference_bound(padded),
         size_bound=verify_size_bound(padded),

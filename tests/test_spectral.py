@@ -479,10 +479,10 @@ class TestLargeSieve:
 
     @pytest.mark.parametrize("entries", [(), (0, 2), (0, 1)])
     def test_separated_outside_entries_rejected(self, entries):
-        # an index the entries lack has no magnitude to read
-        spec = Spectrum(Fraction(1), 8, entries, (5.0,) * len(entries), (0, 3))
+        # an index the entries lack has no magnitude to read: the Spectrum
+        # refuses it on construction
         with pytest.raises(ValidationError, match="spectrum entries"):
-            large_sieve_diagnostic(erdos_turan(3), spec)
+            Spectrum(Fraction(1), 8, entries, (5.0,) * len(entries), (0, 3))
 
     def test_empty_separated_rejected(self):
         spec = Spectrum(Fraction(1), 1, (), (), ())
