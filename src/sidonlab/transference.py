@@ -82,6 +82,11 @@ class BohrSet:
     def size(self) -> int:
         return len(self.elements)
 
+    @property
+    def trivial(self) -> bool:
+        """B = {0}: B is symmetric and contains 0, so size 1 says it."""
+        return self.size == 1
+
     def contains(self, n: int) -> bool:
         return abs(n) <= self.width and all(
             _bohr_member(n, k, self.grid_m, self.radius) for k in self.ks)
@@ -199,8 +204,12 @@ class DenseModel:
 
     @property
     def majorant_base(self) -> ScaledFunction:
-        """The integer function g + |B| 1_S."""
-        return self.base + ScaledFunction.from_set(self.padded).scaled_by(self.bohr.size)
+        """The integer function g + |B| 1_S, on g's span, which covers S."""
+        g, b = self.base, self.bohr.size
+        nums = list(g.nums)
+        for x in self.padded.elements:
+            nums[x - g.offset] += b
+        return ScaledFunction(g.offset, tuple(nums), 1, self.n_padded)
 
     @property
     def majorant_nu(self) -> ScaledFunction:
@@ -216,6 +225,8 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     the padded set.  The large spectrum is computed on the grid of size m
     (default: smallest power of two at or above 8N), the Bohr set uses every
     spectrum frequency, and g = 1_S * 1_B is an exact integer convolution.
+    When B = {0}, g is 1_S itself: no convolution and no second transform,
+    and the Fourier distance is 0.
 
     Stored: the mass sum(g), checked against |S||B|; square_sum = sum(g^2),
     which gives sum f^2 = N sum(g^2)/|B|^2 and the left side of the model
@@ -242,12 +253,14 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     spectrum = _spectrum_from_magnitudes(padded, eps, np.abs(s_hat))
     bohr = bohr_set(spectrum.entries, m, eps, n)
 
-    mu_b = bohr.measure()
-    g_ints = convolve(ind_s.nums, mu_b.nums)
-    g = ScaledFunction(ind_s.offset + mu_b.offset, tuple(g_ints), 1, n)
-
-    g_hat = dft_values(g, m)
-    fourier_distance = float(np.max(np.abs(root * s_hat - root * g_hat / bohr.size)))
+    if bohr.trivial:
+        g, fourier_distance = ind_s, 0.0
+    else:
+        mu_b = bohr.measure()
+        g = ScaledFunction(ind_s.offset + mu_b.offset,
+                           tuple(convolve(ind_s.nums, mu_b.nums)), 1, n)
+        g_hat = dft_values(g, m)
+        fourier_distance = float(np.max(np.abs(root * s_hat - root * g_hat / bohr.size)))
 
     half_bohr = bohr_set(spectrum.separated, m, eps / 2, n)
     containment = set(half_bohr.elements) <= set(bohr.elements)
@@ -258,8 +271,8 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
         bohr=bohr,
         padded=padded,
         spectrum=spectrum,
-        mass=sum(g_ints),
-        square_sum=sum(map(mul, g_ints, g_ints)),
+        mass=sum(g.nums),
+        square_sum=sum(map(mul, g.nums, g.nums)),
         fourier_distance=fourier_distance,
         containment_holds=containment,
         size_bound=size_verdict,
@@ -471,7 +484,8 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     Requires a translation-invariant equation in s >= 5 variables.  The
     ambient is padded to a perfect square, the dense model is built at
     radius eps, the majorant nu = f + sqrt(N) 1_S is formed, and the model
-    and set counts are computed by exact convolution on identical weights.
+    and set counts are computed by exact convolution on identical weights;
+    when B = {0}, f = sqrt(N) 1_S and the one set count gives both.
     The majorant bounds sum nu <= 4N and E(nu) <= 64 N^3 are exact checks;
     the telescoped difference is compared against
     s * N^(s-2) * fourier_distance and printed beside eps * N^(s-1); when
@@ -515,9 +529,13 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     mass_ok = nu_mass <= NU_MASS_FACTOR * n
     energy_ok = nu_energy <= NU_ENERGY_FACTOR * Fraction(n) ** 3
 
-    model_count = count_solutions(eq, [model.base] * eq.s).value * scale**eq.s
-    raw = count_solutions(eq, [ScaledFunction.from_set(padded)] * eq.s)
-    set_count_raw = int(raw.value)
+    # when B = {0}, g is 1_S and scale is sqrt(N): one count gives both
+    fns = [model.base]
+    if not model.bohr.trivial:
+        fns.append(ScaledFunction.from_set(padded))
+    values = [count_solutions(eq, [f] * eq.s).value for f in fns]
+    model_count = values[0] * scale**eq.s
+    set_count_raw = int(values[-1])
     set_count = Fraction(root) ** eq.s * set_count_raw
     difference = model_count - set_count
 

@@ -43,6 +43,8 @@ CASES = {
     "bohr_lcm": ["bohr", "--freq", "1/6", "--freq", "3/10", "--freq", "2/15",
                  "--freq", "0/1", "--eps", "1/5", "--n", "200"],
     "model": ["model", "--set", "evens.txt", "--eps", "1/4"],
+    # B = {0}: the model is sqrt(N) 1_S itself
+    "model_et11": ["model", "--set", "et11.txt", "--eps", "1/5"],
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "4"],
     "report_et11": ["report", "--set", "et11.txt", "--coeffs", "1,1,1,1,-4",
                     "--eps", "1/5"],
@@ -56,6 +58,9 @@ CASES = {
                         "1,1,1,1,1,-5", "--eps", "11/24"],
     "report_et7x2_s7": ["report", "--set", "et7x2.txt", "--coeffs",
                         "1,1,1,1,1,1,-6", "--eps", "11/24"],
+    # s = 7 where B = {0}: the model count is the set count
+    "report_et11_s7": ["report", "--set", "et11.txt", "--coeffs",
+                       "1,1,1,1,1,1,-6", "--eps", "1/5"],
     "count": ["count", "--coeffs", "1,1,1,1,-4", "--sets", "et11.txt"],
     "count_interval_oracle": ["count", "--coeffs", "1,2,-3", "--interval",
                               "30", "--oracle"],
@@ -93,11 +98,13 @@ def test_golden_output(name):
 
 
 @pytest.mark.parametrize("name, raw", [("report_et7x2_s6", 277),
-                                       ("report_et7x2_s7", 2227)])
+                                       ("report_et7x2_s7", 2227),
+                                       ("report_et11_s7", 12416)])
 def test_set_count_is_the_oracle(name, raw):
-    # the golden's raw set count, recounted by direct enumeration
+    # the golden's raw set count, recounted by direct enumeration on the
+    # set file the golden names
     doc = json.loads((GOLDEN / f"{name}.out").read_text())
-    padded = read_set_file(GOLDEN / "et7x2.txt").padded_to_square()
+    padded = read_set_file(GOLDEN / doc["config"]["set"]).padded_to_square()
     eq = EquationCoeffs(tuple(doc["params"]["coeffs"]))
     oracle = brute_force_count(eq, [ScaledFunction.from_set(padded)] * eq.s)
     assert doc["counts"]["set_count_raw"] == oracle.value == raw

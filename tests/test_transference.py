@@ -691,7 +691,10 @@ class TestTransferenceReport:
         rep = transference_report(erdos_turan(11),
                                   EquationCoeffs((1, 1, 1, 1, -4)),
                                   Fraction(1, 5))
-        assert rep.model.bohr.elements == (0,)
+        assert rep.model.bohr.elements == (0,) and rep.model.bohr.trivial
+        assert rep.model.base == ScaledFunction.from_set(rep.model.padded)
+        assert rep.model.fourier_distance == 0.0
+        assert rep.model_count == rep.set_count
         assert rep.difference == 0
         assert rep.theorem_verdicts_hold
         assert rep.nu_mass_bound_holds and rep.nu_energy_bound_holds
@@ -757,3 +760,32 @@ class TestTransferenceReport:
             transference_report(erdos_turan(5),
                                 EquationCoeffs((1, 1, 1, 1, -5)),
                                 Fraction(1, 5))
+
+
+class TestCollapsedModel:
+    """When B = {0} the model is sqrt(N) 1_S itself: one transform of 1_S,
+    no convolution, and one count serves the model and the set."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of each spied name, as seen from the transference module."""
+        seen = dict.fromkeys(("count_solutions", "dft_values", "convolve"), 0)
+        for name in seen:
+            real = getattr(transference_module, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                seen[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(transference_module, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("s_set, eps, coeffs, size, want", [
+        (erdos_turan(11), Fraction(1, 5), (1, 1, 1, 1, -4), 1, (1, 1, 0)),
+        (evens(64), Fraction(1, 4), (1, 1, 1, -1, -2), 17, (2, 2, 1)),
+    ])
+    def test_work_per_report(self, calls, s_set, eps, coeffs, size, want):
+        # dft_values and convolve are called in the dense model alone
+        rep = transference_report(s_set, EquationCoeffs(coeffs), eps)
+        assert rep.model.bohr.size == size
+        assert tuple(calls.values()) == want
