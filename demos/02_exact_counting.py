@@ -1,10 +1,13 @@
 """Counting solutions of a1 x1 + ... + as xs = 0, exactly.
 
-The engine dilates each weight function to the lattice a_i * x_i and
-convolves: short products with small coefficients by numpy's int64
-convolution, everything else by Kronecker substitution (pack each sequence
-into one big integer, multiply once, unpack).  Both routes are exact, and an
-independent brute-force enumerator cross checks everything.
+The engine groups the variables by coefficient.  With at most two groups it
+convolves each group's functions undilated (a repeated function by repeated
+squaring) and reads the count as one strided dot; otherwise it dilates each
+weight function to the lattice a_i * x_i and convolves.  Every product takes
+one of four exact routes: support pairs, numpy's int64 convolution, a float
+FFT under a certified error bound, or Kronecker substitution (pack each
+sequence into one big integer, multiply once, unpack).  An independent
+brute-force enumerator cross checks everything.
 """
 
 import time

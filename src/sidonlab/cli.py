@@ -86,8 +86,20 @@ def _parse_frequency(text: str) -> Fraction:
     return f
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
+def _emit_json(doc: dict, file=None) -> None:
+    """One JSON line.  Integers are printed in full, also past the
+    interpreter's int-to-str digit limit (a Bohr size bound's left side
+    |B| ceil(4/eps)^(1+R) can have tens of thousands of digits)."""
+    # the limit exists from Python 3.10.7 on; 0 lifts it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(doc, sort_keys=True)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(text, file=file)
 
 
 def _config(args, keys) -> dict:
@@ -136,7 +148,7 @@ def _cmd_construct(args) -> int:
         _emit_json(doc)
     else:
         write_set_file(s, sys.stdout)
-        print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+        _emit_json(doc, sys.stderr)
     return EXIT_OK
 
 

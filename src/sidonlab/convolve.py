@@ -102,10 +102,15 @@ def _max_abs(seq) -> int:
     return max(max(seq), -min(seq))
 
 
-def _coeff_bound(a, b) -> int:
+def product_bound(len_a: int, max_a: int, len_b: int, max_b: int) -> int:
     """min(len a, len b) * max|a| * max|b|: no partial sum of an output slot
     exceeds it, in whatever order its products are added."""
-    return min(len(a), len(b)) * _max_abs(a) * _max_abs(b)
+    return min(len_a, len_b) * max_a * max_b
+
+
+def _coeff_bound(a, b) -> int:
+    """`product_bound` of two sequences."""
+    return product_bound(len(a), _max_abs(a), len(b), _max_abs(b))
 
 
 def _pack(seq: Sequence[int], nbytes: int) -> int:
@@ -121,7 +126,8 @@ def _kronecker(a: Sequence[int], b: Sequence[int], bound: int) -> list[int]:
     out_len = len(a) + len(b) - 1
     nbytes = (bound.bit_length() + 8) // 8  # the bound and one sign bit
     # the product plus the bias 2^(w-1), a top byte of 0x80, in every slot
-    prod = _pack(a, nbytes) * _pack(b, nbytes) + int.from_bytes(
+    packed = _pack(a, nbytes)
+    prod = packed * (packed if b is a else _pack(b, nbytes)) + int.from_bytes(
         (bytes(nbytes - 1) + b"\x80") * out_len, "little")
     raw = prod.to_bytes(nbytes * out_len, "little")
     bias = 1 << (8 * nbytes - 1)
@@ -178,7 +184,10 @@ def _fft(xa: np.ndarray, xb: np.ndarray, n: int, split_a, split_b) -> list[int]:
     (w_a, k_a), (w_b, k_b) = split_a, split_b
     size, out_len = 1 << n, len(xa) + len(xb) - 1
     fa = np.fft.rfft(_limbs(xa, w_a, k_a), size)
-    fb = np.fft.rfft(_limbs(xb, w_b, k_b), size)
+    if xb is xa and split_b == split_a:  # a square: one transform
+        fb = fa
+    else:
+        fb = np.fft.rfft(_limbs(xb, w_b, k_b), size)
     out = np.zeros(out_len, dtype=np.int64)
     for i in range(k_a):
         for j in range(k_b):
@@ -191,18 +200,20 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Exact linear convolution of two integer sequences.
 
     a and b are any sequences of ints (lists, tuples); output index k holds
-    sum over i+j = k of a[i]*b[j] as a Python integer, in a list.
+    sum over i+j = k of a[i]*b[j] as a Python integer, in a list.  A square,
+    convolve(a, a) on one object, converts, packs or transforms a once.
     """
     if not a or not b:
         return []
     try:
-        xa, xb = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        xa = np.asarray(a, dtype=np.int64)
+        xb = xa if b is a else np.asarray(b, dtype=np.int64)
     except OverflowError:  # an entry outside int64
         return _kronecker(a, b, _coeff_bound(a, b))
     # numpy reductions beat the builtins from about a hundred entries
     ends = (xa, xb) if len(a) + len(b) > 256 else (a, b)
     max_a, max_b = map(_max_abs, ends)
-    bound = min(len(a), len(b)) * max_a * max_b
+    bound = product_bound(len(a), max_a, len(b), max_b)
     if bound == 0:
         return [0] * (len(a) + len(b) - 1)
     if bound < _INT64_SAFE:

@@ -4,10 +4,19 @@ Every weighted function is a `ScaledFunction`: integer numerators over one
 common denominator.  A sqrt(N) factor, as in the dense model, is an
 integer once the ambient is a perfect square and lives in the numerators
 like any other rational weight.  The fast path divides the coefficients
-by their gcd, dilates the numerators of each input onto the lattice
-m = a_i * x_i, folds the first ceil(s/2) dilations and the rest separately
-with the exact engine from `convolve`, and reads off the coefficient at
-zero of their product as one dot product (meet in the middle): an integer
+by their gcd and groups the variables by coefficient.  Dilation commutes
+with convolution, dil_a(f) * dil_a(g) = dil_a(f * g), so with at most two
+groups each group's functions are convolved undilated with the exact
+engine from `convolve`, a function repeated k times raised to the k-th
+power by repeated squaring, and the count is one strided dot of the two
+group products P and Q: sum over t of P(b t) Q(-a t), the solutions of
+a x + b y = 0 for coprime a and b.  This plan is taken when every group
+product's coefficient bound, computed from lengths and maxima before any
+convolution, stays below INT64_SAFE.  Otherwise (three or more groups, or
+a wider product) the numerators of each input are dilated onto the lattice
+m = a_i * x_i, the first ceil(s/2) dilations and the rest are folded
+separately, and the coefficient at zero of their product is read off as
+one dot product (meet in the middle).  Either way the count is an integer
 over the product of the denominators.
 
 On one set S, `count_distinct_solutions` and `degenerate_bound_check`
@@ -43,7 +52,7 @@ from operator import add, index, le, mul
 
 import numpy as np
 
-from .convolve import convolve
+from .convolve import _max_abs, convolve, product_bound
 from .errors import BudgetExceededError, ValidationError
 from .sets import INT64_SAFE, IntegerSet, check_span
 
@@ -209,10 +218,11 @@ class ScaledFunction:
 
 
 def weight_energy(f: ScaledFunction) -> Fraction:
-    """The additive energy E(f) of the weights, exactly: the sum of the
-    squares of the autocorrelation of the numerators, over den^4."""
-    corr = convolve(f.nums, f.nums[::-1])
-    return Fraction(sum(map(mul, corr, corr)), f.den**4)
+    """The additive energy E(f) of the weights, exactly: sum over n of
+    (f * f)(n)^2, the solutions of x1 + x2 = x3 + x4, from the square of the
+    numerators over den^4."""
+    square = convolve(f.nums, f.nums)
+    return Fraction(sum(map(mul, square, square)), f.den**4)
 
 
 @dataclass(frozen=True)
@@ -246,28 +256,93 @@ def _fold_step(acc, dilation):
     return convolve(a, b), a_off + b_off
 
 
-def _dot_at_zero(left, right) -> int:
-    """Coefficient at lattice point 0 of the product of two folds: the dot
-    product of one against the other reversed, at offsets summing to zero."""
+def _shape_step(acc, factor):
+    """The (length, coefficient bound) of a product of two such shapes: what
+    `_fold_step` makes, from lengths and maxima alone."""
+    (len_a, max_a), (len_b, max_b) = acc, factor
+    return len_a + len_b - 1, product_bound(len_a, max_a, len_b, max_b)
+
+
+def _power_product(items, step):
+    """The product of x^k over the (x, k) items under `step`, each power by
+    repeated squaring: x^4 = (x x)(x x) takes two steps where a fold takes
+    three, and each square is one `convolve(a, a)`."""
+    acc = None
+    for x, k in items:
+        while k:
+            if k & 1:
+                acc = x if acc is None else step(acc, x)
+            k >>= 1
+            if k:
+                x = step(x, x)
+    return acc
+
+
+def _dot_at_zero(left, right, a: int = 1, b: int = 1) -> int:
+    """sum over integers t of left(b t) * right(-a t) for two (sequence,
+    offset) pairs: for coprime a and b the solutions of a x + b y = 0 are
+    (x, y) = (b t, -a t), so this is their weighted count.  At (1, 1) it is
+    the coefficient at lattice point 0 of left * right."""
     (left, left_off), (right, right_off) = left, right
-    # left[i] * right[k - i] lands on lattice point 0
-    k = -left_off - right_off
-    lo = max(0, k - len(right) + 1)
-    hi = min(len(left), k + 1)
-    if lo >= hi:
+    if b < 0:  # t -> -t
+        a, b = -a, -b
+    # t with left_off <= b t <= left_last and right_off <= -a t <= right_last
+    left_last, right_last = left_off + len(left) - 1, right_off + len(right) - 1
+    if a < 0:
+        lo = max(-(-left_off // b), -(right_off // a))
+        hi = min(left_last // b, right_last // -a)
+    else:
+        lo = max(-(-left_off // b), -(right_last // a))
+        hi = min(left_last // b, -right_off // a)
+    if lo > hi:
         return 0
-    return sum(map(mul, left[lo:hi], reversed(right[k - hi + 1:k - lo + 1])))
+    xs = left[b * lo - left_off:b * hi - left_off + 1:b]
+    # right's indices at t = lo and t = hi, a step of -a apart
+    i, j = -a * lo - right_off, -a * hi - right_off
+    ys = right[i:j + 1:-a] if a < 0 else reversed(right[j:i + 1:a])
+    return sum(map(mul, xs, ys))
+
+
+def _coefficient_groups(coeffs, fns, trimmed) -> list[tuple[int, list[list]]]:
+    """(coefficient, [[trimmed function, multiplicity], ...]) per group of
+    variables, for at most two distinct coefficients; one function object
+    shares one item.  When every coefficient is the same c (then c = +-1),
+    the last variable is a group of its own: the solutions of c x + c y = 0
+    are (c t, -c t) as well."""
+    last = len(fns) - 1 if coeffs.count(coeffs[0]) == len(coeffs) else None
+    groups: dict[tuple[int, bool], dict[int, list]] = {}
+    for i, (a, f, t) in enumerate(zip(coeffs, fns, trimmed)):
+        items = groups.setdefault((a, i == last), {})
+        items.setdefault(id(f), [t, 0])[1] += 1
+    return [(a, list(items.values())) for (a, _), items in groups.items()]
+
+
+def _group_bound(items) -> int:
+    """The coefficient bound of a group's product, from lengths and maxima
+    alone; 0 for a single factor, which takes no convolution."""
+    if len(items) == 1 and items[0][1] == 1:
+        return 0
+    return _power_product([((len(f.nums), _max_abs(f.nums)), k) for f, k in items],
+                          _shape_step)[1]
 
 
 def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     """Exact weighted count of solutions to sum a_i x_i = 0.
 
     Returns sum over integer tuples (x_1, ..., x_s) with a1 x1 + ... = 0 of
-    the product of the function values.  The coefficients are divided by
-    their gcd (the same solutions, shorter dilations) and each function is
-    dilated to the lattice m = a_i x_i, every span checked against
-    MAX_POINTS before the first dilation is made; the answer is the
-    coefficient at zero of the exact product of the dilations.
+    the product of the function values, over the product of the
+    denominators.  The coefficients are divided by their gcd (the same
+    solutions, shorter lattices), and every dilation span is checked against
+    MAX_POINTS before any work.
+
+    The variables are grouped by coefficient.  With at most two groups, and
+    every group product's coefficient bound (from lengths and maxima alone)
+    below INT64_SAFE, the functions of each group are convolved undilated,
+    a repeated function object by repeated squaring, and the count is the
+    strided dot `_dot_at_zero` of the two group products (with one
+    coefficient, the last variable against the rest).  Otherwise the count
+    is the coefficient at zero of the product of the dilations, folded in
+    two balanced halves.
     """
     fns = list(fns)
     if len(fns) != eq.s:
@@ -275,16 +350,24 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
             f"equation has {eq.s} variables but {len(fns)} functions given"
         )
     g = gcd(*eq.coeffs)
+    coeffs = [a // g for a in eq.coeffs]
     trimmed = [f.trimmed() for f in fns]
     if not all(t.nums for t in trimmed):
         return SolutionCount(Fraction(0))
-    for a, t in zip(eq.coeffs, trimmed):
-        _dilation_span(len(t.nums), a // g)
+    for a, t in zip(coeffs, trimmed):
+        _dilation_span(len(t.nums), a)
     den_product = prod(t.den for t in trimmed)
-    dilations = [_dilate(t.nums, t.offset, a // g) for a, t in zip(eq.coeffs, trimmed)]
-    half = (eq.s + 1) // 2
-    value = _dot_at_zero(reduce(_fold_step, dilations[:half]),
-                         reduce(_fold_step, dilations[half:]))
+    groups = _coefficient_groups(coeffs, fns, trimmed) if len(set(coeffs)) <= 2 else ()
+    if groups and all(_group_bound(items) < INT64_SAFE for _, items in groups):
+        (a, left), (b, right) = [
+            (a, _power_product([((f.nums, f.offset), k) for f, k in items], _fold_step))
+            for a, items in groups]
+        value = _dot_at_zero(left, right, a, b)
+    else:
+        dilations = [_dilate(t.nums, t.offset, a) for a, t in zip(coeffs, trimmed)]
+        half = (eq.s + 1) // 2
+        value = _dot_at_zero(reduce(_fold_step, dilations[:half]),
+                             reduce(_fold_step, dilations[half:]))
     return SolutionCount(Fraction(value, den_product))
 
 

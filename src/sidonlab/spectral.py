@@ -188,10 +188,8 @@ def _spectrum_from_magnitudes(s_set: IntegerSet, eps: Fraction,
 
 
 def energy_via_fourier(s_set: IntegerSet) -> int:
-    """E(S) through the convolution route: the difference-representation
-    sequence is the exact autocorrelation of the indicator (a cyclic
-    convolution on any group of order >= 2N is alias-free), and the energy
-    is the sum of its squares."""
+    """E(S) through the convolution route: the sum-representation sequence
+    1_S * 1_S, exact, and the energy is the sum of its squares."""
     return int(weight_energy(ScaledFunction.from_set(s_set)))
 
 

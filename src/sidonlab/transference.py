@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import inf, isfinite, isqrt
-from operator import mul
+from operator import le, lt, mul, neg
 
 import numpy as np
 
@@ -68,7 +69,10 @@ class BohrSet:
     stored grid index k, where m = `grid_m`.
 
     Membership is exactly decidable: the condition reads
-    min(nk mod m, m - nk mod m) * q <= p * m where radius = p/q.
+    min(nk mod m, m - nk mod m) * q <= p * m where radius = p/q.  The
+    elements increase strictly, are symmetric, contain 0 and lie in
+    [-width, width]; `trivial` relies on this, and a hand-built set that
+    breaks it is refused.
     """
 
     ks: tuple[int, ...]
@@ -77,6 +81,15 @@ class BohrSet:
     width: int
     elements: tuple[int, ...]
     ambient_n: int
+
+    def __post_init__(self):
+        el = tuple(self.elements)
+        object.__setattr__(self, "elements", el)
+        if not (0 in el and all(map(lt, el, el[1:]))
+                and el == tuple(map(neg, reversed(el))) and el[-1] <= self.width):
+            raise ValidationError(
+                "Bohr set elements must increase strictly, be symmetric, "
+                f"contain 0 and lie in [-width, width] (width {self.width})")
 
     @property
     def size(self) -> int:
@@ -337,13 +350,14 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
     n = f.ambient_n
     hyp_mass = f.mass() >= delta * n
     hyp_l2 = f.l2_weights() <= n
-    # x / den >= delta / 2 = p / 2q in integers
+    # x / den >= delta / 2 = p / 2q in integers: p den <= 2q x
     p, q = delta.numerator, delta.denominator
-    level = [f.offset + j for j, x in enumerate(f.nums) if 2 * q * x >= p * f.den]
+    level = tuple(compress(range(f.offset, f.offset + len(f.nums)),
+                           map(le, repeat(p * f.den), map(mul, repeat(2 * q), f.nums))))
     lhs = 4 * len(level)
     rhs = delta * delta * n
     ok = (lhs >= rhs) if (hyp_mass and hyp_l2) else None
-    return LevelSetResult(tuple(level), hyp_mass, hyp_l2, lhs, rhs, ok)
+    return LevelSetResult(level, hyp_mass, hyp_l2, lhs, rhs, ok)
 
 
 @dataclass(frozen=True)

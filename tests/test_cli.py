@@ -583,6 +583,34 @@ class TestReport:
         assert code == 2
 
 
+class TestIntegerDigitLimit:
+    @pytest.mark.parametrize("argv, path", [
+        (["report", "--coeffs", "1,1,1,1,-4"], ("model", "size_bound", "lhs", "numerator")),
+        (["model"], ("size_bound", "lhs")),
+    ])
+    def test_printed_in_full(self, tmp_path, capsys, argv, path):
+        # ET(17) at eps 1/10: the size bound's left side |B| ceil(4/eps)^(1+R)
+        # has 904 digits; under an int-to-str limit of 640 it is still
+        # printed in full, and the limit is left as it was
+        from sidonlab.transference import dense_model
+
+        set_path = tmp_path / "s.txt"
+        write_set_file(erdos_turan(17), set_path)
+        want = int(dense_model(erdos_turan(17), "1/10").size_bound.lhs)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, stdout, _ = run(capsys, *argv, "--set", str(set_path), "--eps", "1/10")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        doc = json.loads(stdout)
+        for key in path:
+            doc = doc[key]
+        assert doc == want and len(str(want)) > 640
+
+
 class TestBench:
     def test_single_size(self, capsys):
         code, stdout, _ = run(capsys, "bench", "--sizes", "16")

@@ -593,6 +593,52 @@ def test_counts_through_pairs(p, extra, pair_calls):
     assert pair_calls
 
 
+
+# --- squares ---------------------------------------------------------------
+
+
+def square_fft_bits(length, splits):
+    """The fewest bits per entry at which a square of `length` entries takes
+    the FFT route with limb counts `splits` (in either order)."""
+    for bits in range(1, 63):
+        top = (1 << bits) - 1
+        plan = engine._fft_plan(length, length, top, top)
+        if plan and sorted((plan[1][1], plan[2][1])) == list(splits):
+            return bits
+    raise AssertionError(f"no FFT plan with limbs {splits}")
+
+
+@pytest.mark.parametrize("route", ["pairs", "numpy", (1, 1), (1, 2), (1, 3), (2, 2),
+                                   "kronecker", "past int64"])
+def test_square_is_the_product_of_two_copies(route, pair_calls, fft_calls,
+                                             kronecker_calls):
+    # convolve(a, a) on one object converts a once and, when both limb
+    # splits agree, takes one rfft; it must equal the product of two copies
+    rng = np.random.Generator(np.random.Philox(key=61))
+    if route == "pairs":
+        a = sparse(rng, 400, 5, -3, 3)
+    elif route == "numpy":
+        a = random_ints(rng, 50, 20)
+    elif route == "kronecker":  # int64 entries, a bound past 2^62
+        a = random_ints(rng, 300, 40)
+    elif route == "past int64":
+        a = random_ints(rng, 40, 100)
+    else:
+        bits = square_fft_bits(300, route)
+        a = random_ints(rng, 300, bits)
+        a[0] = (1 << bits) - 1
+    with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+        square = convolve(a, a)
+    taken = (len(pair_calls), len(fft_calls), len(kronecker_calls))
+    assert taken == {"pairs": (1, 0, 0), "numpy": (0, 0, 0), "kronecker": (0, 0, 1),
+                     "past int64": (0, 0, 1)}.get(route, (0, 1, 0))
+    if fft_calls:
+        (_, split_a, split_b), = fft_calls
+        assert sorted((split_a[1], split_b[1])) == list(route)
+        assert rfft.call_count == (1 if split_a == split_b else 2)
+    assert square == convolve(a, list(a)) == slow_reference(a, a)
+
+
 def test_only_sequences_cross_the_convolve_boundary(monkeypatch, capsys):
     # the benchmark tracer takes the truth value of what crosses convolve,
     # which a numpy array of more than one entry refuses

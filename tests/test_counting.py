@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sidonlab.convolve as engine
 import sidonlab.counting as counting_module
 import sidonlab.sets as sets_module
 
@@ -359,6 +360,73 @@ class TestCountSolutions:
                 fns.append(base)
             assert count_solutions(eq, fns).value == \
                 brute_force_count(eq, fns).value
+
+
+@st.composite
+def grouped_instances(draw):
+    """An equation with one, two or three distinct coefficients, scaled by a
+    common factor up to 3 (gcd > 1), over one to three functions with
+    signed rational weights, not all zero, at offsets in [-6, 6], so that
+    one function object and distinct ones share a coefficient."""
+    groups = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=groups,
+                         max_size=groups, unique=True))
+    s = draw(st.integers(max(2, groups), 5))
+    scale = draw(st.integers(1, 3))
+    coeffs = draw(st.permutations(
+        pool + [draw(st.sampled_from(pool)) for _ in range(s - groups)]))
+    weights = st.lists(small_fractions, min_size=1, max_size=5).filter(any)
+    fns = [function(draw(st.integers(-6, 6)), draw(weights))
+           for _ in range(draw(st.integers(1, 3)))]
+    picks = [draw(st.sampled_from(fns)) for _ in range(s)]
+    return EquationCoeffs(tuple(scale * a for a in coeffs)), picks
+
+
+class TestCoefficientGroups:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(grouped_instances())
+    def test_against_brute_force(self, instance):
+        eq, fns = instance
+        assert count_solutions(eq, fns) == brute_force_count(eq, fns)
+
+    def test_repeated_function_is_squared_undilated(self, monkeypatch):
+        # (1,1,1,1,-4) on [f] * 5: f^4 = (f f)(f f) is two squares, and the
+        # count is the dot of f^4 at -4t against f at -t; nothing is dilated
+        convolutions = self.spy(monkeypatch, counting_module, "convolve")
+        monkeypatch.setattr(counting_module, "_dilate",
+                            mock.Mock(side_effect=AssertionError))
+        eq = EquationCoeffs((1, 1, 1, 1, -4))
+        fns = [ScaledFunction.from_set(perturb_almost_sidon(erdos_turan(11), 2, 3))] * 5
+        assert count_solutions(eq, fns) == brute_force_count(eq, fns)
+        assert [a is b for a, b in convolutions] == [True, True]
+
+    def test_past_int64_takes_the_balanced_split(self, monkeypatch):
+        # ten weights up to 2^16: f^4 has the coefficient bound 19 * 10^2 *
+        # 2^64, past INT64_SAFE, so the count dilates and folds in two
+        # halves, whose bounds stay below it; no product reaches Kronecker
+        rng = np.random.Generator(np.random.Philox(key=41))
+        nums = [int(x) for x in rng.integers(-2**16, 2**16, size=10, endpoint=True)]
+        nums[0] = 2**16
+        f = ScaledFunction(-3, tuple(nums))
+        assert counting_module._group_bound([[f, 4]]) >= counting_module.INT64_SAFE
+        dilations = self.spy(monkeypatch, counting_module, "_dilate")
+        kronecker = self.spy(monkeypatch, engine, "_kronecker")
+        eq = EquationCoeffs((1, 1, 1, 1, -4))
+        assert count_solutions(eq, [f] * 5) == brute_force_count(eq, [f] * 5)
+        assert len(dilations) == 5 and kronecker == []
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        """Record the calls to `module.name`."""
+        calls = []
+        inner = getattr(module, name)
+
+        def spy(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
 
 
 class TestDistinct:

@@ -35,6 +35,7 @@ from sidonlab.suites import (
 )
 from sidonlab.transference import (
     BOHR_BLOCK,
+    BohrSet,
     InequalityVerdict,
     _bohr_member,
     bohr_set,
@@ -177,6 +178,20 @@ class TestBohrSet:
     def test_size_bound_verdict(self):
         v = bohr_size_bound(11, Fraction(1, 4), 1, 60)
         assert v.lhs == 11 * 16**2 and v.rhs == 60 and v.holds
+
+    @pytest.mark.parametrize("elements", [
+        (), (0, 0), (-1, 1), (1, 0, -1), (-2, 0, 1), (-1, 0, 0, 1), (-11, 0, 11),
+    ])
+    def test_hand_built_shape_refused(self, elements):
+        # not strictly increasing, not symmetric, without 0, or past the width
+        with pytest.raises(ValidationError, match="Bohr set elements"):
+            BohrSet((1,), 3, Fraction(1, 4), 10, elements, 40)
+
+    def test_hand_built_shape_accepted(self):
+        b = bohr_set([1], 3, Fraction(1, 4), 40)
+        assert b.elements == (-9, -6, -3, 0, 3, 6, 9)
+        assert BohrSet(b.ks, 3, b.radius, 10, list(b.elements), 40) == b
+        assert BohrSet((), 1, Fraction(1, 4), 0, (0,), 0).trivial
 
     def test_big_denominator_falls_back_to_loop(self):
         eps = Fraction(1, 10**15)
