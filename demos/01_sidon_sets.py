@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from sidonlab import (
     IntegerSet,
-    almost_sidon_params,
     erdos_turan,
     is_sidon,
     mian_chowla,
@@ -26,10 +25,9 @@ from sidonlab.sets import difference_counts
 for p in (5, 11, 23):
     s = erdos_turan(p)
     prof = representation_profile(s)
-    params = almost_sidon_params(s)
     print(f"p = {p:3d}: |S| = {s.size}, N = {s.ambient_n}, "
           f"E(S) = {prof.energy} = 2|S|^2 - |S|? {is_sidon(s)}, "
-          f"delta = {params.delta} ~ {float(params.delta):.4f}")
+          f"delta = {s.density} ~ {float(s.density):.4f}")
 
 # ---------------------------------------------------------------------------
 # The greedy sequence grows much more slowly (its k-th term is around k^3),
@@ -44,10 +42,10 @@ print(f"is_sidon = {is_sidon(s)}")
 # repeated differences.  eta measures the damage, exactly.
 
 base = erdos_turan(11)
-print(f"\nbase eta = {almost_sidon_params(base).eta}")
+print(f"\nbase eta = {base.eta}")
 for extra in (1, 3, 6, 10):
     noisy = perturb_almost_sidon(base, extra, seed=42)
-    eta = almost_sidon_params(noisy).eta
+    eta = noisy.eta
     print(f"extra = {extra:2d}: |S| = {noisy.size}, eta = {eta} "
           f"~ {float(eta):.4f}")
 

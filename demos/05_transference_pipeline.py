@@ -27,9 +27,10 @@ eq = EquationCoeffs((1, 1, 1, 1, -4))
 # zero: transference is lossless here.
 
 rep = transference_report(erdos_turan(13), eq, Fraction(1, 5))
-print(f"Sidon p = 13, eq {eq.coeffs}, eps = {rep.eps}")
-print(f"  N {rep.n_original} -> {rep.n_padded} (sqrt = {rep.sqrt_n}), "
-      f"delta = {rep.delta}, eta = {rep.eta}")
+model = rep.model
+print(f"Sidon p = 13, eq {eq.coeffs}, eps = {model.bohr.radius}")
+print(f"  N {rep.n_original} -> {model.n_padded} (sqrt = {model.sqrt_n}), "
+      f"delta = {model.padded.density}, eta = {model.padded.eta}")
 print(f"  majorant: sum nu = {rep.nu_mass} <= 4N: {rep.nu_mass_bound_holds}; "
       f"E(nu) = {rep.nu_energy} <= 64N^3: {rep.nu_energy_bound_holds}")
 print(f"  model count = {rep.model_count}")
@@ -54,8 +55,8 @@ print("  oracle on the model f: equals the model count, exactly")
 
 dilated = IntegerSet(tuple(2 * x for x in erdos_turan(13).elements), 676)
 rep = transference_report(dilated, eq, Fraction(11, 24))
-print(f"\ndilated Sidon p = 13 (all even), eps = {rep.eps}: "
-      f"|B| = {rep.model.bohr.size}, eta = {rep.eta}")
+print(f"\ndilated Sidon p = 13 (all even), eps = {rep.model.bohr.radius}: "
+      f"|B| = {rep.model.bohr.size}, eta = {rep.model.padded.eta}")
 print(f"  majorant premises hold: mass {rep.nu_mass_bound_holds}, "
       f"energy {rep.nu_energy_bound_holds}")
 print(f"  model count = {float(rep.model_count):.6g}, "
@@ -74,8 +75,8 @@ print(f"  theorem verdicts all hold: {rep.theorem_verdicts_hold}")
 
 evens = IntegerSet(tuple(range(2, 65, 2)), 64)
 rep = transference_report(evens, eq, Fraction(1, 4))
-print(f"\nevens in [1,64], eps = {rep.eps}: |B| = {rep.model.bohr.size}, "
-      f"eta = {float(rep.eta):.1f}")
+print(f"\nevens in [1,64], eps = {rep.model.bohr.radius}: |B| = {rep.model.bohr.size}, "
+      f"eta = {float(rep.model.padded.eta):.1f}")
 print(f"  majorant premises: mass {rep.nu_mass_bound_holds}, "
       f"energy {rep.nu_energy_bound_holds}  (outside the regime)")
 print(f"  difference = {float(rep.difference):.6g} vs "

@@ -14,10 +14,8 @@ from .counting import (
 )
 from .errors import BudgetExceededError, ValidationError
 from .sets import (
-    AlmostSidonParams,
     IntegerSet,
     RepresentationProfile,
-    almost_sidon_params,
     erdos_turan,
     is_sidon,
     mian_chowla,
@@ -50,7 +48,6 @@ from .transference import (
 )
 
 __all__ = [
-    "AlmostSidonParams",
     "BohrSet",
     "BudgetExceededError",
     "DenseModel",
@@ -62,7 +59,6 @@ __all__ = [
     "Spectrum",
     "TransferenceReport",
     "ValidationError",
-    "almost_sidon_params",
     "bohr_set",
     "brute_force_count",
     "count_distinct_solutions",

@@ -32,7 +32,6 @@ from .counting import (
 from .errors import BudgetExceededError, ValidationError
 from .sets import (
     IntegerSet,
-    almost_sidon_params,
     check_pairs,
     check_span,
     erdos_turan,
@@ -107,13 +106,12 @@ def _config(args, keys) -> dict:
 
 
 def _set_summary(s: IntegerSet) -> dict:
-    params = almost_sidon_params(s)
     return {
         "size": s.size,
         "ambient_n": s.ambient_n,
         "energy": s.profile.energy,
-        "eta": _frac(params.eta),
-        "delta": _frac(params.delta),
+        "eta": _frac(s.eta),
+        "delta": _frac(s.density),
         "is_sidon": is_sidon(s),
     }
 
@@ -301,12 +299,12 @@ def _cmd_report(args) -> int:
         "config": _config(args, ["set", "coeffs", "eps", "m", "fourier_c"]),
         "params": {
             "n_original": rep.n_original,
-            "n_padded": rep.n_padded,
-            "sqrt_n": rep.sqrt_n,
-            "size": rep.size,
-            "delta": _frac(rep.delta),
-            "eta": _frac(rep.eta),
-            "eps": _frac(rep.eps),
+            "n_padded": model.n_padded,
+            "sqrt_n": model.sqrt_n,
+            "size": model.padded.size,
+            "delta": _frac(model.padded.density),
+            "eta": _frac(model.padded.eta),
+            "eps": _frac(model.bohr.radius),
             "coeffs": list(eq.coeffs),
         },
         "model": {
@@ -314,7 +312,7 @@ def _cmd_report(args) -> int:
             "selected_frequencies": [
                 [k, model.spectrum.grid_m] for k in model.spectrum.separated
             ],
-            "fourier_bound_holds": rep.fourier_bound_holds,
+            "fourier_bound_holds": model.fourier_bound_holds(rep.fourier_c),
             "size_bound": _verdict_dict(model.size_bound),
         },
         "majorant": {

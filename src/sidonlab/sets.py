@@ -79,8 +79,17 @@ class IntegerSet:
         return zero_one(self.elements, "S")
 
     @property
+    def eta(self) -> Fraction:
+        """The energy excess: the least nonnegative rational eta with
+        E(S) <= (2 + eta)|S|^2, for a nonempty set."""
+        if not self.elements:
+            raise ValidationError("eta requires a nonempty set")
+        return Fraction(self.profile.excess, self.size ** 2)
+
+    @property
     def density(self) -> Fraction:
-        """delta = min(1, |S| / ceil(sqrt(N))); see AlmostSidonParams."""
+        """delta = min(1, |S| / ceil(sqrt(N))), a density witness:
+        delta^2 N <= |S|^2 holds exactly, also past sqrt(N) points."""
         return min(Fraction(1), Fraction(self.size, ceil_sqrt(self.ambient_n)))
 
     def padded_to_square(self) -> "IntegerSet":
@@ -128,20 +137,6 @@ class RepresentationProfile:
     energy: int
     excess: int
     repeated_difference_sum: int
-
-
-@dataclass(frozen=True)
-class AlmostSidonParams:
-    """Exact energy excess eta and density delta of a set.
-
-    eta is the least nonnegative rational with E(S) <= (2 + eta)|S|^2.
-    delta = |S| / ceil(sqrt(N)) is the reported density witness; the density
-    hypothesis |S| >= delta * sqrt(N) is decided exactly via
-    delta^2 * N <= |S|^2.
-    """
-
-    eta: Fraction
-    delta: Fraction
 
 
 def ceil_sqrt(n: int) -> int:
@@ -237,17 +232,6 @@ def representation_profile(s: IntegerSet) -> RepresentationProfile:
 def is_sidon(s: IntegerSet) -> bool:
     """True iff E(S) equals the trivial-tuple count 2|S|^2 - |S|."""
     return s.profile.energy == 2 * s.size**2 - s.size
-
-
-def almost_sidon_params(s: IntegerSet) -> AlmostSidonParams:
-    """Exact (eta, delta) for a nonempty set; see AlmostSidonParams.
-
-    delta is capped at 1 for sets denser than sqrt(N), keeping it a valid
-    density witness (delta^2 N <= |S|^2 still holds exactly).
-    """
-    if s.size == 0:
-        raise ValidationError("almost_sidon_params requires a nonempty set")
-    return AlmostSidonParams(Fraction(s.profile.excess, s.size ** 2), s.density)
 
 
 def philox(seed: int) -> np.random.Generator:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .counting import ScaledFunction, weight_energy
 from .errors import ValidationError
-from .sets import MAX_POINTS, IntegerSet, almost_sidon_params, check_span, rational
+from .sets import MAX_POINTS, IntegerSet, check_span, rational
 
 # the slack of every verdict that reads a float: relative for the large
 # sieve and the counting bound, and times |S| against the rational spectrum
@@ -231,10 +231,9 @@ def large_sieve_diagnostic(s_set: IntegerSet, spectrum: Spectrum) -> LargeSieveR
     lhs = sum(x ** 4 for x in mags.tolist())
     rhs = 2 * n * s_set.profile.energy
     size = s_set.size
-    params = almost_sidon_params(s_set)
     r = spectrum.r_count
     r_lhs = r * spectrum.threshold**4 * size**4
-    r_rhs = 2 * n * (2 + params.eta) * size * size
+    r_rhs = 2 * n * (2 + s_set.eta) * size * size
     return LargeSieveReport(
         lhs=lhs,
         rhs=rhs,

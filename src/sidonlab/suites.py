@@ -29,7 +29,6 @@ from .counting import (
 from .errors import ValidationError
 from .sets import (
     IntegerSet,
-    almost_sidon_params,
     erdos_turan,
     mian_chowla,
     perturb_almost_sidon,
@@ -167,7 +166,7 @@ def suite_lemma_inequalities(seed: int, trials: int = 100):
         base = bases[int(rng.integers(0, len(bases)))]
         extra = int(rng.integers(0, max(2, base.size // 2) + 1))
         s_set = perturb_almost_sidon(base, extra, seed=int(rng.integers(0, 2**31)))
-        if almost_sidon_params(s_set).eta >= 1:
+        if s_set.eta >= 1:
             continue
         done += 1
         rd = verify_repeated_difference_bound(s_set)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, repeat
 from math import inf, isfinite, isqrt
 from operator import le, lt, mul, neg
@@ -30,8 +31,7 @@ import numpy as np
 from .convolve import convolve
 from .counting import EquationCoeffs, ScaledFunction, count_solutions, weight_energy
 from .errors import ValidationError
-from .sets import (BLOCK_PAIRS, INT64_SAFE, IntegerSet, almost_sidon_params, check_span,
-                   rational, zero_one)
+from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, check_span, rational, zero_one
 from .spectral import (
     FLOAT_SLACK,
     OVERSAMPLE,
@@ -166,26 +166,66 @@ def bohr_size_bound(size: int, eps, r: int, n: int) -> InequalityVerdict:
 
 @dataclass(frozen=True)
 class DenseModel:
-    """g = 1_S * 1_B with its Bohr set, spectrum and exact diagnostics.
+    """g = 1_S * 1_B with its Bohr set, spectrum and Fourier distance.
 
     `base` has integer weights (denominator 1); the model function
     f = sqrt(N) 1_S * mu_B is `scale` * g with scale = sqrt(N)/|B|.
-    `padded` is S in the ambient padded to a perfect square.
+    `padded` is S in the ambient padded to a perfect square.  The sums and
+    verdicts are read off these fields, once each, so they cannot disagree
+    with g; a Bohr set not built on the spectrum, or fields on different
+    ambients, are refused.
     """
 
     base: ScaledFunction
     bohr: BohrSet
     padded: IntegerSet
     spectrum: Spectrum
-    mass: int
-    square_sum: int
     fourier_distance: float
-    containment_holds: bool
-    size_bound: InequalityVerdict
+
+    def __post_init__(self):
+        b, sp = self.bohr, self.spectrum
+        for what, ours, theirs in (("frequencies", b.ks, sp.entries),
+                                   ("grid size", b.grid_m, sp.grid_m),
+                                   ("radius", b.radius, sp.threshold),
+                                   ("ambient", b.ambient_n, self.padded.ambient_n),
+                                   ("ambient", self.base.ambient_n, self.padded.ambient_n)):
+            if ours != theirs:
+                raise ValidationError(
+                    f"dense model fields disagree on the {what}: {ours} != {theirs}")
 
     @property
     def n_padded(self) -> int:
         return self.padded.ambient_n
+
+    @property
+    def sqrt_n(self) -> int:
+        """sqrt(N), an integer because N is a perfect square."""
+        return isqrt(self.n_padded)
+
+    @cached_property
+    def mass(self) -> int:
+        """sum g."""
+        return sum(self.base.nums)
+
+    @cached_property
+    def square_sum(self) -> int:
+        """sum g^2: sum f^2 = N sum g^2 / |B|^2, and the left side of the
+        model autocorrelation bound."""
+        return sum(map(mul, self.base.nums, self.base.nums))
+
+    @cached_property
+    def containment_holds(self) -> bool:
+        """The Bohr set on the separated frequencies at radius eps/2 lies
+        inside B."""
+        b = self.bohr
+        half = bohr_set(self.spectrum.separated, b.grid_m, b.radius / 2, b.ambient_n)
+        return set(half.elements) <= set(b.elements)
+
+    @cached_property
+    def size_bound(self) -> InequalityVerdict:
+        """The sign-corrected size bound of B, with R the separated count."""
+        b = self.bohr
+        return bohr_size_bound(b.size, b.radius, self.spectrum.r_count, b.ambient_n)
 
     @property
     def mass_identity_holds(self) -> bool:
@@ -208,8 +248,8 @@ class DenseModel:
 
     @property
     def scale(self) -> Fraction:
-        """sqrt(N) / |B|, rational because N is a perfect square."""
-        return Fraction(isqrt(self.n_padded), self.bohr.size)
+        """sqrt(N) / |B|."""
+        return Fraction(self.sqrt_n, self.bohr.size)
 
     @property
     def model_f(self) -> ScaledFunction:
@@ -239,21 +279,14 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     (default: smallest power of two at or above 8N), the Bohr set uses every
     spectrum frequency, and g = 1_S * 1_B is an exact integer convolution.
     When B = {0}, g is 1_S itself: no convolution and no second transform,
-    and the Fourier distance is 0.
-
-    Stored: the mass sum(g), checked against |S||B|; square_sum = sum(g^2),
-    which gives sum f^2 = N sum(g^2)/|B|^2 and the left side of the model
-    autocorrelation bound; and fourier_distance, the grid maximum of
-    |sqrt(N) 1_S hat - f hat|.  Also checked: the Bohr set built on the
-    separated frequencies at radius eps/2 is contained in B, and the
-    sign-corrected size bound with R the separated count.
+    and the Fourier distance is 0.  Otherwise fourier_distance is the grid
+    maximum of |sqrt(N) 1_S hat - f hat|.
     """
     eps = rational(eps)
     if s_set.size == 0:
         raise ValidationError("dense_model requires a nonempty set")
     padded = s_set.padded_to_square()
     n = padded.ambient_n
-    root = isqrt(n)
     delta = padded.density
     if not 0 < eps <= min(Fraction(1, 2), delta):
         raise ValidationError(
@@ -273,23 +306,10 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
         g = ScaledFunction(ind_s.offset + mu_b.offset,
                            tuple(convolve(ind_s.nums, mu_b.nums)), 1, n)
         g_hat = dft_values(g, m)
+        root = isqrt(n)
         fourier_distance = float(np.max(np.abs(root * s_hat - root * g_hat / bohr.size)))
 
-    half_bohr = bohr_set(spectrum.separated, m, eps / 2, n)
-    containment = set(half_bohr.elements) <= set(bohr.elements)
-    size_verdict = bohr_size_bound(bohr.size, eps, spectrum.r_count, n)
-
-    return DenseModel(
-        base=g,
-        bohr=bohr,
-        padded=padded,
-        spectrum=spectrum,
-        mass=sum(g.nums),
-        square_sum=sum(map(mul, g.nums, g.nums)),
-        fourier_distance=fourier_distance,
-        containment_holds=containment,
-        size_bound=size_verdict,
-    )
+    return DenseModel(g, bohr, padded, spectrum, fourier_distance)
 
 
 def verify_repeated_difference_bound(s_set: IntegerSet) -> InequalityVerdict:
@@ -313,7 +333,7 @@ def verify_size_bound(s_set: IntegerSet) -> InequalityVerdict:
     """Exact check of |S| <= 2 sqrt(N / (1 - eta)), via squares:
     (1 - eta) |S|^2 <= 4N.  Vacuous (reported as inapplicable) when
     eta >= 1."""
-    eta, rhs = almost_sidon_params(s_set).eta, Fraction(4 * s_set.ambient_n)
+    eta, rhs = s_set.eta, Fraction(4 * s_set.ambient_n)
     if eta >= 1:
         return InequalityVerdict("size_bound", Fraction(0), rhs, True, applicable=False)
     lhs = (1 - eta) * s_set.size ** 2
@@ -452,12 +472,6 @@ class TransferenceReport:
     """
 
     n_original: int
-    n_padded: int
-    sqrt_n: int
-    size: int
-    delta: Fraction
-    eta: Fraction
-    eps: Fraction
     eq: EquationCoeffs
     model: DenseModel
     nu_mass: Fraction
@@ -471,7 +485,6 @@ class TransferenceReport:
     counting_comparison: float
     c_s: float
     eps_n_power: float
-    fourier_bound_holds: bool
     fourier_c: int
     repeated_difference: InequalityVerdict
     size_bound: InequalityVerdict
@@ -519,8 +532,6 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     model = dense_model(s_set, eps, m)
     padded = model.padded
     n = padded.ambient_n
-    root = isqrt(n)
-    params = almost_sidon_params(padded)
 
     # the measured floats first: an overflow is refused before the counts
     fdist = model.fourier_distance
@@ -550,17 +561,11 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     values = [count_solutions(eq, [f] * eq.s).value for f in fns]
     model_count = values[0] * scale**eq.s
     set_count_raw = int(values[-1])
-    set_count = Fraction(root) ** eq.s * set_count_raw
+    set_count = Fraction(model.sqrt_n) ** eq.s * set_count_raw
     difference = model_count - set_count
 
     return TransferenceReport(
         n_original=s_set.ambient_n,
-        n_padded=n,
-        sqrt_n=root,
-        size=s_set.size,
-        delta=params.delta,
-        eta=params.eta,
-        eps=eps,
         eq=eq,
         model=model,
         nu_mass=nu_mass,
@@ -574,10 +579,9 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
         counting_comparison=comparison,
         c_s=c_s,
         eps_n_power=eps_n_power,
-        fourier_bound_holds=model.fourier_bound_holds(fourier_c),
         fourier_c=fourier_c,
         repeated_difference=verify_repeated_difference_bound(padded),
         size_bound=verify_size_bound(padded),
         model_l2=verify_model_l2(model),
-        level_set=verify_l2_reduction(model.model_f, params.delta),
+        level_set=verify_l2_reduction(model.model_f, padded.density),
     )

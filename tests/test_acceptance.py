@@ -154,7 +154,7 @@ def test_criterion_09_end_to_end_transference():
     t0 = time.perf_counter()
     eq = EquationCoeffs((1, 1, 1, 1, -4))
     rep = transference_report(erdos_turan(13), eq, Fraction(1, 5))
-    assert rep.n_padded == 361
+    assert rep.model.n_padded == 361
     f = rep.model.model_f
     fast = count_solutions(eq, [f] * 5)
     oracle = brute_force_count(eq, [f] * 5)

@@ -99,6 +99,13 @@ class TestEnergy:
         assert doc["energy"] == 91
         assert doc["delta"] == {"numerator": 7, "denominator": 10}
 
+    def test_empty_set_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("N 5\n")
+        code, stdout, stderr = run(capsys, "energy", "--set", str(path))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+
 
 # coefficients whose dilations of any span past 1 are refused by their
 # length alone: pairwise coprime, so dividing by the gcd with each other or

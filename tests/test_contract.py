@@ -3,13 +3,15 @@
 Every public routine that takes eps or delta reads it with sets.rational:
 an int, a Fraction or a "p/q" string is accepted, and anything else, a
 float included, is refused with ValidationError, as is a value outside the
-routine's range.
+routine's range.  Every name the package exports resolves, once.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+import sidonlab
 
 from sidonlab.counting import EquationCoeffs, ScaledFunction
 from sidonlab.errors import ValidationError
@@ -110,3 +112,10 @@ class TestSpectrumShape:
         spec = Spectrum(Fraction(1, 5), 36, (0, 3, 20), (3.0,) * 3, (0, 20))
         assert spec.r_count == 2
         assert Spectrum(Fraction(1), 1, (), (), ()).entries == ()
+
+
+def test_exports_resolve_once():
+    names = sidonlab.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(sidonlab, name)]
+    assert missing == []

@@ -16,7 +16,6 @@ import sidonlab.sets as sets_module
 from sidonlab.errors import ValidationError
 from sidonlab.sets import (
     IntegerSet,
-    almost_sidon_params,
     difference_counts,
     erdos_turan,
     format_set_file,
@@ -106,7 +105,7 @@ class TestProfileCache:
 
     def test_readers_share_the_profile(self, profile_calls):
         s = IntegerSet((1, 2, 3, 5, 8), 9)
-        almost_sidon_params(s)
+        s.eta
         is_sidon(s)
         assert s.profile.energy == brute_energy(s.elements)
         assert len(profile_calls) == 1
@@ -359,22 +358,25 @@ class TestIsSidon:
 
 
 class TestAlmostSidonParams:
+    """eta and delta, read as IntegerSet.eta and IntegerSet.density."""
+
     def test_sidon_eta_zero(self):
-        assert almost_sidon_params(erdos_turan(7)).eta == 0
+        assert erdos_turan(7).eta == 0
 
     def test_progression(self):
-        params = almost_sidon_params(IntegerSet((1, 2, 3), 3))
-        assert params.eta == Fraction(1, 9)
+        assert IntegerSet((1, 2, 3), 3).eta == Fraction(1, 9)
 
     def test_delta_full_density(self):
-        params = almost_sidon_params(IntegerSet((1, 2), 4))
-        assert params.delta == 1
+        s = IntegerSet((1, 2), 4)
+        assert s.density == 1
         # delta^2 N <= |S|^2 exactly
-        assert params.delta**2 * 4 <= 4
+        assert s.density**2 * 4 <= 4
 
     def test_empty_rejected(self):
+        s = IntegerSet((), 5)
         with pytest.raises(ValidationError):
-            almost_sidon_params(IntegerSet((), 5))
+            s.eta
+        assert s.density == 0
 
 
 class TestPerturb:

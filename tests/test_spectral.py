@@ -484,6 +484,14 @@ class TestLargeSieve:
         with pytest.raises(ValidationError, match="spectrum entries"):
             Spectrum(Fraction(1), 8, entries, (5.0,) * len(entries), (0, 3))
 
+    def test_empty_set_rejected(self):
+        # the ET(11) spectrum read against no points: eta of the empty set
+        # is undefined, and IntegerSet.eta refuses it
+        s = erdos_turan(11)
+        spec = large_spectrum(s, Fraction(1, 5))
+        with pytest.raises(ValidationError, match="nonempty"):
+            large_sieve_diagnostic(IntegerSet((), s.ambient_n), spec)
+
     def test_empty_separated_rejected(self):
         spec = Spectrum(Fraction(1), 1, (), (), ())
         with pytest.raises(ValidationError):

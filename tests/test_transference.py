@@ -51,13 +51,21 @@ from sidonlab.transference import (
 )
 
 
+def with_cached(model, name, value):
+    """A copy of the dense model whose derived `name` reads `value`, written
+    into the copy's cache in place of the computed one."""
+    copy = replace(model)
+    copy.__dict__[name] = value
+    return copy
+
+
 def fail_model_verdict(model, verdict):
     """The dense model with one theorem-backed verdict set to fail."""
     if verdict == "mass_identity":
-        return replace(model, mass=model.mass + 1)
+        return with_cached(model, "mass", model.mass + 1)
     if verdict == "containment":
-        return replace(model, containment_holds=False)
-    return replace(model, size_bound=replace(model.size_bound, holds=False))
+        return with_cached(model, "containment_holds", False)
+    return with_cached(model, "size_bound", replace(model.size_bound, holds=False))
 
 
 def evens(n):
@@ -359,6 +367,35 @@ class TestDenseModel:
             dense_model(IntegerSet((), 16), Fraction(1, 4))
 
 
+class TestDenseModelFields:
+    """A dense model whose stored fields disagree is refused on construction."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return dense_model(evens(64), Fraction(1, 4))
+
+    def test_real_model_accepted(self, model):
+        assert replace(model) == model
+
+    def test_bohr_frequencies_not_the_spectrum(self, model):
+        with pytest.raises(ValidationError, match="frequencies"):
+            replace(model, bohr=replace(model.bohr, ks=model.bohr.ks[:-1]))
+
+    def test_bohr_grid_not_the_spectrum(self, model):
+        with pytest.raises(ValidationError, match="grid size"):
+            replace(model, bohr=replace(model.bohr, grid_m=2 * model.bohr.grid_m))
+
+    def test_bohr_radius_not_the_threshold(self, model):
+        with pytest.raises(ValidationError, match="radius"):
+            replace(model, bohr=replace(model.bohr, radius=model.bohr.radius / 2))
+
+    @pytest.mark.parametrize("field", ["bohr", "base", "padded"])
+    def test_ambients_differ(self, model, field):
+        changed = replace(getattr(model, field), ambient_n=model.n_padded + 1)
+        with pytest.raises(ValidationError, match="ambient"):
+            replace(model, **{field: changed})
+
+
 class TestOneProfile:
     """Every verdict on a set reads the profile that set computed once."""
 
@@ -369,7 +406,7 @@ class TestOneProfile:
         assert len(profile_calls) == 1
         assert profile_calls[0] is rep.model.padded
         assert rep.model.padded.profile == representation_profile(
-            IntegerSet(s.elements, rep.n_padded))
+            IntegerSet(s.elements, rep.model.n_padded))
 
     def test_dense_model_suite_one_profile_per_instance(self, profile_calls):
         assert suite_dense_model().ok
@@ -445,6 +482,11 @@ class TestSizeBound:
         s = IntegerSet(tuple(range(1, 11)), 10)
         v = verify_size_bound(s)
         assert not v.applicable and v.holds
+
+    def test_empty_set_rejected(self):
+        # eta of the empty set is undefined: IntegerSet.eta refuses it
+        with pytest.raises(ValidationError, match="nonempty"):
+            verify_size_bound(IntegerSet((), 5))
 
 
 class TestL2Reduction:
@@ -687,15 +729,27 @@ class TestOneRoute:
         model = dense_model(s_set, eps)
         assert model.square_sum == sum(x * x for x in model.base.nums)
         assert model.l2_value == model.n_padded * Fraction(model.square_sum, size**2)
-        # the verdict reads the stored sum rather than summing g again
-        v = verify_model_l2(replace(model, square_sum=model.square_sum + 1))
+        # the verdict reads the cached sum rather than summing g again
+        v = verify_model_l2(with_cached(model, "square_sum", model.square_sum + 1))
         assert type(v) is InequalityVerdict and v.name == "model_l2"
         assert v.lhs == model.square_sum + 1
 
     def test_mass_identity_reads_the_stored_mass(self):
         model = dense_model(evens(64), Fraction(1, 4))
         assert model.mass == sum(model.base.nums) == model.padded.size * model.bohr.size
-        assert not replace(model, mass=model.mass - 1).mass_identity_holds
+        assert not with_cached(model, "mass", model.mass - 1).mass_identity_holds
+
+    def test_sums_follow_the_base(self):
+        # the sums are derived from g, so a record with another g cannot
+        # carry the old ones
+        model = dense_model(evens(64), Fraction(1, 4))
+        assert model.mass and model.square_sum  # cache both on the original
+        g2 = ScaledFunction(model.base.offset, tuple(3 * x for x in model.base.nums),
+                            1, model.n_padded)
+        other = replace(model, base=g2)
+        assert other.mass == sum(g2.nums) == 3 * model.mass
+        assert other.square_sum == sum(x * x for x in g2.nums) == 9 * model.square_sum
+        assert not other.mass_identity_holds and model.mass_identity_holds
 
     def test_weight_energy_has_one_home(self):
         assert weight_energy is counting_module.weight_energy
@@ -728,7 +782,7 @@ class TestTransferenceReport:
         s = mian_chowla(10)  # ambient 81 is already a perfect square
         rep = transference_report(s, EquationCoeffs((1, 2, -3, 1, -1)),
                                   Fraction(1, 2))
-        assert rep.n_padded == 81
+        assert rep.model.n_padded == 81
         assert rep.theorem_verdicts_hold
 
     def test_nontrivial_bohr_instance(self):
@@ -755,7 +809,7 @@ class TestTransferenceReport:
         dilated = IntegerSet(tuple(2 * x for x in erdos_turan(7).elements),
                              196)
         rep = transference_report(dilated, eq, Fraction(11, 24))
-        assert rep.eta == 0
+        assert rep.model.padded.eta == 0
         assert rep.model.bohr.size > 1
         assert rep.nu_mass_bound_holds and rep.nu_energy_bound_holds
         assert rep.theorem_verdicts_hold
