@@ -58,7 +58,7 @@ s = erdos_turan(7)
 balanced = ScaledFunction.from_set(s) + \
     ScaledFunction.from_interval(1, s.ambient_n, s.ambient_n).scaled_by(
         Fraction(-s.size, s.ambient_n))
-width = len(balanced.trimmed().nums)
+width = len(balanced.nums)
 for rho in (8, 16, 64):
     mags = dft_magnitudes(balanced, rho * width)
     k = int(mags.argmax())

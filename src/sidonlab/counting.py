@@ -88,10 +88,12 @@ class EquationCoeffs:
 class ScaledFunction:
     """A finitely supported function nums / den on the ambient [1, N].
 
-    Integer numerators over one common denominator, kept in lowest terms:
-    the value at the integer offset + j is nums[j] / den, and N is
-    `ambient_n`.  Values may be signed.  `from_weights` takes rational
-    weights; `weights` is a read-only view.
+    Integer numerators over one common denominator, kept in lowest terms and
+    trimmed: the value at the integer offset + j is nums[j] / den, and N is
+    `ambient_n`.  Zero numerators at both ends are dropped on construction
+    (the offset moves with them), so nonempty nums start and end nonzero and
+    the zero function is () at offset 0.  Values may be signed.
+    `from_weights` takes rational weights; `weights` is a read-only view.
     """
 
     offset: int
@@ -101,11 +103,18 @@ class ScaledFunction:
 
     def __post_init__(self):
         nums, den = tuple(map(index, self.nums)), index(self.den)
-        object.__setattr__(self, "offset", index(self.offset))
+        offset = index(self.offset)
         object.__setattr__(self, "ambient_n", index(self.ambient_n))
         if den < 1 or self.ambient_n < 1:
             raise ValidationError(
                 f"den and ambient_n must be positive, got {den}, {self.ambient_n}")
+        lo, hi = 0, len(nums)
+        while lo < hi and nums[lo] == 0:
+            lo += 1
+        while hi > lo and nums[hi - 1] == 0:
+            hi -= 1
+        nums = nums[lo:hi]  # nums itself when nothing is dropped
+        object.__setattr__(self, "offset", offset + lo if nums else 0)
         g = gcd(den, *nums) if den > 1 else 1
         object.__setattr__(self, "nums", tuple(x // g for x in nums) if g > 1 else nums)
         object.__setattr__(self, "den", den // g)
@@ -139,18 +148,6 @@ class ScaledFunction:
             return self.nums
         return tuple(Fraction(x, self.den) for x in self.nums)
 
-    def trimmed(self) -> "ScaledFunction":
-        """Drop zero weights at both ends (empty support gives zero length)."""
-        nums = self.nums
-        lo, hi = 0, len(nums)
-        while lo < hi and nums[lo] == 0:
-            lo += 1
-        while hi > lo and nums[hi - 1] == 0:
-            hi -= 1
-        if lo == 0 and hi == len(nums):
-            return self
-        return ScaledFunction(self.offset + lo, nums[lo:hi], self.den, self.ambient_n)
-
     def support(self) -> list[int]:
         return [self.offset + j for j, x in enumerate(self.nums) if x]
 
@@ -166,8 +163,11 @@ class ScaledFunction:
 
     @cached_property
     def energy(self) -> Fraction:
-        """weight_energy(self), computed once per function."""
-        return weight_energy(self)
+        """The additive energy E(f) of the weights, exactly, computed once
+        per function: sum over n of (f * f)(n)^2, the solutions of
+        x1 + x2 = x3 + x4, from the square of the numerators over den^4."""
+        square = convolve(self.nums, self.nums)
+        return Fraction(sum(map(mul, square, square)), self.den**4)
 
     def l2_weights(self) -> Fraction:
         return Fraction(sum(map(mul, self.nums, self.nums)), self.den * self.den)
@@ -197,13 +197,11 @@ class ScaledFunction:
         if nu.ambient_n != self.ambient_n:
             raise ValidationError("majorant must live on the same ambient")
         shift = self.offset - nu.offset
-        # self.nums[lo:hi] lies over nu's span, and self must vanish elsewhere
-        lo = min(max(-shift, 0), len(self.nums))
-        hi = max(min(len(nu.nums) - shift, len(self.nums)), lo)
-        if any(self.nums[:lo]) or any(self.nums[hi:]):
+        # self's end values are nonzero, so its span must lie inside nu's
+        if self.nums and not 0 <= shift <= len(nu.nums) - len(self.nums):
             return False
-        return all(map(le, map(mul, map(abs, self.nums[lo:hi]), repeat(nu.den)),
-                       map(mul, nu.nums[lo + shift:hi + shift], repeat(self.den))))
+        return all(map(le, map(mul, map(abs, self.nums), repeat(nu.den)),
+                       map(mul, nu.nums[shift:], repeat(self.den))))
 
     def float_weights(self) -> np.ndarray:
         """float(weights[j]): int / int is correctly rounded; a weight past
@@ -215,14 +213,6 @@ class ScaledFunction:
             return np.array([x / self.den for x in self.nums], dtype=float)
         except OverflowError:
             raise ValidationError("a weight is past the float range") from None
-
-
-def weight_energy(f: ScaledFunction) -> Fraction:
-    """The additive energy E(f) of the weights, exactly: sum over n of
-    (f * f)(n)^2, the solutions of x1 + x2 = x3 + x4, from the square of the
-    numerators over den^4."""
-    square = convolve(f.nums, f.nums)
-    return Fraction(sum(map(mul, square, square)), f.den**4)
 
 
 @dataclass(frozen=True)
@@ -303,17 +293,17 @@ def _dot_at_zero(left, right, a: int = 1, b: int = 1) -> int:
     return sum(map(mul, xs, ys))
 
 
-def _coefficient_groups(coeffs, fns, trimmed) -> list[tuple[int, list[list]]]:
-    """(coefficient, [[trimmed function, multiplicity], ...]) per group of
+def _coefficient_groups(coeffs, fns) -> list[tuple[int, list[list]]]:
+    """(coefficient, [[function, multiplicity], ...]) per group of
     variables, for at most two distinct coefficients; one function object
     shares one item.  When every coefficient is the same c (then c = +-1),
     the last variable is a group of its own: the solutions of c x + c y = 0
     are (c t, -c t) as well."""
     last = len(fns) - 1 if coeffs.count(coeffs[0]) == len(coeffs) else None
     groups: dict[tuple[int, bool], dict[int, list]] = {}
-    for i, (a, f, t) in enumerate(zip(coeffs, fns, trimmed)):
+    for i, (a, f) in enumerate(zip(coeffs, fns)):
         items = groups.setdefault((a, i == last), {})
-        items.setdefault(id(f), [t, 0])[1] += 1
+        items.setdefault(id(f), [f, 0])[1] += 1
     return [(a, list(items.values())) for (a, _), items in groups.items()]
 
 
@@ -351,20 +341,19 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
         )
     g = gcd(*eq.coeffs)
     coeffs = [a // g for a in eq.coeffs]
-    trimmed = [f.trimmed() for f in fns]
-    if not all(t.nums for t in trimmed):
+    if not all(f.nums for f in fns):
         return SolutionCount(Fraction(0))
-    for a, t in zip(coeffs, trimmed):
-        _dilation_span(len(t.nums), a)
-    den_product = prod(t.den for t in trimmed)
-    groups = _coefficient_groups(coeffs, fns, trimmed) if len(set(coeffs)) <= 2 else ()
+    for a, f in zip(coeffs, fns):
+        _dilation_span(len(f.nums), a)
+    den_product = prod(f.den for f in fns)
+    groups = _coefficient_groups(coeffs, fns) if len(set(coeffs)) <= 2 else ()
     if groups and all(_group_bound(items) < INT64_SAFE for _, items in groups):
         (a, left), (b, right) = [
             (a, _power_product([((f.nums, f.offset), k) for f, k in items], _fold_step))
             for a, items in groups]
         value = _dot_at_zero(left, right, a, b)
     else:
-        dilations = [_dilate(t.nums, t.offset, a) for a, t in zip(coeffs, trimmed)]
+        dilations = [_dilate(f.nums, f.offset, a) for a, f in zip(coeffs, fns)]
         half = (eq.s + 1) // 2
         value = _dot_at_zero(reduce(_fold_step, dilations[:half]),
                              reduce(_fold_step, dilations[half:]))
@@ -461,7 +450,7 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
     numpy blocks, with int64 positions and weights when rigorous sum and
     product bounds permit and Python-integer (object) arrays otherwise.
     """
-    fns = [f.trimmed() for f in fns]
+    fns = list(fns)
     if len(fns) != eq.s:
         raise ValidationError(
             f"equation has {eq.s} variables but {len(fns)} functions given"

@@ -236,6 +236,7 @@ def is_sidon(s: IntegerSet) -> bool:
 
 def philox(seed: int) -> np.random.Generator:
     """A Philox counter-based generator keyed by seed, 0 <= seed < 2**128."""
+    seed = index(seed)
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))

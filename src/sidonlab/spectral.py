@@ -18,7 +18,7 @@ from operator import lt
 
 import numpy as np
 
-from .counting import ScaledFunction, weight_energy
+from .counting import ScaledFunction
 from .errors import ValidationError
 from .sets import MAX_POINTS, IntegerSet, check_span, rational
 
@@ -70,22 +70,22 @@ class Spectrum:
 
 def dft_values(f: ScaledFunction, m: int) -> np.ndarray:
     """Complex f_hat(k/m) for k = 0..m-1."""
-    return _transforms([f.trimmed()], _check_grid(m))[0]
+    return _transforms([f], _check_grid(m))[0]
 
 
-def _transforms(ts, m: int) -> np.ndarray:
-    """One row t_hat(k/m), k = 0..m-1, per trimmed function t in ts.
+def _transforms(fns, m: int) -> np.ndarray:
+    """One row f_hat(k/m), k = 0..m-1, per function f in fns.
 
-    Each row holds the float weights of t at their residues mod m, which
+    Each row holds the float weights of f at their residues mod m, which
     leaves every grid value unchanged because e(alpha n) has period m in n;
     one inverse FFT of the rows, times m, gives the sums with the e(+k n/m)
     sign.  A row of the 2-D transform equals the 1-D transform of that row.
     """
-    rows = np.zeros((len(ts), m), dtype=complex)
-    for row, t in zip(rows, ts):
-        w = t.float_weights()
+    rows = np.zeros((len(fns), m), dtype=complex)
+    for row, f in zip(rows, fns):
+        w = f.float_weights()
         # the offset is reduced as a Python int: offset + j may not fit int64
-        start = t.offset % m
+        start = f.offset % m
         if len(w) <= m:
             # at most two slices, each residue hit once
             head = min(len(w), m - start)
@@ -130,17 +130,16 @@ def _grid_sups(fns) -> list[tuple[float, Fraction]]:
     """`sup_norm_estimate` of each function, in order, with one call of
     `_transforms` per grid size: the functions that share a grid are
     stacked, at most MAX_POINTS points (or one row) per transform."""
-    trimmed = [f.trimmed() for f in fns]
     grids: dict[int, list[int]] = {}
-    for i, t in enumerate(trimmed):
-        grids.setdefault(OVERSAMPLE * max(1, len(t.nums)), []).append(i)
-    sups: list = [None] * len(trimmed)
+    for i, f in enumerate(fns):
+        grids.setdefault(OVERSAMPLE * max(1, len(f.nums)), []).append(i)
+    sups: list = [None] * len(fns)
     for m, members in grids.items():
         _check_grid(m)
         per_block = max(1, MAX_POINTS // m)
         for b in range(0, len(members), per_block):
             block = members[b:b + per_block]
-            mags = np.abs(_transforms([trimmed[i] for i in block], m))
+            mags = np.abs(_transforms([fns[i] for i in block], m))
             for i, mag, k in zip(block, mags, mags.argmax(axis=1).tolist()):
                 sups[i] = (float(mag[k]), Fraction(k, m))
     return sups
@@ -190,7 +189,7 @@ def _spectrum_from_magnitudes(s_set: IntegerSet, eps: Fraction,
 def energy_via_fourier(s_set: IntegerSet) -> int:
     """E(S) through the convolution route: the sum-representation sequence
     1_S * 1_S, exact, and the energy is the sum of its squares."""
-    return int(weight_energy(ScaledFunction.from_set(s_set)))
+    return int(ScaledFunction.from_set(s_set).energy)
 
 
 @dataclass(frozen=True)

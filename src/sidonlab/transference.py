@@ -24,12 +24,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from math import inf, isfinite, isqrt
-from operator import le, lt, mul, neg
+from operator import index, le, lt, mul, neg
 
 import numpy as np
 
 from .convolve import convolve
-from .counting import EquationCoeffs, ScaledFunction, count_solutions, weight_energy
+from .counting import EquationCoeffs, ScaledFunction, count_solutions
 from .errors import ValidationError
 from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, check_span, rational, zero_one
 from .spectral import (
@@ -83,6 +83,9 @@ class BohrSet:
     ambient_n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "ks", tuple(map(index, self.ks)))
+        for name in ("grid_m", "width", "ambient_n"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         el = tuple(self.elements)
         object.__setattr__(self, "elements", el)
         if not (0 in el and all(map(lt, el, el[1:]))
@@ -134,20 +137,21 @@ def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
     pairs) until none are left.  Each test is _bohr_member's exact integer
     comparison, in int64 while products stay below INT64_SAFE, else Python ints.
     """
+    ks, m, n = tuple(map(index, ks)), index(m), index(n)
     eps = _radius(eps)
     if n < 0:
         raise ValidationError(f"need n >= 0, got {n}")
     if m < 1:
         raise ValidationError(f"grid size must be positive, got {m}")
-    ks = tuple(ks)
     p, q = eps.numerator, eps.denominator
     width = check_span((p * n) // q, "the Bohr width")
     dtype = np.int64 if (width + 1) * m * q < INT64_SAFE else object
-    residues = np.array([k % m for k in ks], dtype=dtype)
     ns, i = np.arange(1, width + 1, dtype=dtype), 0
     while ns.size and i < len(ks):
         j = i + max(1, min(BOHR_BLOCK, BLOCK_PAIRS // ns.size))
-        r = np.multiply.outer(ns, residues[i:j]) % m
+        # reduced per block: the scan often ends after the first few blocks
+        residues = np.array([k % m for k in ks[i:j]], dtype=dtype)
+        r = np.multiply.outer(ns, residues) % m
         ns = ns[(np.minimum(r, m - r) * q <= p * m).all(axis=1)]
         i = j
     elements = tuple([-v for v in ns[::-1].tolist()] + [0] + ns.tolist())
@@ -367,6 +371,8 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
     delta = rational(delta)
     if not 0 < delta <= 1:
         raise ValidationError(f"need 0 < delta <= 1, got {delta}")
+    if f.nums and min(f.nums) < 0:
+        raise ValidationError("f must be nonnegative")
     n = f.ambient_n
     hyp_mass = f.mass() >= delta * n
     hyp_l2 = f.l2_weights() <= n
@@ -550,7 +556,7 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
     scale = model.scale
     nu_base = model.majorant_base
     nu_mass = nu_base.mass() * scale
-    nu_energy = weight_energy(nu_base) * scale**4
+    nu_energy = nu_base.energy * scale**4
     mass_ok = nu_mass <= NU_MASS_FACTOR * n
     energy_ok = nu_energy <= NU_ENERGY_FACTOR * Fraction(n) ** 3
 

@@ -1,11 +1,16 @@
-"""The library's input contract for rational arguments.
+"""The library's input contract for rational and integer arguments.
 
 Every public routine that takes eps or delta reads it with sets.rational:
 an int, a Fraction or a "p/q" string is accepted, and anything else, a
 float included, is refused with ValidationError, as is a value outside the
-routine's range.  Every name the package exports resolves, once.
+routine's range.  Integer arguments (frequencies, grid sizes, widths,
+ambients, seeds) are read with operator.index: a Python or numpy integer
+is accepted, and a float raises TypeError before any scan or draw.  Every
+name the package exports resolves, once.
 """
 
+import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +20,10 @@ import sidonlab
 
 from sidonlab.counting import EquationCoeffs, ScaledFunction
 from sidonlab.errors import ValidationError
-from sidonlab.sets import erdos_turan, rational
+from sidonlab.sets import erdos_turan, philox, rational
 from sidonlab.spectral import Spectrum, large_sieve_diagnostic, large_spectrum
 from sidonlab.transference import (
+    BohrSet,
     bohr_set,
     bohr_size_bound,
     dense_model,
@@ -83,6 +89,54 @@ def test_good_rationals_agree(name):
     assert call("1/5") == call(Fraction(1, 5))
     if one_in_range:
         assert call(1) == call("1") == call(Fraction(1))
+
+
+class TestIntegerArguments:
+    def test_float_frequency_refused(self):
+        with pytest.raises(TypeError):
+            bohr_set([1.5], 7, "1/5", 60)
+
+    @pytest.mark.parametrize("m, n", [(7.0, 60), (7, 60.0)])
+    def test_float_grid_or_ambient_refused(self, m, n):
+        with pytest.raises(TypeError):
+            bohr_set([1], m, "1/5", n)
+
+    def test_numpy_integers_give_the_same_set(self):
+        want = bohr_set([1, 3], 7, "1/5", 60)
+        got = bohr_set(np.array([1, 3]), np.int64(7), "1/5", np.int64(60))
+        assert got == want
+        fields = asdict(got)
+        assert all(type(fields[name]) is int for name in ("grid_m", "width", "ambient_n"))
+        assert all(type(k) is int for k in got.ks)
+        json.dumps({k: v for k, v in fields.items() if k != "radius"})
+
+    @pytest.mark.parametrize("field", ["ks", "grid_m", "width", "ambient_n"])
+    def test_hand_built_bohr_set_reads_integers(self, field):
+        b = bohr_set([1], 3, "1/4", 40)
+        args = {"ks": b.ks, "grid_m": 3, "radius": b.radius, "width": 10,
+                "elements": b.elements, "ambient_n": 40}
+        numpy_args = dict(args, **{field: np.array(b.ks) if field == "ks"
+                                   else np.int64(args[field])})
+        assert BohrSet(**numpy_args) == b
+        with pytest.raises(TypeError):
+            BohrSet(**dict(args, **{field: (1.0,) if field == "ks"
+                                    else float(args[field])}))
+
+    def test_float_seed_refused(self):
+        with pytest.raises(TypeError):
+            philox(1.5)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int8(7)])
+    def test_numpy_seed_gives_the_same_draws(self, seed):
+        assert (philox(seed).integers(0, 2**40, size=8).tolist()
+                == philox(7).integers(0, 2**40, size=8).tolist())
+
+
+def test_negative_weight_refused_by_the_l2_reduction():
+    # the level-set lemma is for f >= 0
+    with pytest.raises(ValidationError, match="nonnegative"):
+        verify_l2_reduction(ScaledFunction(1, (-5, 1), 1, 4), "1/2")
+    assert verify_l2_reduction(ScaledFunction(1, (5, 1), 1, 4), "1/2").level_set == (1, 2)
 
 
 class TestSpectrumShape:

@@ -5,6 +5,7 @@ import functools
 import itertools
 import operator
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial, gcd, prod
 from unittest import mock
@@ -83,9 +84,15 @@ class TestEquationCoeffs:
 class TestScaledFunction:
     def test_trim_and_support(self):
         f = ScaledFunction.from_weights(3, (0, 0, 1, 0, 2, 0), 10)
-        t = f.trimmed()
-        assert t.offset == 5 and t.weights == (1, 0, 2)
+        assert f.offset == 5 and f.weights == (1, 0, 2)
         assert f.support() == [5, 7]
+
+    def test_zero_padding_does_not_change_the_function(self):
+        assert (ScaledFunction.from_weights(3, (0, 1, 2, 0), 10)
+                == ScaledFunction.from_weights(4, (1, 2), 10))
+        zero = ScaledFunction(0, (), 1, 10)
+        assert ScaledFunction(7, (0, 0), 5, 10) == zero
+        assert ScaledFunction.from_weights(-4, (Fraction(0, 3),), 10) == zero
 
     def test_add_and_scale(self):
         f = indicator([1, 3], 4) + indicator([2, 3], 4).scaled_by(Fraction(1, 2))
@@ -144,6 +151,18 @@ class TestScaledFunction:
         assert f.dominated_by(nu) == self.dominated_loop(f, nu)
         assert nu.dominated_by(f) == self.dominated_loop(nu, f)
 
+    def test_dominated_by_at_the_span_edges(self):
+        nu = ScaledFunction(5, (1, 2, 1), 1, 9)
+        assert not ScaledFunction(4, (1, 1), 1, 9).dominated_by(nu)  # one slot left
+        assert not ScaledFunction(7, (1, 1), 1, 9).dominated_by(nu)  # one slot right
+        assert ScaledFunction(5, (-1, 2, 1), 1, 9).dominated_by(nu)  # exactly nu's span
+        assert not ScaledFunction(5, (1, 2, 2), 1, 9).dominated_by(nu)
+        assert ScaledFunction(3, (0, 0, 1, 0, 1, 0, 0), 1, 9).dominated_by(nu)
+        # the zero function, stored at offset 0 outside nu's span
+        assert ScaledFunction(0, (), 1, 9).dominated_by(nu)
+        assert ScaledFunction(0, (), 1, 9).dominated_by(ScaledFunction(0, (), 1, 9))
+        assert not nu.dominated_by(ScaledFunction(0, (), 1, 9))
+
     def test_dominated_by_support_outside_nu(self):
         nu = ScaledFunction(5, (1, 1, 1), 1, 9)
         for off, nums in ((2, (0, 0, 1, 1)), (2, (1, 0, 0)), (7, (1, 0, 1)),
@@ -158,8 +177,8 @@ class TestScaledFunction:
                                    2**63 + 1, 2**1024 - 2**970 - 1])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_float_weights_at_den_one_are_int_over_one(self, x, sign):
-        got = ScaledFunction(0, (sign * x, 1, 0), 1, 1).float_weights()
-        assert got.tobytes() == np.array([sign * x / 1, 1.0, 0.0]).tobytes()
+        got = ScaledFunction(0, (sign * x, 0, 1), 1, 1).float_weights()
+        assert got.tobytes() == np.array([sign * x / 1, 0.0, 1.0]).tobytes()
 
     @pytest.mark.parametrize("x", [2**1024, -2**1024, 2**1024 - 2**970, 2**2000])
     def test_float_weights_past_the_range_refused_at_den_one(self, x):
@@ -171,11 +190,16 @@ class TestScaledFunction:
         g = ScaledFunction(-3, (2, 0, -1, 5), 3, 7)
         before = (repr(f), hash(f))
         calls = []
-        monkeypatch.setattr(counting_module, "weight_energy",
-                            lambda h: calls.append(h) or Fraction(len(calls)))
-        assert f.energy == f.energy == Fraction(1) and len(calls) == 1
+        real = counting_module.convolve
+        monkeypatch.setattr(counting_module, "convolve",
+                            lambda a, b: calls.append(a) or real(a, b))
+        assert f.energy == f.energy and len(calls) == 1
         monkeypatch.undo()
-        assert g.energy == counting_module.weight_energy(g)
+        # sum over n of (g * g)(n)^2, from the pair sums of the numerators
+        r = collections.Counter()
+        for (i, x), (j, y) in itertools.product(enumerate(g.nums), repeat=2):
+            r[i + j] += x * y
+        assert g.energy == Fraction(sum(v * v for v in r.values()), 3**4) == f.energy
         # the cached value is no field: equality, hashing and repr ignore it
         assert (repr(f), hash(f)) == before == (repr(g), hash(g))
         assert f == g and f == ScaledFunction(-3, (2, 0, -1, 5), 3, 7)
@@ -186,8 +210,8 @@ class TestScaledFunction:
         f = ScaledFunction.from_weights(0, (Fraction(1, 2), Fraction(2, 3)), 4)
         assert f.den == 6 and f.nums == (3, 4)
         assert f.weights == (Fraction(1, 2), Fraction(2, 3))
-        g = ScaledFunction(0, (4, 6, 0), 8)
-        assert g.nums == (2, 3, 0) and g.den == 4
+        g = ScaledFunction(0, (4, 0, 6), 8)
+        assert g.nums == (2, 0, 3) and g.den == 4
         with pytest.raises(ValidationError):
             ScaledFunction(0, (1,), 0)
         with pytest.raises(TypeError):
@@ -952,6 +976,21 @@ def function(offset, ws, ambient_n=4):
     return ScaledFunction.from_weights(offset, ws, ambient_n)
 
 
+def trimmed_points(offset, ws):
+    """(offset, weights) without the zero weights at both ends; (0, ()) when
+    every weight vanishes."""
+    nonzero = [j for j, w in enumerate(ws) if w]
+    if not nonzero:
+        return 0, ()
+    lo, hi = nonzero[0], nonzero[-1] + 1
+    return offset + lo, tuple(ws[lo:hi])
+
+
+def canonical(f):
+    """Nonzero end numerators, or the zero function () at offset 0."""
+    return bool(f.nums[0] and f.nums[-1]) if f.nums else f.offset == 0
+
+
 class TestRepresentationProperties:
     @settings(max_examples=80, deadline=None)
     @given(st.data(), st.integers(2, 5))
@@ -973,14 +1012,18 @@ class TestRepresentationProperties:
             want[x] = want.get(x, 0) + w
         want = {x: w for x, w in want.items() if w}
         assert as_points(got.offset, got.weights) == want
-        assert got.offset == min(off_a, off_b)
-        assert got.offset + len(got.weights) == max(off_a + len(a), off_b + len(b))
+        # the sum on the union of the spans, then trimmed
+        lo = min(off_a, off_b)
+        hi = max(off_a + len(a), off_b + len(b))
+        dense = [want.get(x, 0) for x in range(lo, hi)]
+        assert (got.offset, got.weights) == trimmed_points(lo, dense)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-6, 6), weight_lists(), small_fractions)
     def test_scaled_by_mass_l2(self, off, ws, q):
         f = function(off, ws)
-        assert f.scaled_by(q).weights == tuple(w * q for w in ws)
+        g = f.scaled_by(q)
+        assert (g.offset, g.weights) == trimmed_points(off, [w * q for w in ws])
         assert f.mass() == sum(ws, Fraction(0))
         assert f.l2_weights() == sum((w * w for w in ws), Fraction(0))
 
@@ -996,17 +1039,30 @@ class TestRepresentationProperties:
     @given(st.integers(-6, 6), st.lists(st.sampled_from([Fraction(0), Fraction(-1, 3),
                                                          Fraction(2)]), max_size=8))
     def test_trimmed(self, off, ws):
-        t = function(off, ws).trimmed()
-        nonzero = [j for j, w in enumerate(ws) if w]
-        if not nonzero:
-            assert t.weights == ()
-        else:
-            lo, hi = nonzero[0], nonzero[-1] + 1
-            assert (t.offset, t.weights) == (off + lo, tuple(ws[lo:hi]))
+        f = function(off, ws)
+        assert (f.offset, f.weights) == trimmed_points(off, ws)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-6, 6), st.lists(st.integers(-3, 3), max_size=8),
+           st.integers(1, 6), weight_lists(max_size=8), st.integers(-3, 3),
+           st.lists(st.integers(-2, 2), max_size=3))
+    def test_every_result_is_canonical(self, off, nums, den, ws, shift, pad):
+        f = ScaledFunction(off, tuple(nums), den, 4)
+        g = function(off, ws)
+        # the negated end values of g: g + ends cancels both ends
+        ends = ScaledFunction(g.offset, tuple(
+            -x if j in (0, len(g.nums) - 1) else 0 for j, x in enumerate(g.nums)),
+            g.den, 4)
+        padded = tuple(pad) + f.nums + tuple(pad)
+        results = [f, g, f + g, g + ends, f + f.scaled_by(-1), f.scaled_by(0),
+                   g.scaled_by(0), replace(f, nums=padded),
+                   replace(g, offset=g.offset + shift), replace(f, den=2 * den)]
+        assert all(canonical(h) for h in results)
+        assert (g + ends).support() == g.support()[1:-1]
 
     @settings(max_examples=80, deadline=None)
     @given(weight_lists(wide_fractions, max_size=8))
     def test_float_weights_match_fraction_floats(self, ws):
         got = function(0, ws).float_weights()
-        want = np.array([float(w) for w in ws], dtype=float)
+        want = np.array([float(w) for w in trimmed_points(0, ws)[1]], dtype=float)
         assert got.tobytes() == want.tobytes()

@@ -46,6 +46,10 @@ CASES = {
     # B = {0}: the model is sqrt(N) 1_S itself
     "model_et11": ["model", "--set", "et11.txt", "--eps", "1/5"],
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "4"],
+    # the benchmark's verify passes: 25 trials per suite at three seeds
+    "verify_all_s0_t25": ["verify", "all", "--seed", "0", "--trials", "25"],
+    "verify_all_s3_t25": ["verify", "all", "--seed", "3", "--trials", "25"],
+    "verify_all_s7_t25": ["verify", "all", "--seed", "7", "--trials", "25"],
     "report_et11": ["report", "--set", "et11.txt", "--coeffs", "1,1,1,1,-4",
                     "--eps", "1/5"],
     "report_evens": ["report", "--set", "evens.txt", "--coeffs",
@@ -61,6 +65,12 @@ CASES = {
     # s = 7 where B = {0}: the model count is the set count
     "report_et11_s7": ["report", "--set", "et11.txt", "--coeffs",
                        "1,1,1,1,1,1,-6", "--eps", "1/5"],
+    # ET(17) joined with the odd / even numbers of [1, 578], the benchmark's
+    # AP sets: the largest smoothing, |B| = 79 and 75
+    "report_et17_odd": ["report", "--set", "et17_odd.txt", "--coeffs",
+                        "1,1,1,1,-4", "--eps", "1/5"],
+    "report_et17_even": ["report", "--set", "et17_even.txt", "--coeffs",
+                         "1,1,1,1,-4", "--eps", "1/5"],
     "count": ["count", "--coeffs", "1,1,1,1,-4", "--sets", "et11.txt"],
     "count_interval_oracle": ["count", "--coeffs", "1,2,-3", "--interval",
                               "30", "--oracle"],

@@ -1,4 +1,5 @@
-"""The report's exact counts against the slow route of reference_report.py."""
+"""The report's exact counts and verdicts against the slow route of
+reference_report.py."""
 
 from fractions import Fraction
 
@@ -32,16 +33,26 @@ def zero_sum_coeffs(draw):
     return (*head, -sum(head))
 
 
+def verdict(v):
+    return v.lhs, v.rhs, v.holds, v.applicable
+
+
 def check(s_set, eps, coeffs):
-    """Every exact count of the report equals the reference's; returns |B|."""
+    """Every exact count and verdict of the report equals the reference's;
+    returns |B|."""
     rep = transference_report(s_set, EquationCoeffs(coeffs), eps)
     model = rep.model
     try:
-        ref = reference_report(model.bohr.elements, model.padded, coeffs)
+        ref = reference_report(s_set.elements, s_set.ambient_n, model.spectrum,
+                               eps, coeffs)
     except BudgetExceededError:
         reject()
     g = {model.base.offset + j: x for j, x in enumerate(model.base.nums) if x}
+    level = rep.level_set
     assert ref == {
+        "n_padded": model.n_padded,
+        "density": model.padded.density,
+        "bohr": model.bohr.elements,
         "g": g,
         "mass": model.mass,
         "square_sum": model.square_sum,
@@ -51,6 +62,15 @@ def check(s_set, eps, coeffs):
         "set_count": rep.set_count,
         "model_count": rep.model_count,
         "difference": rep.difference,
+        "mass_identity": model.mass_identity_holds,
+        "containment": model.containment_holds,
+        "bohr_size_bound": verdict(model.size_bound),
+        "repeated_difference": verdict(rep.repeated_difference),
+        "size_bound": verdict(rep.size_bound),
+        "model_l2": verdict(rep.model_l2),
+        "level_set": (level.level_set, level.hyp_mass_ok, level.hyp_l2_ok,
+                      level.lhs, level.rhs, level.holds),
+        "theorem_verdicts_hold": rep.theorem_verdicts_hold,
     }
     return model.bohr.size
 

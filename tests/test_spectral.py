@@ -7,7 +7,7 @@ import pytest
 from fractions import Fraction
 
 import sidonlab.sets as sets_module
-from sidonlab.counting import ScaledFunction, weight_energy
+from sidonlab.counting import ScaledFunction
 from sidonlab.errors import ValidationError
 from sidonlab.sets import MAX_POINTS, IntegerSet, erdos_turan, representation_profile
 from sidonlab.spectral import (
@@ -41,12 +41,11 @@ def one_dimensional_dft(f: ScaledFunction, m: int):
     """The slow route of dft_values: its own residue placement and 1-D
     inverse FFT, as dft_values computed it before it became the one-row case
     of the stacked transform."""
-    t = f.trimmed()
     arr = np.zeros(m, dtype=complex)
-    if not t.nums:
+    if not f.nums:
         return arr
-    w = t.float_weights()
-    start = t.offset % m
+    w = f.float_weights()
+    start = f.offset % m
     if len(w) <= m:
         head = min(len(w), m - start)
         arr[start:start + head] = w[:head]
@@ -58,7 +57,7 @@ def one_dimensional_dft(f: ScaledFunction, m: int):
 
 def grid_sup(f: ScaledFunction, rho: int) -> float:
     """max |f_hat| on the grid of rho * width points."""
-    return float(dft_magnitudes(f, rho * max(1, len(f.trimmed().nums))).max())
+    return float(dft_magnitudes(f, rho * max(1, len(f.nums))).max())
 
 
 def interval(n):
@@ -118,7 +117,7 @@ class TestDft:
                        rng.integers(1, 5, size=width)))
         f = ScaledFunction.from_weights(int(rng.integers(-3 * m, 3 * m)), ws, 7)
         w = f.float_weights()
-        positions = (np.arange(width, dtype=np.int64) + f.offset) % m
+        positions = (np.arange(len(w), dtype=np.int64) + f.offset) % m
         ks = np.arange(m, dtype=np.int64)[:, None]
         phases = np.exp(2j * np.pi * ((ks * positions[None, :]) % m) / m)
         want = phases @ w
@@ -237,7 +236,7 @@ class TestGridSups:
 
     @staticmethod
     def one_by_one(f):
-        m = OVERSAMPLE * max(1, len(f.trimmed().nums))
+        m = OVERSAMPLE * max(1, len(f.nums))
         mags = dft_magnitudes(f, m)
         k = int(np.argmax(mags))
         return float(mags[k]), Fraction(k, m)
@@ -401,7 +400,7 @@ class TestEnergyViaFourier:
     def test_is_the_weight_energy_of_the_indicator(self, s):
         e = energy_via_fourier(s)
         assert type(e) is int
-        assert e == weight_energy(ScaledFunction.from_set(s))
+        assert e == ScaledFunction.from_set(s).energy
 
 
 class TestGridCap:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import sidonlab.counting as counting_module
 import sidonlab.sets as sets_module
+import sidonlab.spectral as spectral_module
 import sidonlab.suites as suites_module
 import sidonlab.transference as transference_module
 
@@ -47,7 +48,6 @@ from sidonlab.transference import (
     verify_model_l2,
     verify_repeated_difference_bound,
     verify_size_bound,
-    weight_energy,
 )
 
 
@@ -287,7 +287,7 @@ class TestDenseModel:
         assert model.mass_identity_holds
         padded = model.padded
         w, off = padded.indicator()
-        g = model.base.trimmed()
+        g = model.base
         assert g.offset == off
         assert [int(x) for x in g.weights] == w
 
@@ -308,7 +308,7 @@ class TestDenseModel:
 
     def test_support_inside_padded_window(self):
         model = dense_model(evens(64), Fraction(1, 4))
-        f = model.model_f.trimmed()
+        f = model.model_f
         lo = f.offset
         hi = f.offset + len(f.weights) - 1
         eps_n = Fraction(1, 4) * model.n_padded
@@ -528,7 +528,7 @@ class TestCountingBound:
         oracle = int(brute_force_count(eq, fns).value)
         assert oracle == 2498
         # the energy hypothesis value, frozen from sum (10-|d|)^2
-        assert weight_energy(nu) == 670
+        assert nu.energy == 670
         v = verify_counting_bound(nu, fns, eq)
         assert v.lhs_abs == pytest.approx(2498.0)
         assert v.premise_mass_ok and v.premise_energy_ok
@@ -599,12 +599,12 @@ class TestCountingBound:
         rng = np.random.Generator(np.random.Philox(key=72))
         model = dense_model(erdos_turan(7), Fraction(1, 5))
         nu = scale_to_counting_hypotheses(model.majorant_nu)
-        e_nu = weight_energy(nu)
+        e_nu = nu.energy
         for _ in range(5):
             ws = tuple(Fraction(int(rng.integers(-8, 9)), 8) * w
                        for w in nu.weights)
             f = ScaledFunction.from_weights(nu.offset, ws, nu.ambient_n)
-            assert weight_energy(f) <= e_nu
+            assert f.energy <= e_nu
 
 
 class TestMajorantNormalisation:
@@ -612,13 +612,13 @@ class TestMajorantNormalisation:
     def halved(nu):
         """The halving loop: the reference for the closed form."""
         n = nu.ambient_n
-        while nu.mass() > n or weight_energy(nu) > n**3:
+        while nu.mass() > n or nu.energy > n**3:
             nu = nu.scaled_by(Fraction(1, 2))
         return nu
 
     def test_weight_energy_is_the_energy_count(self):
         # the autocorrelation form against the (1,-1,-1,1) count, on signed
-        # rational weights with zeros at both ends
+        # rational weights built with zeros at both ends
         rng = np.random.Generator(np.random.Philox(key=73))
         energy_eq = EquationCoeffs((1, -1, -1, 1))
         for _ in range(8):
@@ -627,7 +627,7 @@ class TestMajorantNormalisation:
                       rng.integers(1, 7, size=40))]
             f = ScaledFunction.from_weights(int(rng.integers(-20, 20)),
                                             [0, *ws, 0], 50)
-            assert weight_energy(f) == count_solutions(energy_eq, [f] * 4).value
+            assert f.energy == count_solutions(energy_eq, [f] * 4).value
 
     @pytest.mark.parametrize("nu", [
         dense_model(erdos_turan(7), Fraction(1, 5)).majorant_nu,
@@ -752,7 +752,13 @@ class TestOneRoute:
         assert not other.mass_identity_holds and model.mass_identity_holds
 
     def test_weight_energy_has_one_home(self):
-        assert weight_energy is counting_module.weight_energy
+        # the report's nu energy is the majorant's own cached energy, and no
+        # module keeps an energy function beside it
+        rep = transference_report(evens(64), EquationCoeffs((1, 1, 1, -1, -2)),
+                                  Fraction(1, 4))
+        assert rep.nu_energy == rep.model.majorant_nu.energy
+        for module in (counting_module, spectral_module, transference_module):
+            assert not hasattr(module, "weight_energy")
 
 
 class TestTransferenceReport:
