@@ -28,7 +28,7 @@ eq = EquationCoeffs((1, 1, 1, 1, -4))
 
 rep = transference_report(erdos_turan(13), eq, Fraction(1, 5))
 model = rep.model
-print(f"Sidon p = 13, eq {eq.coeffs}, eps = {model.bohr.radius}")
+print(f"Sidon p = 13, eq {eq.coeffs}, eps = {model.spectrum.threshold}")
 print(f"  N {rep.n_original} -> {model.n_padded} (sqrt = {model.sqrt_n}), "
       f"delta = {model.padded.density}, eta = {model.padded.eta}")
 print(f"  majorant: sum nu = {rep.nu_mass} <= 4N: {rep.nu_mass_bound_holds}; "
@@ -55,7 +55,7 @@ print("  oracle on the model f: equals the model count, exactly")
 
 dilated = IntegerSet(tuple(2 * x for x in erdos_turan(13).elements), 676)
 rep = transference_report(dilated, eq, Fraction(11, 24))
-print(f"\ndilated Sidon p = 13 (all even), eps = {rep.model.bohr.radius}: "
+print(f"\ndilated Sidon p = 13 (all even), eps = {rep.model.spectrum.threshold}: "
       f"|B| = {rep.model.bohr.size}, eta = {rep.model.padded.eta}")
 print(f"  majorant premises hold: mass {rep.nu_mass_bound_holds}, "
       f"energy {rep.nu_energy_bound_holds}")
@@ -75,7 +75,7 @@ print(f"  theorem verdicts all hold: {rep.theorem_verdicts_hold}")
 
 evens = IntegerSet(tuple(range(2, 65, 2)), 64)
 rep = transference_report(evens, eq, Fraction(1, 4))
-print(f"\nevens in [1,64], eps = {rep.model.bohr.radius}: |B| = {rep.model.bohr.size}, "
+print(f"\nevens in [1,64], eps = {rep.model.spectrum.threshold}: |B| = {rep.model.bohr.size}, "
       f"eta = {float(rep.model.padded.eta):.1f}")
 print(f"  majorant premises: mass {rep.nu_mass_bound_holds}, "
       f"energy {rep.nu_energy_bound_holds}  (outside the regime)")

@@ -304,7 +304,7 @@ def _cmd_report(args) -> int:
             "size": model.padded.size,
             "delta": _frac(model.padded.density),
             "eta": _frac(model.padded.eta),
-            "eps": _frac(model.bohr.radius),
+            "eps": _frac(model.spectrum.threshold),
             "coeffs": list(eq.coeffs),
         },
         "model": {

@@ -44,14 +44,14 @@ ch. 3) on the error of the computed z' is
 with eps = 2^-53 (binary64 rounding) and beta the error of the computed
 roots of unity.  BETA = 2^-51 is an assumption about numpy: its
 power-of-two rfft of a unit impulse at index 1, which returns the roots,
-stays within BETA of their 50-digit values for L = 2 .. 2^16 (about 2.1 eps
-at 2^16; the tests check it).  With |x|_2 <= sqrt(len x) max|x_i| the bound
-depends on lengths and limb maxima only.  The route is taken when it is
-below 1/4 for every limb pair, with the fewest limbs up to MAX_LIMBS per
-input: then np.rint(z') = z, and the factor 2 below 1/2 covers numpy's
-real-input transform, which is not the complex radix-2 transform the bound
-models.  The recombination sum z_ij 2^(w_a i + w_b j) is exact in int64: in
-any order its partial sums are at most (|a| * |b|)[k] <= the bound < 2^62.
+stays within BETA of them for L = 2 .. 2^22, the longest L the route takes
+(the tests check it).  With |x|_2 <= sqrt(len x) max|x_i| the bound depends
+on lengths and limb maxima only.  The route is taken when it is below 1/4
+for every limb pair, with the fewest limbs up to MAX_LIMBS per input: then
+np.rint(z') = z, and the factor 2 below 1/2 covers numpy's real-input
+transform, which is not the complex radix-2 transform the bound models.
+The recombination sum z_ij 2^(w_a i + w_b j) is exact in int64: in any
+order its partial sums are at most (|a| * |b|)[k] <= the bound < 2^62.
 
 The Kronecker slot width w is the bit length of the coefficient bound
 plus one sign bit, rounded up to whole bytes, so that packing and unpacking
@@ -91,6 +91,7 @@ MAX_LIMBS = 3
 # L = 2^n for n < 64 (both in the module docstring)
 BETA = 2.0**-51
 _EPS = 2.0**-53
+_MAX_LOG_L = 22  # the longest transform, 2^22, at which BETA is checked
 _PERCIVAL = [expm1(3 * n * log1p(_EPS) + (3 * n + 1) * log1p(_EPS * sqrt(5))
                    + 3 * n * log1p(BETA)) for n in range(64)]
 
@@ -154,8 +155,10 @@ def _fft_plan(len_a: int, len_b: int, max_a: int, max_b: int):
     """(n, (w_a, k_a), (w_b, k_b)) for the FFT route on L = 2^n with k limbs
     of w bits per input, the fewest transforms k_a + k_b + k_a k_b among the
     splits whose Percival bound is below 1/4 for every limb pair; None when
-    no split into at most MAX_LIMBS limbs per input is admitted."""
+    no split into at most MAX_LIMBS limbs per input is admitted or L > 2^22."""
     n = (len_a + len_b - 2).bit_length()
+    if n > _MAX_LOG_L:
+        return None
     # sqrt(len a) sqrt(len b) |x_i| |y_j| _PERCIVAL[n] < 1/4
     budget = 0.25 / (_PERCIVAL[n] * sqrt(len_a * len_b))
     best, plan = None, None

@@ -1,11 +1,12 @@
 """Bohr sets, dense models, and exact certification of the pipeline bounds.
 
-The dense model of an almost-Sidon set S in [1, N] is
-f = sqrt(N) * 1_S convolved with the normalized indicator of a Bohr set B
-built on the large spectrum of S.  The ambient is first padded to a perfect
-square so sqrt(N) is an integer: f is the integer convolution g = 1_S * 1_B
-times the rational sqrt(N)/|B|, and every mass, energy and count below is
-an exact rational; only Fourier magnitudes are floating point.
+The dense model of an almost-Sidon set S in [1, N] is f = sqrt(N) * 1_S
+convolved with the normalized indicator of the Bohr set B of the large
+spectrum of S at radius eps; B records the integers its scan found, and the
+spectrum its frequencies, grid and eps.  The ambient is first padded to a
+perfect square so sqrt(N) is an integer: f is the integer convolution
+g = 1_S * 1_B times the rational sqrt(N)/|B|, and every mass, energy and
+count below is an exact rational; only Fourier magnitudes are floating point.
 
 Every inequality that is a theorem (the repeated-difference bound, the
 cardinality bound, the model autocorrelation bound, Bohr membership and the
@@ -19,6 +20,7 @@ Fourier distance.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,26 +67,21 @@ class InequalityVerdict:
 
 @dataclass(frozen=True)
 class BohrSet:
-    """Integers n in [-width, width] with ||n k/m|| <= radius for every
-    stored grid index k, where m = `grid_m`.
+    """The integers that bohr_set found in [-width, width], for the
+    ambient [1, ambient_n].
 
-    Membership is exactly decidable: the condition reads
-    min(nk mod m, m - nk mod m) * q <= p * m where radius = p/q.  The
-    elements increase strictly, are symmetric, contain 0 and lie in
-    [-width, width]; `trivial` relies on this, and a hand-built set that
-    breaks it is refused.
+    The elements increase strictly, are symmetric, contain 0 and lie in
+    [-width, width]; `trivial` and `contains` rely on this, and a hand-built
+    set that breaks it is refused.  The frequencies and radius that define
+    B stay with whoever chose them: a dense model's spectrum holds both.
     """
 
-    ks: tuple[int, ...]
-    grid_m: int
-    radius: Fraction
     width: int
     elements: tuple[int, ...]
     ambient_n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(map(index, self.ks)))
-        for name in ("grid_m", "width", "ambient_n"):
+        for name in ("width", "ambient_n"):
             object.__setattr__(self, name, index(getattr(self, name)))
         el = tuple(self.elements)
         object.__setattr__(self, "elements", el)
@@ -104,8 +101,9 @@ class BohrSet:
         return self.size == 1
 
     def contains(self, n: int) -> bool:
-        return abs(n) <= self.width and all(
-            _bohr_member(n, k, self.grid_m, self.radius) for k in self.ks)
+        """n in B, by bisection in the sorted elements."""
+        i = bisect_left(self.elements, n)
+        return i < self.size and self.elements[i] == n
 
     def measure(self) -> ScaledFunction:
         """The normalized indicator 1_B / |B| on [min B, max B]."""
@@ -121,11 +119,6 @@ def _radius(eps) -> Fraction:
     return eps
 
 
-def _bohr_member(n: int, k: int, m: int, radius: Fraction) -> bool:
-    r = (n * k) % m
-    return min(r, m - r) * radius.denominator <= radius.numerator * m
-
-
 def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
     """Enumerate the Bohr set of the frequencies k/m, k in ks, on
     [-floor(eps n), floor(eps n)], 0 < eps <= 1/2; the grid size m >= 1
@@ -134,8 +127,9 @@ def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
 
     B is symmetric and contains 0, so only n = 1..width is scanned: the
     survivors meet BOHR_BLOCK frequencies at a time (fewer past BLOCK_PAIRS
-    pairs) until none are left.  Each test is _bohr_member's exact integer
-    comparison, in int64 while products stay below INT64_SAFE, else Python ints.
+    pairs) until none are left.  Each test is the exact integer comparison
+    min(nk mod m, m - nk mod m) * q <= p * m for eps = p/q, in int64 while
+    products stay below INT64_SAFE, else Python ints.
     """
     ks, m, n = tuple(map(index, ks)), index(m), index(n)
     eps = _radius(eps)
@@ -155,7 +149,7 @@ def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
         ns = ns[(np.minimum(r, m - r) * q <= p * m).all(axis=1)]
         i = j
     elements = tuple([-v for v in ns[::-1].tolist()] + [0] + ns.tolist())
-    return BohrSet(ks, m, eps, width, elements, n)
+    return BohrSet(width, elements, n)
 
 
 def bohr_size_bound(size: int, eps, r: int, n: int) -> InequalityVerdict:
@@ -174,10 +168,10 @@ class DenseModel:
 
     `base` has integer weights (denominator 1); the model function
     f = sqrt(N) 1_S * mu_B is `scale` * g with scale = sqrt(N)/|B|.
-    `padded` is S in the ambient padded to a perfect square.  The sums and
-    verdicts are read off these fields, once each, so they cannot disagree
-    with g; a Bohr set not built on the spectrum, or fields on different
-    ambients, are refused.
+    `padded` is S in the ambient padded to a perfect square.  `spectrum`
+    alone holds B's frequencies, grid and radius eps (its threshold).  The
+    sums and verdicts are read off these fields, once each, so they cannot
+    disagree with g; fields on different ambients are refused.
     """
 
     base: ScaledFunction
@@ -187,15 +181,10 @@ class DenseModel:
     fourier_distance: float
 
     def __post_init__(self):
-        b, sp = self.bohr, self.spectrum
-        for what, ours, theirs in (("frequencies", b.ks, sp.entries),
-                                   ("grid size", b.grid_m, sp.grid_m),
-                                   ("radius", b.radius, sp.threshold),
-                                   ("ambient", b.ambient_n, self.padded.ambient_n),
-                                   ("ambient", self.base.ambient_n, self.padded.ambient_n)):
-            if ours != theirs:
+        for ours in (self.bohr.ambient_n, self.base.ambient_n):
+            if ours != self.n_padded:
                 raise ValidationError(
-                    f"dense model fields disagree on the {what}: {ours} != {theirs}")
+                    f"dense model fields disagree on the ambient: {ours} != {self.n_padded}")
 
     @property
     def n_padded(self) -> int:
@@ -221,15 +210,15 @@ class DenseModel:
     def containment_holds(self) -> bool:
         """The Bohr set on the separated frequencies at radius eps/2 lies
         inside B."""
-        b = self.bohr
-        half = bohr_set(self.spectrum.separated, b.grid_m, b.radius / 2, b.ambient_n)
-        return set(half.elements) <= set(b.elements)
+        sp = self.spectrum
+        half = bohr_set(sp.separated, sp.grid_m, sp.threshold / 2, self.n_padded)
+        return set(half.elements) <= set(self.bohr.elements)
 
     @cached_property
     def size_bound(self) -> InequalityVerdict:
         """The sign-corrected size bound of B, with R the separated count."""
-        b = self.bohr
-        return bohr_size_bound(b.size, b.radius, self.spectrum.r_count, b.ambient_n)
+        sp = self.spectrum
+        return bohr_size_bound(self.bohr.size, sp.threshold, sp.r_count, self.n_padded)
 
     @property
     def mass_identity_holds(self) -> bool:
@@ -248,7 +237,7 @@ class DenseModel:
 
     def fourier_bound_holds(self, fourier_c: int) -> bool:
         """fourier_distance <= fourier_c * eps * N, in floats."""
-        return self.fourier_distance <= fourier_c * float(self.bohr.radius) * self.n_padded
+        return self.fourier_distance <= fourier_c * float(self.spectrum.threshold) * self.n_padded
 
     @property
     def scale(self) -> Fraction:

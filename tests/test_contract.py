@@ -106,21 +106,17 @@ class TestIntegerArguments:
         got = bohr_set(np.array([1, 3]), np.int64(7), "1/5", np.int64(60))
         assert got == want
         fields = asdict(got)
-        assert all(type(fields[name]) is int for name in ("grid_m", "width", "ambient_n"))
-        assert all(type(k) is int for k in got.ks)
-        json.dumps({k: v for k, v in fields.items() if k != "radius"})
+        assert all(type(fields[name]) is int for name in ("width", "ambient_n"))
+        assert all(type(v) is int for v in got.elements)
+        json.dumps(fields)
 
-    @pytest.mark.parametrize("field", ["ks", "grid_m", "width", "ambient_n"])
+    @pytest.mark.parametrize("field", ["width", "ambient_n"])
     def test_hand_built_bohr_set_reads_integers(self, field):
         b = bohr_set([1], 3, "1/4", 40)
-        args = {"ks": b.ks, "grid_m": 3, "radius": b.radius, "width": 10,
-                "elements": b.elements, "ambient_n": 40}
-        numpy_args = dict(args, **{field: np.array(b.ks) if field == "ks"
-                                   else np.int64(args[field])})
-        assert BohrSet(**numpy_args) == b
+        args = {"width": 10, "elements": b.elements, "ambient_n": 40}
+        assert BohrSet(**dict(args, **{field: np.int64(args[field])})) == b
         with pytest.raises(TypeError):
-            BohrSet(**dict(args, **{field: (1.0,) if field == "ks"
-                                    else float(args[field])}))
+            BohrSet(**dict(args, **{field: float(args[field])}))
 
     def test_float_seed_refused(self):
         with pytest.raises(TypeError):

@@ -416,7 +416,7 @@ def test_percival_factor():
 def test_numpy_roots_within_beta():
     # the assumption behind BETA: numpy's rfft of a unit impulse at index 1
     # returns exp(-2 pi i k / L), k <= L/2; against 50-digit values, split
-    # into a double and its remainder, for L = 2 .. 2^16
+    # into a double and its remainder, for L = 2 .. 2^16 first
     mpmath = pytest.importorskip("mpmath")
     top = 1 << 16
     with mpmath.workdps(50):
@@ -436,6 +436,28 @@ def test_numpy_roots_within_beta():
                        (roots.imag - hi[::step, 1]) - lo[::step, 1])
         worst = max(worst, float(err.max()))
     assert 0 < worst <= BETA
+    # L = 2^17 .. 2^22, up to the longest transform _fft_plan admits, against
+    # cos and sin in long double (a 64-bit significand, 2^-11 of a double ulp)
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double has no extended precision here")
+    top = 1 << engine._MAX_LOG_L
+    pi = 4 * np.arctan(np.longdouble(1))
+    theta = 2 * pi * np.arange(top // 2 + 1, dtype=np.longdouble) / top
+    cos, sin = np.cos(theta), np.sin(theta)
+    for n in range(17, engine._MAX_LOG_L + 1):
+        size = 1 << n
+        impulse = np.zeros(size)
+        impulse[1] = 1.0
+        roots = np.fft.rfft(impulse)
+        step = top // size
+        err = np.hypot(roots.real - cos[::step], roots.imag + sin[::step])
+        assert float(err.max()) <= BETA
+
+
+def test_no_fft_plan_past_the_checked_roots():
+    # L = 2^22 is the longest transform whose roots the test above checks
+    assert engine._fft_plan(2**21, 2**21 + 1, 1, 1)[0] == engine._MAX_LOG_L == 22
+    assert engine._fft_plan(2**21 + 1, 2**21 + 1, 1, 1) is None
 
 
 def test_report_without_the_fft_route():

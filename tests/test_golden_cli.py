@@ -71,6 +71,12 @@ CASES = {
                         "1,1,1,1,-4", "--eps", "1/5"],
     "report_et17_even": ["report", "--set", "et17_even.txt", "--coeffs",
                          "1,1,1,1,-4", "--eps", "1/5"],
+    # the smoothing frontier: ET(151), ET(173) and ET(211) with R = 15, 19
+    # and 9; their reports take the pair and multi-limb FFT routes
+    **{f"{kind}_et{p}": [kind, "--set", f"et{p}.txt", "--eps", "1/5", *extra]
+       for p in (151, 173, 211)
+       for kind, extra in (("model", []),
+                           ("report", ["--coeffs", "1,1,1,1,-4"]))},
     "count": ["count", "--coeffs", "1,1,1,1,-4", "--sets", "et11.txt"],
     "count_interval_oracle": ["count", "--coeffs", "1,2,-3", "--interval",
                               "30", "--oracle"],

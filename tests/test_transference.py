@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sidonlab.counting as counting_module
 import sidonlab.sets as sets_module
@@ -38,7 +38,6 @@ from sidonlab.transference import (
     BOHR_BLOCK,
     BohrSet,
     InequalityVerdict,
-    _bohr_member,
     bohr_set,
     bohr_size_bound,
     dense_model,
@@ -49,6 +48,13 @@ from sidonlab.transference import (
     verify_repeated_difference_bound,
     verify_size_bound,
 )
+
+
+def _bohr_member(n: int, k: int, m: int, radius: Fraction) -> bool:
+    """||n k/m|| <= radius, decided per point: min(nk mod m, m - nk mod m) q
+    <= p m for radius = p/q, the reference for bohr_set's vectorised scan."""
+    r = (n * k) % m
+    return min(r, m - r) * radius.denominator <= radius.numerator * m
 
 
 def with_cached(model, name, value):
@@ -170,16 +176,15 @@ class TestBohrSet:
         # frequencies; every reported member must satisfy the integer
         # criterion for all of them, every non-member must violate one
         model = dense_model(evens(64), Fraction(1, 4))
-        b = model.bohr
-        eps = b.radius
-        m = b.grid_m
-        assert m == model.spectrum.grid_m and b.ks == model.spectrum.entries
+        b, sp = model.bohr, model.spectrum
+        eps, m = sp.threshold, sp.grid_m
+        assert len(sp.entries) > 1 and b.size > 1
         members = set(b.elements)
         for n in range(-b.width, b.width + 1):
             passes = all(
                 min((n * k) % m, m - (n * k) % m)
                 * eps.denominator <= eps.numerator * m
-                for k in b.ks
+                for k in sp.entries
             )
             assert (n in members) == passes
 
@@ -187,19 +192,25 @@ class TestBohrSet:
         v = bohr_size_bound(11, Fraction(1, 4), 1, 60)
         assert v.lhs == 11 * 16**2 and v.rhs == 60 and v.holds
 
+    def test_size_bound_holds_at_equality(self):
+        # |B| ceil(4/eps)^(1+R) = N exactly: the bound is >=, so it holds
+        v = bohr_size_bound(1, Fraction(1, 2), 0, 8)
+        assert v.lhs == v.rhs == 8 and v.holds
+        assert not bohr_size_bound(1, Fraction(1, 2), 0, 9).holds
+
     @pytest.mark.parametrize("elements", [
         (), (0, 0), (-1, 1), (1, 0, -1), (-2, 0, 1), (-1, 0, 0, 1), (-11, 0, 11),
     ])
     def test_hand_built_shape_refused(self, elements):
         # not strictly increasing, not symmetric, without 0, or past the width
         with pytest.raises(ValidationError, match="Bohr set elements"):
-            BohrSet((1,), 3, Fraction(1, 4), 10, elements, 40)
+            BohrSet(10, elements, 40)
 
     def test_hand_built_shape_accepted(self):
         b = bohr_set([1], 3, Fraction(1, 4), 40)
         assert b.elements == (-9, -6, -3, 0, 3, 6, 9)
-        assert BohrSet(b.ks, 3, b.radius, 10, list(b.elements), 40) == b
-        assert BohrSet((), 1, Fraction(1, 4), 0, (0,), 0).trivial
+        assert BohrSet(10, list(b.elements), 40) == b
+        assert BohrSet(0, (0,), 0).trivial
 
     def test_big_denominator_falls_back_to_loop(self):
         eps = Fraction(1, 10**15)
@@ -217,6 +228,10 @@ def scan_oracle(ks, m, eps, n):
 
 radii = st.builds(Fraction, st.integers(1, 40), st.integers(2, 200)).filter(
     lambda e: e <= Fraction(1, 2))
+# denominators past 10^15: (width + 1) m q reaches 2^62 and the scan runs on
+# Python ints
+big_radii = st.integers(10**15 + 1, 10**18).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q // 2), st.just(q)))
 
 
 @st.composite
@@ -252,6 +267,19 @@ class TestBohrScanProperties:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transference_module, "BLOCK_PAIRS", block_pairs)
             self.check(*grid, eps, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 200).flatmap(lambda m: st.tuples(
+               st.lists(st.integers(0, m - 1), max_size=20, unique=True), st.just(m))),
+           st.one_of(radii, big_radii), st.integers(0, 300))
+    @example(([1, 7, 150], 200), Fraction(10**17 // 5, 10**17 + 3), 300)
+    def test_elements_and_contains_are_the_bohr_condition(self, grid, eps, n):
+        # the elements are every point of [-width, width] that passes the
+        # per-point test for every k, and contains() answers membership
+        # inside the window and just outside it
+        b = self.check(*grid, eps, n)
+        for x in range(-b.width - 3, b.width + 4):
+            assert b.contains(x) == (x in b.elements)
 
     @settings(max_examples=40, deadline=None)
     @given(grid_indices(1, 3600), radii, st.integers(0, 1))
@@ -368,7 +396,8 @@ class TestDenseModel:
 
 
 class TestDenseModelFields:
-    """A dense model whose stored fields disagree is refused on construction."""
+    """A dense model whose fields lie on different ambients is refused on
+    construction."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -376,18 +405,6 @@ class TestDenseModelFields:
 
     def test_real_model_accepted(self, model):
         assert replace(model) == model
-
-    def test_bohr_frequencies_not_the_spectrum(self, model):
-        with pytest.raises(ValidationError, match="frequencies"):
-            replace(model, bohr=replace(model.bohr, ks=model.bohr.ks[:-1]))
-
-    def test_bohr_grid_not_the_spectrum(self, model):
-        with pytest.raises(ValidationError, match="grid size"):
-            replace(model, bohr=replace(model.bohr, grid_m=2 * model.bohr.grid_m))
-
-    def test_bohr_radius_not_the_threshold(self, model):
-        with pytest.raises(ValidationError, match="radius"):
-            replace(model, bohr=replace(model.bohr, radius=model.bohr.radius / 2))
 
     @pytest.mark.parametrize("field", ["bohr", "base", "padded"])
     def test_ambients_differ(self, model, field):
@@ -710,8 +727,8 @@ class TestOneRoute:
 
     @pytest.mark.parametrize("s_set, eps, size", SMOOTHING)
     def test_measure_spans_the_bohr_set(self, s_set, eps, size):
-        b = dense_model(s_set, eps).bohr
-        mu = b.measure()
+        model = dense_model(s_set, eps)
+        b, mu = model.bohr, model.bohr.measure()
         assert mu.offset == b.elements[0] == -b.elements[-1]
         assert mu.offset + len(mu.nums) - 1 == b.elements[-1]
         assert tuple(mu.support()) == b.elements
@@ -721,7 +738,7 @@ class TestOneRoute:
         for v in b.elements:
             window[v + b.width] = 1
         padded = ScaledFunction(-b.width, tuple(window), b.size, b.ambient_n)
-        for m in (b.grid_m, 97):
+        for m in (model.spectrum.grid_m, 97):
             assert np.array_equal(dft_values(mu, m), dft_values(padded, m))
 
     @pytest.mark.parametrize("s_set, eps, size", SMOOTHING)
