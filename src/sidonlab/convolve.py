@@ -1,5 +1,16 @@
 """Exact linear convolution of integer sequences.
 
+One engine, `_product`, multiplies two arrays whose max|entry| the caller
+already knows: int64 arrays, or object arrays of Python ints for entries
+past int64 (an input whose maximum is below INT64_SAFE must be int64).  A
+maximum may be any upper bound on the entries, since every route below
+needs only |x| <= max|x| to stay exact.  The engine returns an int64
+array, or an object array of Python ints when the Kronecker route runs on
+a coefficient bound at or past INT64_SAFE.  `counting` calls it directly
+and carries each product's bound forward as its maximum.  The public
+`convolve` is a thin adapter over it: sequences in, their maxima measured
+once, a list of Python ints out.
+
 Four routes, all exact:
 
 * the support-pair route for sparse inputs, such as the indicator of a
@@ -97,10 +108,22 @@ _PERCIVAL = [expm1(3 * n * log1p(_EPS) + (3 * n + 1) * log1p(_EPS * sqrt(5))
 
 
 def _max_abs(seq) -> int:
-    """max|x| over a sequence of ints or an int64 array, as a Python int."""
+    """max|x| over a sequence of ints or an array, as a Python int."""
     if isinstance(seq, np.ndarray):
         return max(int(seq.max()), -int(seq.min()))
     return max(max(seq), -min(seq))
+
+
+def _array(seq: Sequence[int]) -> tuple[np.ndarray, int]:
+    """A nonempty sequence as the engine's input: an int64 array, or an
+    object array of Python ints when an entry is outside int64, and its
+    max|entry|."""
+    try:
+        x = np.asarray(seq, dtype=np.int64)
+    except OverflowError:
+        x = np.array(seq, dtype=object)
+    # numpy reductions beat the builtins from about a hundred entries
+    return x, _max_abs(x if len(x) > 128 else seq)
 
 
 def product_bound(len_a: int, max_a: int, len_b: int, max_b: int) -> int:
@@ -136,7 +159,7 @@ def _kronecker(a: Sequence[int], b: Sequence[int], bound: int) -> list[int]:
             for i in range(0, len(raw), nbytes)]
 
 
-def _pairs(xa: np.ndarray, xb: np.ndarray) -> list[int]:
+def _pairs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Scatter-add of the products of the nonzero entries at the sums of
     their positions, in blocks of at most BLOCK_PAIRS pairs."""
     ia, ib = np.flatnonzero(xa), np.flatnonzero(xb)
@@ -148,7 +171,7 @@ def _pairs(xa: np.ndarray, xb: np.ndarray) -> list[int]:
         for j in range(0, len(ib), cols):
             np.add.at(out, (ia[i:i + rows, None] + ib[j:j + cols]).ravel(),
                       (wa[i:i + rows, None] * wb[j:j + cols]).ravel())
-    return out.tolist()
+    return out
 
 
 def _fft_plan(len_a: int, len_b: int, max_a: int, max_b: int):
@@ -181,7 +204,7 @@ def _limbs(x: np.ndarray, w: int, k: int) -> np.ndarray:
     return rows
 
 
-def _fft(xa: np.ndarray, xb: np.ndarray, n: int, split_a, split_b) -> list[int]:
+def _fft(xa: np.ndarray, xb: np.ndarray, n: int, split_a, split_b) -> np.ndarray:
     """The product through rfft/irfft of every limb pair, rounded and
     recombined (see the module docstring)."""
     (w_a, k_a), (w_b, k_b) = split_a, split_b
@@ -196,7 +219,34 @@ def _fft(xa: np.ndarray, xb: np.ndarray, n: int, split_a, split_b) -> list[int]:
         for j in range(k_b):
             z = np.rint(np.fft.irfft(fa[i] * fb[j], size)[:out_len]).astype(np.int64)
             out += z << (w_a * i + w_b * j)
-    return out.tolist()
+    return out
+
+
+def _product(xa: np.ndarray, xb: np.ndarray, max_a: int, max_b: int) -> np.ndarray:
+    """The exact product of two nonempty arrays whose max|entry| are max_a
+    and max_b, by the route that the lengths, the nonzero counts and the
+    coefficient bound choose (module docstring): an int64 array, or an
+    object array of Python ints from Kronecker at a bound past int64.  A
+    square, _product(x, x, m, m) on one array, packs or transforms x once."""
+    len_a, len_b = len(xa), len(xb)
+    bound = product_bound(len_a, max_a, len_b, max_b)
+    if bound == 0:
+        return np.zeros(len_a + len_b - 1, dtype=np.int64)
+    if bound < _INT64_SAFE:
+        # at least one pair, so below PAIRS_SETUP slot pairs the pairs lose
+        # and the nonzeros need not be counted
+        if len_a * len_b > PAIRS_SETUP and (
+                PAIRS_RATIO * int(np.count_nonzero(xa)) * int(np.count_nonzero(xb))
+                + PAIRS_SETUP <= len_a * len_b):
+            return _pairs(xa, xb)
+        if len_a * len_b <= DENSE_CUT * (len_a + len_b - 1):
+            return np.convolve(xa, xb)
+        plan = _fft_plan(len_a, len_b, max_a, max_b)
+        if plan:
+            return _fft(xa, xb, *plan)
+    a = xa.tolist()
+    out = _kronecker(a, a if xb is xa else xb.tolist(), bound)
+    return np.array(out, dtype=np.int64 if bound < _INT64_SAFE else object)
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -208,27 +258,9 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """
     if not a or not b:
         return []
-    try:
-        xa = np.asarray(a, dtype=np.int64)
-        xb = xa if b is a else np.asarray(b, dtype=np.int64)
-    except OverflowError:  # an entry outside int64
-        return _kronecker(a, b, _coeff_bound(a, b))
-    # numpy reductions beat the builtins from about a hundred entries
-    ends = (xa, xb) if len(a) + len(b) > 256 else (a, b)
-    max_a, max_b = map(_max_abs, ends)
-    bound = product_bound(len(a), max_a, len(b), max_b)
-    if bound == 0:
-        return [0] * (len(a) + len(b) - 1)
-    if bound < _INT64_SAFE:
-        pairs = int(np.count_nonzero(xa)) * int(np.count_nonzero(xb))
-        if PAIRS_RATIO * pairs + PAIRS_SETUP <= len(a) * len(b):
-            return _pairs(xa, xb)
-        if len(a) * len(b) <= DENSE_CUT * (len(a) + len(b) - 1):
-            return np.convolve(xa, xb).tolist()
-        plan = _fft_plan(len(a), len(b), max_a, max_b)
-        if plan:
-            return _fft(xa, xb, *plan)
-    return _kronecker(a, b, bound)
+    xa, max_a = _array(a)
+    xb, max_b = (xa, max_a) if b is a else _array(b)
+    return _product(xa, xb, max_a, max_b).tolist()
 
 
 def convolve_many(seqs: list[list[int]]) -> list[int]:

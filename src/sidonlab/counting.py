@@ -6,24 +6,34 @@ integer once the ambient is a perfect square and lives in the numerators
 like any other rational weight.  The fast path divides the coefficients
 by their gcd and groups the variables by coefficient.  Dilation commutes
 with convolution, dil_a(f) * dil_a(g) = dil_a(f * g), so with at most two
-groups each group's functions are convolved undilated with the exact
-engine from `convolve`, a function repeated k times raised to the k-th
-power by repeated squaring, and the count is one strided dot of the two
-group products P and Q: sum over t of P(b t) Q(-a t), the solutions of
-a x + b y = 0 for coprime a and b.  This plan is taken when every group
-product's coefficient bound, computed from lengths and maxima before any
-convolution, stays below INT64_SAFE.  Otherwise (three or more groups, or
-a wider product) the numerators of each input are dilated onto the lattice
-m = a_i * x_i, the first ceil(s/2) dilations and the rest are folded
-separately, and the coefficient at zero of their product is read off as
-one dot product (meet in the middle).  Either way the count is an integer
-over the product of the denominators.
+groups each group's functions are convolved undilated, a function
+repeated k times raised to the k-th power by repeated squaring, and the
+count is one strided dot of the two group products P and Q: sum over t of
+P(b t) Q(-a t), the solutions of a x + b y = 0 for coprime a and b.  This
+plan is taken when every group product's coefficient bound, computed from
+lengths and maxima before any convolution, stays below INT64_SAFE.
+Otherwise (three or more groups, or a wider product) the numerators of
+each input are dilated onto the lattice m = a_i * x_i, the first ceil(s/2)
+dilations and the rest are folded separately, and the coefficient at zero
+of their product is read off as one dot product (meet in the middle).
+Either way the count is an integer over the product of the denominators.
+
+Every product here is a fold (values, offset, top): the values at offset,
+offset + 1, ..., and top >= max|value|.  The values are an int64 array
+whenever top is below INT64_SAFE, and past it may be an object array of
+Python ints (numerators outside int64, Kronecker's products).  Each
+distinct function becomes an array once, with its measured maximum; a
+dilation writes the values strided into zeros; a product comes from
+`convolve._product`, the exact engine below the public list adapter, and
+carries the coefficient bound min(len) top top as its top, so no product
+is scanned for a maximum.  A dot is taken in int64 when (terms) top top
+is below INT64_SAFE, and over Python ints otherwise.
 
 On one set S, `count_distinct_solutions` and `degenerate_bound_check`
 share one memo of folds of 1_S dilations, each convolved once: fold(t) for
 a sorted coefficient tuple t is fold(t[:-1]) times the last dilation, so
 keys share prefixes, and the fold of the mirror (-t, sorted) is fold(t)
-reversed, at offset -(offset + len - 1).
+reversed (a view), at offset -(offset + len - 1).
 
 The all-variables-distinct count is obtained from the plain counts by
 freeing one variable at a time: a variable t that must differ from the
@@ -45,14 +55,14 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd, lcm, prod
 from numbers import Rational
 from operator import add, index, le, mul
 
 import numpy as np
 
-from .convolve import _max_abs, convolve, product_bound
+from .convolve import _array, _product, convolve, product_bound
 from .errors import BudgetExceededError, ValidationError
 from .sets import INT64_SAFE, IntegerSet, check_span
 
@@ -228,22 +238,32 @@ def _dilation_span(n: int, a: int) -> int:
     return check_span(abs(a) * (n - 1) + 1, f"the dilation by {a}")
 
 
-def _dilate(ints, offset: int, a: int) -> tuple[list[int], int]:
-    """Place ints[j] (value at x = offset + j) at lattice point a * x; the
-    slots are refused past MAX_POINTS before the list is made."""
-    n = len(ints)
+def _as_fold(f: ScaledFunction):
+    """f's numerators as a fold (see the module docstring)."""
+    values, top = _array(f.nums)
+    return values, f.offset, top
+
+
+def _dilate(fold, a: int):
+    """The fold placed at lattice points a * x: values[j] (at x = offset + j)
+    goes to a * (offset + j), written strided into zeros, and the dilation
+    by 0 is the sum at 0; the slots are refused past MAX_POINTS before the
+    array is made."""
+    values, offset, top = fold
     if a == 0:
-        return [sum(ints)], 0
-    mag = abs(a)
-    out = [0] * _dilation_span(n, a)
-    out[::mag] = ints if a > 0 else ints[::-1]
-    return out, a * (offset if a > 0 else offset + n - 1)
+        total = int(np.sum(values, dtype=object))
+        return _array([total])[0], 0, abs(total)
+    out = np.zeros(_dilation_span(len(values), a), dtype=values.dtype)
+    out[::abs(a)] = values if a > 0 else values[::-1]
+    return out, a * (offset if a > 0 else offset + len(values) - 1), top
 
 
-def _fold_step(acc, dilation):
-    """Product of two (sequence, offset) pairs, by the exact `convolve`."""
-    (a, a_off), (b, b_off) = acc, dilation
-    return convolve(a, b), a_off + b_off
+def _fold_step(acc, factor):
+    """The product of two folds by the exact engine; its top is the
+    coefficient bound, carried rather than measured."""
+    (xa, a_off, max_a), (xb, b_off, max_b) = acc, factor
+    return (_product(xa, xb, max_a, max_b), a_off + b_off,
+            product_bound(len(xa), max_a, len(xb), max_b))
 
 
 def _shape_step(acc, factor):
@@ -256,7 +276,7 @@ def _shape_step(acc, factor):
 def _power_product(items, step):
     """The product of x^k over the (x, k) items under `step`, each power by
     repeated squaring: x^4 = (x x)(x x) takes two steps where a fold takes
-    three, and each square is one `convolve(a, a)`."""
+    three, and each square is one product of an array with itself."""
     acc = None
     for x, k in items:
         while k:
@@ -269,11 +289,12 @@ def _power_product(items, step):
 
 
 def _dot_at_zero(left, right, a: int = 1, b: int = 1) -> int:
-    """sum over integers t of left(b t) * right(-a t) for two (sequence,
-    offset) pairs: for coprime a and b the solutions of a x + b y = 0 are
-    (x, y) = (b t, -a t), so this is their weighted count.  At (1, 1) it is
-    the coefficient at lattice point 0 of left * right."""
-    (left, left_off), (right, right_off) = left, right
+    """sum over integers t of left(b t) * right(-a t) for two folds: for
+    coprime a and b the solutions of a x + b y = 0 are (x, y) = (b t, -a t),
+    so this is their weighted count.  At (1, 1) it is the coefficient at
+    lattice point 0 of left * right.  In int64 when no partial sum can reach
+    INT64_SAFE, else over Python ints."""
+    (left, left_off, left_top), (right, right_off, right_top) = left, right
     if b < 0:  # t -> -t
         a, b = -a, -b
     # t with left_off <= b t <= left_last and right_off <= -a t <= right_last
@@ -289,22 +310,25 @@ def _dot_at_zero(left, right, a: int = 1, b: int = 1) -> int:
     xs = left[b * lo - left_off:b * hi - left_off + 1:b]
     # right's indices at t = lo and t = hi, a step of -a apart
     i, j = -a * lo - right_off, -a * hi - right_off
-    ys = right[i:j + 1:-a] if a < 0 else reversed(right[j:i + 1:a])
-    return sum(map(mul, xs, ys))
+    ys = right[i:j + 1:-a] if a < 0 else right[j:i + 1:a][::-1]
+    if (hi - lo + 1) * left_top * right_top < INT64_SAFE:
+        return int(np.dot(xs, ys))
+    return int(np.dot(xs.astype(object, copy=False), ys.astype(object, copy=False)))
 
 
-def _coefficient_groups(coeffs, fns) -> list[tuple[int, list[list]]]:
-    """(coefficient, [[function, multiplicity], ...]) per group of
-    variables, for at most two distinct coefficients; one function object
-    shares one item.  When every coefficient is the same c (then c = +-1),
-    the last variable is a group of its own: the solutions of c x + c y = 0
-    are (c t, -c t) as well."""
-    last = len(fns) - 1 if coeffs.count(coeffs[0]) == len(coeffs) else None
-    groups: dict[tuple[int, bool], dict[int, list]] = {}
-    for i, (a, f) in enumerate(zip(coeffs, fns)):
-        items = groups.setdefault((a, i == last), {})
-        items.setdefault(id(f), [f, 0])[1] += 1
-    return [(a, list(items.values())) for (a, _), items in groups.items()]
+def _coefficient_groups(coeffs, folds) -> list[tuple[int, list[list]]]:
+    """(coefficient, [[fold, multiplicity], ...]) per group of variables,
+    for at most two distinct coefficients; one fold object shares one item.
+    When every coefficient is the same c (then c = +-1), the last variable
+    is a group of its own: the solutions of c x + c y = 0 are (c t, -c t)
+    as well."""
+    alone = coeffs.count(coeffs[0]) == len(coeffs)
+    groups: dict[int, dict[int, list]] = {}
+    for a, fold in zip(coeffs[:-1] if alone else coeffs, folds):
+        items = groups.setdefault(a, {})
+        items.setdefault(id(fold), [fold, 0])[1] += 1
+    out = [(a, list(items.values())) for a, items in groups.items()]
+    return out + [(coeffs[-1], [[folds[-1], 1]])] if alone else out
 
 
 def _group_bound(items) -> int:
@@ -312,7 +336,7 @@ def _group_bound(items) -> int:
     alone; 0 for a single factor, which takes no convolution."""
     if len(items) == 1 and items[0][1] == 1:
         return 0
-    return _power_product([((len(f.nums), _max_abs(f.nums)), k) for f, k in items],
+    return _power_product([((len(values), top), k) for (values, _, top), k in items],
                           _shape_step)[1]
 
 
@@ -323,7 +347,9 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     the product of the function values, over the product of the
     denominators.  The coefficients are divided by their gcd (the same
     solutions, shorter lattices), and every dilation span is checked against
-    MAX_POINTS before any work.
+    MAX_POINTS before any work.  When 0 lies outside the range of sum a_i x_i
+    over the supports' spans the count is 0, and no array is made; otherwise
+    each distinct function object becomes an array once.
 
     The variables are grouped by coefficient.  With at most two groups, and
     every group product's coefficient bound (from lengths and maxima alone)
@@ -343,17 +369,25 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     coeffs = [a // g for a in eq.coeffs]
     if not all(f.nums for f in fns):
         return SolutionCount(Fraction(0))
+    lo = hi = 0  # the least and greatest sum a_i x_i over the supports' hulls
     for a, f in zip(coeffs, fns):
         _dilation_span(len(f.nums), a)
+        ends = a * f.offset, a * (f.offset + len(f.nums) - 1)
+        lo += min(ends)
+        hi += max(ends)
+    if not lo <= 0 <= hi:
+        return SolutionCount(Fraction(0))
     den_product = prod(f.den for f in fns)
-    groups = _coefficient_groups(coeffs, fns) if len(set(coeffs)) <= 2 else ()
+    converted = {}  # one fold per function object
+    folds = [converted.get(id(f)) or converted.setdefault(id(f), _as_fold(f))
+             for f in fns]
+    groups = _coefficient_groups(coeffs, folds) if len(set(coeffs)) <= 2 else ()
     if groups and all(_group_bound(items) < INT64_SAFE for _, items in groups):
-        (a, left), (b, right) = [
-            (a, _power_product([((f.nums, f.offset), k) for f, k in items], _fold_step))
-            for a, items in groups]
+        (a, left), (b, right) = [(a, _power_product(items, _fold_step))
+                                 for a, items in groups]
         value = _dot_at_zero(left, right, a, b)
     else:
-        dilations = [_dilate(f.nums, f.offset, a) for a, f in zip(coeffs, fns)]
+        dilations = [_dilate(fold, a) for a, fold in zip(coeffs, folds)]
         half = (eq.s + 1) // 2
         value = _dot_at_zero(reduce(_fold_step, dilations[:half]),
                              reduce(_fold_step, dilations[half:]))
@@ -371,20 +405,21 @@ def _set_counts(s_set: IntegerSet):
     """`fold` and `distinct` on one nonempty set S, over one memo of folds
     of 1_S dilations (see the module docstring)."""
     ints, off = s_set.indicator()
+    base = np.array(ints, dtype=np.int64), off, 1
 
     @cache
-    def canonical(key: tuple[int, ...]) -> tuple[list[int], int]:
+    def canonical(key: tuple[int, ...]):
         if len(key) < 2:
-            return _dilate(ints, off, key[0]) if key else ([1], 0)
-        return _fold_step(fold(key[:-1]), _dilate(ints, off, key[-1]))
+            return _dilate(base, key[0]) if key else (np.ones(1, dtype=np.int64), 0, 1)
+        return _fold_step(fold(key[:-1]), _dilate(base, key[-1]))
 
-    def fold(key: tuple[int, ...]) -> tuple[list[int], int]:
-        """Product of the dilations by the sorted `key`, and its offset."""
+    def fold(key: tuple[int, ...]):
+        """The fold of the dilations by the sorted `key`."""
         mirror = tuple(-c for c in reversed(key))
         if mirror >= key:
             return canonical(key)
-        seq, mirror_off = canonical(mirror)
-        return seq[::-1], -(mirror_off + len(seq) - 1)
+        values, mirror_off, top = canonical(mirror)
+        return values[::-1], -(mirror_off + len(values) - 1), top
 
     @cache
     def count(key: tuple[int, ...]) -> int:
@@ -564,15 +599,15 @@ def degenerate_bound_check(eq: EquationCoeffs, s_set: IntegerSet
     fold, distinct = _set_counts(s_set)
     a = eq.coeffs
     head = fold(tuple(sorted(a[:3])))
-    head_seq, head_off = head
-    tail, tail_off = fold(tuple(sorted(a[3:-2] + (a[-2] + a[-1],))))
-    max_count = shifts = merged_pair_total = 0
-    for j, mult in compress(enumerate(tail), tail):
-        idx = -(tail_off + j) - head_off
-        c = head_seq[idx] if 0 <= idx < len(head_seq) else 0
-        shifts += 1
-        merged_pair_total += mult * c
-        max_count = max(max_count, c)
+    tail = fold(tuple(sorted(a[3:-2] + (a[-2] + a[-1],))))
+    (head_seq, head_off, _), (tail_seq, tail_off, _) = head, tail
+    # the shifts n the tail realises, and the head's counts at -n inside it
+    shifts = np.flatnonzero(tail_seq)
+    idx = -(tail_off + shifts) - head_off
+    counts = head_seq[idx[(idx >= 0) & (idx < len(head_seq))]]
+    max_count = int(counts.max(initial=0))
+    # sum over the shifts of mult(n) * count(-n): head * tail at zero
+    merged_pair_total = _dot_at_zero(head, tail)
 
     total = _dot_at_zero(head, fold(tuple(sorted(a[3:]))))
     distinct_total = degenerate = None
@@ -581,5 +616,5 @@ def degenerate_bound_check(eq: EquationCoeffs, s_set: IntegerSet
         degenerate = total - distinct_total
     # every count is nonnegative, so the largest decides the bound
     return DegenerateBoundReport(max_count, max_count**4 <= energy**3, energy,
-                                 shifts, merged_pair_total, total,
+                                 len(shifts), merged_pair_total, total,
                                  distinct_total, degenerate)

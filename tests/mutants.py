@@ -34,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "benchmarks", "pyproject.toml")
 CONVOLVE = "src/sidonlab/convolve.py"
+COUNTING = "src/sidonlab/counting.py"
 TRANSFERENCE = "src/sidonlab/transference.py"
 
 
@@ -64,6 +65,15 @@ MUTANTS = [
            "if bound < _INT64_SAFE:", "if bound <= _INT64_SAFE:",
            ("tests/test_convolve.py::test_int64_overflow_edge",
             "tests/test_convolve.py::test_pairs_int64_guard")),
+    # a counting dot is summed in int64 only strictly below 2^62, and a
+    # product carries its whole coefficient bound as its maximum
+    Mutant("int64 dot at bound == 2^62", COUNTING,
+           "* right_top < INT64_SAFE:", "* right_top <= INT64_SAFE:",
+           ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
+    Mutant("carried fold maximum one low", COUNTING,
+           "product_bound(len(xa), max_a, len(xb), max_b))",
+           "product_bound(len(xa), max_a, len(xb), max_b) - 1)",
+           ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
     # the one statement of the Bohr condition
     Mutant("Bohr scan <= -> <", TRANSFERENCE,
            "* q <= p * m).all(axis=1)", "* q < p * m).all(axis=1)",

@@ -4,16 +4,19 @@ import collections
 import functools
 import itertools
 import operator
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial, gcd, prod
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sidonlab.cli as cli_module
 import sidonlab.convolve as engine
 import sidonlab.counting as counting_module
 import sidonlab.sets as sets_module
@@ -333,13 +336,13 @@ class TestCountSolutions:
     def test_gcd_divided_before_dilating(self, monkeypatch):
         # (6, 6, -12) counts as (1, 1, -2), on dilations six times shorter
         lengths = []
-        inner = counting_module.convolve
+        inner = counting_module._product
 
-        def spy(a, b):
-            lengths.append((len(a), len(b)))
-            return inner(a, b)
+        def spy(xa, xb, max_a, max_b):
+            lengths.append((len(xa), len(xb)))
+            return inner(xa, xb, max_a, max_b)
 
-        monkeypatch.setattr(counting_module, "convolve", spy)
+        monkeypatch.setattr(counting_module, "_product", spy)
         fns = [interval(9)] * 3
         reduced = count_solutions(EquationCoeffs((1, 1, -2)), fns).value
         reduced_lengths = list(lengths)
@@ -416,13 +419,13 @@ class TestCoefficientGroups:
     def test_repeated_function_is_squared_undilated(self, monkeypatch):
         # (1,1,1,1,-4) on [f] * 5: f^4 = (f f)(f f) is two squares, and the
         # count is the dot of f^4 at -4t against f at -t; nothing is dilated
-        convolutions = self.spy(monkeypatch, counting_module, "convolve")
+        convolutions = self.spy(monkeypatch, counting_module, "_product")
         monkeypatch.setattr(counting_module, "_dilate",
                             mock.Mock(side_effect=AssertionError))
         eq = EquationCoeffs((1, 1, 1, 1, -4))
         fns = [ScaledFunction.from_set(perturb_almost_sidon(erdos_turan(11), 2, 3))] * 5
         assert count_solutions(eq, fns) == brute_force_count(eq, fns)
-        assert [a is b for a, b in convolutions] == [True, True]
+        assert [a is b for a, b, _, _ in convolutions] == [True, True]
 
     def test_past_int64_takes_the_balanced_split(self, monkeypatch):
         # ten weights up to 2^16: f^4 has the coefficient bound 19 * 10^2 *
@@ -432,12 +435,62 @@ class TestCoefficientGroups:
         nums = [int(x) for x in rng.integers(-2**16, 2**16, size=10, endpoint=True)]
         nums[0] = 2**16
         f = ScaledFunction(-3, tuple(nums))
-        assert counting_module._group_bound([[f, 4]]) >= counting_module.INT64_SAFE
+        assert counting_module._group_bound([[counting_module._as_fold(f), 4]]) \
+            >= counting_module.INT64_SAFE
         dilations = self.spy(monkeypatch, counting_module, "_dilate")
         kronecker = self.spy(monkeypatch, engine, "_kronecker")
         eq = EquationCoeffs((1, 1, 1, 1, -4))
         assert count_solutions(eq, [f] * 5) == brute_force_count(eq, [f] * 5)
         assert len(dilations) == 5 and kronecker == []
+
+    @pytest.mark.parametrize("top, kinds", [(2**21, "OO"), (2**21 - 1, "ii")])
+    def test_dot_at_the_int64_bound(self, top, kinds, monkeypatch):
+        # (1, 1, -1) on single weights 2^20, 2^21 and top at 0: the group
+        # product carries its bound 2^41 as its top, so the dot's bound is
+        # 2^62 = INT64_SAFE at top = 2^21, summed over Python ints, and one
+        # step below it is summed in int64
+        seen = []
+        real = np.dot
+
+        def dot(x, y):
+            seen.append(x.dtype.kind + y.dtype.kind)
+            return real(x, y)
+
+        monkeypatch.setattr(np, "dot", dot)
+        fns = [ScaledFunction(0, (2**20,)), ScaledFunction(0, (2**21,)),
+               ScaledFunction(0, (top,))]
+        value = count_solutions(EquationCoeffs((1, 1, -1)), fns).value
+        assert value == 2**41 * top and seen == [kinds]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grouped_instances())
+    def test_exact_across_int64(self, instance):
+        # the instance with its numerators times 2^e + 1 for e = 0, 4, ...,
+        # 68: as e grows, the dot's bound and then every group bound of two
+        # or more factors pass INT64_SAFE, and by e = 60 the numerators
+        # leave int64 (object folds, and Kronecker on the dilated halves)
+        eq, fns = instance
+        kinds, dilated = set(), set()
+        real = np.dot
+
+        def dot(x, y):
+            kinds.add(x.dtype.kind + y.dtype.kind)
+            return real(x, y)
+
+        with mock.patch.object(np, "dot", dot), \
+                mock.patch.object(counting_module, "_dilate",
+                                  wraps=counting_module._dilate) as dilate:
+            for e in range(0, 69, 4):
+                scaled = {id(f): f.scaled_by(2**e + 1) for f in fns}
+                picks = [scaled[id(f)] for f in fns]
+                dilate.reset_mock()
+                assert count_solutions(eq, picks) == brute_force_count(eq, picks)
+                dilated.add(dilate.called)
+        # the same dot runs at every e, in int64 only while its bound allows
+        assert kinds in (set(), {"ii", "OO"})
+        g = gcd(*eq.coeffs)
+        if eq.s > 2 and len({a // g for a in eq.coeffs}) <= 2 and kinds:
+            assert dilated == {False, True}  # a group of two factors flips
 
     @staticmethod
     def spy(monkeypatch, module, name):
@@ -451,6 +504,61 @@ class TestCoefficientGroups:
 
         monkeypatch.setattr(module, name, spy)
         return calls
+
+
+class TestArrayFolds:
+    """Counting multiplies arrays below the public `convolve`."""
+
+    def test_no_counting_path_calls_the_public_convolve(self, monkeypatch):
+        for name, module in list(sys.modules.items()):
+            if name == "sidonlab" or name.startswith("sidonlab."):
+                for attr, value in list(vars(module).items()):
+                    if value is engine.convolve:
+                        monkeypatch.setattr(module, attr,
+                                            mock.Mock(side_effect=AssertionError))
+        s_set = perturb_almost_sidon(erdos_turan(11), 2, 3)
+        f = ScaledFunction.from_set(s_set)
+        wide = f.scaled_by(2**40 + 1)
+        # squares in the group plan, three groups dilated, and weights whose
+        # products pass int64 (Kronecker on the dilated halves)
+        for coeffs, fns in (((1, 1, 1, 1, -4), [f] * 5), ((1, 2, -3), [f] * 3),
+                            ((1, 1, 1, -3), [wide] * 4)):
+            eq = EquationCoeffs(coeffs)
+            assert count_solutions(eq, fns) == brute_force_count(eq, fns)
+        eq = EquationCoeffs((1, 1, -1, -1, 1, -1))
+        assert count_distinct_solutions(eq, s_set) == brute_force_count(
+            eq, [f] * 6, distinct_only=True)
+        assert degenerate_bound_check(EquationCoeffs((1, 1, 1, 1, -4)), s_set).total \
+            == brute_force_count(EquationCoeffs((1, 1, 1, 1, -4)), [f] * 5).value
+
+    def test_counts_are_python_ints(self, monkeypatch):
+        # an np.int64 in a Fraction would wrap in later arithmetic
+        s_set = perturb_almost_sidon(erdos_turan(11), 2, 3)
+        f = ScaledFunction.from_set(s_set)
+        values = [count_solutions(EquationCoeffs(coeffs), [g] * len(coeffs)).value
+                  for coeffs in ((1, -1), (1, 1, 1, 1, -4), (1, 2, -3))
+                  for g in (f, f.scaled_by(Fraction(2**70 + 1, 3)))]
+        values.append(count_distinct_solutions(EquationCoeffs((1, 1, -1, -1)),
+                                               s_set).value)
+        assert all(type(v.numerator) is int and type(v.denominator) is int
+                   for v in values)
+        rep = degenerate_bound_check(EquationCoeffs((1, 2, -1, 3, -5)), s_set)
+        assert type(rep.bound_holds) is bool
+        assert all(type(getattr(rep, name)) is int for name in (
+            "max_shift_count", "energy", "shifts_checked", "merged_pair_total",
+            "total", "distinct", "degenerate_total"))
+        # the count command's document, before it is serialised
+        docs = []
+        real = cli_module._emit_json
+        monkeypatch.setattr(cli_module, "_emit_json",
+                            lambda doc, file=None: docs.append(doc) or real(doc, file))
+        et11 = str(Path(__file__).resolve().parent / "golden" / "et11.txt")
+        for extra in ([], ["--distinct"]):
+            assert cli_module.main(["count", "--coeffs", "1,1,1,-1,-1,-1",
+                                    "--sets", et11, *extra]) == 0
+        assert len(docs) == 2 and all(
+            type(doc[key]) is int for doc in docs
+            for key in ("value_numerator", "value_denominator"))
 
 
 class TestDistinct:
@@ -663,7 +771,7 @@ class TestDistinctMemo:
         # sign and scale; each normalised equation is counted once, and
         # each canonical fold of 1_S dilations is convolved once
         dots = self.spy(monkeypatch, "_dot_at_zero")
-        convolutions = self.spy(monkeypatch, "convolve")
+        convolutions = self.spy(monkeypatch, "_product")
         eq = EquationCoeffs(coeffs)
         keys = self.merged_keys(coeffs)
         for s_set in (erdos_turan(5), IntegerSet((1, 2, 3, 5, 8, 9), 9)):
@@ -686,7 +794,7 @@ class TestDistinctMemo:
         # Bell(12) = 4,213,597 set partitions; the count must not walk them.
         # CPU time of this process, so a busy host does not fail the bound.
         dots = self.spy(monkeypatch, "_dot_at_zero")
-        convolutions = self.spy(monkeypatch, "convolve")
+        convolutions = self.spy(monkeypatch, "_product")
         eq = EquationCoeffs((1,) * 6 + (-1,) * 6)
         start = time.process_time()
         assert count_distinct_solutions(eq, erdos_turan(17)).value == 1_989_619_200
@@ -702,7 +810,7 @@ class TestDistinctMemo:
     def test_degenerate_check_shares_the_memo(self, coeffs, monkeypatch):
         # the head, merged tail and rest folds join the distinct count's
         # folds in one memo; nothing is counted a second time
-        convolutions = self.spy(monkeypatch, "convolve")
+        convolutions = self.spy(monkeypatch, "_product")
         plain_recounts = self.spy(monkeypatch, "count_solutions")
         distinct_recounts = self.spy(monkeypatch, "count_distinct_solutions")
         s_set = perturb_almost_sidon(erdos_turan(11), 2, 3)
@@ -747,39 +855,67 @@ def brute_on_set(coeffs, s_set, distinct_only=False):
     return s_set.size ** (len(coeffs) - len(nonzero)) * value
 
 
+def check_memo_counts(eq, s_set):
+    """count_distinct_solutions and degenerate_bound_check against brute
+    force and dictionaries of sums over explicit tuples."""
+    a = eq.coeffs
+    distinct = brute_on_set(a, s_set, distinct_only=True)
+    assert count_distinct_solutions(eq, s_set).value == distinct
+    if eq.s < 5:
+        return
+    # the shifts by a dictionary of sums over explicit tuples
+    tail_coeffs = a[3:-2] + (a[-2] + a[-1],)
+    head = collections.Counter(
+        sum(map(operator.mul, a[:3], xs))
+        for xs in itertools.product(s_set.elements, repeat=3))
+    tail = collections.Counter(
+        sum(map(operator.mul, tail_coeffs, xs))
+        for xs in itertools.product(s_set.elements, repeat=len(tail_coeffs)))
+    max_count = max(head[-n] for n in tail)
+    energy = brute_on_set((1, 1, -1, -1), s_set)
+    total = brute_on_set(a, s_set)
+    rep = degenerate_bound_check(eq, s_set)
+    assert rep == counting_module.DegenerateBoundReport(
+        max_shift_count=max_count,
+        bound_holds=max_count**4 <= energy**3,
+        energy=energy,
+        shifts_checked=len(tail),
+        merged_pair_total=brute_on_set(a[:-2] + (a[-2] + a[-1],), s_set),
+        total=total,
+        distinct=distinct,
+        degenerate_total=total - distinct,
+    )
+    assert rep.merged_pair_total == sum(m * head[-n] for n, m in tail.items())
+
+
 class TestMemoProperties:
     @settings(max_examples=100, deadline=None)
     @given(degenerate_instances())
     def test_distinct_and_degenerate_against_brute_force(self, instance):
-        eq, s_set = instance
-        a = eq.coeffs
-        distinct = brute_on_set(a, s_set, distinct_only=True)
-        assert count_distinct_solutions(eq, s_set).value == distinct
-        if eq.s < 5:
-            return
-        # the shifts by a dictionary of sums over explicit tuples
-        tail_coeffs = a[3:-2] + (a[-2] + a[-1],)
-        head = collections.Counter(
-            sum(map(operator.mul, a[:3], xs))
-            for xs in itertools.product(s_set.elements, repeat=3))
-        tail = collections.Counter(
-            sum(map(operator.mul, tail_coeffs, xs))
-            for xs in itertools.product(s_set.elements, repeat=len(tail_coeffs)))
-        max_count = max(head[-n] for n in tail)
-        energy = brute_on_set((1, 1, -1, -1), s_set)
-        total = brute_on_set(a, s_set)
-        rep = degenerate_bound_check(eq, s_set)
-        assert rep == counting_module.DegenerateBoundReport(
-            max_shift_count=max_count,
-            bound_holds=max_count**4 <= energy**3,
-            energy=energy,
-            shifts_checked=len(tail),
-            merged_pair_total=brute_on_set(a[:-2] + (a[-2] + a[-1],), s_set),
-            total=total,
-            distinct=distinct,
-            degenerate_total=total - distinct,
-        )
-        assert rep.merged_pair_total == sum(m * head[-n] for n, m in tail.items())
+        check_memo_counts(*instance)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(degenerate_instances())
+    def test_exact_across_a_lowered_int64_bound(self, instance):
+        # INT64_SAFE lowered to 1 and 2^6 as well as the real 2^62, so that
+        # on these small sets every nonzero bound, of the folds and of the
+        # dots, reaches it at the lowest: folds come from Kronecker as
+        # object arrays, their mirrors are reversed object views, a merge to
+        # 0 is the dilation by 0, and the dots sum Python ints
+        kinds = set()
+        real_dot = np.dot
+
+        def dot(x, y):
+            kinds.add((x.dtype.kind, y.dtype.kind))
+            return real_dot(x, y)
+
+        with mock.patch.object(np, "dot", dot):
+            for safe in (1, 2**6, counting_module.INT64_SAFE):
+                with mock.patch.object(counting_module, "INT64_SAFE", safe), \
+                        mock.patch.object(engine, "_INT64_SAFE", safe):
+                    check_memo_counts(*instance)
+        # the same dots run at every bound: in int64 only below it
+        assert kinds in (set(), {("i", "i"), ("O", "O")})
 
 
 class TestBruteForce:
