@@ -18,16 +18,18 @@ dilations and the rest are folded separately, and the coefficient at zero
 of their product is read off as one dot product (meet in the middle).
 Either way the count is an integer over the product of the denominators.
 
-Every product here is a fold (values, offset, top): the values at offset,
-offset + 1, ..., and top >= max|value|.  The values are an int64 array
-whenever top is below INT64_SAFE, and past it may be an object array of
-Python ints (numerators outside int64, Kronecker's products).  Each
-distinct function becomes an array once, with its measured maximum; a
-dilation writes the values strided into zeros; a product comes from
-`convolve._product`, the exact engine below the public list adapter, and
-carries the coefficient bound min(len) top top as its top, so no product
-is scanned for a maximum.  A dot is taken in int64 when (terms) top top
-is below INT64_SAFE, and over Python ints otherwise.
+Every product here is a fold (values, offset, top, mass): the values at
+offset, offset + 1, ..., top >= max|value| and mass >= sum|value|.  The
+values are an int64 array whenever top is below INT64_SAFE, and past it
+may be an object array of Python ints (numerators outside int64,
+Kronecker's products).  Each distinct function becomes an array once,
+with its maximum and mass measured; a dilation writes the values strided
+into zeros and keeps both; a product comes from `convolve._product`, the
+exact engine below the public list adapter, and carries as its top the
+least of the coefficient bound min(len) top top and top mass, taken
+either way round, and as its mass the product of the masses, so no
+product is scanned.  A dot is taken in int64 when (terms) top top is
+below INT64_SAFE, and over Python ints otherwise.
 
 On one set S, `count_distinct_solutions` and `degenerate_bound_check`
 share one memo of folds of 1_S dilations, each convolved once: fold(t) for
@@ -239,9 +241,14 @@ def _dilation_span(n: int, a: int) -> int:
 
 
 def _as_fold(f: ScaledFunction):
-    """f's numerators as a fold (see the module docstring)."""
+    """f's numerators as a fold (see the module docstring): the maximum
+    and the mass measured once, by numpy past 128 entries as `_array`
+    measures the maximum, and exactly in int64 when top * len is below
+    INT64_SAFE."""
     values, top = _array(f.nums)
-    return values, f.offset, top
+    if len(values) > 128 and top * len(values) < INT64_SAFE:
+        return values, f.offset, top, int(np.abs(values).sum())
+    return values, f.offset, top, sum(map(abs, f.nums))
 
 
 def _dilate(fold, a: int):
@@ -249,21 +256,28 @@ def _dilate(fold, a: int):
     goes to a * (offset + j), written strided into zeros, and the dilation
     by 0 is the sum at 0; the slots are refused past MAX_POINTS before the
     array is made."""
-    values, offset, top = fold
+    values, offset, top, mass = fold
     if a == 0:
         total = int(np.sum(values, dtype=object))
-        return _array([total])[0], 0, abs(total)
+        return _array([total])[0], 0, abs(total), abs(total)
     out = np.zeros(_dilation_span(len(values), a), dtype=values.dtype)
     out[::abs(a)] = values if a > 0 else values[::-1]
-    return out, a * (offset if a > 0 else offset + len(values) - 1), top
+    return out, a * (offset if a > 0 else offset + len(values) - 1), top, mass
 
 
 def _fold_step(acc, factor):
-    """The product of two folds by the exact engine; its top is the
-    coefficient bound, carried rather than measured."""
-    (xa, a_off, max_a), (xb, b_off, max_b) = acc, factor
-    return (_product(xa, xb, max_a, max_b), a_off + b_off,
-            product_bound(len(xa), max_a, len(xb), max_b))
+    """The product of two folds by the exact engine, with its top and mass
+    carried rather than measured: |(a b)[k]| is at most the coefficient
+    bound, max|a| sum|b| and max|b| sum|a|, and sum|a b| <= sum|a| sum|b|.
+    Kronecker gives object entries from its own coefficient bound, so a
+    product whose top is below INT64_SAFE is made int64."""
+    (xa, a_off, max_a, mass_a), (xb, b_off, max_b, mass_b) = acc, factor
+    values = _product(xa, xb, max_a, max_b)
+    top = min(product_bound(len(xa), max_a, len(xb), max_b),
+              max_a * mass_b, max_b * mass_a)
+    if top < INT64_SAFE and values.dtype == object:
+        values = values.astype(np.int64)
+    return values, a_off + b_off, top, mass_a * mass_b
 
 
 def _shape_step(acc, factor):
@@ -294,7 +308,7 @@ def _dot_at_zero(left, right, a: int = 1, b: int = 1) -> int:
     so this is their weighted count.  At (1, 1) it is the coefficient at
     lattice point 0 of left * right.  In int64 when no partial sum can reach
     INT64_SAFE, else over Python ints."""
-    (left, left_off, left_top), (right, right_off, right_top) = left, right
+    (left, left_off, left_top, _), (right, right_off, right_top, _) = left, right
     if b < 0:  # t -> -t
         a, b = -a, -b
     # t with left_off <= b t <= left_last and right_off <= -a t <= right_last
@@ -322,13 +336,12 @@ def _coefficient_groups(coeffs, folds) -> list[tuple[int, list[list]]]:
     When every coefficient is the same c (then c = +-1), the last variable
     is a group of its own: the solutions of c x + c y = 0 are (c t, -c t)
     as well."""
-    alone = coeffs.count(coeffs[0]) == len(coeffs)
-    groups: dict[int, dict[int, list]] = {}
-    for a, fold in zip(coeffs[:-1] if alone else coeffs, folds):
-        items = groups.setdefault(a, {})
+    last = len(folds) - 1 if coeffs.count(coeffs[0]) == len(coeffs) else None
+    groups: dict[tuple[int, bool], dict[int, list]] = {}
+    for i, (a, fold) in enumerate(zip(coeffs, folds)):
+        items = groups.setdefault((a, i == last), {})
         items.setdefault(id(fold), [fold, 0])[1] += 1
-    out = [(a, list(items.values())) for a, items in groups.items()]
-    return out + [(coeffs[-1], [[folds[-1], 1]])] if alone else out
+    return [(a, list(items.values())) for (a, _), items in groups.items()]
 
 
 def _group_bound(items) -> int:
@@ -336,7 +349,7 @@ def _group_bound(items) -> int:
     alone; 0 for a single factor, which takes no convolution."""
     if len(items) == 1 and items[0][1] == 1:
         return 0
-    return _power_product([((len(values), top), k) for (values, _, top), k in items],
+    return _power_product([((len(values), top), k) for (values, _, top, _), k in items],
                           _shape_step)[1]
 
 
@@ -347,9 +360,8 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     the product of the function values, over the product of the
     denominators.  The coefficients are divided by their gcd (the same
     solutions, shorter lattices), and every dilation span is checked against
-    MAX_POINTS before any work.  When 0 lies outside the range of sum a_i x_i
-    over the supports' spans the count is 0, and no array is made; otherwise
-    each distinct function object becomes an array once.
+    MAX_POINTS before any work.  Each distinct function object becomes an
+    array once.
 
     The variables are grouped by coefficient.  With at most two groups, and
     every group product's coefficient bound (from lengths and maxima alone)
@@ -369,14 +381,8 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
     coeffs = [a // g for a in eq.coeffs]
     if not all(f.nums for f in fns):
         return SolutionCount(Fraction(0))
-    lo = hi = 0  # the least and greatest sum a_i x_i over the supports' hulls
     for a, f in zip(coeffs, fns):
         _dilation_span(len(f.nums), a)
-        ends = a * f.offset, a * (f.offset + len(f.nums) - 1)
-        lo += min(ends)
-        hi += max(ends)
-    if not lo <= 0 <= hi:
-        return SolutionCount(Fraction(0))
     den_product = prod(f.den for f in fns)
     converted = {}  # one fold per function object
     folds = [converted.get(id(f)) or converted.setdefault(id(f), _as_fold(f))
@@ -405,12 +411,12 @@ def _set_counts(s_set: IntegerSet):
     """`fold` and `distinct` on one nonempty set S, over one memo of folds
     of 1_S dilations (see the module docstring)."""
     ints, off = s_set.indicator()
-    base = np.array(ints, dtype=np.int64), off, 1
+    base = np.array(ints, dtype=np.int64), off, 1, s_set.size
 
     @cache
     def canonical(key: tuple[int, ...]):
         if len(key) < 2:
-            return _dilate(base, key[0]) if key else (np.ones(1, dtype=np.int64), 0, 1)
+            return _dilate(base, key[0]) if key else (np.ones(1, dtype=np.int64), 0, 1, 1)
         return _fold_step(fold(key[:-1]), _dilate(base, key[-1]))
 
     def fold(key: tuple[int, ...]):
@@ -418,8 +424,8 @@ def _set_counts(s_set: IntegerSet):
         mirror = tuple(-c for c in reversed(key))
         if mirror >= key:
             return canonical(key)
-        values, mirror_off, top = canonical(mirror)
-        return values[::-1], -(mirror_off + len(values) - 1), top
+        values, mirror_off, top, mass = canonical(mirror)
+        return values[::-1], -(mirror_off + len(values) - 1), top, mass
 
     @cache
     def count(key: tuple[int, ...]) -> int:
@@ -600,7 +606,7 @@ def degenerate_bound_check(eq: EquationCoeffs, s_set: IntegerSet
     a = eq.coeffs
     head = fold(tuple(sorted(a[:3])))
     tail = fold(tuple(sorted(a[3:-2] + (a[-2] + a[-1],))))
-    (head_seq, head_off, _), (tail_seq, tail_off, _) = head, tail
+    (head_seq, head_off, _, _), (tail_seq, tail_off, _, _) = head, tail
     # the shifts n the tail realises, and the head's counts at -n inside it
     shifts = np.flatnonzero(tail_seq)
     idx = -(tail_off + shifts) - head_off

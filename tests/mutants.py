@@ -66,13 +66,15 @@ MUTANTS = [
            ("tests/test_convolve.py::test_int64_overflow_edge",
             "tests/test_convolve.py::test_pairs_int64_guard")),
     # a counting dot is summed in int64 only strictly below 2^62, and a
-    # product carries its whole coefficient bound as its maximum
+    # product carries its whole bound as its maximum, from measured masses
     Mutant("int64 dot at bound == 2^62", COUNTING,
            "* right_top < INT64_SAFE:", "* right_top <= INT64_SAFE:",
            ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
     Mutant("carried fold maximum one low", COUNTING,
-           "product_bound(len(xa), max_a, len(xb), max_b))",
-           "product_bound(len(xa), max_a, len(xb), max_b) - 1)",
+           "max_a * mass_b, max_b * mass_a)", "max_a * mass_b, max_b * mass_a) - 1",
+           ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
+    Mutant("measured mass one low", COUNTING,
+           "f.offset, top, sum(map(abs, f.nums))", "f.offset, top, sum(map(abs, f.nums)) - 1",
            ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
     # the one statement of the Bohr condition
     Mutant("Bohr scan <= -> <", TRANSFERENCE,

@@ -509,6 +509,49 @@ class TestCoefficientGroups:
 class TestArrayFolds:
     """Counting multiplies arrays below the public `convolve`."""
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.lists(st.integers(-2**40, 2**40), min_size=1,
+                                       max_size=10),
+                              st.integers(-3, 3)),
+                    min_size=2, max_size=5))
+    def test_carried_bounds_hold(self, steps):
+        # dilations folded one by one, as the memo folds them: each product
+        # is exact, carries top = the least of min(len) top top, top_a mass_b
+        # and top_b mass_a and mass = mass_a mass_b, and both bound what it
+        # holds; a product whose top is below INT64_SAFE is int64
+        acc = exact = None
+        for nums, a in steps:
+            f = ScaledFunction(0, tuple(nums))
+            if not f.nums:
+                continue
+            step = counting_module._dilate(counting_module._as_fold(f), a)
+            dense = [int(v) for v in step[0]]
+            if acc is None:
+                acc, exact = step, dense
+                continue
+            (xa, _, top_a, mass_a), (xb, _, top_b, mass_b) = acc, step
+            acc = counting_module._fold_step(acc, step)
+            exact = [sum(exact[i] * dense[k - i] for i in range(len(exact))
+                         if 0 <= k - i < len(dense))
+                     for k in range(len(exact) + len(dense) - 1)]
+            values, _, top, mass = acc
+            assert [int(v) for v in values] == exact
+            assert top == min(min(len(xa), len(xb)) * top_a * top_b,
+                              top_a * mass_b, top_b * mass_a)
+            assert mass == mass_a * mass_b
+            assert max(map(abs, exact)) <= top and sum(map(abs, exact)) <= mass
+            assert top >= counting_module.INT64_SAFE or values.dtype == np.int64
+
+    def test_kronecker_product_below_the_bound_is_int64(self):
+        # eight weights 2^30 times two 2^30 seven apart: the coefficient
+        # bound 8 * 2^60 = 2^63 sends the product to Kronecker, whose object
+        # entries are at most 2^30 * 2^31 = 2^61 by the mass, so int64
+        a = counting_module._as_fold(ScaledFunction(0, (2**30,) * 8))
+        b = counting_module._as_fold(ScaledFunction(0, (2**30,) + (0,) * 6 + (2**30,)))
+        values, offset, top, mass = counting_module._fold_step(a, b)
+        assert (top, mass) == (2**61, 2**64) and values.dtype == np.int64
+        assert values.tolist() == engine.convolve([2**30] * 8, [2**30] + [0] * 6 + [2**30])
+
     def test_no_counting_path_calls_the_public_convolve(self, monkeypatch):
         for name, module in list(sys.modules.items()):
             if name == "sidonlab" or name.startswith("sidonlab."):
