@@ -57,8 +57,8 @@ print(f"progression, |S| = 7: total = "
 w = ScaledFunction.from_weights(1, (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)),
                                 3)
 c = count_solutions(EquationCoeffs((1, -1)), [w, w])
-print(f"\nweights {w.nums} / {w.den}: weighted diagonal count = {c.value} "
-      "(exact rational)")
+print(f"\nweights {tuple(w.nums.tolist())} / {w.den}: "
+      f"weighted diagonal count = {c.value} (exact rational)")
 
 # ---------------------------------------------------------------------------
 # The brute-force oracle enumerates tuples directly, never convolving.

@@ -6,10 +6,12 @@ past int64 (an input whose maximum is below INT64_SAFE must be int64).  A
 maximum may be any upper bound on the entries, since every route below
 needs only |x| <= max|x| to stay exact.  The engine returns an int64
 array, or an object array of Python ints when the Kronecker route runs on
-a coefficient bound at or past INT64_SAFE.  `counting` calls it directly
-and carries each product's bound forward as its maximum.  The public
-`convolve` is a thin adapter over it: sequences in, their maxima measured
-once, a list of Python ints out.
+a coefficient bound at or past INT64_SAFE.  Every product of the library
+calls it directly on numerator arrays: counting's folds, which carry each
+product's bound forward as its maximum, a function's energy and the dense
+model's g.  The public `convolve` is a thin adapter over it, which no
+library path calls: sequences in, their maxima measured once, a list of
+Python ints out.
 
 Four routes, all exact:
 

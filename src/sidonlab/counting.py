@@ -1,9 +1,14 @@
 """Exact counting of solutions to a1*x1 + ... + as*xs = 0.
 
 Every weighted function is a `ScaledFunction`: integer numerators over one
-common denominator.  A sqrt(N) factor, as in the dense model, is an
+common denominator, held as one read-only int64 array (an object array of
+Python ints past INT64_SAFE) with its maximum and mass sum|x| measured
+once, when it is made.  A sqrt(N) factor, as in the dense model, is an
 integer once the ambient is a perfect square and lives in the numerators
-like any other rational weight.  The fast path divides the coefficients
+like any other rational weight.  Its sums, energy, scaling, sums with
+other functions, comparisons and float weights run on that array: in
+int64 while a bound from the maximum and mass keeps them below
+INT64_SAFE, else over Python ints.  The fast path divides the coefficients
 by their gcd and groups the variables by coefficient.  Dilation commutes
 with convolution, dil_a(f) * dil_a(g) = dil_a(f * g), so with at most two
 groups each group's functions are convolved undilated, a function
@@ -22,8 +27,8 @@ Every product here is a fold (values, offset, top, mass): the values at
 offset, offset + 1, ..., top >= max|value| and mass >= sum|value|.  The
 values are an int64 array whenever top is below INT64_SAFE, and past it
 may be an object array of Python ints (numerators outside int64,
-Kronecker's products).  Each distinct function becomes an array once,
-with its maximum and mass measured; a dilation writes the values strided
+Kronecker's products).  A function's fold is its own array, maximum and
+mass, with no conversion and no scan; a dilation writes the values strided
 into zeros and keeps both; a product comes from `convolve._product`, the
 exact engine below the public list adapter, and carries as its top the
 least of the coefficient bound min(len) top top and top mass, taken
@@ -48,7 +53,8 @@ equal up to scaling, sign and order are counted once.
 
 `brute_force_count` is the independent oracle: direct enumeration over all
 tuples of the first s-1 supports, solving for the last variable.  It never
-touches the convolution engine.
+touches the convolution engine, and reads each support and its weights off
+the numerator array.
 """
 
 from __future__ import annotations
@@ -60,13 +66,13 @@ from functools import cache, cached_property, reduce
 from itertools import repeat
 from math import gcd, lcm, prod
 from numbers import Rational
-from operator import add, index, le, mul
+from operator import index, le, mul
 
 import numpy as np
 
-from .convolve import _array, _product, convolve, product_bound
+from .convolve import _array, _product, product_bound
 from .errors import BudgetExceededError, ValidationError
-from .sets import INT64_SAFE, IntegerSet, check_span
+from .sets import INT64_SAFE, IntegerSet, check_span, zero_one
 
 DEFAULT_BRUTE_BUDGET = 10**9
 MAX_DISTINCT_VARS = 12
@@ -96,7 +102,63 @@ class EquationCoeffs:
         return sum(self.coeffs) == 0
 
 
-@dataclass(frozen=True)
+# every integer of magnitude below it is a float64 exactly
+_FLOAT_EXACT = 1 << 53
+# the nums of every zero function
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+def _from_ints(offset: int, ints: list[int], den: int):
+    """(offset, nums, den, top, mass) of the function ints / den at offset
+    in stored form (see ScaledFunction), over Python ints."""
+    lo, hi = 0, len(ints)
+    while lo < hi and not ints[lo]:
+        lo += 1
+    while hi > lo and not ints[hi - 1]:
+        hi -= 1
+    if lo == hi:
+        return 0, _EMPTY, 1, 0, 0
+    ints = ints[lo:hi]
+    g = gcd(den, *ints) if den > 1 else 1
+    if g > 1:
+        ints, den = [x // g for x in ints], den // g
+    absolute = list(map(abs, ints))
+    top = max(absolute)
+    nums = np.array(ints, dtype=np.int64 if top < INT64_SAFE else object)
+    return offset + lo, nums, den, top, sum(absolute)
+
+
+def _from_array(offset: int, x: np.ndarray, den: int):
+    """`_from_ints` of an integer array, which is not kept: past 128 entries
+    below INT64_SAFE by numpy reductions, which beat the builtins from about
+    a hundred entries, else over Python ints."""
+    if len(x) <= 128 or max(int(x.max()), -int(x.min())) >= INT64_SAFE:
+        return _from_ints(offset, x.tolist(), den)
+    nonzero = np.flatnonzero(x)
+    if not len(nonzero):
+        return 0, _EMPTY, 1, 0, 0
+    lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+    x = x[lo:hi].astype(np.int64)
+    g = gcd(den, int(np.gcd.reduce(x))) if den > 1 else 1
+    if g > 1:
+        x, den = x // g, den // g
+    absolute = np.abs(x)
+    top = int(absolute.max())
+    mass = int(absolute.sum()) if top * len(x) < INT64_SAFE else sum(absolute.tolist())
+    return offset + lo, x, den, top, mass
+
+
+def _square_sum(x: np.ndarray, bound: int) -> int:
+    """sum x^2, in int64 when `bound`, at least every partial sum, is below
+    INT64_SAFE, else over Python ints."""
+    if bound < INT64_SAFE:
+        return int(x @ x)
+    xs = x.tolist()
+    return sum(map(mul, xs, xs))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ScaledFunction:
     """A finitely supported function nums / den on the ambient [1, N].
 
@@ -104,32 +166,41 @@ class ScaledFunction:
     trimmed: the value at the integer offset + j is nums[j] / den, and N is
     `ambient_n`.  Zero numerators at both ends are dropped on construction
     (the offset moves with them), so nonempty nums start and end nonzero and
-    the zero function is () at offset 0.  Values may be signed.
-    `from_weights` takes rational weights; `weights` is a read-only view.
+    the zero function is empty at offset 0.  Values may be signed.
+    `from_weights` takes rational weights; `weights` is their tuple.
+
+    nums is one read-only array: int64 exactly when every |nums[j]| is
+    below INT64_SAFE, else an object array of Python ints.  The constructor
+    takes any sequence of integers (or an integer array), copies it and
+    measures it once: `_top` = max|nums| and `_mass` = sum|nums| are kept
+    beside it, 0 for the zero function, for the exactness guards of this
+    package (counting's folds, the int64 sums and comparisons).  Equality,
+    hashing and repr read nums as a tuple of ints.
     """
 
     offset: int
-    nums: tuple[int, ...]
+    nums: np.ndarray
     den: int = 1
     ambient_n: int = 1
 
-    def __post_init__(self):
-        nums, den = tuple(map(index, self.nums)), index(self.den)
-        offset = index(self.offset)
-        object.__setattr__(self, "ambient_n", index(self.ambient_n))
-        if den < 1 or self.ambient_n < 1:
-            raise ValidationError(
-                f"den and ambient_n must be positive, got {den}, {self.ambient_n}")
-        lo, hi = 0, len(nums)
-        while lo < hi and nums[lo] == 0:
-            lo += 1
-        while hi > lo and nums[hi - 1] == 0:
-            hi -= 1
-        nums = nums[lo:hi]  # nums itself when nothing is dropped
-        object.__setattr__(self, "offset", offset + lo if nums else 0)
-        g = gcd(den, *nums) if den > 1 else 1
-        object.__setattr__(self, "nums", tuple(x // g for x in nums) if g > 1 else nums)
-        object.__setattr__(self, "den", den // g)
+    def __init__(self, offset: int, nums, den: int = 1, ambient_n: int = 1):
+        den, offset, ambient_n = index(den), index(offset), index(ambient_n)
+        _check_positive(den, ambient_n)
+        if isinstance(nums, np.ndarray) and nums.dtype.kind == "i":
+            stored = _from_array(offset, nums, den)
+        else:
+            stored = _from_ints(offset, list(map(index, nums)), den)
+        _settle(self, ambient_n, *stored)
+
+    @classmethod
+    def _of(cls, offset: int, nums: np.ndarray, den: int, ambient_n: int, top: int,
+            mass: int) -> "ScaledFunction":
+        """The function of an array already in the stored form, with its
+        max|x| and sum|x|: no copy, no trim, no gcd and no scan."""
+        _check_positive(den, ambient_n)
+        f = object.__new__(cls)
+        _settle(f, ambient_n, offset, nums, den, top, mass)
+        return f
 
     @classmethod
     def from_weights(cls, offset: int, weights, ambient_n: int = 1
@@ -137,94 +208,165 @@ class ScaledFunction:
         """Rational weights (anything `Fraction` accepts) over their lcm."""
         ws = [Fraction(w) for w in weights]
         den = lcm(*(w.denominator for w in ws))
-        return cls(offset, tuple(w.numerator * (den // w.denominator) for w in ws),
+        return cls(offset, [w.numerator * (den // w.denominator) for w in ws],
                    den, ambient_n)
 
     @classmethod
     def from_set(cls, s: IntegerSet) -> "ScaledFunction":
         """Indicator of S with the set's ambient."""
-        w, off = s.indicator()
-        return cls(off, tuple(w), 1, s.ambient_n)
+        w, off = zero_one(s.elements, "S")
+        return cls._of(off, w, 1, s.ambient_n, min(1, s.size), s.size)
 
     @classmethod
     def from_interval(cls, lo: int, hi: int, ambient_n: int) -> "ScaledFunction":
+        lo, hi = index(lo), index(hi)
         if hi < lo:
             raise ValidationError("empty interval")
-        return cls(lo, (1,) * check_span(hi - lo + 1, f"interval [{lo}, {hi}]"), 1,
-                   ambient_n)
+        n = check_span(hi - lo + 1, f"interval [{lo}, {hi}]")
+        return cls._of(lo, np.ones(n, dtype=np.int64), 1, index(ambient_n), 1, n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.offset, self.den, self.ambient_n)
+                == (other.offset, other.den, other.ambient_n)
+                and np.array_equal(self.nums, other.nums))
+
+    def __hash__(self):
+        return hash((self.offset, tuple(self.nums.tolist()), self.den, self.ambient_n))
+
+    def __reduce__(self):
+        # a copy or an unpickled function is rebuilt, so its nums is
+        # read-only and measured again
+        return type(self), (self.offset, self.nums, self.den, self.ambient_n)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(offset={self.offset!r}, "
+                f"nums={tuple(self.nums.tolist())!r}, den={self.den!r}, "
+                f"ambient_n={self.ambient_n!r})")
 
     @property
     def weights(self) -> tuple[Rational, ...]:
         """nums[j] / den per point: the ints themselves when den is 1."""
         if self.den == 1:
-            return self.nums
-        return tuple(Fraction(x, self.den) for x in self.nums)
+            return tuple(self.nums.tolist())
+        return tuple(Fraction(x, self.den) for x in self.nums.tolist())
 
     def support(self) -> list[int]:
-        return [self.offset + j for j, x in enumerate(self.nums) if x]
+        return [self.offset + j for j in np.flatnonzero(self.nums).tolist()]
 
     def weight_at(self, x: int) -> Fraction:
         j = x - self.offset
         if 0 <= j < len(self.nums):
-            return Fraction(self.nums[j], self.den)
+            return Fraction(int(self.nums[j]), self.den)
         return Fraction(0)
 
     def mass(self) -> Fraction:
         """Sum of the weights."""
-        return Fraction(sum(self.nums), self.den)
+        x = self.nums
+        return Fraction(int(x.sum()) if self._mass < INT64_SAFE else sum(x.tolist()),
+                        self.den)
 
     @cached_property
     def energy(self) -> Fraction:
         """The additive energy E(f) of the weights, exactly, computed once
         per function: sum over n of (f * f)(n)^2, the solutions of
-        x1 + x2 = x3 + x4, from the square of the numerators over den^4."""
-        square = convolve(self.nums, self.nums)
-        return Fraction(sum(map(mul, square, square)), self.den**4)
+        x1 + x2 = x3 + x4, from the square of the numerators over den^4.
+        Each square entry is at most min(len top^2, top mass) and the
+        square's mass is mass^2, which bound the sum of squares."""
+        x, top, mass = self.nums, self._top, self._mass
+        if not len(x):
+            return Fraction(0)
+        square = _product(x, x, top, top)
+        square_top = min(len(x) * top * top, top * mass)
+        return Fraction(_square_sum(square, square_top * mass * mass), self.den**4)
 
     def l2_weights(self) -> Fraction:
-        return Fraction(sum(map(mul, self.nums, self.nums)), self.den * self.den)
+        return Fraction(_square_sum(self.nums, self._top * self._mass), self.den * self.den)
 
     def scaled_by(self, q) -> "ScaledFunction":
+        """q times the function, in lowest terms without a trim or a scan:
+        for q = p/d in lowest terms and nums / den in lowest terms, the gcd
+        of den d with p nums is gcd(den, p) gcd(d, gcd(nums))."""
         q = Fraction(q)
-        p = q.numerator  # a property: read once, not once per weight
-        return ScaledFunction(self.offset, tuple(map(mul, self.nums, repeat(p))),
-                              self.den * q.denominator, self.ambient_n)
+        p, d = q.numerator, q.denominator
+        if p == 0 or not len(self.nums):
+            return ScaledFunction._of(0, _EMPTY, 1, self.ambient_n, 0, 0)
+        g_p = gcd(self.den, p)
+        g_d = gcd(d, *self.nums.tolist()) if d > 1 else 1
+        factor = abs(p // g_p)
+        top, mass = self._top // g_d * factor, self._mass // g_d * factor
+        x = self.nums
+        if top >= INT64_SAFE:
+            x = x.astype(object)
+        if g_d > 1:
+            x = x // g_d
+        x = x * (p // g_p)
+        if top < INT64_SAFE:
+            x = x.astype(np.int64, copy=False)
+        return ScaledFunction._of(self.offset, x, self.den // g_p * (d // g_d),
+                                  self.ambient_n, top, mass)
 
     def __add__(self, other: "ScaledFunction") -> "ScaledFunction":
         if other.ambient_n != self.ambient_n:
             raise ValidationError("can only add functions on the same ambient")
         den = lcm(self.den, other.den)
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.nums), other.offset + len(other.nums))
-        out = [0] * (hi - lo)
-        for f in (self, other):
-            k = den // f.den
+        # the zero function sits at offset 0, so only the nonzero summands
+        # span the sum
+        parts = [(f, den // f.den) for f in (self, other) if len(f.nums)]
+        lo = min((f.offset for f, _ in parts), default=0)
+        hi = max((f.offset + len(f.nums) for f, _ in parts), default=0)
+        wide = sum(k * f._top for f, k in parts) >= INT64_SAFE
+        out = np.zeros(hi - lo, dtype=object if wide else np.int64)
+        for f, k in parts:
             a = f.offset - lo
-            b = a + len(f.nums)
-            out[a:b] = map(add, out[a:b], f.nums if k == 1 else [k * x for x in f.nums])
-        return ScaledFunction(lo, tuple(out), den, self.ambient_n)
+            out[a:a + len(f.nums)] += f.nums.astype(out.dtype, copy=False) * k
+        return ScaledFunction(lo, out, den, self.ambient_n)
 
     def dominated_by(self, nu: "ScaledFunction") -> bool:
-        """Exact pointwise check |self| <= nu (same ambient required)."""
+        """Exact pointwise check |self| <= nu (same ambient required): in
+        int64 while both sides of |x| nu.den <= y den stay below INT64_SAFE,
+        else over Python ints."""
         if nu.ambient_n != self.ambient_n:
             raise ValidationError("majorant must live on the same ambient")
-        shift = self.offset - nu.offset
+        x, shift = self.nums, self.offset - nu.offset
+        if not len(x):
+            return True
         # self's end values are nonzero, so its span must lie inside nu's
-        if self.nums and not 0 <= shift <= len(nu.nums) - len(self.nums):
+        if not 0 <= shift <= len(nu.nums) - len(x):
             return False
-        return all(map(le, map(mul, map(abs, self.nums), repeat(nu.den)),
-                       map(mul, nu.nums[shift:], repeat(self.den))))
+        y = nu.nums[shift:shift + len(x)]
+        if max(self._top * nu.den, nu._top * self.den) >= INT64_SAFE:
+            return all(map(le, map(mul, map(abs, x.tolist()), repeat(nu.den)),
+                           map(mul, y.tolist(), repeat(self.den))))
+        return bool((np.abs(x) * nu.den <= y * self.den).all())
 
     def float_weights(self) -> np.ndarray:
-        """float(weights[j]): int / int is correctly rounded; a weight past
-        the float range is refused.  At den 1 numpy converts each int, also
-        correctly rounded."""
+        """float(weights[j]), correctly rounded: int64 numerators over den
+        in numpy when each converts exactly (and at den 1, where numpy
+        rounds each like float(int)), else int / int over Python ints; a
+        weight past the float range is refused."""
+        x, den = self.nums, self.den
+        if x.dtype != object and (den == 1 or max(self._top, den) < _FLOAT_EXACT):
+            return x / den
         try:
-            if self.den == 1:
-                return np.array(self.nums, dtype=float)
-            return np.array([x / self.den for x in self.nums], dtype=float)
+            return np.array([v / den for v in x.tolist()], dtype=float)
         except OverflowError:
             raise ValidationError("a weight is past the float range") from None
+
+
+def _check_positive(den: int, ambient_n: int) -> None:
+    if den < 1 or ambient_n < 1:
+        raise ValidationError(
+            f"den and ambient_n must be positive, got {den}, {ambient_n}")
+
+
+def _settle(f: ScaledFunction, ambient_n: int, offset: int, nums: np.ndarray,
+            den: int, top: int, mass: int) -> None:
+    """Store the fields of f with nums made read-only."""
+    nums.flags.writeable = False
+    vars(f).update(offset=offset, nums=nums, den=den, ambient_n=ambient_n,
+                   _top=top, _mass=mass)
 
 
 @dataclass(frozen=True)
@@ -241,14 +383,9 @@ def _dilation_span(n: int, a: int) -> int:
 
 
 def _as_fold(f: ScaledFunction):
-    """f's numerators as a fold (see the module docstring): the maximum
-    and the mass measured once, by numpy past 128 entries as `_array`
-    measures the maximum, and exactly in int64 when top * len is below
-    INT64_SAFE."""
-    values, top = _array(f.nums)
-    if len(values) > 128 and top * len(values) < INT64_SAFE:
-        return values, f.offset, top, int(np.abs(values).sum())
-    return values, f.offset, top, sum(map(abs, f.nums))
+    """f's numerators as a fold (see the module docstring), with the
+    maximum and mass that f measured when it was made."""
+    return f.nums, f.offset, f._top, f._mass
 
 
 def _dilate(fold, a: int):
@@ -379,7 +516,7 @@ def count_solutions(eq: EquationCoeffs, fns) -> SolutionCount:
         )
     g = gcd(*eq.coeffs)
     coeffs = [a // g for a in eq.coeffs]
-    if not all(f.nums for f in fns):
+    if not all(len(f.nums) for f in fns):
         return SolutionCount(Fraction(0))
     for a, f in zip(coeffs, fns):
         _dilation_span(len(f.nums), a)
@@ -410,8 +547,7 @@ def _normalised(coeffs: list[int]) -> tuple[int, ...]:
 def _set_counts(s_set: IntegerSet):
     """`fold` and `distinct` on one nonempty set S, over one memo of folds
     of 1_S dilations (see the module docstring)."""
-    ints, off = s_set.indicator()
-    base = np.array(ints, dtype=np.int64), off, 1, s_set.size
+    base = _as_fold(ScaledFunction.from_set(s_set))
 
     @cache
     def canonical(key: tuple[int, ...]):
@@ -496,31 +632,31 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
         raise ValidationError(
             f"equation has {eq.s} variables but {len(fns)} functions given"
         )
-    if any(not f.nums for f in fns):
+    if not all(len(f.nums) for f in fns):
         return SolutionCount(Fraction(0))
-    supports = [f.support() for f in fns]
-    cost = prod(len(sup) for sup in supports[:-1])
+    nonzero = [np.flatnonzero(f.nums) for f in fns]
+    cost = prod(len(j) for j in nonzero[:-1])
     limit = _resolve_budget(budget)
     if cost > limit:
         raise BudgetExceededError(
             f"enumeration needs {cost} tuples, budget is {limit}"
         )
-    int_weights = [[x for x in f.nums if x] for f in fns]
     den_product = prod(f.den for f in fns)
-    wmax = prod(max(abs(w) for w in ws) for ws in int_weights)
-    # every partial sum of a_i x_i is at most sum |a_i| * max |x|
-    xmax = max(max(abs(sup[0]), abs(sup[-1])) for sup in supports)
+    wmax = prod(f._top for f in fns)
+    # every partial sum of a_i x_i is at most sum |a_i| * max |x|, and a
+    # trimmed function's support starts and ends its span
+    xmax = max(max(abs(f.offset), abs(f.offset + len(f.nums) - 1)) for f in fns)
     pmax = sum(abs(a) for a in eq.coeffs) * xmax
-    total = _enumerate(eq.coeffs, supports, int_weights, distinct_only,
-                       np.int64 if pmax < INT64_SAFE else object,
-                       np.int64 if wmax < INT64_SAFE else object)
+    pdtype = np.int64 if pmax < INT64_SAFE else object
+    dtype = np.int64 if wmax < INT64_SAFE else object
+    pos = [j.astype(pdtype) + f.offset for j, f in zip(nonzero, fns)]
+    wts = [f.nums[j].astype(dtype) for j, f in zip(nonzero, fns)]
+    total = _enumerate(eq.coeffs, pos, wts, distinct_only, pdtype, dtype)
     return SolutionCount(Fraction(total, den_product))
 
 
-def _enumerate(coeffs, supports, weights, distinct_only, pdtype, dtype) -> int:
+def _enumerate(coeffs, pos, wts, distinct_only, pdtype, dtype) -> int:
     s = len(coeffs)
-    pos = [np.asarray(p, dtype=pdtype) for p in supports]
-    wts = [np.asarray(w, dtype=dtype) for w in weights]
     a_last = coeffs[-1]
     pos_last, wts_last = pos[-1], wts[-1]
 

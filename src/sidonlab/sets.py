@@ -74,9 +74,10 @@ class IntegerSet:
         return i < len(self.elements) and self.elements[i] == x
 
     def indicator(self) -> tuple[list[int], int]:
-        """The dense 0/1 weights of S over [min S, max S] and their offset,
-        by zero_one."""
-        return zero_one(self.elements, "S")
+        """The dense 0/1 weights of S over [min S, max S], as a list, and
+        their offset, by zero_one."""
+        w, lo = zero_one(self.elements, "S")
+        return w.tolist(), lo
 
     @property
     def eta(self) -> Fraction:
@@ -98,16 +99,16 @@ class IntegerSet:
         return IntegerSet(self.elements, c * c)
 
 
-def zero_one(elements, name: str) -> tuple[list[int], int]:
-    """Dense 0/1 weight list over [min, max] of strictly increasing integer
+def zero_one(elements, name: str) -> tuple[np.ndarray, int]:
+    """Dense 0/1 int64 weights over [min, max] of strictly increasing integer
     elements and its offset min; a span past MAX_POINTS is refused before
-    the list is made."""
+    the array is made."""
     if not elements:
-        return [], 0
+        return np.zeros(0, dtype=np.int64), 0
     lo, hi = elements[0], elements[-1]
-    w = [0] * check_span(hi - lo + 1, f"the indicator of {name} on [{lo}, {hi}]")
-    for x in elements:
-        w[x - lo] = 1
+    w = np.zeros(check_span(hi - lo + 1, f"the indicator of {name} on [{lo}, {hi}]"),
+                 dtype=np.int64)
+    w[[x - lo for x in elements]] = 1
     return w, lo
 
 

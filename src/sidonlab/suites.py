@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from operator import mul
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .counting import (
 )
 from .errors import ValidationError
 from .sets import (
+    INT64_SAFE,
     IntegerSet,
     erdos_turan,
     mian_chowla,
@@ -211,11 +211,12 @@ def suite_counting_bound(seed: int, trials: int = 50):
     for t in range(trials):
         nu = majorants[int(rng.integers(0, len(majorants)))]
         eq = _random_coeffs(rng, 5)
+        # |r nu| <= 8 max nu: in int64 while that stays below INT64_SAFE
+        nums = nu.nums if 8 * nu._top < INT64_SAFE else nu.nums.astype(object)
         fns = []
         for _ in range(5):
-            rs = rng.integers(-8, 9, size=len(nu.nums)).tolist()  # weight r/8 * nu
-            nums = tuple(map(mul, rs, nu.nums))
-            fns.append(ScaledFunction(nu.offset, nums, 8 * nu.den, nu.ambient_n))
+            rs = rng.integers(-8, 9, size=len(nums))  # weight r/8 * nu
+            fns.append(ScaledFunction(nu.offset, rs * nums, 8 * nu.den, nu.ambient_n))
         v = verify_counting_bound(nu, fns, eq)
         yield None if v.holds and v.premise_mass_ok and v.premise_energy_ok else (
             f"trial {t}: eq {eq.coeffs} lhs {v.lhs_abs:.6g} "

@@ -7,6 +7,10 @@ spectrum its frequencies, grid and eps.  The ambient is first padded to a
 perfect square so sqrt(N) is an integer: f is the integer convolution
 g = 1_S * 1_B times the rational sqrt(N)/|B|, and every mass, energy and
 count below is an exact rational; only Fourier magnitudes are floating point.
+g is the exact engine's int64 product of the arrays of 1_S and 1_B, and
+its sums, the majorant g + |B| 1_S and the level set of f are read off
+arrays too, in int64 while their bounds allow and over Python ints past
+that; Python ints appear where a value is returned as a count or verdict.
 
 Every inequality that is a theorem (the repeated-difference bound, the
 cardinality bound, the model autocorrelation bound, Bohr membership and the
@@ -24,13 +28,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
 from math import inf, isfinite, isqrt
-from operator import index, le, lt, mul, neg
+from operator import index, lt, neg
 
 import numpy as np
 
-from .convolve import convolve
+from .convolve import _product
 from .counting import EquationCoeffs, ScaledFunction, count_solutions
 from .errors import ValidationError
 from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, check_span, rational, zero_one
@@ -106,9 +109,11 @@ class BohrSet:
         return i < self.size and self.elements[i] == n
 
     def measure(self) -> ScaledFunction:
-        """The normalized indicator 1_B / |B| on [min B, max B]."""
+        """The normalized indicator 1_B / |B| on [min B, max B]: 0/1
+        numerators, which end at elements of B and share no factor with
+        |B|, so the array is stored as it is made."""
         nums, lo = zero_one(self.elements, "B")
-        return ScaledFunction(lo, tuple(nums), self.size, self.ambient_n)
+        return ScaledFunction._of(lo, nums, self.size, self.ambient_n, 1, self.size)
 
 
 def _radius(eps) -> Fraction:
@@ -197,14 +202,14 @@ class DenseModel:
 
     @cached_property
     def mass(self) -> int:
-        """sum g."""
-        return sum(self.base.nums)
+        """sum g, the sum of g's numerators."""
+        return int(self.base.mass() * self.base.den)
 
     @cached_property
     def square_sum(self) -> int:
         """sum g^2: sum f^2 = N sum g^2 / |B|^2, and the left side of the
         model autocorrelation bound."""
-        return sum(map(mul, self.base.nums, self.base.nums))
+        return int(self.base.l2_weights() * self.base.den**2)
 
     @cached_property
     def containment_holds(self) -> bool:
@@ -251,11 +256,11 @@ class DenseModel:
     @property
     def majorant_base(self) -> ScaledFunction:
         """The integer function g + |B| 1_S, on g's span, which covers S."""
-        g, b = self.base, self.bohr.size
-        nums = list(g.nums)
-        for x in self.padded.elements:
-            nums[x - g.offset] += b
-        return ScaledFunction(g.offset, tuple(nums), 1, self.n_padded)
+        g = self.base
+        # int64 entries are below 2^62 and |B| below MAX_POINTS: no wrap
+        nums = g.nums.copy()
+        nums[[x - g.offset for x in self.padded.elements]] += self.bohr.size
+        return ScaledFunction(g.offset, nums, 1, self.n_padded)
 
     @property
     def majorant_nu(self) -> ScaledFunction:
@@ -297,7 +302,7 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     else:
         mu_b = bohr.measure()
         g = ScaledFunction(ind_s.offset + mu_b.offset,
-                           tuple(convolve(ind_s.nums, mu_b.nums)), 1, n)
+                           _product(ind_s.nums, mu_b.nums, 1, 1), 1, n)
         g_hat = dft_values(g, m)
         root = isqrt(n)
         fourier_distance = float(np.max(np.abs(root * s_hat - root * g_hat / bohr.size)))
@@ -360,7 +365,7 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
     delta = rational(delta)
     if not 0 < delta <= 1:
         raise ValidationError(f"need 0 < delta <= 1, got {delta}")
-    if f.nums and min(f.nums) < 0:
+    if len(f.nums) and f.nums.min() < 0:
         raise ValidationError("f must be nonnegative")
     return _level_set(f, delta)
 
@@ -372,10 +377,13 @@ def _level_set(f: ScaledFunction, delta: Fraction) -> LevelSetResult:
     n = f.ambient_n
     hyp_mass = f.mass() >= delta * n
     hyp_l2 = f.l2_weights() <= n
-    # x / den >= delta / 2 = p / 2q in integers: p den <= 2q x
+    # x / den >= delta / 2 = p / 2q in integers: p den <= 2q x, in int64
+    # while both sides stay below INT64_SAFE
     p, q = delta.numerator, delta.denominator
-    level = tuple(compress(range(f.offset, f.offset + len(f.nums)),
-                           map(le, repeat(p * f.den), map(mul, repeat(2 * q), f.nums))))
+    x = f.nums
+    if max(2 * q * f._top, p * f.den) >= INT64_SAFE:
+        x = x.astype(object)
+    level = tuple(f.offset + j for j in np.flatnonzero(2 * q * x >= p * f.den).tolist())
     lhs = 4 * len(level)
     rhs = delta * delta * n
     ok = (lhs >= rhs) if (hyp_mass and hyp_l2) else None
@@ -426,7 +434,7 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
     fns = list(fns)
     if eq.s < 5:
         raise ValidationError(f"counting bound needs s >= 5, got {eq.s}")
-    if nu.nums and min(nu.nums) < 0:
+    if len(nu.nums) and nu.nums.min() < 0:
         raise ValidationError("majorant nu must be nonnegative")
     for i, f in enumerate(fns):
         if not f.dominated_by(nu):

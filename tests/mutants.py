@@ -74,8 +74,29 @@ MUTANTS = [
            "max_a * mass_b, max_b * mass_a)", "max_a * mass_b, max_b * mass_a) - 1",
            ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
     Mutant("measured mass one low", COUNTING,
-           "f.offset, top, sum(map(abs, f.nums))", "f.offset, top, sum(map(abs, f.nums)) - 1",
+           "den, top, sum(absolute)", "den, top, sum(absolute) - 1",
            ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
+    # a function's numerators are int64 exactly below 2^62; each int64 sum,
+    # product and comparison of them is guarded by a bound.  At 2^62 a `<=`
+    # in place of `<` would still fit int64, so each guard's mutant instead
+    # drops the factor that keeps the first value past it out of int64
+    Mutant("int64/object cut at top == 2^62", COUNTING,
+           "np.int64 if top < INT64_SAFE else object", "np.int64 if top <= INT64_SAFE else object",
+           ("tests/test_counting.py::TestTupleReference::test_int64_cut_after_the_gcd",)),
+    Mutant("dominated_by guard ignores nu times den", COUNTING,
+           "if max(self._top * nu.den, nu._top * self.den) >= INT64_SAFE:",
+           "if self._top * nu.den >= INT64_SAFE:",
+           ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
+    Mutant("float_weights divides in floats up to 2^54", COUNTING,
+           "_FLOAT_EXACT = 1 << 53", "_FLOAT_EXACT = 1 << 54",
+           ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
+    Mutant("energy dot bound one mass short", COUNTING,
+           "square_top * mass * mass)", "square_top * mass)",
+           ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
+    Mutant("level-set guard ignores q", TRANSFERENCE,
+           "if max(2 * q * f._top, p * f.den) >= INT64_SAFE:",
+           "if max(2 * f._top, p * f.den) >= INT64_SAFE:",
+           ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
     # the one statement of the Bohr condition
     Mutant("Bohr scan <= -> <", TRANSFERENCE,
            "* q <= p * m).all(axis=1)", "* q < p * m).all(axis=1)",

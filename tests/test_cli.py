@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from io import StringIO
 from math import isqrt
@@ -588,6 +588,70 @@ class TestReport:
         code, _, _ = run(capsys, "report", "--set", str(out),
                          "--coeffs", "1,1,1,1,-5", "--eps", "1/5")
         assert code == 2
+
+
+PLAIN = (int, Fraction, float, bool, str, type(None))
+
+
+def plain_leaves(value, path="doc"):
+    """The paths of the leaves of `value` that are not plain Python values
+    (int, Fraction, float, bool, str or None, in dicts, lists and tuples),
+    such as numpy scalars; records are walked field by field."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in
+                ([f"{path} key {k!r}"] if type(k) is not str else [])
+                + plain_leaves(v, f"{path}.{k}")]
+    if isinstance(value, (list, tuple)):
+        return [p for i, v in enumerate(value) for p in plain_leaves(v, f"{path}[{i}]")]
+    if is_dataclass(value):
+        return [p for f in fields(value) for p in
+                plain_leaves(getattr(value, f.name), f"{path}.{f.name}")]
+    return [] if type(value) in PLAIN else [f"{path}: {type(value).__name__}"]
+
+
+class TestPlainOutput:
+    """No numpy scalar or array reaches a document or an exact field."""
+
+    GOLDEN = Path(__file__).resolve().parent / "golden"
+
+    @pytest.mark.parametrize("argv", [
+        ("report", "--set", "evens.txt", "--coeffs", "1,1,1,-1,-2", "--eps", "1/4"),
+        ("report", "--set", "et17_odd.txt", "--coeffs", "1,1,1,1,-4", "--eps", "1/5"),
+        ("report", "--set", "et11.txt", "--coeffs", "1,1,1,1,-4", "--eps", "1/5"),
+        ("model", "--set", "evens.txt", "--eps", "1/4"),
+        ("energy", "--set", "et11.txt"),
+        ("count", "--coeffs", "1,1,-2", "--sets", "et11.txt", "--oracle"),
+        ("count", "--coeffs", "1,1,1,-1,-2", "--sets", "et11.txt", "--distinct", "--oracle"),
+        ("count", "--coeffs", "1,2,-3", "--interval", "9", "--oracle"),
+    ])
+    def test_documents_hold_plain_values(self, argv, monkeypatch, capsys):
+        docs = []
+        real = cli_module._emit_json
+        monkeypatch.setattr(cli_module, "_emit_json",
+                            lambda doc, file=None: docs.append(doc) or real(doc, file))
+        argv = [str(self.GOLDEN / a) if a.endswith(".txt") else a for a in argv]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(docs) == 1 and plain_leaves(docs[0]) == []
+
+    @pytest.mark.parametrize("name, eps", [("evens.txt", Fraction(1, 4)),
+                                           ("et11.txt", Fraction(1, 5))])
+    def test_report_and_model_fields_are_plain(self, name, eps):
+        from sidonlab.counting import EquationCoeffs
+        from sidonlab.transference import transference_report
+        rep = transference_report(read_set_file(self.GOLDEN / name),
+                                  EquationCoeffs((1, 1, 1, -1, -2)), eps)
+        model = rep.model
+        exact = {f.name: getattr(rep, f.name) for f in fields(rep)
+                 if f.name not in ("eq", "model")}
+        # the model's sums and verdicts, read off its base
+        for name in ("mass", "square_sum", "l2_value", "mass_identity_holds",
+                     "containment_holds", "size_bound", "theorem_verdicts_hold",
+                     "fourier_distance", "sqrt_n", "n_padded", "scale"):
+            exact[f"model.{name}"] = getattr(model, name)
+        exact["model.bohr"] = model.bohr
+        exact["model.padded"] = model.padded.elements
+        assert plain_leaves(exact, "report") == []
 
 
 class TestIntegerDigitLimit:

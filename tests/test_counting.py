@@ -1,9 +1,11 @@
 """Exact solution counting: engine, inclusion-exclusion, oracle, bounds."""
 
 import collections
+import copy
 import functools
 import itertools
 import operator
+import pickle
 import sys
 import time
 from dataclasses import replace
@@ -20,6 +22,7 @@ import sidonlab.cli as cli_module
 import sidonlab.convolve as engine
 import sidonlab.counting as counting_module
 import sidonlab.sets as sets_module
+import sidonlab.transference as transference_module
 
 from sidonlab.counting import (
     EquationCoeffs,
@@ -32,6 +35,8 @@ from sidonlab.counting import (
 from sidonlab.convolve import convolve_many
 from sidonlab.errors import BudgetExceededError, ValidationError
 from sidonlab.sets import IntegerSet, erdos_turan, perturb_almost_sidon
+
+from reference_function import TupleFunction, level_set
 
 
 def interval(n):
@@ -134,9 +139,10 @@ class TestScaledFunction:
     def dominated_loop(f, nu):
         """|f| <= nu point by point over f's span, nu 0 outside its own."""
         shift = f.offset - nu.offset
-        for j, x in enumerate(f.nums):
+        nu_nums = nu.nums.tolist()  # Python ints: no product may wrap
+        for j, x in enumerate(f.nums.tolist()):
             k = j + shift
-            b = nu.nums[k] if 0 <= k < len(nu.nums) else 0
+            b = nu_nums[k] if 0 <= k < len(nu_nums) else 0
             if abs(x) * nu.den > b * f.den:
                 return False
         return True
@@ -193,14 +199,14 @@ class TestScaledFunction:
         g = ScaledFunction(-3, (2, 0, -1, 5), 3, 7)
         before = (repr(f), hash(f))
         calls = []
-        real = counting_module.convolve
-        monkeypatch.setattr(counting_module, "convolve",
-                            lambda a, b: calls.append(a) or real(a, b))
+        real = counting_module._product
+        monkeypatch.setattr(counting_module, "_product",
+                            lambda a, b, *tops: calls.append(a) or real(a, b, *tops))
         assert f.energy == f.energy and len(calls) == 1
         monkeypatch.undo()
         # sum over n of (g * g)(n)^2, from the pair sums of the numerators
         r = collections.Counter()
-        for (i, x), (j, y) in itertools.product(enumerate(g.nums), repeat=2):
+        for (i, x), (j, y) in itertools.product(enumerate(g.nums.tolist()), repeat=2):
             r[i + j] += x * y
         assert g.energy == Fraction(sum(v * v for v in r.values()), 3**4) == f.energy
         # the cached value is no field: equality, hashing and repr ignore it
@@ -211,10 +217,10 @@ class TestScaledFunction:
     def test_integerized(self):
         # rational weights are stored over their lcm, in lowest terms
         f = ScaledFunction.from_weights(0, (Fraction(1, 2), Fraction(2, 3)), 4)
-        assert f.den == 6 and f.nums == (3, 4)
+        assert f.den == 6 and tuple(f.nums.tolist()) == (3, 4)
         assert f.weights == (Fraction(1, 2), Fraction(2, 3))
         g = ScaledFunction(0, (4, 0, 6), 8)
-        assert g.nums == (2, 0, 3) and g.den == 4
+        assert tuple(g.nums.tolist()) == (2, 0, 3) and g.den == 4
         with pytest.raises(ValidationError):
             ScaledFunction(0, (1,), 0)
         with pytest.raises(TypeError):
@@ -226,7 +232,7 @@ class TestScaledFunction:
 
     def test_interval_past_the_span_cap_refused(self, monkeypatch):
         monkeypatch.setattr(sets_module, "MAX_POINTS", 4)
-        assert ScaledFunction.from_interval(2, 5, 5).nums == (1, 1, 1, 1)
+        assert tuple(ScaledFunction.from_interval(2, 5, 5).nums.tolist()) == (1, 1, 1, 1)
         with pytest.raises(ValidationError, match="too long to index"):
             ScaledFunction.from_interval(1, 5, 5)
 
@@ -522,7 +528,7 @@ class TestArrayFolds:
         acc = exact = None
         for nums, a in steps:
             f = ScaledFunction(0, tuple(nums))
-            if not f.nums:
+            if not len(f.nums):
                 continue
             step = counting_module._dilate(counting_module._as_fold(f), a)
             dense = [int(v) for v in step[0]]
@@ -1167,7 +1173,7 @@ def trimmed_points(offset, ws):
 
 def canonical(f):
     """Nonzero end numerators, or the zero function () at offset 0."""
-    return bool(f.nums[0] and f.nums[-1]) if f.nums else f.offset == 0
+    return bool(f.nums[0] and f.nums[-1]) if len(f.nums) else f.offset == 0
 
 
 class TestRepresentationProperties:
@@ -1232,7 +1238,7 @@ class TestRepresentationProperties:
         ends = ScaledFunction(g.offset, tuple(
             -x if j in (0, len(g.nums) - 1) else 0 for j, x in enumerate(g.nums)),
             g.den, 4)
-        padded = tuple(pad) + f.nums + tuple(pad)
+        padded = tuple(pad) + tuple(f.nums.tolist()) + tuple(pad)
         results = [f, g, f + g, g + ends, f + f.scaled_by(-1), f.scaled_by(0),
                    g.scaled_by(0), replace(f, nums=padded),
                    replace(g, offset=g.offset + shift), replace(f, den=2 * den)]
@@ -1245,3 +1251,198 @@ class TestRepresentationProperties:
         got = function(0, ws).float_weights()
         want = np.array([float(w) for w in trimmed_points(0, ws)[1]], dtype=float)
         assert got.tobytes() == want.tobytes()
+
+
+# --- the array representation against the tuple reference ------------------
+
+# magnitudes on both sides of INT64_SAFE = 2^62 and of int64 itself
+EDGES = [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**64, 2**70]
+numerators = st.one_of(
+    st.integers(-9, 9), st.integers(-2**40, 2**40), st.integers(-2**70, 2**70),
+    st.sampled_from(EDGES).flatmap(lambda b: st.sampled_from([b, -b])))
+dens = st.one_of(st.integers(1, 12), st.integers(1, 2**60),
+                 st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**60]))
+# small offsets, and offsets about and past +-2^63
+bases = st.one_of(st.just(0), st.sampled_from([2**63 - 3, -2**63 - 2, 2**70]))
+
+
+@st.composite
+def raw_functions(draw, base=None):
+    """(offset, nums, den): empty, all-zero or zero-padded numerators too,
+    at an offset near `base` (drawn when None)."""
+    if base is None:
+        base = draw(bases)
+    core = draw(st.one_of(st.lists(numerators, max_size=8),
+                          st.lists(st.just(0), max_size=4)))
+    pad = [0] * draw(st.integers(0, 2)), [0] * draw(st.integers(0, 2))
+    return (base + draw(st.integers(-6, 6)), pad[0] + core + pad[1], draw(dens))
+
+
+def reference_of(f):
+    return TupleFunction(f.offset, tuple(f.nums.tolist()), f.den, f.ambient_n)
+
+
+def stored(f):
+    """What a function holds, in Python ints, and its reference's."""
+    if isinstance(f, TupleFunction):
+        return f.offset, f.nums, f.den, f.ambient_n
+    return f.offset, tuple(f.nums.tolist()), f.den, f.ambient_n
+
+
+def check_form(f):
+    """int64 exactly below INT64_SAFE, read-only, and the kept bounds."""
+    values = f.nums.tolist()
+    top = max(map(abs, values), default=0)
+    assert (f.nums.dtype == np.int64) == (top < counting_module.INT64_SAFE)
+    assert f.nums.dtype in (np.int64, object) and f.nums.ndim == 1
+    assert all(type(x) is int for x in values)
+    assert (f._top, f._mass) == (top, sum(map(abs, values)))
+    if values:
+        with pytest.raises(ValueError, match="read-only"):
+            f.nums[0] = 1
+
+
+class TestTupleReference:
+    """Each operation on the array against reference_function.TupleFunction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_functions(), st.sampled_from([1, 5, 2**64]))
+    def test_construction_and_readers(self, raw, ambient_n):
+        offset, nums, den = raw
+        f, ref = ScaledFunction(offset, nums, den, ambient_n), \
+            TupleFunction(offset, nums, den, ambient_n)
+        assert stored(f) == stored(ref)
+        check_form(f)
+        # the same function from an array, a tuple and an object array
+        assert f == ScaledFunction(offset, np.array(nums, dtype=object), den, ambient_n)
+        if all(abs(x) < 2**63 for x in nums):
+            assert f == ScaledFunction(offset, np.array(nums, dtype=np.int64), den,
+                                       ambient_n)
+            # past 128 entries an int64 array is trimmed and measured by numpy
+            long = np.array([0] * 130 + nums + [0] * 130, dtype=np.int64)
+            g = ScaledFunction(offset - 130, long, den, ambient_n)
+            assert stored(g) == stored(ref)
+            check_form(g)
+        assert f.weights == ref.weights and type(f.weights) is tuple
+        assert f.support() == ref.support()
+        assert all(type(x) is int for x in f.support())
+        assert f.mass() == ref.mass()
+        assert f.l2_weights() == ref.l2_weights()
+        assert f.energy == ref.energy()
+        assert f.float_weights().tobytes() == ref.float_weights().tobytes()
+        assert repr(f) == repr(ref).replace("TupleFunction", "ScaledFunction")
+        assert hash(f) == hash(ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_functions(), st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        st.builds(Fraction, numerators, dens)))
+    def test_scaled_by(self, raw, q):
+        f = ScaledFunction(*raw, 7)
+        got = f.scaled_by(q)
+        assert stored(got) == stored(TupleFunction(*raw, 7).scaled_by(q))
+        check_form(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), bases)
+    def test_add_and_dominated_by(self, data, base):
+        # two functions on spans near one base offset
+        (fa, ra), (fb, rb) = [
+            (ScaledFunction(*raw, 9), TupleFunction(*raw, 9))
+            for raw in (data.draw(raw_functions(base)), data.draw(raw_functions(base)))]
+        total = fa + fb
+        assert stored(total) == stored(ra + rb)
+        check_form(total)
+        assert fa.dominated_by(fb) == ra.dominated_by(rb)
+        assert fb.dominated_by(fa) == rb.dominated_by(ra)
+        assert (fa == fb) == (ra == rb) and (fa != fb) == (ra != rb)
+        if fa == fb:
+            assert hash(fa) == hash(fb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_functions(), st.lists(st.integers(-3, 3), max_size=8), st.integers(1, 2**44))
+    def test_dominated_by_a_fraction_of_nu(self, raw, cs, k):
+        # f = (c_j / k) nu with |c_j| <= k, so |f| <= nu wherever nu >= 0,
+        # up to the equality c_j = +-k; the spans nest
+        offset, nums, den = raw
+        nu = ScaledFunction(offset, [abs(x) for x in nums], den, 9)
+        values = nu.nums.tolist()
+        cs = [k * c // 3 for c in cs[:len(values)]] + [k] * (len(values) - len(cs))
+        f = ScaledFunction(nu.offset, [c * x for c, x in zip(cs, values)], nu.den * k, 9)
+        assert f.dominated_by(nu) == reference_of(f).dominated_by(reference_of(nu))
+        assert f.dominated_by(nu)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_functions(), st.integers(1, 2**60), st.integers(1, 2**60))
+    def test_level_set(self, raw, p, q):
+        p, q = sorted((p, q))  # delta = p/q in (0, 1]
+        delta = Fraction(p, q)
+        offset, nums, den = raw
+        ambient_n = 2**64 + 1
+        got = transference_module._level_set(ScaledFunction(offset, nums, den, ambient_n),
+                                              delta)
+        want = level_set(TupleFunction(offset, nums, den, ambient_n), delta)
+        assert (got.level_set, got.hyp_mass_ok, got.hyp_l2_ok) == want
+        assert all(type(x) is int for x in got.level_set)
+
+    def test_zero_summand_spans_nothing(self):
+        # the zero function sits at offset 0: a sum with it must not span
+        # [0, 2^63), which no memory holds
+        far = ScaledFunction(2**63 - 3, (1,), 1, 4)
+        assert ScaledFunction(0, (), 1, 4) + far == far == far + ScaledFunction(5, (0,), 1, 4)
+
+    def test_floats_refused(self):
+        for nums in ((1.0,), [1, 2.5], np.array([0.5, 1.0]), (np.float64(2.0),)):
+            with pytest.raises(TypeError):
+                ScaledFunction(0, nums)
+
+    def test_made_functions_are_read_only(self):
+        s_set = IntegerSet((1, 3, 4), 5)
+        model = transference_module.dense_model(
+            IntegerSet(tuple(range(2, 65, 2)), 64), Fraction(1, 4))
+        for f in (ScaledFunction.from_set(s_set), ScaledFunction.from_interval(1, 4, 4),
+                  model.bohr.measure(), model.base, model.majorant_base, model.model_f,
+                  ScaledFunction.from_set(s_set).scaled_by(Fraction(2, 3)),
+                  ScaledFunction.from_set(s_set) + ScaledFunction.from_interval(2, 6, 5)):
+            check_form(f)
+            assert stored(f) == stored(reference_of(f))
+
+    @pytest.mark.parametrize("nums", [(0, 4, -6), (2**70, 3)])
+    def test_copies_stay_read_only(self, nums):
+        f = ScaledFunction(5, nums, 2, 9)
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and stored(g) == stored(f)
+            check_form(g)
+
+    def test_caller_array_is_copied(self):
+        nums = np.array([0, 4, 6, 0], dtype=np.int64)
+        f = ScaledFunction(0, nums, 2)
+        nums[1] = 100
+        assert stored(f) == (1, (2, 3), 1, 1) and nums.flags.writeable
+
+    @pytest.mark.parametrize("nums, den, kind", [
+        ((2**62 - 1,), 1, "i"), ((2**62,), 1, "O"), ((-2**62,), 1, "O"),
+        ((2**62, 2**62 + 2), 2, "i"), ((2**63 + 2, 2), 2, "O"), ((2**70, 0, 2**70), 2**70, "i"),
+    ])
+    def test_int64_cut_after_the_gcd(self, nums, den, kind):
+        f = ScaledFunction(0, nums, den)
+        assert f.nums.dtype.kind == kind
+        check_form(f)
+
+    def test_guards_at_the_first_value_past_them(self):
+        # each int64 route next to a value that would wrap or round in it
+        nu = ScaledFunction(0, (2**30, 2**30), 1, 5)
+        small = ScaledFunction(0, (1, 1), 2**40, 5)  # nu's values times 2^40 pass 2^63
+        assert small.dominated_by(nu) and not nu.dominated_by(small)
+        # 2^53 + 1 rounds to 2^53 as a double: x / 3 must divide the int
+        odd = ScaledFunction(0, (2**53 + 1, 1), 3)
+        assert odd.float_weights().tolist() == [(2**53 + 1) / 3, 1 / 3]
+        # c 1_[1, n]: entries of the square below 2^35, its sum of squares
+        # (2n^3 + n) c^4 / 3 past 2^77
+        n, c = 2**10, 2**12
+        flat = ScaledFunction(1, (c,) * n, 1, n)
+        assert flat.energy == (2 * n**3 + n) * c**4 // 3
+        # 2q x = 2^71 for delta = 1/2^40 and x = 2^30
+        level = transference_module._level_set(ScaledFunction(0, (2**30, 1), 1, 4),
+                                                Fraction(1, 2**40))
+        assert level.level_set == (0, 1)

@@ -42,7 +42,7 @@ def one_dimensional_dft(f: ScaledFunction, m: int):
     inverse FFT, as dft_values computed it before it became the one-row case
     of the stacked transform."""
     arr = np.zeros(m, dtype=complex)
-    if not f.nums:
+    if not len(f.nums):
         return arr
     w = f.float_weights()
     start = f.offset % m

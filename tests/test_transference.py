@@ -874,7 +874,7 @@ class TestCollapsedModel:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Calls of each spied name, as seen from the transference module."""
-        seen = dict.fromkeys(("count_solutions", "dft_values", "convolve"), 0)
+        seen = dict.fromkeys(("count_solutions", "dft_values", "_product"), 0)
         for name in seen:
             real = getattr(transference_module, name)
 
@@ -890,7 +890,7 @@ class TestCollapsedModel:
         (evens(64), Fraction(1, 4), (1, 1, 1, -1, -2), 17, (2, 2, 1)),
     ])
     def test_work_per_report(self, calls, s_set, eps, coeffs, size, want):
-        # dft_values and convolve are called in the dense model alone
+        # dft_values and _product are called in the dense model alone
         rep = transference_report(s_set, EquationCoeffs(coeffs), eps)
         assert rep.model.bohr.size == size
         assert tuple(calls.values()) == want
