@@ -63,10 +63,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import repeat
 from math import gcd, lcm, prod
 from numbers import Rational
-from operator import index, le, mul
+from operator import index
 
 import numpy as np
 
@@ -129,33 +128,17 @@ def _from_ints(offset: int, ints: list[int], den: int):
     return offset + lo, nums, den, top, sum(absolute)
 
 
-def _from_array(offset: int, x: np.ndarray, den: int):
-    """`_from_ints` of an integer array, which is not kept: past 128 entries
-    below INT64_SAFE by numpy reductions, which beat the builtins from about
-    a hundred entries, else over Python ints."""
-    if len(x) <= 128 or max(int(x.max()), -int(x.min())) >= INT64_SAFE:
-        return _from_ints(offset, x.tolist(), den)
-    nonzero = np.flatnonzero(x)
-    if not len(nonzero):
-        return 0, _EMPTY, 1, 0, 0
-    lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
-    x = x[lo:hi].astype(np.int64)
-    g = gcd(den, int(np.gcd.reduce(x))) if den > 1 else 1
-    if g > 1:
-        x, den = x // g, den // g
-    absolute = np.abs(x)
-    top = int(absolute.max())
-    mass = int(absolute.sum()) if top * len(x) < INT64_SAFE else sum(absolute.tolist())
-    return offset + lo, x, den, top, mass
+def _exact(x: np.ndarray, bound: int) -> np.ndarray:
+    """x for an expression whose every value, partial sum and product is at
+    most `bound` in magnitude: itself while the bound is below INT64_SAFE,
+    else as an object array of Python ints, where nothing wraps."""
+    return x if bound < INT64_SAFE else x.astype(object, copy=False)
 
 
 def _square_sum(x: np.ndarray, bound: int) -> int:
-    """sum x^2, in int64 when `bound`, at least every partial sum, is below
-    INT64_SAFE, else over Python ints."""
-    if bound < INT64_SAFE:
-        return int(x @ x)
-    xs = x.tolist()
-    return sum(map(mul, xs, xs))
+    """sum x^2, for a bound on every partial sum."""
+    x = _exact(x, bound)
+    return int(np.dot(x, x))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -171,8 +154,8 @@ class ScaledFunction:
 
     nums is one read-only array: int64 exactly when every |nums[j]| is
     below INT64_SAFE, else an object array of Python ints.  The constructor
-    takes any sequence of integers (or an integer array), copies it and
-    measures it once: `_top` = max|nums| and `_mass` = sum|nums| are kept
+    takes any sequence of integers (or an integer array), reads it as
+    Python ints and measures it once: `_top` = max|nums| and `_mass` = sum|nums| are kept
     beside it, 0 for the zero function, for the exactness guards of this
     package (counting's folds, the int64 sums and comparisons).  Equality,
     hashing and repr read nums as a tuple of ints.
@@ -187,10 +170,10 @@ class ScaledFunction:
         den, offset, ambient_n = index(den), index(offset), index(ambient_n)
         _check_positive(den, ambient_n)
         if isinstance(nums, np.ndarray) and nums.dtype.kind == "i":
-            stored = _from_array(offset, nums, den)
+            ints = nums.tolist()
         else:
-            stored = _from_ints(offset, list(map(index, nums)), den)
-        _settle(self, ambient_n, *stored)
+            ints = list(map(index, nums))
+        _settle(self, ambient_n, *_from_ints(offset, ints, den))
 
     @classmethod
     def _of(cls, offset: int, nums: np.ndarray, den: int, ambient_n: int, top: int,
@@ -263,9 +246,7 @@ class ScaledFunction:
 
     def mass(self) -> Fraction:
         """Sum of the weights."""
-        x = self.nums
-        return Fraction(int(x.sum()) if self._mass < INT64_SAFE else sum(x.tolist()),
-                        self.den)
+        return Fraction(int(_exact(self.nums, self._mass).sum()), self.den)
 
     @cached_property
     def energy(self) -> Fraction:
@@ -296,9 +277,7 @@ class ScaledFunction:
         g_d = gcd(d, *self.nums.tolist()) if d > 1 else 1
         factor = abs(p // g_p)
         top, mass = self._top // g_d * factor, self._mass // g_d * factor
-        x = self.nums
-        if top >= INT64_SAFE:
-            x = x.astype(object)
+        x = _exact(self.nums, top)
         if g_d > 1:
             x = x // g_d
         x = x * (p // g_p)
@@ -324,9 +303,8 @@ class ScaledFunction:
         return ScaledFunction(lo, out, den, self.ambient_n)
 
     def dominated_by(self, nu: "ScaledFunction") -> bool:
-        """Exact pointwise check |self| <= nu (same ambient required): in
-        int64 while both sides of |x| nu.den <= y den stay below INT64_SAFE,
-        else over Python ints."""
+        """Exact pointwise check |self| <= nu (same ambient required), as
+        |x| nu.den <= y den."""
         if nu.ambient_n != self.ambient_n:
             raise ValidationError("majorant must live on the same ambient")
         x, shift = self.nums, self.offset - nu.offset
@@ -335,11 +313,28 @@ class ScaledFunction:
         # self's end values are nonzero, so its span must lie inside nu's
         if not 0 <= shift <= len(nu.nums) - len(x):
             return False
-        y = nu.nums[shift:shift + len(x)]
-        if max(self._top * nu.den, nu._top * self.den) >= INT64_SAFE:
-            return all(map(le, map(mul, map(abs, x.tolist()), repeat(nu.den)),
-                           map(mul, y.tolist(), repeat(self.den))))
+        bound = max(self._top * nu.den, nu._top * self.den)
+        x, y = _exact(x, bound), _exact(nu.nums[shift:shift + len(x)], bound)
         return bool((np.abs(x) * nu.den <= y * self.den).all())
+
+    def at_least(self, t) -> list[int]:
+        """The points whose weight is at least t > 0, in order: x / den >=
+        a / b for t = a / b, in integers b x >= a den."""
+        t = Fraction(t)
+        if t <= 0:
+            raise ValidationError(f"need a positive level, got {t}")
+        if not len(self.nums):
+            return []
+        a, b = t.numerator, t.denominator
+        x = _exact(self.nums, max(b * self._top, a * self.den))
+        return [self.offset + j for j in np.flatnonzero(b * x >= a * self.den).tolist()]
+
+    def times(self, rs: np.ndarray, d: int) -> "ScaledFunction":
+        """The function whose weight at offset + j is rs[j] / d times this
+        one's, for an integer array rs as long as nums."""
+        bound = self._top * int(np.abs(rs).max(initial=0))
+        return ScaledFunction(self.offset, rs * _exact(self.nums, bound), d * self.den,
+                              self.ambient_n)
 
     def float_weights(self) -> np.ndarray:
         """float(weights[j]), correctly rounded: int64 numerators over den
@@ -462,9 +457,8 @@ def _dot_at_zero(left, right, a: int = 1, b: int = 1) -> int:
     # right's indices at t = lo and t = hi, a step of -a apart
     i, j = -a * lo - right_off, -a * hi - right_off
     ys = right[i:j + 1:-a] if a < 0 else right[j:i + 1:a][::-1]
-    if (hi - lo + 1) * left_top * right_top < INT64_SAFE:
-        return int(np.dot(xs, ys))
-    return int(np.dot(xs.astype(object, copy=False), ys.astype(object, copy=False)))
+    bound = (hi - lo + 1) * left_top * right_top
+    return int(np.dot(_exact(xs, bound), _exact(ys, bound)))
 
 
 def _coefficient_groups(coeffs, folds) -> list[tuple[int, list[list]]]:

@@ -27,7 +27,6 @@ from .counting import (
 )
 from .errors import ValidationError
 from .sets import (
-    INT64_SAFE,
     IntegerSet,
     erdos_turan,
     mian_chowla,
@@ -211,12 +210,10 @@ def suite_counting_bound(seed: int, trials: int = 50):
     for t in range(trials):
         nu = majorants[int(rng.integers(0, len(majorants)))]
         eq = _random_coeffs(rng, 5)
-        # |r nu| <= 8 max nu: in int64 while that stays below INT64_SAFE
-        nums = nu.nums if 8 * nu._top < INT64_SAFE else nu.nums.astype(object)
         fns = []
         for _ in range(5):
-            rs = rng.integers(-8, 9, size=len(nums))  # weight r/8 * nu
-            fns.append(ScaledFunction(nu.offset, rs * nums, 8 * nu.den, nu.ambient_n))
+            rs = rng.integers(-8, 9, size=len(nu.nums))  # weight r/8 * nu
+            fns.append(nu.times(rs, 8))
         v = verify_counting_bound(nu, fns, eq)
         yield None if v.holds and v.premise_mass_ok and v.premise_energy_ok else (
             f"trial {t}: eq {eq.coeffs} lhs {v.lhs_abs:.6g} "

@@ -377,13 +377,7 @@ def _level_set(f: ScaledFunction, delta: Fraction) -> LevelSetResult:
     n = f.ambient_n
     hyp_mass = f.mass() >= delta * n
     hyp_l2 = f.l2_weights() <= n
-    # x / den >= delta / 2 = p / 2q in integers: p den <= 2q x, in int64
-    # while both sides stay below INT64_SAFE
-    p, q = delta.numerator, delta.denominator
-    x = f.nums
-    if max(2 * q * f._top, p * f.den) >= INT64_SAFE:
-        x = x.astype(object)
-    level = tuple(f.offset + j for j in np.flatnonzero(2 * q * x >= p * f.den).tolist())
+    level = tuple(f.at_least(delta / 2))
     lhs = 4 * len(level)
     rhs = delta * delta * n
     ok = (lhs >= rhs) if (hyp_mass and hyp_l2) else None

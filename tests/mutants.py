@@ -65,10 +65,11 @@ MUTANTS = [
            "if bound < _INT64_SAFE:", "if bound <= _INT64_SAFE:",
            ("tests/test_convolve.py::test_int64_overflow_edge",
             "tests/test_convolve.py::test_pairs_int64_guard")),
-    # a counting dot is summed in int64 only strictly below 2^62, and a
-    # product carries its whole bound as its maximum, from measured masses
-    Mutant("int64 dot at bound == 2^62", COUNTING,
-           "* right_top < INT64_SAFE:", "* right_top <= INT64_SAFE:",
+    # an expression on numerators (a counting dot among them) runs in int64
+    # only while its bound is strictly below 2^62, and a product carries its
+    # whole bound as its maximum, from measured masses
+    Mutant("int64 expressions at bound == 2^62", COUNTING,
+           "return x if bound < INT64_SAFE else", "return x if bound <= INT64_SAFE else",
            ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
     Mutant("carried fold maximum one low", COUNTING,
            "max_a * mass_b, max_b * mass_a)", "max_a * mass_b, max_b * mass_a) - 1",
@@ -84,8 +85,8 @@ MUTANTS = [
            "np.int64 if top < INT64_SAFE else object", "np.int64 if top <= INT64_SAFE else object",
            ("tests/test_counting.py::TestTupleReference::test_int64_cut_after_the_gcd",)),
     Mutant("dominated_by guard ignores nu times den", COUNTING,
-           "if max(self._top * nu.den, nu._top * self.den) >= INT64_SAFE:",
-           "if self._top * nu.den >= INT64_SAFE:",
+           "bound = max(self._top * nu.den, nu._top * self.den)",
+           "bound = self._top * nu.den",
            ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
     Mutant("float_weights divides in floats up to 2^54", COUNTING,
            "_FLOAT_EXACT = 1 << 53", "_FLOAT_EXACT = 1 << 54",
@@ -93,9 +94,11 @@ MUTANTS = [
     Mutant("energy dot bound one mass short", COUNTING,
            "square_top * mass * mass)", "square_top * mass)",
            ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
-    Mutant("level-set guard ignores q", TRANSFERENCE,
-           "if max(2 * q * f._top, p * f.den) >= INT64_SAFE:",
-           "if max(2 * f._top, p * f.den) >= INT64_SAFE:",
+    Mutant("level-set guard ignores the level's denominator", COUNTING,
+           "max(b * self._top, a * self.den)", "max(self._top, a * self.den)",
+           ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
+    Mutant("times guard ignores the multipliers", COUNTING,
+           "bound = self._top * int(np.abs(rs).max(initial=0))", "bound = self._top",
            ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
     # the one statement of the Bohr condition
     Mutant("Bohr scan <= -> <", TRANSFERENCE,

@@ -100,6 +100,14 @@ class TupleFunction:
         return all(map(le, map(mul, map(abs, self.nums), repeat(nu.den)),
                        map(mul, nu.nums[shift:], repeat(self.den))))
 
+    def at_least(self, t) -> list[int]:
+        t = Fraction(t)
+        return [self.offset + j for j, x in enumerate(self.nums) if Fraction(x, self.den) >= t]
+
+    def times(self, rs, d: int) -> "TupleFunction":
+        return TupleFunction(self.offset, tuple(map(mul, rs, self.nums)), d * self.den,
+                             self.ambient_n)
+
     def float_weights(self) -> np.ndarray:
         if self.den == 1:
             return np.array(self.nums, dtype=float)

@@ -1318,7 +1318,7 @@ class TestTupleReference:
         if all(abs(x) < 2**63 for x in nums):
             assert f == ScaledFunction(offset, np.array(nums, dtype=np.int64), den,
                                        ambient_n)
-            # past 128 entries an int64 array is trimmed and measured by numpy
+            # a long zero-padded int64 array
             long = np.array([0] * 130 + nums + [0] * 130, dtype=np.int64)
             g = ScaledFunction(offset - 130, long, den, ambient_n)
             assert stored(g) == stored(ref)
@@ -1385,6 +1385,31 @@ class TestTupleReference:
         assert (got.level_set, got.hyp_mass_ok, got.hyp_l2_ok) == want
         assert all(type(x) is int for x in got.level_set)
 
+    @settings(max_examples=300, deadline=None)
+    @given(raw_functions(), st.builds(Fraction, numerators, dens).map(abs).filter(bool),
+           st.data())
+    def test_at_least_and_times(self, raw, t, data):
+        f, ref = ScaledFunction(*raw, 7), TupleFunction(*raw, 7)
+        got = f.at_least(t)
+        assert got == ref.at_least(t) and all(type(x) is int for x in got)
+        # int64 multipliers, or an object array of them up to 2^70
+        rs = data.draw(st.one_of(
+            st.lists(st.integers(-2**40, 2**40), min_size=len(f.nums),
+                     max_size=len(f.nums)).map(lambda r: np.array(r, dtype=np.int64)),
+            st.lists(numerators, min_size=len(f.nums),
+                     max_size=len(f.nums)).map(lambda r: np.array(r, dtype=object))))
+        d = data.draw(st.sampled_from([1, 8, 2**61]))
+        product = f.times(rs, d)
+        assert stored(product) == stored(ref.times(rs.tolist(), d))
+        check_form(product)
+
+    def test_level_must_be_positive(self):
+        f = ScaledFunction(2, (1, 3), 2)
+        assert f.at_least(1) == [3]
+        for t in (0, Fraction(-1, 2)):
+            with pytest.raises(ValidationError, match="positive level"):
+                f.at_least(t)
+
     def test_zero_summand_spans_nothing(self):
         # the zero function sits at offset 0: a sum with it must not span
         # [0, 2^63), which no memory holds
@@ -1446,3 +1471,10 @@ class TestTupleReference:
         level = transference_module._level_set(ScaledFunction(0, (2**30, 1), 1, 4),
                                                 Fraction(1, 2**40))
         assert level.level_set == (0, 1)
+        # the zero function's level set is empty however fine the level:
+        # 2q = 2^64 is past int64
+        zero = ScaledFunction(0, (), 1, 4)
+        assert transference_module.verify_l2_reduction(zero, Fraction(1, 2**63)).level_set == ()
+        assert zero.at_least(Fraction(1, 2**64)) == []
+        # r x = 2^70 for r = 2^40 and x = 2^30
+        assert nu.times(np.array([2**40, -1]), 8).weights == (2**67, Fraction(-2**30, 8))
