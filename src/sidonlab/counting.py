@@ -154,10 +154,10 @@ class ScaledFunction:
 
     nums is one read-only array: int64 exactly when every |nums[j]| is
     below INT64_SAFE, else an object array of Python ints.  The constructor
-    takes any sequence of integers (or an integer array), reads it as
-    Python ints and measures it once: `_top` = max|nums| and `_mass` = sum|nums| are kept
-    beside it, 0 for the zero function, for the exactness guards of this
-    package (counting's folds, the int64 sums and comparisons).  Equality,
+    takes any sequence of integers (or an integer array), reads it as Python
+    ints and measures it once: `_top` = max|nums| and `_mass` = sum|nums|
+    are kept beside it, 0 for the zero function, for the exactness guards
+    of this module (the folds, the int64 sums and comparisons).  Equality,
     hashing and repr read nums as a tuple of ints.
     """
 
