@@ -6,12 +6,13 @@ past int64 (an input whose maximum is below INT64_SAFE must be int64).  A
 maximum may be any upper bound on the entries, since every route below
 needs only |x| <= max|x| to stay exact.  The engine returns an int64
 array, or an object array of Python ints when the Kronecker route runs on
-a coefficient bound at or past INT64_SAFE.  Every product of the library
-calls it directly on numerator arrays: counting's folds, which carry each
-product's bound forward as its maximum, a function's energy and the dense
-model's g.  The public `convolve` is a thin adapter over it, which no
-library path calls: sequences in, their maxima measured once, a list of
-Python ints out.
+a coefficient bound at or past INT64_SAFE.  Its one library caller is
+`counting._fold_step`, which carries each product's bound forward as its
+maximum; every product of the library goes through it: the counts' folds,
+a function's energy and `ScaledFunction.convolved`, the dense model's g.
+The public `convolve` is a thin adapter over the engine, which no library
+path calls: sequences in, their maxima measured once, a list of Python
+ints out.
 
 Four routes, all exact:
 
@@ -83,7 +84,7 @@ from math import expm1, log1p, sqrt
 import numpy as np
 
 from .errors import ValidationError
-from .sets import BLOCK_PAIRS, INT64_SAFE as _INT64_SAFE
+from .sets import BLOCK_PAIRS, INT64_SAFE as _INT64_SAFE, exact_dtype
 
 # np.convolve/FFT crossover in multiply-adds per output slot,
 # len(a) len(b) / (len(a) + len(b) - 1), measured on 6-bit inputs from
@@ -109,34 +110,21 @@ _PERCIVAL = [expm1(3 * n * log1p(_EPS) + (3 * n + 1) * log1p(_EPS * sqrt(5))
                    + 3 * n * log1p(BETA)) for n in range(64)]
 
 
-def _max_abs(seq) -> int:
-    """max|x| over a sequence of ints or an array, as a Python int."""
-    if isinstance(seq, np.ndarray):
-        return max(int(seq.max()), -int(seq.min()))
-    return max(max(seq), -min(seq))
-
-
 def _array(seq: Sequence[int]) -> tuple[np.ndarray, int]:
     """A nonempty sequence as the engine's input: an int64 array, or an
     object array of Python ints when an entry is outside int64, and its
-    max|entry|."""
+    max|entry| as a Python int."""
     try:
         x = np.asarray(seq, dtype=np.int64)
     except OverflowError:
         x = np.array(seq, dtype=object)
-    # numpy reductions beat the builtins from about a hundred entries
-    return x, _max_abs(x if len(x) > 128 else seq)
+    return x, max(int(x.max()), -int(x.min()))
 
 
 def product_bound(len_a: int, max_a: int, len_b: int, max_b: int) -> int:
     """min(len a, len b) * max|a| * max|b|: no partial sum of an output slot
     exceeds it, in whatever order its products are added."""
     return min(len_a, len_b) * max_a * max_b
-
-
-def _coeff_bound(a, b) -> int:
-    """`product_bound` of two sequences."""
-    return product_bound(len(a), _max_abs(a), len(b), _max_abs(b))
 
 
 def _pack(seq: Sequence[int], nbytes: int) -> int:
@@ -248,7 +236,7 @@ def _product(xa: np.ndarray, xb: np.ndarray, max_a: int, max_b: int) -> np.ndarr
             return _fft(xa, xb, *plan)
     a = xa.tolist()
     out = _kronecker(a, a if xb is xa else xb.tolist(), bound)
-    return np.array(out, dtype=np.int64 if bound < _INT64_SAFE else object)
+    return np.array(out, dtype=exact_dtype(bound))
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

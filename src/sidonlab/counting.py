@@ -5,17 +5,18 @@ common denominator, held as one read-only int64 array (an object array of
 Python ints past INT64_SAFE) with its maximum and mass sum|x| measured
 once, when it is made.  A sqrt(N) factor, as in the dense model, is an
 integer once the ambient is a perfect square and lives in the numerators
-like any other rational weight.  Its sums, energy, scaling, sums with
-other functions, comparisons and float weights run on that array: in
-int64 while a bound from the maximum and mass keeps them below
-INT64_SAFE, else over Python ints.  The fast path divides the coefficients
-by their gcd and groups the variables by coefficient.  Dilation commutes
-with convolution, dil_a(f) * dil_a(g) = dil_a(f * g), so with at most two
-groups each group's functions are convolved undilated, a function
-repeated k times raised to the k-th power by repeated squaring, and the
-count is one strided dot of the two group products P and Q: sum over t of
-P(b t) Q(-a t), the solutions of a x + b y = 0 for coprime a and b.  This
-plan is taken when every group product's coefficient bound, computed from
+like any other rational weight.  Its sums, energy, scaling, sums and
+convolutions with other functions, comparisons and float weights run on
+that array: in int64 while a bound from the maximum and mass keeps them
+below INT64_SAFE, else over Python ints; `sets.exact_dtype` picks the
+dtype of each array made from such a bound.  The fast path divides the
+coefficients by their gcd and groups the variables by coefficient.
+Dilation commutes with convolution, dil_a(f) * dil_a(g) = dil_a(f * g), so
+with at most two groups each group's functions are convolved undilated, a
+function repeated k times raised to the k-th power by repeated squaring,
+and the count is one strided dot of the two group products P and Q: sum
+over t of P(b t) Q(-a t), the solutions of a x + b y = 0 for coprime a and
+b.  This plan is taken when every group product's coefficient bound, computed from
 lengths and maxima before any convolution, stays below INT64_SAFE.
 Otherwise (three or more groups, or a wider product) the numerators of
 each input are dilated onto the lattice m = a_i * x_i, the first ceil(s/2)
@@ -29,7 +30,9 @@ values are an int64 array whenever top is below INT64_SAFE, and past it
 may be an object array of Python ints (numerators outside int64,
 Kronecker's products).  A function's fold is its own array, maximum and
 mass, with no conversion and no scan; a dilation writes the values strided
-into zeros and keeps both; a product comes from `convolve._product`, the
+into zeros and keeps both; a product is `_fold_step`, the one product of
+the library (the counts, `ScaledFunction.energy` and
+`ScaledFunction.convolved` call it), which calls `convolve._product`, the
 exact engine below the public list adapter, and carries as its top the
 least of the coefficient bound min(len) top top and top mass, taken
 either way round, and as its mass the product of the masses, so no
@@ -69,9 +72,9 @@ from operator import index
 
 import numpy as np
 
-from .convolve import _array, _product, product_bound
+from .convolve import _product, product_bound
 from .errors import BudgetExceededError, ValidationError
-from .sets import INT64_SAFE, IntegerSet, check_span, zero_one
+from .sets import INT64_SAFE, IntegerSet, check_span, exact_dtype, zero_one
 
 DEFAULT_BRUTE_BUDGET = 10**9
 MAX_DISTINCT_VARS = 12
@@ -124,7 +127,7 @@ def _from_ints(offset: int, ints: list[int], den: int):
         ints, den = [x // g for x in ints], den // g
     absolute = list(map(abs, ints))
     top = max(absolute)
-    nums = np.array(ints, dtype=np.int64 if top < INT64_SAFE else object)
+    nums = np.array(ints, dtype=exact_dtype(top))
     return offset + lo, nums, den, top, sum(absolute)
 
 
@@ -252,15 +255,13 @@ class ScaledFunction:
     def energy(self) -> Fraction:
         """The additive energy E(f) of the weights, exactly, computed once
         per function: sum over n of (f * f)(n)^2, the solutions of
-        x1 + x2 = x3 + x4, from the square of the numerators over den^4.
-        Each square entry is at most min(len top^2, top mass) and the
-        square's mass is mass^2, which bound the sum of squares."""
-        x, top, mass = self.nums, self._top, self._mass
-        if not len(x):
+        x1 + x2 = x3 + x4, from the square of the numerators over den^4,
+        summed under the top and mass that the square carries."""
+        if not len(self.nums):
             return Fraction(0)
-        square = _product(x, x, top, top)
-        square_top = min(len(x) * top * top, top * mass)
-        return Fraction(_square_sum(square, square_top * mass * mass), self.den**4)
+        fold = _as_fold(self)
+        square, _, top, mass = _fold_step(fold, fold)
+        return Fraction(_square_sum(square, top * mass), self.den**4)
 
     def l2_weights(self) -> Fraction:
         return Fraction(_square_sum(self.nums, self._top * self._mass), self.den * self.den)
@@ -280,9 +281,7 @@ class ScaledFunction:
         x = _exact(self.nums, top)
         if g_d > 1:
             x = x // g_d
-        x = x * (p // g_p)
-        if top < INT64_SAFE:
-            x = x.astype(np.int64, copy=False)
+        x = (x * (p // g_p)).astype(exact_dtype(top), copy=False)
         return ScaledFunction._of(self.offset, x, self.den // g_p * (d // g_d),
                                   self.ambient_n, top, mass)
 
@@ -295,12 +294,22 @@ class ScaledFunction:
         parts = [(f, den // f.den) for f in (self, other) if len(f.nums)]
         lo = min((f.offset for f, _ in parts), default=0)
         hi = max((f.offset + len(f.nums) for f, _ in parts), default=0)
-        wide = sum(k * f._top for f, k in parts) >= INT64_SAFE
-        out = np.zeros(hi - lo, dtype=object if wide else np.int64)
+        out = np.zeros(hi - lo, dtype=exact_dtype(sum(k * f._top for f, k in parts)))
         for f, k in parts:
             a = f.offset - lo
             out[a:a + len(f.nums)] += f.nums.astype(out.dtype, copy=False) * k
         return ScaledFunction(lo, out, den, self.ambient_n)
+
+    def convolved(self, other: "ScaledFunction") -> "ScaledFunction":
+        """The convolution f * g, (f * g)(n) = sum over x + y = n of
+        f(x) g(y): the product of the numerators by `_fold_step` over
+        den_f den_g, which the constructor reduces and measures."""
+        if other.ambient_n != self.ambient_n:
+            raise ValidationError("can only convolve functions on the same ambient")
+        if not (len(self.nums) and len(other.nums)):
+            return ScaledFunction._of(0, _EMPTY, 1, self.ambient_n, 0, 0)
+        values, offset, _, _ = _fold_step(_as_fold(self), _as_fold(other))
+        return ScaledFunction(offset, values, self.den * other.den, self.ambient_n)
 
     def dominated_by(self, nu: "ScaledFunction") -> bool:
         """Exact pointwise check |self| <= nu (same ambient required), as
@@ -391,7 +400,7 @@ def _dilate(fold, a: int):
     values, offset, top, mass = fold
     if a == 0:
         total = int(np.sum(values, dtype=object))
-        return _array([total])[0], 0, abs(total), abs(total)
+        return np.array([total], dtype=exact_dtype(abs(total))), 0, abs(total), abs(total)
     out = np.zeros(_dilation_span(len(values), a), dtype=values.dtype)
     out[::abs(a)] = values if a > 0 else values[::-1]
     return out, a * (offset if a > 0 else offset + len(values) - 1), top, mass
@@ -401,14 +410,12 @@ def _fold_step(acc, factor):
     """The product of two folds by the exact engine, with its top and mass
     carried rather than measured: |(a b)[k]| is at most the coefficient
     bound, max|a| sum|b| and max|b| sum|a|, and sum|a b| <= sum|a| sum|b|.
-    Kronecker gives object entries from its own coefficient bound, so a
-    product whose top is below INT64_SAFE is made int64."""
+    Kronecker gives object entries from its own coefficient bound, so the
+    product takes the dtype of its top."""
     (xa, a_off, max_a, mass_a), (xb, b_off, max_b, mass_b) = acc, factor
-    values = _product(xa, xb, max_a, max_b)
     top = min(product_bound(len(xa), max_a, len(xb), max_b),
               max_a * mass_b, max_b * mass_a)
-    if top < INT64_SAFE and values.dtype == object:
-        values = values.astype(np.int64)
+    values = _product(xa, xb, max_a, max_b).astype(exact_dtype(top), copy=False)
     return values, a_off + b_off, top, mass_a * mass_b
 
 
@@ -641,8 +648,7 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
     # trimmed function's support starts and ends its span
     xmax = max(max(abs(f.offset), abs(f.offset + len(f.nums) - 1)) for f in fns)
     pmax = sum(abs(a) for a in eq.coeffs) * xmax
-    pdtype = np.int64 if pmax < INT64_SAFE else object
-    dtype = np.int64 if wmax < INT64_SAFE else object
+    pdtype, dtype = exact_dtype(pmax), exact_dtype(wmax)
     pos = [j.astype(pdtype) + f.offset for j, f in zip(nonzero, fns)]
     wts = [f.nums[j].astype(dtype) for j, f in zip(nonzero, fns)]
     total = _enumerate(eq.coeffs, pos, wts, distinct_only, pdtype, dtype)

@@ -73,12 +73,6 @@ class IntegerSet:
             return False
         return i < len(self.elements) and self.elements[i] == x
 
-    def indicator(self) -> tuple[list[int], int]:
-        """The dense 0/1 weights of S over [min S, max S], as a list, and
-        their offset, by zero_one."""
-        w, lo = zero_one(self.elements, "S")
-        return w.tolist(), lo
-
     @property
     def eta(self) -> Fraction:
         """The energy excess: the least nonnegative rational eta with
@@ -97,6 +91,13 @@ class IntegerSet:
         """Same elements with the ambient enlarged to the next perfect square."""
         c = ceil_sqrt(self.ambient_n)
         return IntegerSet(self.elements, c * c)
+
+
+def exact_dtype(bound: int):
+    """The dtype of an array whose every value, partial sum and product is
+    at most `bound` in magnitude: int64 while the bound is below INT64_SAFE,
+    else object (Python ints, where nothing wraps)."""
+    return np.int64 if bound < INT64_SAFE else object
 
 
 def zero_one(elements, name: str) -> tuple[np.ndarray, int]:
@@ -209,8 +210,7 @@ def difference_counts(elems) -> tuple[np.ndarray, np.ndarray]:
     k = check_pairs(len(elems))
     if not k:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    big = max(map(abs, elems)) >= INT64_SAFE
-    arr = np.array(elems, dtype=object if big else np.int64)
+    arr = np.array(elems, dtype=exact_dtype(max(map(abs, elems))))
     outer = np.subtract.outer(arr, arr)
     pos = outer[outer > 0]
     pos.sort()

@@ -7,10 +7,11 @@ spectrum its frequencies, grid and eps.  The ambient is first padded to a
 perfect square so sqrt(N) is an integer: f is the integer convolution
 g = 1_S * 1_B times the rational sqrt(N)/|B|, and every mass, energy and
 count below is an exact rational; only Fourier magnitudes are floating point.
-g is the exact engine's int64 product of the arrays of 1_S and 1_B, and
-its sums, the majorant g + |B| 1_S and the level set of f are read off
-arrays too, in int64 while their bounds allow and over Python ints past
-that; Python ints appear where a value is returned as a count or verdict.
+g is `ScaledFunction.convolved` of 1_S and 1_B, the majorant g + |B| 1_S
+is a `ScaledFunction` sum, and their sums and the level set of f are read
+off the functions' arrays, in int64 while their bounds allow and over
+Python ints past that; Python ints appear where a value is returned as a
+count or verdict.  This module convolves nothing itself.
 
 Every inequality that is a theorem (the repeated-difference bound, the
 cardinality bound, the model autocorrelation bound, Bohr membership and the
@@ -33,10 +34,9 @@ from operator import index, lt, neg
 
 import numpy as np
 
-from .convolve import _product
 from .counting import EquationCoeffs, ScaledFunction, count_solutions
 from .errors import ValidationError
-from .sets import BLOCK_PAIRS, INT64_SAFE, IntegerSet, check_span, rational, zero_one
+from .sets import BLOCK_PAIRS, IntegerSet, check_span, exact_dtype, rational, zero_one
 from .spectral import (
     FLOAT_SLACK,
     OVERSAMPLE,
@@ -134,7 +134,7 @@ def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
     survivors meet BOHR_BLOCK frequencies at a time (fewer past BLOCK_PAIRS
     pairs) until none are left.  Each test is the exact integer comparison
     min(nk mod m, m - nk mod m) * q <= p * m for eps = p/q, in int64 while
-    products stay below INT64_SAFE, else Python ints.
+    products stay below sets.INT64_SAFE, else Python ints.
     """
     ks, m, n = tuple(map(index, ks)), index(m), index(n)
     eps = _radius(eps)
@@ -144,7 +144,7 @@ def bohr_set(ks, m: int, eps, n: int) -> BohrSet:
         raise ValidationError(f"grid size must be positive, got {m}")
     p, q = eps.numerator, eps.denominator
     width = check_span((p * n) // q, "the Bohr width")
-    dtype = np.int64 if (width + 1) * m * q < INT64_SAFE else object
+    dtype = exact_dtype((width + 1) * m * q)
     ns, i = np.arange(1, width + 1, dtype=dtype), 0
     while ns.size and i < len(ks):
         j = i + max(1, min(BOHR_BLOCK, BLOCK_PAIRS // ns.size))
@@ -176,7 +176,8 @@ class DenseModel:
     `padded` is S in the ambient padded to a perfect square.  `spectrum`
     alone holds B's frequencies, grid and radius eps (its threshold).  The
     sums and verdicts are read off these fields, once each, so they cannot
-    disagree with g; fields on different ambients are refused.
+    disagree with g; fields on different ambients, and a base whose
+    denominator is not 1, are refused.
     """
 
     base: ScaledFunction
@@ -190,6 +191,8 @@ class DenseModel:
             if ours != self.n_padded:
                 raise ValidationError(
                     f"dense model fields disagree on the ambient: {ours} != {self.n_padded}")
+        if self.base.den != 1:
+            raise ValidationError(f"the dense model's g must be integer, den {self.base.den}")
 
     @property
     def n_padded(self) -> int:
@@ -202,14 +205,14 @@ class DenseModel:
 
     @cached_property
     def mass(self) -> int:
-        """sum g, the sum of g's numerators."""
-        return int(self.base.mass() * self.base.den)
+        """sum g."""
+        return int(self.base.mass())
 
     @cached_property
     def square_sum(self) -> int:
         """sum g^2: sum f^2 = N sum g^2 / |B|^2, and the left side of the
         model autocorrelation bound."""
-        return int(self.base.l2_weights() * self.base.den**2)
+        return int(self.base.l2_weights())
 
     @cached_property
     def containment_holds(self) -> bool:
@@ -255,12 +258,8 @@ class DenseModel:
 
     @property
     def majorant_base(self) -> ScaledFunction:
-        """The integer function g + |B| 1_S, on g's span, which covers S."""
-        g = self.base
-        # int64 entries are below 2^62 and |B| below MAX_POINTS: no wrap
-        nums = g.nums.copy()
-        nums[[x - g.offset for x in self.padded.elements]] += self.bohr.size
-        return ScaledFunction(g.offset, nums, 1, self.n_padded)
+        """The integer function g + |B| 1_S."""
+        return self.base + ScaledFunction.from_set(self.padded).scaled_by(self.bohr.size)
 
     @property
     def majorant_nu(self) -> ScaledFunction:
@@ -300,9 +299,7 @@ def dense_model(s_set: IntegerSet, eps, m: int | None = None) -> DenseModel:
     if bohr.trivial:
         g, fourier_distance = ind_s, 0.0
     else:
-        mu_b = bohr.measure()
-        g = ScaledFunction(ind_s.offset + mu_b.offset,
-                           _product(ind_s.nums, mu_b.nums, 1, 1), 1, n)
+        g = ind_s.convolved(bohr.measure().scaled_by(bohr.size))  # 1_S * 1_B
         g_hat = dft_values(g, m)
         root = isqrt(n)
         fourier_distance = float(np.max(np.abs(root * s_hat - root * g_hat / bohr.size)))
@@ -365,7 +362,7 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
     delta = rational(delta)
     if not 0 < delta <= 1:
         raise ValidationError(f"need 0 < delta <= 1, got {delta}")
-    if len(f.nums) and f.nums.min() < 0:
+    if f.nums.min(initial=0) < 0:
         raise ValidationError("f must be nonnegative")
     return _level_set(f, delta)
 
@@ -428,7 +425,7 @@ def verify_counting_bound(nu: ScaledFunction, fns, eq: EquationCoeffs
     fns = list(fns)
     if eq.s < 5:
         raise ValidationError(f"counting bound needs s >= 5, got {eq.s}")
-    if len(nu.nums) and nu.nums.min() < 0:
+    if nu.nums.min(initial=0) < 0:
         raise ValidationError("majorant nu must be nonnegative")
     for i, f in enumerate(fns):
         if not f.dominated_by(nu):

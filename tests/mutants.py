@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "benchmarks", "pyproject.toml")
 CONVOLVE = "src/sidonlab/convolve.py"
 COUNTING = "src/sidonlab/counting.py"
+SETS = "src/sidonlab/sets.py"
 TRANSFERENCE = "src/sidonlab/transference.py"
 
 
@@ -74,25 +75,32 @@ MUTANTS = [
     Mutant("carried fold maximum one low", COUNTING,
            "max_a * mass_b, max_b * mass_a)", "max_a * mass_b, max_b * mass_a) - 1",
            ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
+    # the energy sums its square's squares under the top and mass that the
+    # product carries, so the square's mass mass^2 is the fold's rule
+    Mutant("energy dot bound one mass short", COUNTING,
+           "top, mass_a * mass_b", "top, mass_a",
+           ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
     Mutant("measured mass one low", COUNTING,
            "den, top, sum(absolute)", "den, top, sum(absolute) - 1",
            ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
-    # a function's numerators are int64 exactly below 2^62; each int64 sum,
-    # product and comparison of them is guarded by a bound.  At 2^62 a `<=`
-    # in place of `<` would still fit int64, so each guard's mutant instead
-    # drops the factor that keeps the first value past it out of int64
-    Mutant("int64/object cut at top == 2^62", COUNTING,
-           "np.int64 if top < INT64_SAFE else object", "np.int64 if top <= INT64_SAFE else object",
+    # every new array's dtype is sets.exact_dtype of a bound: int64 strictly
+    # below 2^62, read by a function's numerators and by difference_counts
+    Mutant("int64/object cut at top == 2^62", SETS,
+           "np.int64 if bound < INT64_SAFE else object", "np.int64 if bound <= INT64_SAFE else object",
            ("tests/test_counting.py::TestTupleReference::test_int64_cut_after_the_gcd",)),
+    Mutant("exact_dtype < -> <=", SETS,
+           "np.int64 if bound < INT64_SAFE else object", "np.int64 if bound <= INT64_SAFE else object",
+           ("tests/test_sets.py::TestDifferenceCountProperties::test_int64_cut",)),
+    # each int64 sum, product and comparison of a function's numerators is
+    # guarded by a bound.  At 2^62 a `<=` in place of `<` would still fit
+    # int64, so each guard's mutant instead drops the factor that keeps the
+    # first value past it out of int64
     Mutant("dominated_by guard ignores nu times den", COUNTING,
            "bound = max(self._top * nu.den, nu._top * self.den)",
            "bound = self._top * nu.den",
            ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
     Mutant("float_weights divides in floats up to 2^54", COUNTING,
            "_FLOAT_EXACT = 1 << 53", "_FLOAT_EXACT = 1 << 54",
-           ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
-    Mutant("energy dot bound one mass short", COUNTING,
-           "square_top * mass * mass)", "square_top * mass)",
            ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
     Mutant("level-set guard ignores the level's denominator", COUNTING,
            "max(b * self._top, a * self.den)", "max(self._top, a * self.den)",

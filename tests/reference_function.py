@@ -4,7 +4,8 @@ Python ints.
 `TupleFunction` keeps the numerators in a tuple and computes every
 operation by a loop over Python ints, where the library works on one int64
 (or object) array; its energy sums a `Counter` of pair sums rather than
-calling the convolution engine.  `level_set` is
+calling the convolution engine, and its product is a double loop.
+`level_set` is
 the matching reference for `transference._level_set`.  The tests fuzz the
 array implementation against both, operation by operation.
 """
@@ -92,6 +93,15 @@ class TupleFunction:
             b = a + len(f.nums)
             out[a:b] = map(add, out[a:b], [k * x for x in f.nums])
         return TupleFunction(lo, tuple(out), den, self.ambient_n)
+
+    def convolved(self, other: "TupleFunction") -> "TupleFunction":
+        """sum over x + y = n of f(x) g(y), by a double loop."""
+        out = [0] * max(len(self.nums) + len(other.nums) - 1, 0)
+        for i, x in enumerate(self.nums):
+            for j, y in enumerate(other.nums):
+                out[i + j] += x * y
+        return TupleFunction(self.offset + other.offset, tuple(out), self.den * other.den,
+                             self.ambient_n)
 
     def dominated_by(self, nu: "TupleFunction") -> bool:
         shift = self.offset - nu.offset

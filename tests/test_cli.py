@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sidonlab.cli as cli_module
+import sidonlab.counting as counting_module
 import sidonlab.sets as sets_module
 from sidonlab.cli import main
 from sidonlab.sets import (
@@ -745,8 +746,8 @@ class TestUsageErrors:
         # have 10^14 slots
         sets = {SET_PATH: mian_chowla(13), "wide": WIDE}
         if "wide" in argv:
-            monkeypatch.setattr(IntegerSet, "indicator",
-                                lambda self: pytest.fail("indicator built"))
+            monkeypatch.setattr(counting_module, "zero_one",
+                                lambda *args: pytest.fail("indicator built"))
         path = tmp_path / "s.txt"
         argv = list(argv)
         for i, arg in enumerate(argv):

@@ -22,6 +22,7 @@ from sidonlab.convolve import (
     _kronecker,
     convolve,
     convolve_many,
+    product_bound,
 )
 from sidonlab.cli import main
 from sidonlab.counting import (
@@ -41,6 +42,12 @@ def slow_reference(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def coeff_bound(a, b):
+    """`product_bound` of two nonempty sequences, from their lengths and
+    max|entry|."""
+    return product_bound(len(a), max(map(abs, a)), len(b), max(map(abs, b)))
 
 
 def random_ints(rng, length, bits, signed=True):
@@ -130,7 +137,7 @@ def test_numpy_vs_kronecker_random(seed):
         assert convolve(a, b) == slow_reference(a, b)
         assert convolve([x * shift for x in a], b) == \
             [c * shift for c in slow_reference(a, b)]
-        assert _kronecker(a, b, engine._coeff_bound(a, b)) == slow_reference(a, b)
+        assert _kronecker(a, b, coeff_bound(a, b)) == slow_reference(a, b)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6])
@@ -235,7 +242,7 @@ def test_kronecker_matches_numpy_path():
     a = [2**20, -(2**21), 3]
     b = [2**40, 5]
     via_numpy = convolve(a, b)  # bound below 2^62
-    assert _kronecker(a, b, engine._coeff_bound(a, b)) == via_numpy \
+    assert _kronecker(a, b, coeff_bound(a, b)) == via_numpy \
         == slow_reference(a, b)
 
 
@@ -293,7 +300,7 @@ def test_kronecker_route_property(a, b, signed):
     # _kronecker called directly, signed and unsigned, slots of 1 to 34 bytes
     if not signed:
         a, b = [abs(x) for x in a], [abs(x) for x in b]
-    bound = engine._coeff_bound(a, b)
+    bound = coeff_bound(a, b)
     assume(bound > 0)
     want = slow_reference(a, b)
     assert _kronecker(a, b, bound) == want
@@ -351,7 +358,7 @@ def test_fft_route_property(limbs, len_a, len_b, bits_b, signed, extreme, seed):
     with mock.patch.object(engine, "MAX_LIMBS", limbs):
         max_a = largest_admitted(len_a, len_b, max_b)
         assume(max_a > 0)
-        if engine._coeff_bound([max_a + 1] * len_a, [max_b] * len_b) < engine._INT64_SAFE:
+        if coeff_bound([max_a + 1] * len_a, [max_b] * len_b) < engine._INT64_SAFE:
             assert engine._fft_plan(len_a, len_b, max_a + 1, max_b) is None
 
         def draw(length, top):
@@ -368,7 +375,7 @@ def test_fft_route_property(limbs, len_a, len_b, bits_b, signed, extreme, seed):
             got = convolve(a, b)
     (_, _, _, (_, k_a), (_, k_b)), _ = spy.call_args
     assert max(k_a, k_b) <= limbs
-    assert got == _kronecker(a, b, engine._coeff_bound(a, b)) == slow_reference(a, b)
+    assert got == _kronecker(a, b, coeff_bound(a, b)) == slow_reference(a, b)
 
 
 def test_bound_at_a_half_goes_to_kronecker(kronecker_calls, fft_calls):
@@ -590,7 +597,7 @@ def test_pairs_int64_guard(pair_calls, kronecker_calls):
         for sign in (1, -1):
             a = [0] * 100 + [sign << 27] * 24 + [0] * 132
             b = [0] * 56 + [top] * 24 + [0] * 176
-            assert engine._coeff_bound(a, b) == 256 * (1 << 27) * top
+            assert coeff_bound(a, b) == 256 * (1 << 27) * top
             out = convolve(a, b)
             assert out == slow_reference(a, b)
             assert max(map(abs, out)) == 24 * (1 << 27) * top

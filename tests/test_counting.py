@@ -34,7 +34,7 @@ from sidonlab.counting import (
 )
 from sidonlab.convolve import convolve_many
 from sidonlab.errors import BudgetExceededError, ValidationError
-from sidonlab.sets import IntegerSet, erdos_turan, perturb_almost_sidon
+from sidonlab.sets import IntegerSet, erdos_turan, perturb_almost_sidon, zero_one
 
 from reference_function import TupleFunction, level_set
 
@@ -1086,7 +1086,7 @@ class TestOracleEquivalence:
             fns = []
             for _ in range(s):
                 base = random_set(rng, 15)
-                w, off = base.indicator()
+                w, off = zero_one(base.elements, "S")
                 ws = tuple(
                     Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
                     * x for x in w
@@ -1358,6 +1358,30 @@ class TestTupleReference:
         assert (fa == fb) == (ra == rb) and (fa != fb) == (ra != rb)
         if fa == fb:
             assert hash(fa) == hash(fb)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_functions(), raw_functions(), st.integers(1, 60),
+           st.sampled_from([1, 6, 2**30, 3**37, 2**60]))
+    def test_convolved(self, raw_a, raw_b, reps, k):
+        # b's numerators repeated up to 60 times (skewed lengths) and times
+        # k, with k in a's denominator: the product's den k den_a den_b
+        # reduces against its numerators, and the result is stored as the
+        # constructor would store it, with its exact max and mass
+        (off_a, nums_a, den_a), (off_b, nums_b, den_b) = raw_a, raw_b
+        raw_a, raw_b = (off_a, nums_a, den_a * k), (off_b, [k * x for x in nums_b] * reps, den_b)
+        (fa, ra), (fb, rb) = [(ScaledFunction(*raw, 7), TupleFunction(*raw, 7))
+                              for raw in (raw_a, raw_b)]
+        for got, want in ((fa.convolved(fb), ra.convolved(rb)),
+                          (fb.convolved(fa), rb.convolved(ra)),
+                          (fa.convolved(fa), ra.convolved(ra))):
+            assert stored(got) == stored(want)
+            check_form(got)
+        for f in (fa, fb):
+            assert f.energy == f.convolved(f).l2_weights()
+
+    def test_convolved_needs_one_ambient(self):
+        with pytest.raises(ValidationError, match="same ambient"):
+            ScaledFunction(0, (1,), 1, 4).convolved(ScaledFunction(0, (1,), 1, 5))
 
     @settings(max_examples=200, deadline=None)
     @given(raw_functions(), st.lists(st.integers(-3, 3), max_size=8), st.integers(1, 2**44))

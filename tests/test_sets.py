@@ -15,9 +15,11 @@ import sidonlab.sets as sets_module
 
 from sidonlab.errors import ValidationError
 from sidonlab.sets import (
+    INT64_SAFE,
     IntegerSet,
     difference_counts,
     erdos_turan,
+    exact_dtype,
     format_set_file,
     is_sidon,
     mian_chowla,
@@ -27,6 +29,7 @@ from sidonlab.sets import (
     read_set_file,
     representation_profile,
     write_set_file,
+    zero_one,
 )
 
 PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -65,15 +68,16 @@ class TestIntegerSet:
 
     def test_indicator_roundtrip(self):
         s = IntegerSet((2, 5, 9), 10)
-        w, off = s.indicator()
-        assert off == 2
-        assert [off + j for j, v in enumerate(w) if v] == [2, 5, 9]
+        w, off = zero_one(s.elements, "S")
+        assert off == 2 and w.dtype == np.int64
+        assert [off + j for j, v in enumerate(w.tolist()) if v] == [2, 5, 9]
 
     def test_indicator_past_the_span_cap_refused(self, monkeypatch):
         monkeypatch.setattr(sets_module, "MAX_POINTS", 4)
-        assert IntegerSet((1, 4), 4).indicator() == ([1, 0, 0, 1], 1)
+        w, off = zero_one(IntegerSet((1, 4), 4).elements, "S")
+        assert (w.tolist(), off) == ([1, 0, 0, 1], 1)
         with pytest.raises(ValidationError, match="too long to index"):
-            IntegerSet((1, 5), 5).indicator()
+            zero_one(IntegerSet((1, 5), 5).elements, "S")
 
     def test_padding(self):
         assert IntegerSet((1,), 242).padded_to_square().ambient_n == 256
@@ -312,6 +316,14 @@ class TestDifferenceCountProperties:
             want = pair_counter(elems)
             assert diffs.tolist() == sorted(want)
             assert as_dict(diffs, counts) == want
+
+    def test_int64_cut(self):
+        # the one int64/object choice: int64 strictly below INT64_SAFE
+        assert exact_dtype(0) is exact_dtype(INT64_SAFE - 1) is np.int64
+        assert exact_dtype(INT64_SAFE) is exact_dtype(2**70) is object
+        for top, dtype in ((INT64_SAFE - 1, np.int64), (INT64_SAFE, object)):
+            for elems in ((top,), (-top, 0)):
+                assert difference_counts(elems)[0].dtype == dtype
 
     def test_empty_and_singleton(self):
         diffs, counts = difference_counts(())

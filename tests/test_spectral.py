@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+import sidonlab.counting as counting_module
 import sidonlab.sets as sets_module
 from sidonlab.counting import ScaledFunction
 from sidonlab.errors import ValidationError
@@ -431,8 +432,8 @@ class TestGridCap:
     def test_default_grid_refused_before_the_indicator(self, monkeypatch):
         # the indicator of this set would have 10^14 slots
         s = IntegerSet((1, 99_999_999_999_999), 10**14)
-        monkeypatch.setattr(IntegerSet, "indicator",
-                            lambda self: pytest.fail("indicator built"))
+        monkeypatch.setattr(counting_module, "zero_one",
+                            lambda *args: pytest.fail("indicator built"))
         with pytest.raises(ValidationError, match="grid size"):
             large_spectrum(s, Fraction(1, 5))
 

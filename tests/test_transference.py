@@ -29,6 +29,7 @@ from sidonlab.sets import (
     mian_chowla,
     perturb_almost_sidon,
     representation_profile,
+    zero_one,
 )
 from sidonlab.suites import (
     DENSE_MODEL_GRID,
@@ -315,10 +316,10 @@ class TestDenseModel:
         assert model.fourier_distance == 0.0
         assert model.mass_identity_holds
         padded = model.padded
-        w, off = padded.indicator()
+        w, off = zero_one(padded.elements, "S")
         g = model.base
         assert g.offset == off
-        assert [int(x) for x in g.weights] == w
+        assert [int(x) for x in g.weights] == w.tolist()
 
     @pytest.mark.parametrize("verdict", ["mass_identity", "containment", "size_bound"])
     def test_theorem_verdicts_read_by_the_report(self, verdict):
@@ -412,6 +413,16 @@ class TestDenseModelFields:
         changed = replace(getattr(model, field), ambient_n=model.n_padded + 1)
         with pytest.raises(ValidationError, match="ambient"):
             replace(model, **{field: changed})
+
+    def test_base_must_be_integer(self, model):
+        # g = 1_S * 1_B has integer weights, and mass and square_sum read
+        # its numerators as they are: g / 2 (den 2, g has odd entries) is
+        # refused, and 2 g, on the same ambient, is taken
+        half = model.base.scaled_by(Fraction(1, 2))
+        assert half.den == 2
+        with pytest.raises(ValidationError, match="den 2"):
+            replace(model, base=half)
+        assert replace(model, base=model.base.scaled_by(2)).mass == 2 * model.mass
 
 
 class TestOneProfile:
@@ -873,16 +884,18 @@ class TestCollapsedModel:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls of each spied name, as seen from the transference module."""
-        seen = dict.fromkeys(("count_solutions", "dft_values", "_product"), 0)
+        """Calls of the counts and transforms, as seen from the transference
+        module, and of the functions' product, g = 1_S * 1_B."""
+        seen = dict.fromkeys(("count_solutions", "dft_values", "convolved"), 0)
         for name in seen:
-            real = getattr(transference_module, name)
+            home = ScaledFunction if name == "convolved" else transference_module
+            real = getattr(home, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
                 seen[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(transference_module, name, counted)
+            monkeypatch.setattr(home, name, counted)
         return seen
 
     @pytest.mark.parametrize("s_set, eps, coeffs, size, want", [
@@ -890,7 +903,7 @@ class TestCollapsedModel:
         (evens(64), Fraction(1, 4), (1, 1, 1, -1, -2), 17, (2, 2, 1)),
     ])
     def test_work_per_report(self, calls, s_set, eps, coeffs, size, want):
-        # dft_values and _product are called in the dense model alone
+        # dft_values and convolved are called in the dense model alone
         rep = transference_report(s_set, EquationCoeffs(coeffs), eps)
         assert rep.model.bohr.size == size
         assert tuple(calls.values()) == want
