@@ -12,7 +12,9 @@ maximum; every product of the library goes through it: the counts' folds,
 a function's energy and `ScaledFunction.convolved`, the dense model's g.
 The public `convolve` is a thin adapter over the engine, which no library
 path calls: sequences in, their maxima measured once, a list of Python
-ints out.
+ints out.  `_array`, which turns a sequence into an engine input and
+measures its maximum, has two callers: that adapter and the
+`ScaledFunction` constructor.
 
 Four routes, all exact:
 
@@ -111,14 +113,14 @@ _PERCIVAL = [expm1(3 * n * log1p(_EPS) + (3 * n + 1) * log1p(_EPS * sqrt(5))
 
 
 def _array(seq: Sequence[int]) -> tuple[np.ndarray, int]:
-    """A nonempty sequence as the engine's input: an int64 array, or an
-    object array of Python ints when an entry is outside int64, and its
-    max|entry| as a Python int."""
+    """A sequence of ints, or an integer array, as an int64 array (itself
+    when it is one), or an object array of Python ints when an entry is
+    outside int64, and its max|entry| as a Python int (0 when empty)."""
     try:
         x = np.asarray(seq, dtype=np.int64)
     except OverflowError:
         x = np.array(seq, dtype=object)
-    return x, max(int(x.max()), -int(x.min()))
+    return x, max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
 def product_bound(len_a: int, max_a: int, len_b: int, max_b: int) -> int:

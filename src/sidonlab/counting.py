@@ -3,14 +3,17 @@
 Every weighted function is a `ScaledFunction`: integer numerators over one
 common denominator, held as one read-only int64 array (an object array of
 Python ints past INT64_SAFE) with its maximum and mass sum|x| measured
-once, when it is made.  A sqrt(N) factor, as in the dense model, is an
-integer once the ambient is a perfect square and lives in the numerators
-like any other rational weight.  Its sums, energy, scaling, sums and
-convolutions with other functions, comparisons and float weights run on
-that array: in int64 while a bound from the maximum and mass keeps them
-below INT64_SAFE, else over Python ints; `sets.exact_dtype` picks the
-dtype of each array made from such a bound.  The fast path divides the
-coefficients by their gcd and groups the variables by coefficient.
+once, when it is made.  The constructor trims, reduces and measures on
+the array itself, with no list of Python ints; only the indicators, whose
+maximum 1 and mass are known, are stored without it.  A sqrt(N) factor,
+as in the dense model, is an integer once the ambient is a perfect square
+and lives in the numerators like any other rational weight.  Its sums,
+energy, scaling, sums and convolutions with other functions, comparisons
+and float weights run on that array: in int64 while a bound from the
+maximum and mass keeps them below INT64_SAFE, else over Python ints;
+`sets.exact_dtype` picks the dtype of each array made from such a bound.
+The fast path divides the coefficients by their gcd and groups the
+variables by coefficient.
 Dilation commutes with convolution, dil_a(f) * dil_a(g) = dil_a(f * g), so
 with at most two groups each group's functions are convolved undilated, a
 function repeated k times raised to the k-th power by repeated squaring,
@@ -72,7 +75,7 @@ from operator import index
 
 import numpy as np
 
-from .convolve import _product, product_bound
+from .convolve import _array, _product, product_bound
 from .errors import BudgetExceededError, ValidationError
 from .sets import INT64_SAFE, IntegerSet, check_span, exact_dtype, zero_one
 
@@ -111,26 +114,6 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
 
-def _from_ints(offset: int, ints: list[int], den: int):
-    """(offset, nums, den, top, mass) of the function ints / den at offset
-    in stored form (see ScaledFunction), over Python ints."""
-    lo, hi = 0, len(ints)
-    while lo < hi and not ints[lo]:
-        lo += 1
-    while hi > lo and not ints[hi - 1]:
-        hi -= 1
-    if lo == hi:
-        return 0, _EMPTY, 1, 0, 0
-    ints = ints[lo:hi]
-    g = gcd(den, *ints) if den > 1 else 1
-    if g > 1:
-        ints, den = [x // g for x in ints], den // g
-    absolute = list(map(abs, ints))
-    top = max(absolute)
-    nums = np.array(ints, dtype=exact_dtype(top))
-    return offset + lo, nums, den, top, sum(absolute)
-
-
 def _exact(x: np.ndarray, bound: int) -> np.ndarray:
     """x for an expression whose every value, partial sum and product is at
     most `bound` in magnitude: itself while the bound is below INT64_SAFE,
@@ -157,11 +140,13 @@ class ScaledFunction:
 
     nums is one read-only array: int64 exactly when every |nums[j]| is
     below INT64_SAFE, else an object array of Python ints.  The constructor
-    takes any sequence of integers (or an integer array), reads it as Python
-    ints and measures it once: `_top` = max|nums| and `_mass` = sum|nums|
-    are kept beside it, 0 for the zero function, for the exactness guards
-    of this module (the folds, the int64 sums and comparisons).  Equality,
-    hashing and repr read nums as a tuple of ints.
+    takes any sequence of integers (read by `operator.index`) or an integer
+    array, makes it an int64 or object array by `convolve._array`, and
+    trims, reduces and measures that array in numpy, keeping a fresh copy:
+    `_top` = max|nums| and `_mass` = sum|nums| are kept beside it, 0 for
+    the zero function, for the exactness guards of this module (the folds,
+    the int64 sums and comparisons).  Equality, hashing and repr read nums
+    as a tuple of ints.
     """
 
     offset: int
@@ -172,21 +157,41 @@ class ScaledFunction:
     def __init__(self, offset: int, nums, den: int = 1, ambient_n: int = 1):
         den, offset, ambient_n = index(den), index(offset), index(ambient_n)
         _check_positive(den, ambient_n)
-        if isinstance(nums, np.ndarray) and nums.dtype.kind == "i":
-            ints = nums.tolist()
-        else:
-            ints = list(map(index, nums))
-        _settle(self, ambient_n, *_from_ints(offset, ints, den))
+        # anything but a 1-d integer array is read value by value, which
+        # refuses floats and nested sequences
+        if not (isinstance(nums, np.ndarray) and nums.dtype.kind == "i" and nums.ndim == 1):
+            nums = list(map(index, nums))
+        x, top = _array(nums)
+        if not top:
+            self._store(0, _EMPTY, 1, ambient_n, 0, 0)
+            return
+        nonzero = np.flatnonzero(x)
+        # a fresh copy, in a dtype whose abs cannot wrap
+        x = x[nonzero[0]:nonzero[-1] + 1].astype(exact_dtype(top))
+        g = gcd(den, int(np.gcd.reduce(x))) if den > 1 else 1
+        if g > 1:
+            x, den, top = x // g, den // g, top // g
+        x = x.astype(exact_dtype(top), copy=False)
+        mass = int(_exact(np.abs(x), len(x) * top).sum())
+        self._store(offset + int(nonzero[0]), x, den, ambient_n, top, mass)
 
     @classmethod
     def _of(cls, offset: int, nums: np.ndarray, den: int, ambient_n: int, top: int,
             mass: int) -> "ScaledFunction":
         """The function of an array already in the stored form, with its
-        max|x| and sum|x|: no copy, no trim, no gcd and no scan."""
+        max|x| and sum|x|: no copy, no trim, no gcd and no scan.  For the
+        indicators, whose maximum is 1 and mass their size."""
         _check_positive(den, ambient_n)
         f = object.__new__(cls)
-        _settle(f, ambient_n, offset, nums, den, top, mass)
+        f._store(offset, nums, den, ambient_n, top, mass)
         return f
+
+    def _store(self, offset: int, nums: np.ndarray, den: int, ambient_n: int, top: int,
+               mass: int) -> None:
+        """Set the fields, with nums made read-only."""
+        nums.flags.writeable = False
+        vars(self).update(offset=offset, nums=nums, den=den, ambient_n=ambient_n,
+                          _top=top, _mass=mass)
 
     @classmethod
     def from_weights(cls, offset: int, weights, ambient_n: int = 1
@@ -267,23 +272,15 @@ class ScaledFunction:
         return Fraction(_square_sum(self.nums, self._top * self._mass), self.den * self.den)
 
     def scaled_by(self, q) -> "ScaledFunction":
-        """q times the function, in lowest terms without a trim or a scan:
-        for q = p/d in lowest terms and nums / den in lowest terms, the gcd
-        of den d with p nums is gcd(den, p) gcd(d, gcd(nums))."""
+        """q times the function: p nums over den d for q = p / d, which the
+        constructor reduces and measures.  The zero function is its own
+        multiple, with no array to carry a p past int64."""
         q = Fraction(q)
-        p, d = q.numerator, q.denominator
-        if p == 0 or not len(self.nums):
-            return ScaledFunction._of(0, _EMPTY, 1, self.ambient_n, 0, 0)
-        g_p = gcd(self.den, p)
-        g_d = gcd(d, *self.nums.tolist()) if d > 1 else 1
-        factor = abs(p // g_p)
-        top, mass = self._top // g_d * factor, self._mass // g_d * factor
-        x = _exact(self.nums, top)
-        if g_d > 1:
-            x = x // g_d
-        x = (x * (p // g_p)).astype(exact_dtype(top), copy=False)
-        return ScaledFunction._of(self.offset, x, self.den // g_p * (d // g_d),
-                                  self.ambient_n, top, mass)
+        if not len(self.nums):
+            return self
+        p = q.numerator
+        return ScaledFunction(self.offset, _exact(self.nums, self._top * abs(p)) * p,
+                              self.den * q.denominator, self.ambient_n)
 
     def __add__(self, other: "ScaledFunction") -> "ScaledFunction":
         if other.ambient_n != self.ambient_n:
@@ -307,7 +304,7 @@ class ScaledFunction:
         if other.ambient_n != self.ambient_n:
             raise ValidationError("can only convolve functions on the same ambient")
         if not (len(self.nums) and len(other.nums)):
-            return ScaledFunction._of(0, _EMPTY, 1, self.ambient_n, 0, 0)
+            return ScaledFunction(0, _EMPTY, 1, self.ambient_n)
         values, offset, _, _ = _fold_step(_as_fold(self), _as_fold(other))
         return ScaledFunction(offset, values, self.den * other.den, self.ambient_n)
 
@@ -363,14 +360,6 @@ def _check_positive(den: int, ambient_n: int) -> None:
     if den < 1 or ambient_n < 1:
         raise ValidationError(
             f"den and ambient_n must be positive, got {den}, {ambient_n}")
-
-
-def _settle(f: ScaledFunction, ambient_n: int, offset: int, nums: np.ndarray,
-            den: int, top: int, mass: int) -> None:
-    """Store the fields of f with nums made read-only."""
-    nums.flags.writeable = False
-    vars(f).update(offset=offset, nums=nums, den=den, ambient_n=ambient_n,
-                   _top=top, _mass=mass)
 
 
 @dataclass(frozen=True)

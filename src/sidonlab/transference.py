@@ -364,13 +364,6 @@ def verify_l2_reduction(f: ScaledFunction, delta) -> LevelSetResult:
         raise ValidationError(f"need 0 < delta <= 1, got {delta}")
     if f.nums.min(initial=0) < 0:
         raise ValidationError("f must be nonnegative")
-    return _level_set(f, delta)
-
-
-def _level_set(f: ScaledFunction, delta: Fraction) -> LevelSetResult:
-    """`verify_l2_reduction` on arguments known to be valid, such as a dense
-    model's f, nonnegative by construction, and its set's density in (0, 1]:
-    no pass over the numerators refuses a negative one."""
     n = f.ambient_n
     hyp_mass = f.mass() >= delta * n
     hyp_l2 = f.l2_weights() <= n
@@ -584,5 +577,5 @@ def transference_report(s_set: IntegerSet, eq: EquationCoeffs, eps,
         repeated_difference=verify_repeated_difference_bound(padded),
         size_bound=verify_size_bound(padded),
         model_l2=verify_model_l2(model),
-        level_set=_level_set(model.model_f, padded.density),
+        level_set=verify_l2_reduction(model.model_f, padded.density),
     )

@@ -80,9 +80,16 @@ MUTANTS = [
     Mutant("energy dot bound one mass short", COUNTING,
            "top, mass_a * mass_b", "top, mass_a",
            ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
+    # the constructor's trim, gcd and measured mass, on the array
     Mutant("measured mass one low", COUNTING,
-           "den, top, sum(absolute)", "den, top, sum(absolute) - 1",
+           "len(x) * top).sum())", "len(x) * top).sum()) - 1",
            ("tests/test_counting.py::TestCoefficientGroups::test_dot_at_the_int64_bound",)),
+    Mutant("trim drops the last nonzero", COUNTING,
+           "nonzero[-1] + 1]", "nonzero[-1]]",
+           ("tests/test_counting.py::TestTupleReference::test_construction_and_readers",)),
+    Mutant("gcd reduction skipped", COUNTING,
+           "        if g > 1:\n            x, den, top", "        if False:\n            x, den, top",
+           ("tests/test_counting.py::TestTupleReference::test_construction_and_readers",)),
     # every new array's dtype is sets.exact_dtype of a bound: int64 strictly
     # below 2^62, read by a function's numerators and by difference_counts
     Mutant("int64/object cut at top == 2^62", SETS,

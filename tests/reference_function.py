@@ -5,9 +5,9 @@ Python ints.
 operation by a loop over Python ints, where the library works on one int64
 (or object) array; its energy sums a `Counter` of pair sums rather than
 calling the convolution engine, and its product is a double loop.
-`level_set` is
-the matching reference for `transference._level_set`.  The tests fuzz the
-array implementation against both, operation by operation.
+`level_set` is the matching reference for
+`transference.verify_l2_reduction`.  The tests fuzz the array
+implementation against both, operation by operation.
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ class TupleFunction:
 
 
 def level_set(f: TupleFunction, delta: Fraction) -> tuple:
-    """(level set, mass hypothesis, l2 hypothesis) of `_level_set`: the
-    points where nums / den >= delta / 2, and sum f >= delta N and
-    sum f^2 <= N."""
+    """(level set, mass hypothesis, l2 hypothesis) of
+    `verify_l2_reduction`: the points where nums / den >= delta / 2, and
+    sum f >= delta N and sum f^2 <= N."""
     n = f.ambient_n
     p, q = delta.numerator, delta.denominator
     level = tuple(compress(range(f.offset, f.offset + len(f.nums)),

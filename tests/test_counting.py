@@ -1313,14 +1313,21 @@ class TestTupleReference:
             TupleFunction(offset, nums, den, ambient_n)
         assert stored(f) == stored(ref)
         check_form(f)
-        # the same function from an array, a tuple and an object array
-        assert f == ScaledFunction(offset, np.array(nums, dtype=object), den, ambient_n)
+        # the same function from an object array, and from one past int64
+        # until the gcd takes 2^64 out of den and nums
+        same = [(offset, np.array(nums, dtype=object), den),
+                (offset, np.array([x << 64 for x in nums], dtype=object), den << 64)]
         if all(abs(x) < 2**63 for x in nums):
-            assert f == ScaledFunction(offset, np.array(nums, dtype=np.int64), den,
-                                       ambient_n)
-            # a long zero-padded int64 array
-            long = np.array([0] * 130 + nums + [0] * 130, dtype=np.int64)
-            g = ScaledFunction(offset - 130, long, den, ambient_n)
+            # int64, a reversed int64 view (a negative stride) and a long
+            # zero-padded int64 array
+            same += [(offset, np.array(nums, dtype=np.int64), den),
+                     (offset, np.array(nums[::-1], dtype=np.int64)[::-1], den),
+                     (offset - 130, np.array([0] * 130 + nums + [0] * 130, dtype=np.int64),
+                      den)]
+        if all(abs(x) < 2**31 for x in nums):
+            same.append((offset, np.array(nums, dtype=np.int32), den))
+        for args in same:
+            g = ScaledFunction(*args, ambient_n)
             assert stored(g) == stored(ref)
             check_form(g)
         assert f.weights == ref.weights and type(f.weights) is tuple
@@ -1332,6 +1339,22 @@ class TestTupleReference:
         assert f.float_weights().tobytes() == ref.float_weights().tobytes()
         assert repr(f) == repr(ref).replace("TupleFunction", "ScaledFunction")
         assert hash(f) == hash(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(st.integers(1, 40), max_size=12), st.sampled_from([-2**64, -3, 0, 2**63]),
+           st.integers(0, 40), st.sampled_from([1, 40, 2**64]))
+    def test_indicators_match_the_constructor(self, elements, lo, length, ambient_n):
+        # the three indicators skip the constructor's trim, gcd and scan,
+        # and must store what it would store
+        positive = tuple(sorted(elements))
+        bohr = transference_module.BohrSet(
+            40, tuple(-x for x in reversed(positive)) + (0,) + positive, ambient_n)
+        for f in (ScaledFunction.from_set(IntegerSet(positive, 40)),
+                  ScaledFunction.from_interval(lo, lo + length, ambient_n), bohr.measure()):
+            g = ScaledFunction(f.offset, f.nums, f.den, f.ambient_n)
+            assert stored(f) == stored(g) and f.nums.dtype == g.nums.dtype
+            assert (f._top, f._mass) == (g._top, g._mass)
+            check_form(f)
 
     @settings(max_examples=300, deadline=None)
     @given(raw_functions(), st.one_of(
@@ -1402,9 +1425,10 @@ class TestTupleReference:
         p, q = sorted((p, q))  # delta = p/q in (0, 1]
         delta = Fraction(p, q)
         offset, nums, den = raw
+        nums = [abs(x) for x in nums]  # f must be nonnegative
         ambient_n = 2**64 + 1
-        got = transference_module._level_set(ScaledFunction(offset, nums, den, ambient_n),
-                                              delta)
+        got = transference_module.verify_l2_reduction(
+            ScaledFunction(offset, nums, den, ambient_n), delta)
         want = level_set(TupleFunction(offset, nums, den, ambient_n), delta)
         assert (got.level_set, got.hyp_mass_ok, got.hyp_l2_ok) == want
         assert all(type(x) is int for x in got.level_set)
@@ -1441,7 +1465,9 @@ class TestTupleReference:
         assert ScaledFunction(0, (), 1, 4) + far == far == far + ScaledFunction(5, (0,), 1, 4)
 
     def test_floats_refused(self):
-        for nums in ((1.0,), [1, 2.5], np.array([0.5, 1.0]), (np.float64(2.0),)):
+        # and an integer array that is not 1-d, whose entries are rows
+        for nums in ((1.0,), [1, 2.5], np.array([0.5, 1.0]), (np.float64(2.0),),
+                     np.array([[1, 2], [3, 4]])):
             with pytest.raises(TypeError):
                 ScaledFunction(0, nums)
 
@@ -1492,8 +1518,8 @@ class TestTupleReference:
         flat = ScaledFunction(1, (c,) * n, 1, n)
         assert flat.energy == (2 * n**3 + n) * c**4 // 3
         # 2q x = 2^71 for delta = 1/2^40 and x = 2^30
-        level = transference_module._level_set(ScaledFunction(0, (2**30, 1), 1, 4),
-                                                Fraction(1, 2**40))
+        level = transference_module.verify_l2_reduction(ScaledFunction(0, (2**30, 1), 1, 4),
+                                                         Fraction(1, 2**40))
         assert level.level_set == (0, 1)
         # the zero function's level set is empty however fine the level:
         # 2q = 2^64 is past int64
