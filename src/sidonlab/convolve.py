@@ -12,9 +12,9 @@ maximum; every product of the library goes through it: the counts' folds,
 a function's energy and `ScaledFunction.convolved`, the dense model's g.
 The public `convolve` is a thin adapter over the engine, which no library
 path calls: sequences in, their maxima measured once, a list of Python
-ints out.  `_array`, which turns a sequence into an engine input and
-measures its maximum, has two callers: that adapter and the
-`ScaledFunction` constructor.
+ints out.  `_array` holds the one input rule, for that adapter and the
+`ScaledFunction` constructor: a 1-d signed-integer array is kept as int64,
+and anything else is read value by value with `operator.index`.
 
 Four routes, all exact:
 
@@ -35,10 +35,11 @@ Four routes, all exact:
   multiplied once (CPython's Karatsuba), and the product is unpacked slot by
   slot (Schonhage 1982; Harvey, J. Symb. Comput. 2009).
 
-The route depends only on the lengths, the nonzero counts and the
-coefficient bound min(len a, len b) * max|a| * max|b|.  The three int64
-routes need that bound below 2^62.  The support-pair route is taken when, in
-addition, PAIRS_RATIO * nnz(a) * nnz(b) + PAIRS_SETUP <= len(a) * len(b):
+`_plan` states the route once, as a tuple that `_product` runs, from the
+lengths, the nonzero counts and the coefficient bound min(len a, len b) *
+max|a| * max|b| alone.  The three int64 routes need that bound below 2^62.
+The support-pair route is taken when, in addition, PAIRS_RATIO * nnz(a) *
+nnz(b) + PAIRS_SETUP <= len(a) * len(b):
 its work is one scatter per pair of nonzeros plus a fixed setup, against
 len(a) * len(b) multiply-adds for np.convolve and a few transforms for the
 FFT.  The scatter is exact because an output slot receives at most
@@ -82,6 +83,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import expm1, log1p, sqrt
+from operator import index
 
 import numpy as np
 
@@ -113,9 +115,10 @@ _PERCIVAL = [expm1(3 * n * log1p(_EPS) + (3 * n + 1) * log1p(_EPS * sqrt(5))
 
 
 def _array(seq: Sequence[int]) -> tuple[np.ndarray, int]:
-    """A sequence of ints, or an integer array, as an int64 array (itself
-    when it is one), or an object array of Python ints when an entry is
-    outside int64, and its max|entry| as a Python int (0 when empty)."""
+    """An engine input by the one input rule (module docstring), int64 or,
+    past int64, object, and its max|entry| as a Python int (0 when empty)."""
+    if not (isinstance(seq, np.ndarray) and seq.dtype.kind == "i" and seq.ndim == 1):
+        seq = list(map(index, seq))
     try:
         x = np.asarray(seq, dtype=np.int64)
     except OverflowError:
@@ -137,18 +140,18 @@ def _pack(seq: Sequence[int], nbytes: int) -> int:
     return join([x if x > 0 else 0 for x in seq]) - join([-x if x < 0 else 0 for x in seq])
 
 
-def _kronecker(a: Sequence[int], b: Sequence[int], bound: int) -> list[int]:
-    """The product by one big-integer multiplication (module docstring)."""
-    out_len = len(a) + len(b) - 1
+def _kronecker(xa: np.ndarray, xb: np.ndarray, bound: int) -> np.ndarray:
+    """The product by one big-integer multiplication, in its bound's dtype."""
+    out_len = len(xa) + len(xb) - 1
     nbytes = (bound.bit_length() + 8) // 8  # the bound and one sign bit
     # the product plus the bias 2^(w-1), a top byte of 0x80, in every slot
-    packed = _pack(a, nbytes)
-    prod = packed * (packed if b is a else _pack(b, nbytes)) + int.from_bytes(
+    packed = _pack(xa.tolist(), nbytes)
+    prod = packed * (packed if xb is xa else _pack(xb.tolist(), nbytes)) + int.from_bytes(
         (bytes(nbytes - 1) + b"\x80") * out_len, "little")
     raw = prod.to_bytes(nbytes * out_len, "little")
     bias = 1 << (8 * nbytes - 1)
-    return [int.from_bytes(raw[i:i + nbytes], "little") - bias
-            for i in range(0, len(raw), nbytes)]
+    return np.array([int.from_bytes(raw[i:i + nbytes], "little") - bias
+                     for i in range(0, len(raw), nbytes)], dtype=exact_dtype(bound))
 
 
 def _pairs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -164,28 +167,6 @@ def _pairs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
             np.add.at(out, (ia[i:i + rows, None] + ib[j:j + cols]).ravel(),
                       (wa[i:i + rows, None] * wb[j:j + cols]).ravel())
     return out
-
-
-def _fft_plan(len_a: int, len_b: int, max_a: int, max_b: int):
-    """(n, (w_a, k_a), (w_b, k_b)) for the FFT route on L = 2^n with k limbs
-    of w bits per input, the fewest transforms k_a + k_b + k_a k_b among the
-    splits whose Percival bound is below 1/4 for every limb pair; None when
-    no split into at most MAX_LIMBS limbs per input is admitted or L > 2^22."""
-    n = (len_a + len_b - 2).bit_length()
-    if n > _MAX_LOG_L:
-        return None
-    # sqrt(len a) sqrt(len b) |x_i| |y_j| _PERCIVAL[n] < 1/4
-    budget = 0.25 / (_PERCIVAL[n] * sqrt(len_a * len_b))
-    best, plan = None, None
-    for k_a in range(1, MAX_LIMBS + 1):
-        w_a = -(-max_a.bit_length() // k_a)
-        for k_b in range(1, MAX_LIMBS + 1):
-            w_b = -(-max_b.bit_length() // k_b)
-            cost = k_a + k_b + k_a * k_b
-            if (min(max_a, (1 << w_a) - 1) * min(max_b, (1 << w_b) - 1) < budget
-                    and (best is None or cost < best)):
-                best, plan = cost, (n, (w_a, k_a), (w_b, k_b))
-    return plan
 
 
 def _limbs(x: np.ndarray, w: int, k: int) -> np.ndarray:
@@ -214,41 +195,62 @@ def _fft(xa: np.ndarray, xb: np.ndarray, n: int, split_a, split_b) -> np.ndarray
     return out
 
 
-def _product(xa: np.ndarray, xb: np.ndarray, max_a: int, max_b: int) -> np.ndarray:
-    """The exact product of two nonempty arrays whose max|entry| are max_a
-    and max_b, by the route that the lengths, the nonzero counts and the
-    coefficient bound choose (module docstring): an int64 array, or an
-    object array of Python ints from Kronecker at a bound past int64.  A
-    square, _product(x, x, m, m) on one array, packs or transforms x once."""
-    len_a, len_b = len(xa), len(xb)
+def _plan(len_a: int, len_b: int, max_a: int, max_b: int, nonzeros) -> tuple:
+    """The route of a len_a x len_b product of max|entry| max_a and max_b
+    (module docstring): ("zero",), ("pairs",), ("dense",), ("fft", n, (w_a,
+    k_a), (w_b, k_b)) with k limbs of w bits on L = 2^n, or ("kronecker",
+    bound).  nonzeros() is (nnz a, nnz b), called past PAIRS_SETUP slot pairs."""
     bound = product_bound(len_a, max_a, len_b, max_b)
     if bound == 0:
-        return np.zeros(len_a + len_b - 1, dtype=np.int64)
-    if bound < _INT64_SAFE:
-        # at least one pair, so below PAIRS_SETUP slot pairs the pairs lose
-        # and the nonzeros need not be counted
-        if len_a * len_b > PAIRS_SETUP and (
-                PAIRS_RATIO * int(np.count_nonzero(xa)) * int(np.count_nonzero(xb))
-                + PAIRS_SETUP <= len_a * len_b):
-            return _pairs(xa, xb)
-        if len_a * len_b <= DENSE_CUT * (len_a + len_b - 1):
-            return np.convolve(xa, xb)
-        plan = _fft_plan(len_a, len_b, max_a, max_b)
-        if plan:
-            return _fft(xa, xb, *plan)
-    a = xa.tolist()
-    out = _kronecker(a, a if xb is xa else xb.tolist(), bound)
-    return np.array(out, dtype=exact_dtype(bound))
+        return ("zero",)
+    if bound >= _INT64_SAFE:
+        return ("kronecker", bound)
+    slots = len_a * len_b
+    if slots > PAIRS_SETUP:
+        nnz_a, nnz_b = nonzeros()
+        if PAIRS_RATIO * nnz_a * nnz_b + PAIRS_SETUP <= slots:
+            return ("pairs",)
+    if slots <= DENSE_CUT * (len_a + len_b - 1):
+        return ("dense",)
+    n = (len_a + len_b - 2).bit_length()
+    # sqrt(len a) sqrt(len b) |x_i| |y_j| _PERCIVAL[n] < 1/4, with the fewest
+    # transforms k_a + k_b + k_a k_b; none admitted past L = 2^22
+    budget = 0.25 / (_PERCIVAL[n] * sqrt(slots)) if n <= _MAX_LOG_L else 0
+    best, plan = None, ("kronecker", bound)
+    for k_a in range(1, MAX_LIMBS + 1):
+        w_a = -(-max_a.bit_length() // k_a)
+        for k_b in range(1, MAX_LIMBS + 1):
+            w_b = -(-max_b.bit_length() // k_b)
+            cost = k_a + k_b + k_a * k_b
+            if (min(max_a, (1 << w_a) - 1) * min(max_b, (1 << w_b) - 1) < budget
+                    and (best is None or cost < best)):
+                best, plan = cost, ("fft", n, (w_a, k_a), (w_b, k_b))
+    return plan
+
+
+def _product(xa: np.ndarray, xb: np.ndarray, max_a: int, max_b: int) -> np.ndarray:
+    """The exact product of two nonempty arrays of max|entry| max_a and max_b
+    by the route of `_plan`: int64, or object entries from Kronecker past
+    int64.  A square, _product(x, x, m, m), packs or transforms x once."""
+    plan = _plan(len(xa), len(xb), max_a, max_b,
+                 lambda: (np.count_nonzero(xa), np.count_nonzero(xb)))
+    if plan[0] == "dense":
+        return np.convolve(xa, xb)
+    if plan[0] == "pairs":
+        return _pairs(xa, xb)
+    if plan[0] == "fft":
+        return _fft(xa, xb, *plan[1:])
+    if plan[0] == "kronecker":
+        return _kronecker(xa, xb, plan[1])
+    return np.zeros(len(xa) + len(xb) - 1, dtype=np.int64)
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact linear convolution of two integer sequences.
-
-    a and b are any sequences of ints (lists, tuples); output index k holds
-    sum over i+j = k of a[i]*b[j] as a Python integer, in a list.  A square,
-    convolve(a, a) on one object, converts, packs or transforms a once.
-    """
-    if not a or not b:
+    """Exact linear convolution of two integer sequences or arrays, read by
+    `_array`: output index k holds sum over i+j = k of a[i]*b[j] as a Python
+    int, in a list.  A square, convolve(a, a) on one object, converts, packs
+    or transforms a once."""
+    if len(a) == 0 or len(b) == 0:
         return []
     xa, max_a = _array(a)
     xb, max_b = (xa, max_a) if b is a else _array(b)

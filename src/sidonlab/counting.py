@@ -140,9 +140,11 @@ class ScaledFunction:
 
     nums is one read-only array: int64 exactly when every |nums[j]| is
     below INT64_SAFE, else an object array of Python ints.  The constructor
-    takes any sequence of integers (read by `operator.index`) or an integer
-    array, makes it an int64 or object array by `convolve._array`, and
-    trims, reduces and measures that array in numpy, keeping a fresh copy:
+    takes any sequence of integers or an integer array and reads it by
+    `convolve._array`, the one input rule of the library and the public
+    `convolve` (a 1-d signed-integer array as int64, anything else value
+    by value with `operator.index`), and trims, reduces and measures that
+    array in numpy, keeping a fresh copy:
     `_top` = max|nums| and `_mass` = sum|nums| are kept beside it, 0 for
     the zero function, for the exactness guards of this module (the folds,
     the int64 sums and comparisons).  Equality, hashing and repr read nums
@@ -157,10 +159,6 @@ class ScaledFunction:
     def __init__(self, offset: int, nums, den: int = 1, ambient_n: int = 1):
         den, offset, ambient_n = index(den), index(offset), index(ambient_n)
         _check_positive(den, ambient_n)
-        # anything but a 1-d integer array is read value by value, which
-        # refuses floats and nested sequences
-        if not (isinstance(nums, np.ndarray) and nums.dtype.kind == "i" and nums.ndim == 1):
-            nums = list(map(index, nums))
         x, top = _array(nums)
         if not top:
             self._store(0, _EMPTY, 1, ambient_n, 0, 0)

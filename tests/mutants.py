@@ -49,7 +49,7 @@ class Mutant:
 
 
 MUTANTS = [
-    # the Percival budget: every limb pair's bound below 1/4
+    # the Percival budget in `_plan`: every limb pair's bound below 1/4
     Mutant("Percival budget 1/4 -> 1/2", CONVOLVE,
            "budget = 0.25 / (", "budget = 0.5 / (",
            ("tests/test_convolve.py::test_bound_of_a_quarter_is_refused",)),
@@ -63,9 +63,22 @@ MUTANTS = [
            ("tests/test_convolve.py::test_numpy_roots_within_beta",)),
     # the int64 routes need the coefficient bound strictly below 2^62
     Mutant("int64 routes at bound == 2^62", CONVOLVE,
-           "if bound < _INT64_SAFE:", "if bound <= _INT64_SAFE:",
+           "if bound >= _INT64_SAFE:", "if bound > _INT64_SAFE:",
            ("tests/test_convolve.py::test_int64_overflow_edge",
             "tests/test_convolve.py::test_pairs_int64_guard")),
+    # np.convolve up to DENSE_CUT multiply-adds per slot, inclusive: a route
+    # rule that changes no output, so only a plan assertion sees it
+    Mutant("dense cut <= -> <", CONVOLVE,
+           "if slots <= DENSE_CUT * (", "if slots < DENSE_CUT * (",
+           ("tests/test_convolve.py::test_threshold_boundary",)),
+    # an FFT limb carries the sign of its entry
+    Mutant("limbs lose their sign", CONVOLVE,
+           "    np.negative(rows, out=rows, where=x < 0)\n", "",
+           ("tests/test_convolve.py::test_long_fuzz_both_sides_of_the_dense_cut",)),
+    # the support-pair blocks tile the nonzeros of a without a gap
+    Mutant("pair blocks start one row apart too far", CONVOLVE,
+           "range(0, len(ia), rows)", "range(0, len(ia), rows + 1)",
+           ("tests/test_convolve.py::test_pairs_blocks",)),
     # an expression on numerators (a counting dot among them) runs in int64
     # only while its bound is strictly below 2^62, and a product carries its
     # whole bound as its maximum, from measured masses

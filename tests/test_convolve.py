@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import sidonlab.convolve as engine
 from sidonlab.convolve import (
@@ -19,7 +19,9 @@ from sidonlab.convolve import (
     MAX_LIMBS,
     PAIRS_RATIO,
     PAIRS_SETUP,
+    _array,
     _kronecker,
+    _plan,
     convolve,
     convolve_many,
     product_bound,
@@ -63,31 +65,30 @@ def random_ints(rng, length, bits, signed=True):
     return out
 
 
-@pytest.fixture
-def kronecker_calls(monkeypatch):
-    """Count the calls that reach the Kronecker route."""
-    calls = []
-
-    def spy(a, b, bound):
-        calls.append((len(a), len(b), bound))
-        return _kronecker(a, b, bound)
-
-    monkeypatch.setattr(engine, "_kronecker", spy)
-    return calls
+def kronecker(a, b):
+    """`_kronecker` on the arrays of two nonempty sequences (one, for a square)
+    at their coefficient bound, as a list."""
+    (xa, max_a), (xb, max_b) = _array(a), _array(b)
+    xb = xa if b is a else xb
+    return _kronecker(xa, xb, product_bound(len(xa), max_a, len(xb), max_b)).tolist()
 
 
 @pytest.fixture
-def fft_calls(monkeypatch):
-    """Record the plan of every call that reaches the FFT route."""
-    calls = []
-    real = engine._fft
+def plans(monkeypatch):
+    """The plan of every product while the test runs."""
+    seen = []
 
-    def spy(xa, xb, n, split_a, split_b):
-        calls.append((n, split_a, split_b))
-        return real(xa, xb, n, split_a, split_b)
+    def recorded(*args):
+        seen.append(_plan(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(engine, "_fft", spy)
-    return calls
+    monkeypatch.setattr(engine, "_plan", recorded)
+    return seen
+
+
+def routes(plans):
+    """The route names of a list of plans."""
+    return [plan[0] for plan in plans]
 
 
 def dense_cut_len(long):
@@ -96,18 +97,10 @@ def dense_cut_len(long):
     return DENSE_CUT * (long - 1) // (long - DENSE_CUT)
 
 
-@pytest.fixture
-def pair_calls(monkeypatch):
-    """Count the calls that reach the support-pair route."""
-    calls = []
-    real = engine._pairs
-
-    def spy(xa, xb):
-        calls.append((int(np.count_nonzero(xa)), int(np.count_nonzero(xb))))
-        return real(xa, xb)
-
-    monkeypatch.setattr(engine, "_pairs", spy)
-    return calls
+def fft_plan(len_a, len_b, max_a, max_b):
+    """The plan of two inputs without zeros, when it takes the FFT route."""
+    plan = _plan(len_a, len_b, max_a, max_b, lambda: (len_a, len_b))
+    return plan if plan[0] == "fft" else None
 
 
 def test_basic():
@@ -115,6 +108,15 @@ def test_basic():
     assert convolve([1], [5]) == [5]
     assert convolve([], [1, 2]) == []
     assert convolve([1, 2], []) == []
+    # anything but a signed-integer array is read by operator.index: no float
+    # or string is truncated or parsed, and uint64 past int64 keeps its value
+    for bad in ([1, 2.9], ["3"]):
+        with pytest.raises(TypeError):
+            convolve(bad, [1])
+    assert convolve(np.array([2**63], dtype=np.uint64), [1]) == [2**63]
+    assert convolve([np.uint64(2**63)], [1]) == [2**63]
+    assert convolve(np.array([1, 2], dtype=np.int8), np.array([3, 4])) == [3, 10, 8]
+    assert convolve(np.array([], dtype=np.int64), [1]) == []
 
 
 def test_signed_small():
@@ -137,11 +139,11 @@ def test_numpy_vs_kronecker_random(seed):
         assert convolve(a, b) == slow_reference(a, b)
         assert convolve([x * shift for x in a], b) == \
             [c * shift for c in slow_reference(a, b)]
-        assert _kronecker(a, b, coeff_bound(a, b)) == slow_reference(a, b)
+        assert kronecker(a, b) == slow_reference(a, b)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6])
-def test_wide_fuzz(seed, kronecker_calls):
+def test_wide_fuzz(seed, plans):
     # coefficients from 1 to 300 bits, signed and unsigned, so every slot
     # width from one byte up is used, with and without the sign bias
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -152,11 +154,11 @@ def test_wide_fuzz(seed, kronecker_calls):
         a = random_ints(rng, la, int(rng.integers(1, 300)), signed)
         b = random_ints(rng, lb, int(rng.integers(1, 300)), signed)
         assert convolve(a, b) == slow_reference(a, b)
-    assert any(bound >= 1 << 62 for _, _, bound in kronecker_calls)
+    assert any(plan[0] == "kronecker" and plan[1] >= 1 << 62 for plan in plans)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
-def test_long_fuzz_both_sides_of_the_dense_cut(seed, kronecker_calls, fft_calls):
+def test_long_fuzz_both_sides_of_the_dense_cut(seed, plans):
     # shorter inputs of one less to two more than the cut against 400
     # entries, 0/1 and signed -1/0/1: the cut reads the lengths alone, so
     # both kinds leave np.convolve for the FFT at the same length; int64
@@ -169,8 +171,7 @@ def test_long_fuzz_both_sides_of_the_dense_cut(seed, kronecker_calls, fft_calls)
             b = [int(x) for x in rng.integers(low, 2, size=400)]
             a[0], b[0] = low or 1, 1
             assert convolve(a, b) == np.convolve(a, b).tolist()
-    assert len(fft_calls) == 4
-    assert kronecker_calls == []
+    assert routes(plans) == ["dense", "dense", "fft", "fft"] * 2
 
 
 def test_length_one_and_single_nonzero():
@@ -210,7 +211,7 @@ def test_products_near_2_to_800():
     (2**62, 4, 2**30), (2**63 - 1, 7, 7 * 73 * 127), (2**63, 8, 2**30),
     (2**64 - 1, 3, 5 * 17 * 257), (2**64, 16, 2**30),
 ], ids=["2^62", "2^63-1", "2^63", "2^64-1", "2^64"])
-def test_int64_overflow_edge(kronecker_calls, bound, n, x, signed):
+def test_int64_overflow_edge(plans, bound, n, x, signed):
     # int64 entries whose coefficient bound n max|a| max|b| is at the edges
     # of 8- and 9-byte slots, and is reached by the middle slots: each
     # product leaves the int64 routes for Kronecker once, with that bound
@@ -220,12 +221,12 @@ def test_int64_overflow_edge(kronecker_calls, bound, n, x, signed):
     a = [sign * x] * n
     b = [sign * y] * (n + 2) + [y]
     assert convolve(a, b) == slow_reference(a, b)
-    assert kronecker_calls == [(len(a), len(b), bound)]
+    assert plans == [("kronecker", bound)]
 
 
 @pytest.mark.parametrize("n, y", [(1, 1), (2, 127), (3, (2**64 - 1) // 3)],
                          ids=["64-bit", "72-bit", "128-bit"])
-def test_unsigned_past_int64_fills_whole_bytes(kronecker_calls, n, y):
+def test_unsigned_past_int64_fills_whole_bytes(plans, n, y):
     # entries past int64 with a bound of a whole number of bytes, reached
     # by the middle slots: the slot keeps a sign bit above the bound, so
     # it is one byte wider than the bound itself
@@ -235,15 +236,14 @@ def test_unsigned_past_int64_fills_whole_bytes(kronecker_calls, n, y):
     assert bound.bit_length() % 8 == 0
     got = convolve(a, b)
     assert got == slow_reference(a, b) and max(got) == bound
-    assert kronecker_calls == [(len(a), len(b), bound)]
+    assert plans == [("kronecker", bound)]
 
 
 def test_kronecker_matches_numpy_path():
     a = [2**20, -(2**21), 3]
     b = [2**40, 5]
     via_numpy = convolve(a, b)  # bound below 2^62
-    assert _kronecker(a, b, coeff_bound(a, b)) == via_numpy \
-        == slow_reference(a, b)
+    assert kronecker(a, b) == via_numpy == slow_reference(a, b)
 
 
 def test_convolve_many_associative():
@@ -256,23 +256,23 @@ def test_convolve_many_associative():
     assert folded == manual
 
 
-def test_threshold_boundary(kronecker_calls, fft_calls):
-    # a shorter input at the cut stays on np.convolve, one entry more goes
-    # to the FFT, whatever the size and sign of the entries; both agree with
-    # the reference
-    cut = dense_cut_len(1000)
-    assert cut * 1000 <= DENSE_CUT * (cut + 999)
-    assert (cut + 1) * 1000 > DENSE_CUT * (cut + 1000)
-    for value in (1, 100, -1, -(1 << 20)):
-        b = [value] * 1000
-        a_at = [abs(value)] * cut
-        a_past = a_at + [abs(value)]
-        assert convolve(a_at, b) == np.convolve(a_at, b).tolist()
-        assert fft_calls == []
-        assert convolve(a_past, b) == np.convolve(a_past, b).tolist()
-        assert len(fft_calls) == 1
-        fft_calls.clear()
-    assert kronecker_calls == []
+def test_threshold_boundary(plans):
+    # an input at the cut against 1000 or 255 entries stays on np.convolve,
+    # one entry more goes to the FFT, whatever the size and sign of the
+    # entries; both agree with the reference.  256 x 255 meets the cut with
+    # equality
+    for long in (1000, 255):
+        cut = dense_cut_len(long)
+        assert cut * long <= DENSE_CUT * (cut + long - 1)
+        assert (cut + 1) * long > DENSE_CUT * (cut + long)
+        assert (cut * long == DENSE_CUT * (cut + long - 1)) == (long == 255)
+        for value in (1, 100, -1, -(1 << 20)):
+            b = [value] * long
+            a_at = [abs(value)] * cut
+            a_past = a_at + [abs(value)]
+            assert convolve(a_at, b) == np.convolve(a_at, b).tolist()
+            assert convolve(a_past, b) == np.convolve(a_past, b).tolist()
+    assert routes(plans) == ["dense", "fft"] * 8
 
 
 def int_lists(max_bits, max_size=24):
@@ -303,8 +303,44 @@ def test_kronecker_route_property(a, b, signed):
     bound = coeff_bound(a, b)
     assume(bound > 0)
     want = slow_reference(a, b)
-    assert _kronecker(a, b, bound) == want
+    assert kronecker(a, b) == want
     assert convolve(a, b) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, MAX_LIMBS), st.booleans(), st.booleans(),
+       st.booleans(), st.integers(0, 2**32))
+def test_every_plan_runs_as_kronecker(data, limbs, square, signed, capped, seed):
+    # executing the plan of a product gives Kronecker's array on the same
+    # inputs (zeros when an input is zero, whose bound 0 leaves Kronecker no
+    # slot): lengths up to 600 (both sides of PAIRS_SETUP slot pairs and of
+    # the dense cut), no nonzero to all, up to 70 bits (coefficient bounds
+    # on both sides of 2^62), at most `limbs` limbs per input, and, when
+    # `capped`, the longest transform one below the product's own L, which
+    # crosses the L = 2^22 cap without a product of 2^22 slots
+    rng = np.random.Generator(np.random.Philox(key=seed))
+
+    def draw_input():
+        length = int(rng.integers(1, 601))
+        nnz = min(length, data.draw(st.sampled_from([0, 1, 8, 32, 600, 600, 600])))
+        bits = int(rng.integers(1, data.draw(st.sampled_from([32, 71]))))
+        x = [0] * length
+        for pos, v in zip(rng.choice(length, size=nnz, replace=False).tolist(),
+                          random_ints(rng, nnz, bits, signed)):
+            x[pos] = v or 1
+        return _array(x)
+
+    xa, max_a = draw_input()
+    xb, max_b = (xa, max_a) if square else draw_input()
+    bound = product_bound(len(xa), max_a, len(xb), max_b)
+    cap = (len(xa) + len(xb) - 2).bit_length() - 1 if capped else engine._MAX_LOG_L
+    with mock.patch.object(engine, "MAX_LIMBS", limbs), \
+            mock.patch.object(engine, "_MAX_LOG_L", cap):
+        event(_plan(len(xa), len(xb), max_a, max_b,
+                    lambda: (np.count_nonzero(xa), np.count_nonzero(xb)))[0])
+        got = engine._product(xa, xb, max_a, max_b)
+    want = _kronecker(xa, xb, bound) if bound else np.zeros(len(got), dtype=np.int64)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @settings(max_examples=12, deadline=None)
@@ -337,7 +373,7 @@ def largest_admitted(len_a, len_b, max_b):
     lo, hi = 0, (engine._INT64_SAFE - 1) // (min(len_a, len_b) * max_b)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if engine._fft_plan(len_a, len_b, mid, max_b):
+        if fft_plan(len_a, len_b, mid, max_b):
             lo = mid
         else:
             hi = mid - 1
@@ -359,7 +395,7 @@ def test_fft_route_property(limbs, len_a, len_b, bits_b, signed, extreme, seed):
         max_a = largest_admitted(len_a, len_b, max_b)
         assume(max_a > 0)
         if coeff_bound([max_a + 1] * len_a, [max_b] * len_b) < engine._INT64_SAFE:
-            assert engine._fft_plan(len_a, len_b, max_a + 1, max_b) is None
+            assert fft_plan(len_a, len_b, max_a + 1, max_b) is None
 
         def draw(length, top):
             if extreme:
@@ -375,23 +411,22 @@ def test_fft_route_property(limbs, len_a, len_b, bits_b, signed, extreme, seed):
             got = convolve(a, b)
     (_, _, _, (_, k_a), (_, k_b)), _ = spy.call_args
     assert max(k_a, k_b) <= limbs
-    assert got == _kronecker(a, b, coeff_bound(a, b)) == slow_reference(a, b)
+    assert got == kronecker(a, b) == slow_reference(a, b)
 
 
-def test_bound_at_a_half_goes_to_kronecker(kronecker_calls, fft_calls):
+def test_bound_at_a_half_goes_to_kronecker(plans):
     # Percival's factor patched to 1/2: every limb pair has entries of size
     # at least 1, so its bound sqrt(500 * 600) * 1/2 is past 1/4 whatever
     # the split, and the call goes to Kronecker
     a, b = [3, -1] * 250, [5] * 600
     want = slow_reference(a, b)
     assert convolve(a, b) == want
-    assert len(fft_calls) == 1 and kronecker_calls == []
     with mock.patch.object(engine, "_PERCIVAL", [0.5] * 64):
         assert convolve(a, b) == want
-    assert len(fft_calls) == 1 and len(kronecker_calls) == 1
+    assert routes(plans) == ["fft", "kronecker"]
 
 
-def test_bound_of_a_quarter_is_refused(kronecker_calls, fft_calls):
+def test_bound_of_a_quarter_is_refused(plans):
     # 512 x 512 entries of 1 and 4, one limb each, L = 2^10: a factor of
     # 2^-13 makes the bound sqrt(512 * 512) * 1 * 4 * 2^-13 exactly 1/4,
     # which is refused; one ulp less is admitted
@@ -403,9 +438,7 @@ def test_bound_of_a_quarter_is_refused(kronecker_calls, fft_calls):
             table[10] = float(factor)
             with mock.patch.object(engine, "_PERCIVAL", table):
                 assert convolve(a, b) == want
-            assert (len(fft_calls), len(kronecker_calls)) == ((1, 0) if fft else (0, 1))
-            fft_calls.clear()
-            kronecker_calls.clear()
+    assert routes(plans) == ["kronecker", "fft"]
 
 
 def test_percival_factor():
@@ -443,7 +476,7 @@ def test_numpy_roots_within_beta():
                        (roots.imag - hi[::step, 1]) - lo[::step, 1])
         worst = max(worst, float(err.max()))
     assert 0 < worst <= BETA
-    # L = 2^17 .. 2^22, up to the longest transform _fft_plan admits, against
+    # L = 2^17 .. 2^22, up to the longest transform _plan admits, against
     # cos and sin in long double (a 64-bit significand, 2^-11 of a double ulp)
     if np.finfo(np.longdouble).nmant < 63:
         pytest.skip("long double has no extended precision here")
@@ -463,21 +496,23 @@ def test_numpy_roots_within_beta():
 
 def test_no_fft_plan_past_the_checked_roots():
     # L = 2^22 is the longest transform whose roots the test above checks
-    assert engine._fft_plan(2**21, 2**21 + 1, 1, 1)[0] == engine._MAX_LOG_L == 22
-    assert engine._fft_plan(2**21 + 1, 2**21 + 1, 1, 1) is None
+    assert engine._MAX_LOG_L == 22
+    assert fft_plan(2**21, 2**21 + 1, 1, 1) == ("fft", 22, (1, 1), (1, 1))
+    assert fft_plan(2**21 + 1, 2**21 + 1, 1, 1) is None
 
 
-def test_report_without_the_fft_route():
+def test_report_without_the_fft_route(plans):
     # ET(151) at eps 1/5, where the dense model first smooths (|B| = 95):
-    # the report's wide products go through the FFT, and with the route
-    # switched off (Kronecker takes them) every field is the same
+    # the report's wide products go through the FFT, and with no limb split
+    # admitted (MAX_LIMBS = 0, so Kronecker takes them) every field is the same
     s_set, eq = erdos_turan(151), EquationCoeffs((1, 1, 1, 1, -4))
-    with mock.patch.object(engine, "_fft", wraps=engine._fft) as spy:
-        fast = transference_report(s_set, eq, "1/5")
-    assert spy.called and fast.model.bohr.size == 95
-    with mock.patch.object(engine, "_fft_plan", return_value=None), \
+    fast = transference_report(s_set, eq, "1/5")
+    assert "fft" in routes(plans) and fast.model.bohr.size == 95
+    plans.clear()
+    with mock.patch.object(engine, "MAX_LIMBS", 0), \
             mock.patch.object(engine, "_fft", side_effect=AssertionError):
         slow = transference_report(s_set, eq, "1/5")
+    assert "kronecker" in routes(plans) and "fft" not in routes(plans)
     assert fast == slow
 
 
@@ -534,7 +569,7 @@ def test_pairs_route_property(a, b, signed):
     (300, 1000, 21, 211),  # 64 * 4431 + 2^14 <= 300 * 1000 < 64 * 4432 + 2^14
 ])
 @pytest.mark.parametrize("low", [0, -3])
-def test_pairs_cut(la, lb, nnz_a, nnz_b, low, pair_calls):
+def test_pairs_cut(la, lb, nnz_a, nnz_b, low, plans):
     # nnz(a) * nnz(b) at the largest product that takes the pair route, then
     # one more nonzero in b, which leaves it for a dense route
     assert PAIRS_RATIO * nnz_a * nnz_b + PAIRS_SETUP <= la * lb \
@@ -545,17 +580,18 @@ def test_pairs_cut(la, lb, nnz_a, nnz_b, low, pair_calls):
         b = sparse(rng, lb, nnz, low, 3)
         assert convolve(a, b) == slow_reference(a, b)
         assert convolve(b, a) == slow_reference(b, a)
-        assert len(pair_calls) == (2 if taken else 0)
-        pair_calls.clear()
+        assert [route == "pairs" for route in routes(plans)] == [taken] * 2
+        plans.clear()
 
 
-def test_pairs_need_the_setup_term(pair_calls):
-    # single spikes in 128 x 128 entries: one pair, but 64 + 2^14 > 128^2
+def test_pairs_need_the_setup_term(plans):
+    # single spikes in 128 x 128 entries: one pair, but 64 + 2^14 > 128^2;
+    # up to 2^14 slot pairs the nonzeros are not counted
     a = [0] * 127 + [5]
     assert convolve(a, a) == [0] * 254 + [25]
-    assert pair_calls == []
     assert convolve(a + [0], a) == [0] * 254 + [25, 0]
-    assert pair_calls == [(1, 1)]
+    assert plans == [("dense",), ("pairs",)]
+    assert _plan(128, 128, 5, 5, None) == ("dense",)
 
 
 class _AddAt:
@@ -571,7 +607,7 @@ class _AddAt:
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 24, 25, 49, 50, 600, 1 << 20])
-def test_pairs_blocks(block, monkeypatch, pair_calls):
+def test_pairs_blocks(block, monkeypatch, plans):
     # 24 x 25 nonzeros: blocks of whole rows of 25 pairs, of single rows cut
     # into columns below 25, and a single block from 600 pairs on
     rng = np.random.Generator(np.random.Philox(key=block))
@@ -582,13 +618,13 @@ def test_pairs_blocks(block, monkeypatch, pair_calls):
     add = _AddAt(np.add)
     monkeypatch.setattr(np, "add", add)
     assert convolve(a, b) == want
-    assert pair_calls == [(24, 25)]
+    assert plans == [("pairs",)]
     assert sum(add.blocks) == 24 * 25
     assert max(add.blocks) <= block
     assert len(add.blocks) == -(-24 // max(1, block // 25)) * -(-25 // min(25, block))
 
 
-def test_pairs_int64_guard(pair_calls, kronecker_calls):
+def test_pairs_int64_guard(plans):
     # min(len) = 2^8: entries of 2^27 against 2^27 - 1 give the bound
     # 2^62 - 2^35, below _INT64_SAFE (pairs); 2^27 against 2^27 give 2^62
     # (Kronecker).  24 adjacent nonzeros put 24 products on one slot
@@ -601,14 +637,12 @@ def test_pairs_int64_guard(pair_calls, kronecker_calls):
             out = convolve(a, b)
             assert out == slow_reference(a, b)
             assert max(map(abs, out)) == 24 * (1 << 27) * top
-            assert (len(pair_calls), len(kronecker_calls)) == \
-                ((1, 0) if pairs else (0, 1))
-            pair_calls.clear()
-            kronecker_calls.clear()
+            assert routes(plans) == ["pairs" if pairs else "kronecker"]
+            plans.clear()
 
 
 @pytest.mark.parametrize("p, extra", [(11, 0), (13, 0), (11, 3), (13, 4)])
-def test_counts_through_pairs(p, extra, pair_calls):
+def test_counts_through_pairs(p, extra, plans):
     # (1,1,1,1,-4) on ET(p) and ET(p) + extra points against the oracle:
     # indicators of about sqrt(N) points in N slots take the pair route
     s_set = erdos_turan(p)
@@ -619,7 +653,7 @@ def test_counts_through_pairs(p, extra, pair_calls):
     assert count_solutions(eq, fns) == brute_force_count(eq, fns)
     assert count_distinct_solutions(eq, s_set) == \
         brute_force_count(eq, fns, distinct_only=True)
-    assert pair_calls
+    assert "pairs" in routes(plans)
 
 
 
@@ -631,16 +665,15 @@ def square_fft_bits(length, splits):
     the FFT route with limb counts `splits` (in either order)."""
     for bits in range(1, 63):
         top = (1 << bits) - 1
-        plan = engine._fft_plan(length, length, top, top)
-        if plan and sorted((plan[1][1], plan[2][1])) == list(splits):
+        plan = fft_plan(length, length, top, top)
+        if plan and sorted((plan[2][1], plan[3][1])) == list(splits):
             return bits
     raise AssertionError(f"no FFT plan with limbs {splits}")
 
 
 @pytest.mark.parametrize("route", ["pairs", "numpy", (1, 1), (1, 2), (1, 3), (2, 2),
                                    "kronecker", "past int64"])
-def test_square_is_the_product_of_two_copies(route, pair_calls, fft_calls,
-                                             kronecker_calls):
+def test_square_is_the_product_of_two_copies(route, plans):
     # convolve(a, a) on one object converts a once and, when both limb
     # splits agree, takes one rfft; it must equal the product of two copies
     rng = np.random.Generator(np.random.Philox(key=61))
@@ -658,11 +691,11 @@ def test_square_is_the_product_of_two_copies(route, pair_calls, fft_calls,
         a[0] = (1 << bits) - 1
     with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
         square = convolve(a, a)
-    taken = (len(pair_calls), len(fft_calls), len(kronecker_calls))
-    assert taken == {"pairs": (1, 0, 0), "numpy": (0, 0, 0), "kronecker": (0, 0, 1),
-                     "past int64": (0, 0, 1)}.get(route, (0, 1, 0))
-    if fft_calls:
-        (_, split_a, split_b), = fft_calls
+    (plan,) = plans
+    assert plan[0] == {"pairs": "pairs", "numpy": "dense", "kronecker": "kronecker",
+                       "past int64": "kronecker"}.get(route, "fft")
+    if plan[0] == "fft":
+        _, _, split_a, split_b = plan
         assert sorted((split_a[1], split_b[1])) == list(route)
         assert rfft.call_count == (1 if split_a == split_b else 2)
     assert square == convolve(a, list(a)) == slow_reference(a, a)

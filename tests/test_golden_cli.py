@@ -3,9 +3,12 @@
 Each case runs `sidonlab.cli.main` in process from inside `tests/golden/`
 (so the set paths echoed in each document's config are the bare file
 names) and compares stdout byte for byte with `tests/golden/<case>.out`.
-Timing columns of `bench` are cut before the comparison.
+Timing columns of `bench` are cut before the comparison.  The same run
+records the `convolve._plan` of every product, which must equal the case's
+section of `tests/golden/plans.txt` (one plan repr a line under `# <case>`),
+so a change of route or limb split shows in review.
 
-After an intended change of output, rewrite the files with
+After an intended change of output or of a route, rewrite the files with
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
 """
 
@@ -18,12 +21,14 @@ from pathlib import Path
 
 import pytest
 
+import sidonlab.convolve as engine
 import sidonlab.suites as suites_module
 from sidonlab.cli import main
 from sidonlab.counting import EquationCoeffs, ScaledFunction, brute_force_count
 from sidonlab.sets import read_set_file
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PLANS = GOLDEN / "plans.txt"
 
 CASES = {
     "construct_erdos_turan": ["construct", "erdos-turan", "--p", "7"],
@@ -92,25 +97,46 @@ def _cut_timings(text: str) -> str:
                    for line in text.splitlines(keepends=True))
 
 
-def run_case(name: str) -> tuple[int, str]:
-    """(exit code, stdout) of one case, run from the golden directory."""
-    out = StringIO()
+def run_case(name: str) -> tuple[int, str, list[str]]:
+    """(exit code, stdout, the repr of every product's plan) of one case, run
+    from the golden directory."""
+    out, plans = StringIO(), []
+    real = engine._plan
+
+    def recorded(*args):
+        plans.append(real(*args))
+        return plans[-1]
+
     cwd = os.getcwd()
     os.chdir(GOLDEN)
+    engine._plan = recorded
     try:
         with redirect_stdout(out):
             code = main(CASES[name])
     finally:
+        engine._plan = real
         os.chdir(cwd)
     text = out.getvalue()
-    return code, _cut_timings(text) if name == "bench" else text
+    return code, _cut_timings(text) if name == "bench" else text, list(map(repr, plans))
+
+
+def golden_plans() -> dict[str, list[str]]:
+    """The sections of plans.txt by case."""
+    sections = {}
+    for line in PLANS.read_text().splitlines():
+        if line.startswith("# "):
+            plans = sections[line[2:]] = []
+        else:
+            plans.append(line)
+    return sections
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
-    code, text = run_case(name)
+    code, text, plans = run_case(name)
     assert code == 0
     assert text == (GOLDEN / f"{name}.out").read_text()
+    assert plans == golden_plans()[name]
 
 
 @pytest.mark.parametrize("name, raw", [("report_et7x2_s6", 277),
@@ -154,9 +180,12 @@ def test_counting_bound_verdicts():
 
 
 if __name__ == "__main__":
+    sections = []
     for case in sorted(CASES):
-        rc, stdout = run_case(case)
+        rc, stdout, case_plans = run_case(case)
         if rc != 0:
             sys.exit(f"{case}: exit {rc}")
         (GOLDEN / f"{case}.out").write_text(stdout)
+        sections.append("".join(f"{line}\n" for line in [f"# {case}", *case_plans]))
+    PLANS.write_text("".join(sections))
     (GOLDEN / "counting_bound_verdicts.txt").write_text(counting_bound_verdicts())
