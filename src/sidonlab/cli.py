@@ -472,6 +472,10 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory; try smaller inputs or a lower budget",
+              file=sys.stderr)
+        return EXIT_BUDGET
 
 
 def entry() -> None:

@@ -59,8 +59,16 @@ equal up to scaling, sign and order are counted once.
 
 `brute_force_count` is the independent oracle: direct enumeration over all
 tuples of the first s-1 supports, solving for the last variable.  It never
-touches the convolution engine, and reads each support and its weights off
-the numerator array.
+touches the convolution engine or the fold memo, and reads each support and
+its weights off the numerator array.  It runs in blocks of at most `_CHUNK`
+tuples, each a slice of one support times every support after it, so its
+peak memory is set by `_CHUNK` and not by the budget.  A block's partial
+sums t give the last variable x_s = -t / a_s, and its weight is read by
+index from the last function's numerators where a_s divides t and x_s is in
+that function's span; only the solutions whose weight is not an interior
+zero are gathered and multiplied, and their h weight products are summed in
+int64 while h times the largest weight product stays below INT64_SAFE, else
+over Python ints.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
+from itertools import product
 from math import gcd, lcm, prod
 from numbers import Rational
 from operator import index
@@ -82,7 +91,11 @@ from .sets import INT64_SAFE, IntegerSet, check_span, exact_dtype, zero_one
 DEFAULT_BRUTE_BUDGET = 10**9
 MAX_DISTINCT_VARS = 12
 
-_CHUNK = 1 << 21
+# tuples per oracle block, so that a block's few temporaries stay in the
+# caches: (1,1,1,1,-4) on ET(43)+10, 7.9M tuples in blocks of at most 2^12,
+# 2^14, 2^16, 2^18 and 2^21, takes 97, 59, 53, 61 and 91 ms (medians of 9
+# interleaved runs, 2 vCPUs)
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -611,9 +624,17 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
 
     The cost is the product of the first s-1 support sizes; it must not
     exceed the budget (argument, else SIDONLAB_BUDGET, else 10^9).  The
-    enumeration never uses convolution.  Inner grids are evaluated in
-    numpy blocks, with int64 positions and weights when rigorous sum and
-    product bounds permit and Python-integer (object) arrays otherwise.
+    enumeration never uses convolution.  It runs in blocks of at most
+    `_CHUNK` tuples, each a slice of one support times all the supports
+    after it, so peak memory is set by `_CHUNK` and not by the budget.  A
+    block solves a_s x_s = -t for each partial sum t and reads the last
+    weight from the last function's numerators at x_s - offset, where a_s
+    divides t and x_s is in that function's span; a solution that reads
+    an interior zero is dropped.  Positions and weights are int64 when
+    rigorous sum and product bounds permit and Python-integer (object)
+    arrays otherwise; a block's h solutions are summed in int64 when h
+    times the largest weight product is below INT64_SAFE, and over Python
+    ints otherwise.
     """
     fns = list(fns)
     if len(fns) != eq.s:
@@ -622,8 +643,9 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
         )
     if not all(len(f.nums) for f in fns):
         return SolutionCount(Fraction(0))
-    nonzero = [np.flatnonzero(f.nums) for f in fns]
-    cost = prod(len(j) for j in nonzero[:-1])
+    *head, last = fns
+    nonzero = [np.flatnonzero(f.nums) for f in head]
+    cost = prod(len(j) for j in nonzero)
     limit = _resolve_budget(budget)
     if cost > limit:
         raise BudgetExceededError(
@@ -631,61 +653,82 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
         )
     den_product = prod(f.den for f in fns)
     wmax = prod(f._top for f in fns)
-    # every partial sum of a_i x_i is at most sum |a_i| * max |x|, and a
-    # trimmed function's support starts and ends its span
+    # every partial sum of a_i x_i, the last one's offset term included, is
+    # at most sum |a_i| * max |x|, and a trimmed function's support starts
+    # and ends its span
     xmax = max(max(abs(f.offset), abs(f.offset + len(f.nums) - 1)) for f in fns)
     pmax = sum(abs(a) for a in eq.coeffs) * xmax
     pdtype, dtype = exact_dtype(pmax), exact_dtype(wmax)
-    pos = [j.astype(pdtype) + f.offset for j, f in zip(nonzero, fns)]
-    wts = [f.nums[j].astype(dtype) for j, f in zip(nonzero, fns)]
-    total = _enumerate(eq.coeffs, pos, wts, distinct_only, pdtype, dtype)
+    pos = [j.astype(pdtype) + f.offset for j, f in zip(nonzero, head)]
+    wts = [f.nums[j].astype(dtype) for j, f in zip(nonzero, head)]
+    total = _enumerate(eq.coeffs, pos, wts, last, distinct_only, pdtype, wmax)
     return SolutionCount(Fraction(total, den_product))
 
 
-def _enumerate(coeffs, pos, wts, distinct_only, pdtype, dtype) -> int:
-    s = len(coeffs)
-    a_last = coeffs[-1]
-    pos_last, wts_last = pos[-1], wts[-1]
+def _solve(u, c, nums):
+    """The solutions in one block of sums u = c (x_s - offset): the flat
+    indices where c divides u and the last function's numerators `nums`
+    are nonzero at u / c, and those indices into `nums`."""
+    ok = (u >= 0) & (u < c * len(nums))
+    if c > 1:
+        ok &= u % c == 0
+    hits = np.flatnonzero(ok)
+    q = u.ravel()[hits]
+    q = (q // c if c > 1 else q).astype(np.intp, copy=False)
+    live = nums[q] != 0
+    return hits[live], q[live]
 
-    def solve_block(tsum, wprod, coords):
-        neg = -tsum
-        q = neg // a_last  # np.divmod has no loop for object arrays
-        mask = q * a_last == neg
-        idx = np.clip(np.searchsorted(pos_last, q), 0, len(pos_last) - 1)
-        mask = mask & (pos_last[idx] == q)
+
+def _enumerate(coeffs, pos, wts, last, distinct_only, pdtype, wmax) -> int:
+    """The sum of the weight products over the tuples of the supports `pos`
+    (weights `wts`) with the last variable, of function `last`, solved."""
+    dtype = exact_dtype(wmax)
+    # a_s x_s = -t is c (x_s - offset) = u, with c = |a_s| and u the sum
+    # of the terms -sign(a_s) a_i x_i less c offset
+    sign, c = (-1 if coeffs[-1] > 0 else 1), abs(coeffs[-1])
+    terms = [sign * a * p for a, p in zip(coeffs, pos)]
+    sizes = [len(p) for p in pos]
+    # blocks are slices of axis k times all the axes after it
+    k = next(k for k in range(len(pos)) if prod(sizes[k + 1:]) <= _CHUNK)
+    tail_u, tail_w, tail_x = np.zeros(1, pdtype), np.ones(1, dtype), []
+    for m in range(k + 1, len(pos)):
         if distinct_only:
-            for i in range(len(coords)):
-                for j in range(i + 1, len(coords)):
-                    mask = mask & (coords[i] != coords[j])
-                mask = mask & (coords[i] != q)
-        vals = wprod * wts_last[idx] * mask
-        return int(np.sum(vals, dtype=object))
-
-    def walk(axis, tsum, wprod, fixed):
-        rem = prod(len(pos[k]) for k in range(axis, s - 1))
-        if rem <= _CHUNK:
-            nax = s - 1 - axis
-            t = np.asarray(tsum, dtype=pdtype)
-            w = np.asarray(wprod, dtype=dtype)
-            coords = list(fixed)
-            for t_i, k in enumerate(range(axis, s - 1)):
-                shape = [1] * nax
-                shape[t_i] = len(pos[k])
-                pk = pos[k].reshape(shape)
-                t = t + coeffs[k] * pk
-                w = w * wts[k].reshape(shape)
-                coords.append(pk)
-            return solve_block(t, w, coords)
-        out = 0
-        for j in range(len(pos[axis])):
-            x = int(pos[axis][j])
-            if distinct_only and x in fixed:
+            tail_x = [np.repeat(x, sizes[m]) for x in tail_x]
+            tail_x.append(np.tile(pos[m], len(tail_u)))
+        tail_u = np.add.outer(tail_u, terms[m]).ravel()
+        tail_w = np.multiply.outer(tail_w, wts[m]).ravel()
+    width = len(tail_u)
+    step = _CHUNK // width
+    heads = [list(zip(pos[i].tolist(), terms[i].tolist(), wts[i].tolist()))
+             for i in range(k)]
+    total = 0
+    for picks in product(*heads):
+        xs = [x for x, _, _ in picks]
+        if distinct_only and len(set(xs)) < k:
+            continue
+        u0 = sum(t for _, t, _ in picks) - c * last.offset
+        w0 = prod(w for _, _, w in picks)
+        for lo in range(0, sizes[k], step):
+            rows = slice(lo, lo + step)
+            hits, q = _solve((u0 + terms[k][rows])[:, None] + tail_u, c,
+                             last.nums)
+            if not len(hits):
                 continue
-            out += walk(axis + 1, tsum + coeffs[axis] * x,
-                        wprod * int(wts[axis][j]), fixed + [x])
-        return out
-
-    return walk(0, 0, 1, [])
+            i, j = np.divmod(hits, width)
+            vals = wts[k][rows][i] * tail_w[j] * last.nums[q].astype(dtype,
+                                                                     copy=False)
+            if distinct_only:
+                coords = [*xs, pos[k][rows][i], *(x[j] for x in tail_x),
+                          q.astype(pdtype) + last.offset]
+                keep = np.ones(len(hits), dtype=bool)
+                for a in range(len(coords)):
+                    for b in range(max(a + 1, k), len(coords)):
+                        keep &= coords[a] != coords[b]
+                vals = vals[keep]
+            block = (int(vals.sum()) if len(vals) * wmax < INT64_SAFE
+                     else sum(vals.tolist()))
+            total += w0 * block
+    return total
 
 
 @dataclass(frozen=True)

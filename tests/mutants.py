@@ -128,6 +128,21 @@ MUTANTS = [
     Mutant("times guard ignores the multipliers", COUNTING,
            "bound = self._top * int(np.abs(rs).max(initial=0))", "bound = self._top",
            ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
+    # the oracle's blocks: a block's h solutions are summed in int64 only
+    # while h times the largest weight product is below 2^62 (at exactly
+    # 2^62 an int64 sum still fits, so a `<=` there changes no value), the
+    # last variable is read only inside its function's span, and the
+    # slices of an axis leave no gap
+    Mutant("oracle block sum cut without the hit count", COUNTING,
+           "len(vals) * wmax < INT64_SAFE", "wmax < INT64_SAFE",
+           ("tests/test_counting.py::TestOracleBlocks::test_block_sums_on_both_sides_of_the_int64_cut",)),
+    Mutant("oracle last variable one slot past its span", COUNTING,
+           "(u < c * len(nums))", "(u <= c * len(nums))",
+           ("tests/test_counting.py::TestOracleBlocks::test_last_variable_at_both_ends_of_its_span",)),
+    Mutant("oracle block slice one element short", COUNTING,
+           "slice(lo, lo + step)", "slice(lo, lo + step - 1)",
+           ("tests/test_counting.py::TestOracleBlocks::test_axis_longer_than_the_chunk",
+            "tests/test_counting.py::TestOracleBlocks::test_slices_tile_every_axis")),
     # the one statement of the Bohr condition
     Mutant("Bohr scan <= -> <", TRANSFERENCE,
            "* q <= p * m).all(axis=1)", "* q < p * m).all(axis=1)",

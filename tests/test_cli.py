@@ -314,6 +314,21 @@ class TestCount:
         assert code == 3
         assert "budget" in stderr and stdout == ""
 
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch):
+        # a failed allocation anywhere in a command keeps the contract
+        import sidonlab.cli as cli
+
+        def exhausted(*a, **k):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "brute_force_count", exhausted)
+        code, stdout, stderr = run(capsys, "count", "--coeffs", "1,1,-2",
+                                   "--interval", "10", "--oracle")
+        assert code == 3
+        assert stdout == ""
+        assert stderr.startswith("error: out of memory")
+        assert stderr.count("\n") == 1
+
     def test_bad_coeffs_exit_2(self, capsys):
         code, _, _ = run(capsys, "count", "--coeffs", "1,x", "--interval", "4")
         assert code == 2

@@ -8,6 +8,7 @@ import operator
 import pickle
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial, gcd, prod
@@ -1042,6 +1043,87 @@ class TestBruteForcePastInt64:
         assert seen == [np.int64, object]
 
 
+@pytest.fixture
+def solved_blocks(monkeypatch):
+    """The number of tuples in each block the oracle solves."""
+    sizes = []
+    inner = counting_module._solve
+
+    def spy(u, c, nums):
+        sizes.append(u.size)
+        return inner(u, c, nums)
+
+    monkeypatch.setattr(counting_module, "_solve", spy)
+    return sizes
+
+
+class TestOracleBlocks:
+    """brute_force_count's blocks: slices of one axis times every later axis,
+    at most _CHUNK tuples, whose last variable is read by index."""
+
+    def test_axis_longer_than_the_chunk(self, monkeypatch, solved_blocks):
+        monkeypatch.setattr(counting_module, "_CHUNK", 8)
+        f = interval(100)
+        assert brute_force_count(EquationCoeffs((1, -1)), [f, f]).value == 100
+        assert solved_blocks == [8] * 12 + [4]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 12, 1 << 16])
+    def test_slices_tile_every_axis(self, monkeypatch, solved_blocks, chunk):
+        monkeypatch.setattr(counting_module, "_CHUNK", chunk)
+        fns = [ScaledFunction.from_weights(0, (1, 2, 0, 3, 1)),
+               ScaledFunction.from_weights(1, (2, 1, 1)),
+               ScaledFunction.from_weights(-2, (1, 0, 0, 1, -1, 2, 1)),
+               ScaledFunction.from_weights(0, (3, 1, 0, 2))]
+        eq = EquationCoeffs((2, 1, -1, -3))
+        assert brute_force_count(eq, fns).value == count_solutions(eq, fns).value
+        assert max(solved_blocks) <= chunk
+        s_set = IntegerSet((1, 2, 4, 8, 9, 13), 13)
+        eq = EquationCoeffs((1, 1, -1, -1))
+        assert brute_force_count(eq, [ScaledFunction.from_set(s_set)] * 4,
+                                 distinct_only=True).value == \
+            count_distinct_solutions(eq, s_set).value
+
+    def test_last_variable_at_both_ends_of_its_span(self):
+        # the last function spans [1, 3] with an interior zero at 2; x1 = 0
+        # and x1 = 4 solve x1 = x2 one slot outside it
+        last = ScaledFunction.from_weights(1, (1, 0, 2))
+        assert brute_force_count(EquationCoeffs((1, -1)),
+                                 [interval(5), last]).value == 1 + 2
+        # x1 = 2 x2 on [0, 8]: the odd x1 are in range but not divisible,
+        # and x1 = 8 solves it one slot past the end
+        wide = ScaledFunction.from_weights(0, (1,) * 9)
+        assert brute_force_count(EquationCoeffs((1, -2)), [wide, last]).value == 1 + 2
+        assert brute_force_count(EquationCoeffs((-1, 2)), [wide, last]).value == 1 + 2
+
+    def test_block_sums_on_both_sides_of_the_int64_cut(self):
+        # h solutions of weight w each: in int64 while h w < 2^62, over
+        # Python ints past it, where an int64 sum of 5 (2^61 - 1) would wrap.
+        # At h w = 2^62 exactly an int64 sum still fits, so the cut's `<`
+        # is not pinned by a value
+        eq = EquationCoeffs((1, -1))
+        for w, h in ((2**60 - 1, 4), (2**61 - 1, 5), (2**62 - 1, 3)):
+            heavy = ScaledFunction.from_weights(1, (w,) * h)
+            assert brute_force_count(eq, [heavy, interval(h)]).value == h * w
+            assert brute_force_count(eq, [interval(h), heavy]).value == h * w
+
+    def test_peak_memory_is_set_by_the_chunk(self, solved_blocks):
+        # 28^4 = 614,656 tuples of (1,1,1,1,-4), about 1 MB traced in
+        # blocks of 2^16 tuples; one block of them all takes about 30 MB
+        s_set = perturb_almost_sidon(erdos_turan(23), 5, 1)
+        fns = [ScaledFunction.from_set(s_set)] * 5
+        eq = EquationCoeffs((1, 1, 1, 1, -4))
+        tracemalloc.start()
+        try:
+            value = brute_force_count(eq, fns).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == count_solutions(eq, fns).value
+        assert peak < 4 * 2**20
+        assert sum(solved_blocks) == 28**4
+        assert max(solved_blocks) <= counting_module._CHUNK
+
+
 class TestOracleEquivalence:
     def test_seeded_instances(self):
         rng = np.random.Generator(np.random.Philox(key=31))
@@ -1148,11 +1230,15 @@ def as_points(offset, ws):
     return {offset + j: w for j, w in enumerate(ws) if w}
 
 
-def oracle_count(coeffs, fns):
-    """sum over tuples with sum a_i x_i = 0 of the weight products."""
+def oracle_count(coeffs, fns, distinct=False):
+    """sum over tuples with sum a_i x_i = 0 of the weight products; under
+    `distinct` only over tuples of pairwise distinct x_i."""
     total = Fraction(0)
     for pts in itertools.product(*(as_points(off, ws).items() for off, ws in fns)):
-        if sum(a * x for a, (x, _) in zip(coeffs, pts)) == 0:
+        xs = [x for x, _ in pts]
+        if distinct and len(set(xs)) < len(xs):
+            continue
+        if sum(a * x for a, x in zip(coeffs, xs)) == 0:
             total += prod(w for _, w in pts)
     return total
 
@@ -1187,6 +1273,41 @@ class TestRepresentationProperties:
         got = count_solutions(EquationCoeffs(coeffs),
                               [function(off, ws) for off, ws in fns])
         assert got.value == oracle_count(coeffs, fns)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 4), st.booleans(), st.integers(1, 6),
+           st.sampled_from([0, -7, 2**62 - 3, 2**63 - 2, -2**63]),
+           st.sampled_from([None, 40, 58, 60, 61]))
+    def test_brute_force_against_fraction_oracle(self, data, s, distinct,
+                                                 chunk, base, heavy):
+        # blocks of at most `chunk` tuples, so slices, block edges and axes
+        # longer than a block are crossed; a base near 2^63 puts positions
+        # past int64, and `heavy` gives the first function integer weights
+        # near ±2^heavy and the others weights in [-2, 2], so that a
+        # block's solutions times the largest weight product fall on both
+        # sides of 2^62
+        head = data.draw(st.lists(st.integers(-3, 3).filter(bool),
+                                  min_size=s - 1, max_size=s - 1))
+        # a balanced last coefficient, |a_s| up to 9, gives solutions at
+        # any base; the others leave sums it does not divide
+        last = st.integers(-3, 3).filter(bool)
+        if sum(head):
+            last = st.just(-sum(head)) | last
+        last = data.draw(last)
+        coeffs = head + [last]
+        weights = [small_fractions] * s
+        if heavy:
+            near = st.integers(2**heavy - 7, 2**heavy)
+            weights = [near | near.map(operator.neg) | st.just(0)]
+            weights += [st.integers(-2, 2)] * (s - 1)
+        fns = [(base + data.draw(st.integers(-3, 3)),
+                data.draw(st.lists(ws, min_size=1, max_size=6)))
+               for ws in weights]
+        with mock.patch.object(counting_module, "_CHUNK", chunk):
+            got = brute_force_count(EquationCoeffs(coeffs),
+                                    [function(off, ws) for off, ws in fns],
+                                    distinct_only=distinct)
+        assert got.value == oracle_count(coeffs, fns, distinct)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-6, 6), weight_lists(), st.integers(-6, 6), weight_lists())
