@@ -61,14 +61,16 @@ equal up to scaling, sign and order are counted once.
 tuples of the first s-1 supports, solving for the last variable.  It never
 touches the convolution engine or the fold memo, and reads each support and
 its weights off the numerator array.  It runs in blocks of at most `_CHUNK`
-tuples, each a slice of one support times every support after it, so its
-peak memory is set by `_CHUNK` and not by the budget.  A block's partial
-sums t give the last variable x_s = -t / a_s, and its weight is read by
-index from the last function's numerators where a_s divides t and x_s is in
-that function's span; only the solutions whose weight is not an interior
-zero are gathered and multiplied, and their h weight products are summed in
-int64 while h times the largest weight product stays below INT64_SAFE, else
-over Python ints.
+tuples, each a range of rows of the leading supports times every support
+after them, so its peak memory is set by `_CHUNK` and not by the budget; a
+tuple is one flat index, so 2^63 tuples or more are refused whatever the
+budget.  A block's partial sums t give the last variable x_s = -t / a_s,
+and its weight is read by index from the last function's numerators where
+a_s divides t and x_s is in that function's span; only the solutions whose
+weight is not an interior zero are unravelled into coordinates, gathered
+and multiplied, and their h weight products are summed in int64 while h
+times the largest weight product stays below INT64_SAFE, else over Python
+ints.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import product
 from math import gcd, lcm, prod
 from numbers import Rational
 from operator import index
@@ -623,18 +624,20 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
     """Oracle: enumerate tuples of the first s-1 supports, solve the last.
 
     The cost is the product of the first s-1 support sizes; it must not
-    exceed the budget (argument, else SIDONLAB_BUDGET, else 10^9).  The
-    enumeration never uses convolution.  It runs in blocks of at most
-    `_CHUNK` tuples, each a slice of one support times all the supports
-    after it, so peak memory is set by `_CHUNK` and not by the budget.  A
-    block solves a_s x_s = -t for each partial sum t and reads the last
-    weight from the last function's numerators at x_s - offset, where a_s
-    divides t and x_s is in that function's span; a solution that reads
-    an interior zero is dropped.  Positions and weights are int64 when
-    rigorous sum and product bounds permit and Python-integer (object)
-    arrays otherwise; a block's h solutions are summed in int64 when h
-    times the largest weight product is below INT64_SAFE, and over Python
-    ints otherwise.
+    exceed the budget (argument, else SIDONLAB_BUDGET, else 10^9), and 2^63
+    tuples or more, past the one flat index that numbers them, are refused
+    whatever the budget.  The enumeration never uses convolution.  It runs
+    in blocks of at most `_CHUNK` tuples, each a range of rows of the
+    leading supports times every support after them, so peak memory is set
+    by `_CHUNK` and not by the budget.  A block solves a_s x_s = -t for each
+    partial sum t and reads the last weight from the last function's
+    numerators at x_s - offset, where a_s divides t and x_s is in that
+    function's span; a solution that reads an interior zero is dropped, and
+    the coordinates of the others are unravelled from their flat indices.
+    Positions and weights are int64 when rigorous sum and product bounds
+    permit and Python-integer (object) arrays otherwise; a block's h
+    solutions are summed in int64 when h times the largest weight product
+    is below INT64_SAFE, and over Python ints otherwise.
     """
     fns = list(fns)
     if len(fns) != eq.s:
@@ -651,6 +654,9 @@ def brute_force_count(eq: EquationCoeffs, fns, distinct_only: bool = False,
         raise BudgetExceededError(
             f"enumeration needs {cost} tuples, budget is {limit}"
         )
+    # the blocks number the tuples by one flat intp index
+    if cost > np.iinfo(np.intp).max:
+        raise BudgetExceededError(f"enumeration needs {cost} tuples, past the index limit")
     den_product = prod(f.den for f in fns)
     wmax = prod(f._top for f in fns)
     # every partial sum of a_i x_i, the last one's offset term included, is
@@ -682,52 +688,38 @@ def _solve(u, c, nums):
 def _enumerate(coeffs, pos, wts, last, distinct_only, pdtype, wmax) -> int:
     """The sum of the weight products over the tuples of the supports `pos`
     (weights `wts`) with the last variable, of function `last`, solved."""
-    dtype = exact_dtype(wmax)
     # a_s x_s = -t is c (x_s - offset) = u, with c = |a_s| and u the sum
     # of the terms -sign(a_s) a_i x_i less c offset
     sign, c = (-1 if coeffs[-1] > 0 else 1), abs(coeffs[-1])
     terms = [sign * a * p for a, p in zip(coeffs, pos)]
     sizes = [len(p) for p in pos]
-    # blocks are slices of axis k times all the axes after it
+    # a block is a range of flat rows over the axes 0..k times every axis
+    # after k, whose sums (less c offset) `tail` holds once for all blocks
     k = next(k for k in range(len(pos)) if prod(sizes[k + 1:]) <= _CHUNK)
-    tail_u, tail_w, tail_x = np.zeros(1, pdtype), np.ones(1, dtype), []
-    for m in range(k + 1, len(pos)):
-        if distinct_only:
-            tail_x = [np.repeat(x, sizes[m]) for x in tail_x]
-            tail_x.append(np.tile(pos[m], len(tail_u)))
-        tail_u = np.add.outer(tail_u, terms[m]).ravel()
-        tail_w = np.multiply.outer(tail_w, wts[m]).ravel()
-    width = len(tail_u)
+    tail = np.full(1, -c * last.offset, pdtype)
+    for t in terms[k + 1:]:
+        tail = np.add.outer(tail, t).ravel()
+    width, rows = len(tail), prod(sizes[:k + 1])
     step = _CHUNK // width
-    heads = [list(zip(pos[i].tolist(), terms[i].tolist(), wts[i].tolist()))
-             for i in range(k)]
     total = 0
-    for picks in product(*heads):
-        xs = [x for x, _, _ in picks]
-        if distinct_only and len(set(xs)) < k:
-            continue
-        u0 = sum(t for _, t, _ in picks) - c * last.offset
-        w0 = prod(w for _, _, w in picks)
-        for lo in range(0, sizes[k], step):
-            rows = slice(lo, lo + step)
-            hits, q = _solve((u0 + terms[k][rows])[:, None] + tail_u, c,
-                             last.nums)
-            if not len(hits):
-                continue
-            i, j = np.divmod(hits, width)
-            vals = wts[k][rows][i] * tail_w[j] * last.nums[q].astype(dtype,
-                                                                     copy=False)
-            if distinct_only:
-                coords = [*xs, pos[k][rows][i], *(x[j] for x in tail_x),
-                          q.astype(pdtype) + last.offset]
-                keep = np.ones(len(hits), dtype=bool)
-                for a in range(len(coords)):
-                    for b in range(max(a + 1, k), len(coords)):
-                        keep &= coords[a] != coords[b]
-                vals = vals[keep]
-            block = (int(vals.sum()) if len(vals) * wmax < INT64_SAFE
-                     else sum(vals.tolist()))
-            total += w0 * block
+    for lo in range(0, rows, step):
+        lead = np.unravel_index(np.arange(lo, min(lo + step, rows)), sizes[:k + 1])
+        hits, q = _solve(sum(t[i] for t, i in zip(terms, lead))[:, None] + tail, c,
+                         last.nums)
+        # every coordinate index of each solution, from its flat index
+        at = np.unravel_index(hits + lo * width, sizes)
+        vals = last.nums[q].astype(exact_dtype(wmax), copy=False)
+        for w, i in zip(wts, at):
+            vals = vals * w[i]
+        if distinct_only:
+            coords = [p[i] for p, i in zip(pos, at)] + [q.astype(pdtype) + last.offset]
+            keep = np.ones(len(hits), dtype=bool)
+            for a in range(len(coords)):
+                for b in range(a + 1, len(coords)):
+                    keep &= coords[a] != coords[b]
+            vals = vals[keep]
+        total += (int(vals.sum()) if len(vals) * wmax < INT64_SAFE
+                  else sum(vals.tolist()))
     return total
 
 

@@ -128,11 +128,29 @@ MUTANTS = [
     Mutant("times guard ignores the multipliers", COUNTING,
            "bound = self._top * int(np.abs(rs).max(initial=0))", "bound = self._top",
            ("tests/test_counting.py::TestTupleReference::test_guards_at_the_first_value_past_them",)),
+    # the counting kernels: the strided dot's range of t at both ends, the
+    # offset of a dilation by a negative coefficient, and the last variable
+    # a group of its own when every coefficient is the same
+    Mutant("dot range one short at the top for a < 0", COUNTING,
+           "hi = min(left_last // b, right_last // -a)",
+           "hi = min(left_last // b, right_last // -a) - 1",
+           ("tests/test_counting.py::TestCountSolutions::test_progression_on_interval",)),
+    Mutant("dot range one late at the bottom for a > 0", COUNTING,
+           "lo = max(-(-left_off // b), -(right_last // a))",
+           "lo = max(-(-left_off // b), -(right_last // a)) + 1",
+           ("tests/test_counting.py::TestCountSolutions::test_reflection",)),
+    Mutant("negative dilation offset one slot off", COUNTING,
+           "else offset + len(values) - 1)", "else offset + len(values))",
+           ("tests/test_counting.py::TestCountSolutions::test_reflection",)),
+    Mutant("last variable not a group of its own", COUNTING,
+           "last = len(folds) - 1 if coeffs.count(coeffs[0]) == len(coeffs) else None",
+           "last = None",
+           ("tests/test_counting.py::TestCountSolutions::test_meet_in_middle_fuzz",)),
     # the oracle's blocks: a block's h solutions are summed in int64 only
     # while h times the largest weight product is below 2^62 (at exactly
     # 2^62 an int64 sum still fits, so a `<=` there changes no value), the
-    # last variable is read only inside its function's span, and the
-    # slices of an axis leave no gap
+    # last variable is read only inside its function's span, the row
+    # ranges leave no gap, and the distinct filter compares every pair
     Mutant("oracle block sum cut without the hit count", COUNTING,
            "len(vals) * wmax < INT64_SAFE", "wmax < INT64_SAFE",
            ("tests/test_counting.py::TestOracleBlocks::test_block_sums_on_both_sides_of_the_int64_cut",)),
@@ -140,9 +158,14 @@ MUTANTS = [
            "(u < c * len(nums))", "(u <= c * len(nums))",
            ("tests/test_counting.py::TestOracleBlocks::test_last_variable_at_both_ends_of_its_span",)),
     Mutant("oracle block slice one element short", COUNTING,
-           "slice(lo, lo + step)", "slice(lo, lo + step - 1)",
+           "min(lo + step, rows)", "min(lo + step - 1, rows)",
            ("tests/test_counting.py::TestOracleBlocks::test_axis_longer_than_the_chunk",
             "tests/test_counting.py::TestOracleBlocks::test_slices_tile_every_axis")),
+    Mutant("oracle distinct filter skips the last coordinate", COUNTING,
+           "range(a + 1, len(coords))", "range(a + 1, len(coords) - 1)",
+           ("tests/test_counting.py::TestRepresentationProperties::"
+            "test_brute_force_against_fraction_oracle",
+            "tests/test_counting.py::TestDistinctProperties::test_against_brute_force")),
     # the one statement of the Bohr condition
     Mutant("Bohr scan <= -> <", TRANSFERENCE,
            "* q <= p * m).all(axis=1)", "* q < p * m).all(axis=1)",

@@ -1058,8 +1058,9 @@ def solved_blocks(monkeypatch):
 
 
 class TestOracleBlocks:
-    """brute_force_count's blocks: slices of one axis times every later axis,
-    at most _CHUNK tuples, whose last variable is read by index."""
+    """brute_force_count's blocks: ranges of rows over the leading axes times
+    every later axis, at most _CHUNK tuples, whose last variable is read by
+    index."""
 
     def test_axis_longer_than_the_chunk(self, monkeypatch, solved_blocks):
         monkeypatch.setattr(counting_module, "_CHUNK", 8)
@@ -1122,6 +1123,67 @@ class TestOracleBlocks:
         assert peak < 4 * 2**20
         assert sum(solved_blocks) == 28**4
         assert max(solved_blocks) <= counting_module._CHUNK
+
+    def test_every_block_but_the_last_is_full(self, solved_blocks):
+        # 53^4 tuples: blocks of _CHUNK // 53^2 rows over the first two
+        # axes times the 53^2 pairs of the last two
+        s_set = perturb_almost_sidon(erdos_turan(43), 10, 1)
+        fns = [ScaledFunction.from_set(s_set)] * 5
+        eq = EquationCoeffs((1, 1, 1, 1, -4))
+        assert brute_force_count(eq, fns).value == count_solutions(eq, fns).value
+        n = s_set.size
+        width = next(n**m for m in (3, 2, 1, 0) if n**m <= counting_module._CHUNK)
+        full = counting_module._CHUNK // width * width
+        assert solved_blocks[:-1] == [full] * (len(solved_blocks) - 1)
+        assert 0 < solved_blocks[-1] <= full
+        assert sum(solved_blocks) == n**4
+
+    def test_distinct_peak_memory(self):
+        # every coordinate of a solution is read off its index, so the
+        # distinct count keeps no coordinate table of the trailing axes
+        s_set = perturb_almost_sidon(erdos_turan(11), 2, 1)
+        eq = EquationCoeffs((1, 1, 1, -1, -1, -1))
+        fns = [ScaledFunction.from_set(s_set)] * 6
+        tracemalloc.start()
+        try:
+            value = brute_force_count(eq, fns, distinct_only=True).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == count_distinct_solutions(eq, s_set).value
+        assert peak < 2.5 * 2**20
+
+    def test_refused_at_the_index_limit(self, solved_blocks):
+        # 2^64 tuples are past the one flat index that numbers them: refused
+        # before any block, whatever the budget
+        f = ScaledFunction.from_interval(1, 2**16, 2**16)
+        with pytest.raises(BudgetExceededError, match="index limit"):
+            brute_force_count(EquationCoeffs((1, 1, 1, 1, -4)), [f] * 5,
+                              budget=2**70)
+        assert solved_blocks == []
+
+
+class TestOracleIndependence:
+    def test_never_touches_the_engine_or_the_memo(self):
+        # the oracle convolves nothing and reads no fold memo, so it agrees
+        # with the fast counts with their every product forbidden
+        s_set = perturb_almost_sidon(erdos_turan(11), 2, 1)
+        one = ScaledFunction.from_set(s_set)
+        big = one.scaled_by(2**70)
+        eq = EquationCoeffs((1, 1, 1, 1, -4))
+        cases = [([one] * 5, False, count_solutions(eq, [one] * 5).value),
+                 ([one] * 5, True, count_distinct_solutions(eq, s_set).value),
+                 ([big] * 5, False, count_solutions(eq, [big] * 5).value)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the fast route")
+
+        with mock.patch.multiple(counting_module, _product=forbidden,
+                                 _fold_step=forbidden, _dilate=forbidden,
+                                 _set_counts=forbidden):
+            for fns, distinct, fast in cases:
+                assert brute_force_count(eq, fns, distinct_only=distinct).value == fast
+        assert cases[2][2] == cases[0][2] * 2**350
 
 
 class TestOracleEquivalence:

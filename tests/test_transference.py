@@ -274,6 +274,8 @@ class TestBohrScanProperties:
                st.lists(st.integers(0, m - 1), max_size=20, unique=True), st.just(m))),
            st.one_of(radii, big_radii), st.integers(0, 300))
     @example(([1, 7, 150], 200), Fraction(10**17 // 5, 10**17 + 3), 300)
+    # 2 * 5 == 1 * 10: n = 2 is on the Bohr condition's boundary
+    @example(([1], 10), Fraction(1, 5), 30)
     def test_elements_and_contains_are_the_bohr_condition(self, grid, eps, n):
         # the elements are every point of [-width, width] that passes the
         # per-point test for every k, and contains() answers membership
