@@ -704,8 +704,8 @@ def _enumerate(coeffs, pos, wts, last, distinct_only, pdtype, wmax) -> int:
     total = 0
     for lo in range(0, rows, step):
         lead = np.unravel_index(np.arange(lo, min(lo + step, rows)), sizes[:k + 1])
-        hits, q = _solve(sum(t[i] for t, i in zip(terms, lead))[:, None] + tail, c,
-                         last.nums)
+        u = reduce(np.add, (t[i] for t, i in zip(terms, lead)))
+        hits, q = _solve(u[:, None] + tail, c, last.nums)
         # every coordinate index of each solution, from its flat index
         at = np.unravel_index(hits + lo * width, sizes)
         vals = last.nums[q].astype(exact_dtype(wmax), copy=False)
